@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .arith import is_p_power, is_prime
-from .errors import ChromarankError, HeightExceeded, NotInGroup
+from .errors import ChromarankError, HeightExceeded
 from .group import PermGroup
 from .perm import Permutation
 
@@ -97,6 +97,7 @@ def p_power_elements(
 ) -> tuple[Permutation, ...]:
     """Elements of p-power order (identity included), in lex order."""
     _check_prime(p)
+    group._check_limit(limit)
     key = ("p_power", p)
     cached = group._cache.get(key)
     if cached is None:
@@ -126,6 +127,8 @@ def commuting_tuple_classes(
     """
     _check_prime(p)
     _check_height(h, max_height)
+    if h:  # height 0 needs no enumeration
+        group._check_limit(limit)
     key = ("tuple_classes", p, h)
     cached = group._cache.get(key)
     if cached is not None:
@@ -182,10 +185,7 @@ def hkr_rank(
 
 def tuple_centralizer(group: PermGroup, t: PTuple, limit: int | None = None) -> PermGroup:
     """Centralizer in the group of all entries of the tuple."""
-    for e in t.entries:
-        if not group.contains(e):
-            raise NotInGroup(f"{e!r} is not a member of this group")
-    return group._centralizer_raw([e.images for e in t.entries], limit)
+    return group.centralizer(t.entries, limit)
 
 
 @dataclass(frozen=True)

@@ -179,11 +179,7 @@ def unitriangular4(q: int) -> PermGroup:
         for j in range(i + 1, 4):
             m = [[1 if a == b else 0 for b in range(4)] for a in range(4)]
             m[i][j] = 1
-            images = []
-            for v in vectors:
-                w = tuple(sum(v[a] * m[a][b] for a in range(4)) % q for b in range(4))
-                images.append(index[w])
-            gens.append(Permutation(images))
+            gens.append(_matrix_to_perm(m, vectors, index, q))
     return PermGroup(len(vectors), gens)
 
 

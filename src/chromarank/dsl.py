@@ -277,12 +277,10 @@ def _select_centralizer(group: PermGroup, order: int, czorder: int | None, limit
     """Pick the lex-least class rep of the given element order (and, when
     given, centralizer order); returns (rep, centralizer)."""
     table = group.conjugacy_classes(limit)
-    for rep in table.reps:
-        if rep.order() != order:
-            continue
-        cent = group._centralizer_raw([rep.images], limit)
-        if czorder is None or cent.order() == czorder:
-            return rep, cent
+    for rep, size in zip(table.reps, table.sizes):
+        # |C_G(x)| = |G| / |x^G|, so only the chosen class's centralizer is built.
+        if rep.order() == order and (czorder is None or group.order() // size == czorder):
+            return rep, group._centralizer_raw([rep.images], limit)
     wanted = f"element order {order}"
     if czorder is not None:
         wanted += f" and centralizer order {czorder}"

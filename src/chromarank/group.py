@@ -177,9 +177,14 @@ class ConjClassTable:
 class Fingerprint:
     """Cheap isomorphism-invariant summary of a finite group.
 
-    Equality of fingerprints is necessary but not sufficient for group
-    isomorphism; the registry treats it as an identity heuristic and offers
-    a paranoid mode that compares finer class data when available.
+    Every field but order and derived_order is a fold of the class profile
+    (PermGroup.class_profile): the exponent and the element-order histogram
+    from the element orders weighted by class size, the class-size
+    histogram, the center order as the number of classes of size 1, and
+    abelian when every class has size 1.  Equality of fingerprints is
+    necessary but not sufficient for group isomorphism; the registry treats
+    it as an identity heuristic, and its paranoid mode compares the full
+    class profiles of groups whose fingerprints match.
     """
 
     order: int
@@ -288,14 +293,23 @@ class PermGroup:
 
     # -- enumeration-backed queries -------------------------------------------
 
-    def _raw_elements(self, limit: int | None = None) -> tuple[tuple[int, ...], ...]:
-        cached = self._cache.get("elements_raw")
-        if cached is not None:
-            return cached
+    def _check_limit(self, limit: int | None) -> None:
+        """Raise ThresholdExceeded when the group is past the enumeration limit.
+
+        Enumeration-backed queries call this before their cache lookup, so a
+        cached result is returned exactly when a fresh group would compute it.
+        """
         cap = enumeration_limit(limit)
         n = self.order()
         if n > cap:
             raise ThresholdExceeded(f"desk-scale exceeded: group order {n} > limit {cap}")
+
+    def _raw_elements(self, limit: int | None = None) -> tuple[tuple[int, ...], ...]:
+        self._check_limit(limit)
+        cached = self._cache.get("elements_raw")
+        if cached is not None:
+            return cached
+        n = self.order()
         closed = kernels.close_group(list(self._raw), n)
         if closed is None or len(closed) != n:
             raise ChromarankError("closure disagrees with stabilizer chain order")
@@ -305,6 +319,7 @@ class PermGroup:
 
     def elements(self, limit: int | None = None) -> tuple[Permutation, ...]:
         """All elements, lexicographically sorted by image tuple."""
+        self._check_limit(limit)
         cached = self._cache.get("elements")
         if cached is None:
             cached = tuple(Permutation._wrap(t) for t in self._raw_elements(limit))
@@ -312,24 +327,11 @@ class PermGroup:
         return cached
 
     def exponent(self, limit: int | None = None) -> int:
-        out = 1
-        for o, _ in self.element_order_histogram(limit):
-            out = lcm(out, o)
-        return out
-
-    def element_order_histogram(self, limit: int | None = None) -> tuple[tuple[int, int], ...]:
-        cached = self._cache.get("order_histogram")
-        if cached is None:
-            counts: dict[int, int] = {}
-            for t in self._raw_elements(limit):
-                o = kernels.element_order(t)
-                counts[o] = counts.get(o, 0) + 1
-            cached = tuple(sorted(counts.items()))
-            self._cache["order_histogram"] = cached
-        return cached
+        return lcm(*(o for o, _ in self.class_profile(limit)))
 
     def conjugacy_classes(self, limit: int | None = None) -> ConjClassTable:
         """Orbits of the conjugation action via generator-conjugation closure."""
+        self._check_limit(limit)
         cached = self._cache.get("classes")
         if cached is not None:
             return cached
@@ -350,6 +352,11 @@ class PermGroup:
         self._cache["classes"] = table
         return table
 
+    def class_profile(self, limit: int | None = None) -> tuple[tuple[int, int], ...]:
+        """Sorted (element order, class size) pairs, one per conjugacy class."""
+        table = self.conjugacy_classes(limit)
+        return tuple(sorted((rep.order(), size) for rep, size in zip(table.reps, table.sizes)))
+
     def _centralizer_raw(self, raw_targets, limit: int | None = None) -> "PermGroup":
         filtered = kernels.centralizer_filter(list(self._raw_elements(limit)), list(raw_targets))
         return _subgroup_from_elements(self.degree, filtered)
@@ -365,7 +372,11 @@ class PermGroup:
         return self._centralizer_raw([t.images for t in tt], limit)
 
     def center(self, limit: int | None = None) -> "PermGroup":
-        return self._centralizer_raw(self._raw, limit)
+        """The union of the conjugacy classes of size 1."""
+        table = self.conjugacy_classes(limit)
+        return _subgroup_from_elements(
+            self.degree, [rep.images for rep, size in zip(table.reps, table.sizes) if size == 1]
+        )
 
     def sylow_subgroup(self, p: int, limit: int | None = None) -> "PermGroup":
         """A Sylow p-subgroup, grown from a cyclic p-subgroup via normalizers.
@@ -406,9 +417,14 @@ class PermGroup:
 
     def derived_subgroup(self, limit: int | None = None) -> "PermGroup":
         """Normal closure of the generator commutators."""
-        cached = self._cache.get("derived")
-        if cached is not None:
-            return cached
+        result = self._cache.get("derived")
+        if result is None:
+            result = self._derived_subgroup()
+            self._cache["derived"] = result
+        result._check_limit(limit)
+        return result
+
+    def _derived_subgroup(self) -> "PermGroup":
         identity = tuple(range(self.degree))
         work: list[tuple[int, ...]] = []
         for a in self._raw:
@@ -434,31 +450,27 @@ class PermGroup:
         else:
             result = PermGroup(self.degree, tuple(Permutation._wrap(t) for t in gens))
             result._chain = chain
-        cap = enumeration_limit(limit)
-        if result.order() > cap:
-            raise ThresholdExceeded(
-                f"desk-scale exceeded: derived subgroup order {result.order()} > limit {cap}"
-            )
-        self._cache["derived"] = result
         return result
 
     def fingerprint(self, limit: int | None = None) -> Fingerprint:
+        self._check_limit(limit)
         cached = self._cache.get("fingerprint")
         if cached is not None:
             return cached
-        order_hist = self.element_order_histogram(limit)
-        table = self.conjugacy_classes(limit)
+        order_counts: dict[int, int] = {}
         size_counts: dict[int, int] = {}
-        for s in table.sizes:
-            size_counts[s] = size_counts.get(s, 0) + 1
+        for o, size in self.class_profile(limit):
+            order_counts[o] = order_counts.get(o, 0) + size
+            size_counts[size] = size_counts.get(size, 0) + 1
+        center_order = size_counts.get(1, 0)
         fp = Fingerprint(
             order=self.order(),
-            exponent=self.exponent(limit),
-            element_order_histogram=order_hist,
+            exponent=lcm(*order_counts),
+            element_order_histogram=tuple(sorted(order_counts.items())),
             class_size_histogram=tuple(sorted(size_counts.items())),
-            center_order=self.center(limit).order(),
+            center_order=center_order,
             derived_order=self.derived_subgroup(limit).order(),
-            abelian=self.is_abelian(),
+            abelian=center_order == self.order(),
         )
         self._cache["fingerprint"] = fp
         return fp

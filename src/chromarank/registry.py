@@ -25,7 +25,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 
-from . import constructors, dsl, kernels
+from . import constructors, dsl
 from .arith import is_p_power, is_prime, p_part
 from .errors import ChromarankError, ConsistencyError, ParseError, ThresholdExceeded
 from .group import Fingerprint, PermGroup, enumeration_limit
@@ -127,18 +127,6 @@ class DerivationTree:
         return "\n".join(lines)
 
 
-def _fp_key(fp: Fingerprint) -> tuple:
-    return (
-        fp.order,
-        fp.exponent,
-        fp.element_order_histogram,
-        fp.class_size_histogram,
-        fp.center_order,
-        fp.derived_order,
-        fp.abelian,
-    )
-
-
 class Registry:
     """Ordered collection of entries for one prime, consistency-checked."""
 
@@ -148,7 +136,7 @@ class Registry:
         self.prime = prime
         self.entries: list[RegistryEntry] = []
         self._by_name: dict[str, RegistryEntry] = {}
-        self._by_fp: dict[tuple, list[RegistryEntry]] = {}
+        self._by_fp: dict[Fingerprint, list[RegistryEntry]] = {}
         for e in entries:
             self.add(e)
 
@@ -169,14 +157,13 @@ class Registry:
                 return existing
             raise ConsistencyError(f"duplicate entry name {entry.name!r}")
         if entry.fingerprint is not None:
-            key = _fp_key(entry.fingerprint)
-            for other in self._by_fp.get(key, ()):
+            for other in self._by_fp.get(entry.fingerprint, ()):
                 if {other.status, entry.status} == {"good", "bad"}:
                     raise ConsistencyError(
                         f"fingerprint of {entry.name!r} matches {other.name!r} "
                         f"with contradictory status"
                     )
-            self._by_fp.setdefault(key, []).append(entry)
+            self._by_fp.setdefault(entry.fingerprint, []).append(entry)
         self.entries.append(entry)
         self._by_name[entry.name] = entry
         return entry
@@ -185,7 +172,7 @@ class Registry:
         return self._by_name.get(name)
 
     def find_fingerprint(self, fp: Fingerprint) -> list[RegistryEntry]:
-        return list(self._by_fp.get(_fp_key(fp), ()))
+        return list(self._by_fp.get(fp, ()))
 
     def bad_match(self, fp: Fingerprint) -> RegistryEntry | None:
         for e in self.find_fingerprint(fp):
@@ -312,7 +299,7 @@ def certify(
     cache: dict[str, PermGroup] = {}
     tree = _search(expr, p, registry, depth, limit, cache)
     if tree is not None:
-        group = _eval_cached(expr, limit, cache)
+        group = dsl.evaluate(expr, limit, memo=cache)
         if registry.has_bad_of_order(group.order()):
             fp = group.fingerprint(limit)
             bad = registry.bad_match(fp)
@@ -324,17 +311,13 @@ def certify(
     return tree
 
 
-def _eval_cached(expr, limit, cache: dict):
-    return dsl.evaluate(expr, limit, memo=cache)
-
-
 def _search(expr, p, registry, depth, limit, cache) -> DerivationTree | None:
     if depth <= 0:
         return None
     text = dsl.print_expr(expr)
 
     # SEED
-    group = _eval_cached(expr, limit, cache)
+    group = dsl.evaluate(expr, limit, memo=cache)
     axiom = _match_seed(expr, p, group)
     if axiom is not None:
         return DerivationTree(text, "SEED", axiom)
@@ -355,7 +338,7 @@ def _search(expr, p, registry, depth, limit, cache) -> DerivationTree | None:
 
     # CENTRALIZER: centralizers of p-power elements of a good group
     if isinstance(expr, dsl.Cent):
-        inner_group = _eval_cached(expr.inner, limit, cache)
+        inner_group = dsl.evaluate(expr.inner, limit, memo=cache)
         rep, _ = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
         if is_p_power(rep.order(), p):
             inner = _search(expr.inner, p, registry, depth - 1, limit, cache)
@@ -492,11 +475,8 @@ def register_derivation(
             rule=node.rule,
             parents=parents,
         )
-        try:
-            registry.add(entry)
-            added.append(entry)
-        except ConsistencyError:
-            raise
+        registry.add(entry)
+        added.append(entry)
     return added
 
 
@@ -508,14 +488,6 @@ class _Session:
     """Transient realization state for one explore run."""
 
     groups: dict[str, PermGroup] = field(default_factory=dict)
-    class_profiles: dict[tuple, tuple] = field(default_factory=dict)
-
-
-def _class_profile(group: PermGroup, limit) -> tuple:
-    """Joint (element order, class size) histogram; finer than the fingerprint."""
-    table = group.conjugacy_classes(limit)
-    pairs = sorted((rep.order(), size) for rep, size in zip(table.reps, table.sizes))
-    return tuple(pairs)
 
 
 def _realize(entry: RegistryEntry, session: _Session, limit) -> PermGroup | None:
@@ -552,7 +524,6 @@ def _register_candidate(
     except ThresholdExceeded as exc:
         log.info("explore: skipping %s: %s", name, exc)
         return None
-    key = _fp_key(fp)
     matches = registry.find_fingerprint(fp)
     for other in matches:
         if other.status == "bad":
@@ -561,10 +532,10 @@ def _register_candidate(
             )
     if matches:
         if paranoid:
-            profile = _class_profile(group, limit)
+            profile = group.class_profile(limit)
             for other in matches:
-                known = session.class_profiles.get(_fp_key(other.fingerprint))
-                if known is not None and known != profile:
+                known = _realize(other, session, limit)
+                if known is not None and known.class_profile(limit) != profile:
                     raise ConsistencyError(
                         f"fingerprint collision between {name!r} and {other.name!r}: "
                         f"class profiles differ"
@@ -588,8 +559,6 @@ def _register_candidate(
     )
     registry.add(entry)
     session.groups[name] = group
-    if paranoid:
-        session.class_profiles[key] = _class_profile(group, limit)
     return entry
 
 
@@ -604,19 +573,17 @@ def _centralizer_children(
     added = []
     table = group.conjugacy_classes(limit)
     chosen: dict[tuple[int, int], str] = {}
-    for rep in table.reps:
+    for rep, size in zip(table.reps, table.sizes):
         o = rep.order()
-        if not is_p_power(o, p):
-            continue
-        cent = group._centralizer_raw([rep.images], limit)
-        czo = cent.order()
-        if czo > bound:
+        czo = group.order() // size
+        if not is_p_power(o, p) or czo > bound:
             continue
         expr = None
         if parent.expr is not None and (o, czo) not in chosen:
             expr = f"cent({parent.expr},order={o},czorder={czo})"
         chosen.setdefault((o, czo), rep.cycle_string())
         name = expr or f"cent[{parent.name};o{o};cz{czo};{rep.cycle_string()}]"
+        cent = group._centralizer_raw([rep.images], limit)
         entry = _register_candidate(
             registry, session, name, expr, p, cent, "CENTRALIZER", (parent.name,), limit, paranoid
         )

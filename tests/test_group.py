@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,9 @@ from chromarank import (
     cyclic,
     dihedral,
     group_from_generators,
+    hkr_rank,
     p_part,
+    p_power_elements,
     quaternion8,
     read_generator_file,
     symmetric,
@@ -26,8 +29,11 @@ from conftest import (
     o_centralizer,
     o_classes,
     o_close,
+    o_compose,
     o_exponent,
+    o_inverse,
     o_is_p_power,
+    o_order,
     o_parity,
 )
 
@@ -149,6 +155,28 @@ def test_fingerprint_distinguishes_q8_from_d8():
     assert fq != fd
 
 
+def test_fingerprint_matches_oracles(corpus):
+    for name, group in corpus.items():
+        elems = o_close(list(group._raw))
+        center = o_centralizer(elems, elems)
+        commutators = {
+            o_compose(o_compose(o_inverse(a), o_inverse(b)), o_compose(a, b))
+            for a in elems
+            for b in elems
+        }
+        fp = group.fingerprint()
+        assert fp.order == len(elems), name
+        assert fp.exponent == o_exponent(elems), name
+        assert fp.element_order_histogram == tuple(sorted(Counter(map(o_order, elems)).items())), name
+        assert fp.class_size_histogram == tuple(
+            sorted(Counter(len(c) for c in o_classes(elems)).items())
+        ), name
+        assert fp.center_order == len(center), name
+        assert fp.derived_order == len(o_close(sorted(commutators))), name
+        assert fp.abelian == (len(center) == len(elems)), name
+        assert sorted(e.images for e in group.center().elements()) == center, name
+
+
 def test_fingerprint_record_roundtrip():
     fp = symmetric(4).fingerprint()
     assert Fingerprint.from_record(fp.to_record()) == fp
@@ -161,6 +189,24 @@ def test_threshold_exceeded():
         symmetric(6).elements(limit=100)
     # order() itself needs no enumeration
     assert symmetric(12).order() == math.factorial(12)
+
+
+def test_limit_holds_on_cached_results():
+    queries = (
+        lambda g, limit: g.elements(limit=limit),
+        lambda g, limit: g.conjugacy_classes(limit=limit),
+        lambda g, limit: g.fingerprint(limit=limit),
+        lambda g, limit: g.derived_subgroup(limit=limit),
+        lambda g, limit: p_power_elements(g, 2, limit=limit),
+        lambda g, limit: hkr_rank(g, 2, 1, limit=limit),
+    )
+    for query in queries:
+        with pytest.raises(ThresholdExceeded):
+            query(symmetric(5), 10)
+        warm = symmetric(5)
+        query(warm, None)
+        with pytest.raises(ThresholdExceeded):
+            query(warm, 10)
 
 
 def test_enumeration_limit_resolution(monkeypatch):

@@ -317,6 +317,26 @@ def test_explore_paranoid_mode_runs_clean():
     assert added
 
 
+def test_explore_paranoid_mode_checks_existing_entries():
+    # A good entry for c(9) whose stored fingerprint is that of C_3 x C_3:
+    # the product c(3) x c(3) matches it, and paranoid mode must compare the
+    # class profile of the group the entry's expression denotes.
+    reg = seeded_registry(3, ["c(3)"])
+    reg.add(
+        RegistryEntry(
+            name="poison",
+            expr="c(9)",
+            prime=3,
+            order=9,
+            fingerprint=dsl.evaluate(dsl.parse("prod(c(3),c(3))")).fingerprint(),
+            status="good",
+            rule="CITED",
+        )
+    )
+    with pytest.raises(ConsistencyError):
+        explore(reg, 3, 9, depth=1, paranoid=True)
+
+
 def test_explore_skips_unrealizable_entries(caplog):
     reg = Registry.with_defaults(2)
     reg.add(
