@@ -3,10 +3,17 @@
 A height-h tuple over a group G at a prime p is an ordered h-tuple of
 pairwise-commuting elements of p-power order; these correspond to
 homomorphisms from Z_p^h into G.  Classes are taken under simultaneous
-conjugation, and the class count at height n is the rank studied here.
-The centralizer decomposition relates the count at height n to counts at
-a lower height t over centralizers of (n-t)-tuples; verify_rank_identity
-recomputes both sides of that relation.
+conjugation, and the class count at height h is the rank studied here.
+
+Two independent algorithms count those classes.  hkr_rank recurses on the
+centralizer decomposition rank(G, h) = sum of rank(C_G(x), h-1) over the
+p-power conjugacy-class representatives x of G, so its work grows with the
+number of classes.  commuting_tuple_classes walks every raw tuple and
+groups the walk's tuples into orbits; it is the oracle the recursion is
+tested against, and it supplies the tuple representatives and centralizers
+that the loops command prints.  verify_rank_identity takes the rank at
+height n from the walk and the sum over (n-t)-tuple centralizers from the
+recursion, so for every t >= 1 it compares the two algorithms.
 """
 
 from __future__ import annotations
@@ -146,26 +153,30 @@ def commuting_tuple_classes(
     seen: set[tuple] = set()
     components: list[LoopComponent] = []
 
-    def walk(prefix: list, pool: list, depth: int):
-        if depth == h:
-            tup = tuple(prefix)
-            if tup in seen:
-                return
-            orbit = kernels.tuple_orbit(tup, raw_gens)
-            seen.update(orbit)
-            rep = min(orbit)
-            ptuple = PTuple(p, tuple(Permutation._wrap(t) for t in rep))
-            cent = group._centralizer_raw(list(rep), limit)
-            if order % cent.order() or order // cent.order() != len(orbit):
-                raise ChromarankError("orbit size disagrees with centralizer index")
-            components.append(LoopComponent(ptuple, cent, len(orbit)))
+    def visit(tup: tuple):
+        if tup in seen:
             return
+        orbit = kernels.tuple_orbit(tup, raw_gens)
+        seen.update(orbit)
+        rep = min(orbit)
+        ptuple = PTuple(p, tuple(Permutation._wrap(t) for t in rep))
+        cent = group._centralizer_raw(list(rep), limit)
+        if order % cent.order() or order // cent.order() != len(orbit):
+            raise ChromarankError("orbit size disagrees with centralizer index")
+        components.append(LoopComponent(ptuple, cent, len(orbit)))
+
+    def walk(prefix: list, pool: list):
+        # The last entry only needs to commute with the prefix, which every
+        # element of pool already does, so no pool is built below it.
         for x in pool:
             prefix.append(x)
-            walk(prefix, [y for y in pool if kernels.commutes(x, y)], depth + 1)
+            if len(prefix) == h:
+                visit(tuple(prefix))
+            else:
+                walk(prefix, [y for y in pool if kernels.commutes(x, y)])
             prefix.pop()
 
-    walk([], base, 0)
+    walk([], base)
     components.sort(key=lambda c: tuple(e.images for e in c.rep.entries))
     decomposition = LoopDecomposition(p, h, group, tuple(components))
     group._cache[key] = decomposition
@@ -179,8 +190,39 @@ def hkr_rank(
     limit: int | None = None,
     max_height: int = DEFAULT_MAX_HEIGHT,
 ) -> int:
-    """Number of commuting p-power h-tuple classes (1 at height 0)."""
-    return len(commuting_tuple_classes(group, p, h, limit, max_height))
+    """Number of commuting p-power h-tuple classes (1 at height 0).
+
+    Counted by the centralizer recursion: at height 1 the classes are the
+    p-power conjugacy classes, and above it the count is the sum of the
+    height-(h-1) ranks of the centralizers of their representatives.  Each
+    centralizer's order times its class size must equal |G|.  Counts are
+    cached on the group; commuting_tuple_classes is the independent oracle.
+    """
+    _check_prime(p)
+    _check_height(h, max_height)
+    if h == 0:
+        return 1
+    group._check_limit(limit)
+    key = ("rank", p, h)
+    cached = group._cache.get(key)
+    if cached is not None:
+        return cached
+    table = group.conjugacy_classes(limit)
+    reps = [
+        (rep, size) for rep, size in zip(table.reps, table.sizes) if is_p_power(rep.order(), p)
+    ]
+    if h == 1:
+        count = len(reps)
+    else:
+        order = group.order()
+        count = 0
+        for rep, size in reps:
+            cent = group._centralizer_raw([rep.images], limit)
+            if cent.order() * size != order:
+                raise ChromarankError("class size disagrees with centralizer index")
+            count += hkr_rank(cent, p, h - 1, limit, max_height)
+    group._cache[key] = count
+    return count
 
 
 def tuple_centralizer(group: PermGroup, t: PTuple, limit: int | None = None) -> PermGroup:
@@ -256,13 +298,17 @@ def verify_rank_identity(
     """Check rank(G, n) against the t-rank sum over (n-t)-tuple centralizers.
 
     The identity holds for every finite group, so a failed report signals
-    an implementation bug rather than an interesting group.
+    an implementation bug rather than an interesting group.  lhs counts the
+    tuple walk's height-n classes; rhs sums hkr_rank, the centralizer
+    recursion, at height t over the walk's (n-t)-tuple classes.  Every
+    t >= 1 thus compares the two algorithms.  t = 0 is the only case that
+    checks nothing: both sides count the same walk's components.
     """
     _check_prime(p)
     _check_height(n, max_height)
     if not 0 <= t <= n:
         raise ValueError("need 0 <= t <= n")
-    lhs = hkr_rank(group, p, n, limit, max_height)
+    lhs = len(commuting_tuple_classes(group, p, n, limit, max_height))
     decomposition = commuting_tuple_classes(group, p, n - t, limit, max_height)
     per = []
     rhs = 0

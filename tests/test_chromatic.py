@@ -11,6 +11,7 @@ from chromarank import (
     commuting_tuple_classes,
     cyclic,
     direct_product,
+    group_from_generators,
     hkr_rank,
     p_power_elements,
     symmetric,
@@ -18,6 +19,7 @@ from chromarank import (
     verify_rank_identity,
 )
 from chromarank.chromatic import IdentityReport, report_from_record
+from chromarank.group import ConjClassTable, PermGroup
 
 from conftest import o_commuting_tuples, o_tuple_classes
 
@@ -201,3 +203,61 @@ def test_caching_reuses_decompositions(corpus):
     d1 = commuting_tuple_classes(g, 2, 2)
     d2 = commuting_tuple_classes(g, 2, 2)
     assert d1 is d2
+
+
+def test_recursive_rank_matches_walk(corpus):
+    rng = random.Random(2014)
+    for name, group in corpus.items():
+        s = Permutation(tuple(rng.sample(range(group.degree), group.degree)))
+        for g in (group, group.conjugate_by(s)):
+            for p in (2, 3):
+                for h in range(4):
+                    assert hkr_rank(g, p, h) == len(commuting_tuple_classes(g, p, h)), (name, p, h)
+
+
+def test_recursive_rank_of_the_wreath(wreath_4608):
+    # the Burnside count of bench_e2e/oracle.py gives 940 independently
+    assert hkr_rank(wreath_4608, 2, 2) == 940
+
+
+def test_identity_detects_wrong_recursive_count(monkeypatch):
+    # Drop the identity class from every class table: the walk never reads
+    # the table, so only the recursive height-1 counts come out one short.
+    original = PermGroup.conjugacy_classes
+
+    def without_identity(self, limit=None):
+        table = original(self, limit)
+        return ConjClassTable(table.reps[1:], table.sizes[1:], table.index)
+
+    monkeypatch.setattr(PermGroup, "conjugacy_classes", without_identity)
+    report = verify_rank_identity(symmetric(4), 2, 2, 1)
+    assert not report.passed
+    assert report.lhs == 17
+    assert report.rhs == report.lhs - len(report.per_component)
+
+
+def test_recursion_checks_centralizer_orders(monkeypatch):
+    # A centralizer smaller than |G| / |x^G| breaks the class equation at
+    # the node that built it.
+    def trivial_centralizer(self, raw_targets, limit=None):
+        return PermGroup.trivial(self.degree)
+
+    monkeypatch.setattr(PermGroup, "_centralizer_raw", trivial_centralizer)
+    with pytest.raises(ChromarankError):
+        hkr_rank(symmetric(4), 2, 2)
+    with pytest.raises(ChromarankError):
+        verify_rank_identity(symmetric(4), 2, 2, 1)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_recursive_rank_matches_walk_on_random_groups(seed):
+    rng = random.Random(seed)
+    degree = rng.randint(2, 6)
+    gens = [
+        Permutation(tuple(rng.sample(range(degree), degree))) for _ in range(rng.randint(1, 3))
+    ]
+    group = group_from_generators(gens)
+    for p in (2, 3):
+        for h in (1, 2):
+            assert hkr_rank(group, p, h) == len(commuting_tuple_classes(group, p, h)), (p, h)

@@ -199,6 +199,8 @@ def test_limit_holds_on_cached_results():
         lambda g, limit: g.derived_subgroup(limit=limit),
         lambda g, limit: p_power_elements(g, 2, limit=limit),
         lambda g, limit: hkr_rank(g, 2, 1, limit=limit),
+        lambda g, limit: hkr_rank(g, 2, 2, limit=limit),
+        lambda g, limit: hkr_rank(g, 2, 3, limit=limit),
     )
     for query in queries:
         with pytest.raises(ThresholdExceeded):
