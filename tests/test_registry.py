@@ -1,5 +1,6 @@
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from chromarank import (
     ParseError,
     Registry,
     RegistryEntry,
+    ThresholdExceeded,
     certify,
     cyclic,
     explore,
@@ -20,6 +22,11 @@ from chromarank import (
 )
 from chromarank.registry import DerivationTree, _match_seed
 from chromarank import dsl
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# The paper's example: the centralizer of order 96 inside GL_2(F_3) wr C_2.
+E96 = "cent(wr(gl(2,3),c(2)),order=4,czorder=96)"
 
 
 def entry_for(name, expr, p, group, status="good", rule="SEED", parents=()):
@@ -354,3 +361,41 @@ def test_explore_skips_unrealizable_entries(caplog):
         added = explore(reg, 2, 16, depth=1)
     assert any("cannot realize" in m for m in caplog.messages)
     assert all(e.parents != ("opaque",) for e in added)
+
+
+def test_explore_registry_bytes_match_golden(tmp_path):
+    # Golden file written by the implementation that evaluated each step
+    # through its own private cache; a shared group memo must not change a
+    # byte, and neither may a paranoid rerun.
+    golden = (GOLDEN / "explore_p3_bound81.jsonl").read_bytes()
+    reg = seeded_registry(3, ["c(1)", "c(3)"])
+    explore(reg, 3, 81, depth=6)
+    path = tmp_path / "reg.jsonl"
+    reg.save(str(path))
+    assert path.read_bytes() == golden
+    assert explore(reg, 3, 81, depth=6, paranoid=True) == []
+    reg.save(str(path))
+    assert path.read_bytes() == golden
+
+
+# -- the group memo --------------------------------------------------------------
+
+
+def test_memo_hit_honours_a_smaller_limit(monkeypatch):
+    # E96 needs the class table of the order-4608 wreath, so at a limit of
+    # 1000 a fresh registry raises; a registry that already built E96 at
+    # the default limit must raise too.
+    with pytest.raises(ThresholdExceeded):
+        certify(E96, 2, Registry.with_defaults(2), limit=1000)
+    reg = Registry.with_defaults(2)
+    tree = certify(E96, 2, reg)
+    replay(tree, 2, reg)
+    with pytest.raises(ThresholdExceeded):
+        certify(E96, 2, reg, limit=1000)
+    with pytest.raises(ThresholdExceeded):
+        replay(tree, 2, reg, limit=1000)
+    monkeypatch.setenv("CHROMARANK_MAX_ORDER", "1000")
+    with pytest.raises(ThresholdExceeded):
+        certify(E96, 2, reg)
+    with pytest.raises(ThresholdExceeded):
+        register_derivation(reg, tree, 2)
