@@ -194,9 +194,11 @@ def hkr_rank(
 
     Counted by the centralizer recursion: at height 1 the classes are the
     p-power conjugacy classes, and above it the count is the sum of the
-    height-(h-1) ranks of the centralizers of their representatives.  Each
-    centralizer's order times its class size must equal |G|.  Counts are
-    cached on the group; commuting_tuple_classes is the independent oracle.
+    height-(h-1) ranks of the centralizers of their representatives.  The
+    centralizer of a central class is the group itself and is not rebuilt.
+    Each centralizer's order times its class size must equal |G|.  Counts
+    are cached on the group; commuting_tuple_classes is the independent
+    oracle.
     """
     _check_prime(p)
     _check_height(h, max_height)
@@ -217,7 +219,8 @@ def hkr_rank(
         order = group.order()
         count = 0
         for rep, size in reps:
-            cent = group._centralizer_raw([rep.images], limit)
+            # A central class (size 1) is centralized by the whole group.
+            cent = group if size == 1 else group._centralizer_raw([rep.images], limit)
             if cent.order() * size != order:
                 raise ChromarankError("class size disagrees with centralizer index")
             count += hkr_rank(cent, p, h - 1, limit, max_height)

@@ -2,8 +2,10 @@
 
 Subcommands: order, rank, loops, centralizer, verify, certify, explore,
 registry.  Payloads go to stdout, diagnostics to stderr.  Exit statuses:
-0 success, 1 verification mismatch, 2 usage or value errors, 3 scale
-limits (enumeration threshold or height bound).
+0 success, 1 verification mismatch, 2 usage errors (bad arguments,
+expressions, files or registries), 3 scale limits (enumeration threshold
+or height bound).  Argument ranges are checked by the parser, so any
+other exception is a bug and propagates with its traceback.
 
 `--json` swaps the human-readable payload for one JSON object carrying a
 schema-version field, so scripts can pin the layout.
@@ -17,13 +19,8 @@ import os
 import sys
 
 from . import chromatic, dsl, registry as registry_mod
-from .errors import (
-    ChromarankError,
-    ConsistencyError,
-    HeightExceeded,
-    ParseError,
-    ThresholdExceeded,
-)
+from .arith import is_prime
+from .errors import ChromarankError, HeightExceeded, ThresholdExceeded
 
 SCHEMA = "chromarank.v1"
 
@@ -43,11 +40,19 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _prime_arg(text: str) -> int:
     value = int(text)
-    from .arith import is_prime
-
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"{value} is not prime")
     return value
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    return parse
 
 
 def _registry_for(args, p: int) -> registry_mod.Registry:
@@ -270,7 +275,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable payload")
     parser.add_argument(
         "--max-order",
-        type=int,
+        type=_at_least(1),
         default=None,
         help="enumeration cap (default: CHROMARANK_MAX_ORDER or 2**21)",
     )
@@ -292,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="number of commuting p-power n-tuple classes")
     p_rank.add_argument("expr")
     p_rank.add_argument("-p", dest="prime", type=_prime_arg, required=True)
-    p_rank.add_argument("-n", dest="n", type=int, required=True)
+    p_rank.add_argument("-n", dest="n", type=_at_least(0), required=True)
     _add_common(p_rank)
     p_rank.set_defaults(fn=_cmd_rank)
 
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loops.add_argument("--help", action="help", help="show this help message and exit")
     p_loops.add_argument("expr")
     p_loops.add_argument("-p", dest="prime", type=_prime_arg, required=True)
-    p_loops.add_argument("-h", dest="height", type=int, required=True)
+    p_loops.add_argument("-h", dest="height", type=_at_least(0), required=True)
     _add_common(p_loops)
     p_loops.set_defaults(fn=_cmd_loops)
 
@@ -320,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check the rank factorization identity")
     p_verify.add_argument("expr")
     p_verify.add_argument("-p", dest="prime", type=_prime_arg, required=True)
-    p_verify.add_argument("-n", dest="n", type=int, required=True)
-    p_verify.add_argument("-t", dest="t", type=int, required=True)
+    p_verify.add_argument("-n", dest="n", type=_at_least(0), required=True)
+    p_verify.add_argument("-t", dest="t", type=_at_least(0), required=True)
     _add_common(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
 
@@ -361,6 +366,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "verify" and args.t > args.n:
+            parser.error("verify needs 0 <= t <= n")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -368,7 +375,7 @@ def run(argv) -> int:
     except (ThresholdExceeded, HeightExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCALE
-    except (ParseError, ConsistencyError, ChromarankError, ValueError, OSError) as exc:
+    except (ChromarankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

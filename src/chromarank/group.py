@@ -117,9 +117,6 @@ class _Chain:
     def order(self) -> int:
         return prod(len(lvl.transversal) for lvl in self.levels)
 
-    def base_points(self) -> tuple[int, ...]:
-        return tuple(lvl.base for lvl in self.levels)
-
     def _add_strong_gen(self, low, g, depth):
         # g fixes the first `depth` base points; it generates at every level
         # from `low` through `depth`, whose transversals must be rebuilt.
@@ -253,13 +250,6 @@ class PermGroup:
         self._raw = tuple(g.images for g in gens)
         self._chain = None
         self._cache = {}
-
-    @classmethod
-    def from_generators(cls, generators: Iterable[Permutation]) -> "PermGroup":
-        gens = tuple(generators)
-        if not gens:
-            raise InvalidPermutation("a group needs at least one generator")
-        return cls(gens[0].degree, gens)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -521,10 +511,15 @@ def _subgroup_from_elements(degree: int, raw_elements) -> PermGroup:
 
 
 def group_from_generators(generators: Iterable[Permutation], degree: int | None = None) -> PermGroup:
-    """Public constructor used by callers that have bare generator lists."""
+    """Public constructor used by callers that have bare generator lists.
+
+    The degree defaults to that of the first generator.
+    """
     gens = tuple(generators)
     if degree is None:
-        return PermGroup.from_generators(gens)
+        if not gens:
+            raise InvalidPermutation("a group needs at least one generator")
+        degree = gens[0].degree
     return PermGroup(degree, gens)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import constructors, dsl
 from .arith import is_p_power, is_prime, p_part
@@ -128,7 +128,14 @@ class DerivationTree:
 
 
 class Registry:
-    """Ordered collection of entries for one prime, consistency-checked."""
+    """Ordered collection of entries for one prime, consistency-checked.
+
+    A registry also keeps the groups it builds, one memo per resolved
+    enumeration limit, for as long as it lives; they are never saved.
+    Evaluation is deterministic, so certify, replay, register_derivation
+    and explore share them, and a memo hit at a limit is a group whose
+    fresh evaluation at that limit succeeds.
+    """
 
     def __init__(self, prime: int | None = None, entries=()):
         if prime is not None and not is_prime(prime):
@@ -137,6 +144,7 @@ class Registry:
         self.entries: list[RegistryEntry] = []
         self._by_name: dict[str, RegistryEntry] = {}
         self._by_fp: dict[Fingerprint, list[RegistryEntry]] = {}
+        self._groups: dict[int, dict] = {}
         for e in entries:
             self.add(e)
 
@@ -167,6 +175,14 @@ class Registry:
         self.entries.append(entry)
         self._by_name[entry.name] = entry
         return entry
+
+    def _memo(self, limit: int | None) -> dict:
+        """Built groups for one limit: printed expression -> group, plus
+        ("entry", name) -> group for explore's expressionless entries."""
+        return self._groups.setdefault(enumeration_limit(limit), {})
+
+    def _evaluate(self, expr: dsl.GroupExpr, limit: int | None) -> PermGroup:
+        return dsl.evaluate(expr, limit, memo=self._memo(limit))
 
     def get(self, name: str) -> RegistryEntry | None:
         return self._by_name.get(name)
@@ -205,9 +221,12 @@ class Registry:
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"bad registry line: {exc}", line=no) from None
                 try:
-                    reg.add(RegistryEntry.from_record(rec))
+                    entry = RegistryEntry.from_record(rec)
                 except ParseError as exc:
                     raise ParseError(str(exc.args[0]), line=no) from None
+                except (TypeError, ValueError) as exc:
+                    raise ParseError(f"bad registry record: {exc}", line=no) from None
+                reg.add(entry)
         return reg
 
 
@@ -296,10 +315,9 @@ def certify(
         raise ValueError(f"{p} is not prime")
     if registry.prime not in (None, p):
         raise ConsistencyError(f"registry is keyed to prime {registry.prime}, not {p}")
-    cache: dict[str, PermGroup] = {}
-    tree = _search(expr, p, registry, depth, limit, cache)
+    tree = _search(expr, p, registry, depth, limit)
     if tree is not None:
-        group = dsl.evaluate(expr, limit, memo=cache)
+        group = registry._evaluate(expr, limit)
         if registry.has_bad_of_order(group.order()):
             fp = group.fingerprint(limit)
             bad = registry.bad_match(fp)
@@ -311,37 +329,37 @@ def certify(
     return tree
 
 
-def _search(expr, p, registry, depth, limit, cache) -> DerivationTree | None:
+def _search(expr, p, registry, depth, limit) -> DerivationTree | None:
     if depth <= 0:
         return None
     text = dsl.print_expr(expr)
 
     # SEED
-    group = dsl.evaluate(expr, limit, memo=cache)
+    group = registry._evaluate(expr, limit)
     axiom = _match_seed(expr, p, group)
     if axiom is not None:
         return DerivationTree(text, "SEED", axiom)
 
     # PRODUCT
     if isinstance(expr, dsl.Prod):
-        left = _search(expr.left, p, registry, depth - 1, limit, cache)
+        left = _search(expr.left, p, registry, depth - 1, limit)
         if left is not None:
-            right = _search(expr.right, p, registry, depth - 1, limit, cache)
+            right = _search(expr.right, p, registry, depth - 1, limit)
             if right is not None:
                 return DerivationTree(text, "PRODUCT", "", (left, right))
 
     # WREATH: base wr C_p with the registry prime on top
     if isinstance(expr, dsl.Wr) and expr.n == p:
-        base = _search(expr.base, p, registry, depth - 1, limit, cache)
+        base = _search(expr.base, p, registry, depth - 1, limit)
         if base is not None:
             return DerivationTree(text, "WREATH", f"top c({p})", (base,))
 
     # CENTRALIZER: centralizers of p-power elements of a good group
     if isinstance(expr, dsl.Cent):
-        inner_group = dsl.evaluate(expr.inner, limit, memo=cache)
+        inner_group = registry._evaluate(expr.inner, limit)
         rep, _ = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
         if is_p_power(rep.order(), p):
-            inner = _search(expr.inner, p, registry, depth - 1, limit, cache)
+            inner = _search(expr.inner, p, registry, depth - 1, limit)
             if inner is not None:
                 return DerivationTree(
                     text, "CENTRALIZER", f"of class rep {rep.cycle_string()}", (inner,)
@@ -351,7 +369,7 @@ def _search(expr, p, registry, depth, limit, cache) -> DerivationTree | None:
     if not (isinstance(expr, dsl.Syl) and expr.p == p):
         if p_part(group.order(), p) < group.order():
             syl_expr = dsl.Syl(p, expr)
-            sub = _search(syl_expr, p, registry, depth - 1, limit, cache)
+            sub = _search(syl_expr, p, registry, depth - 1, limit)
             if sub is not None:
                 return DerivationTree(text, "SYLOW", "", (sub,))
 
@@ -367,7 +385,7 @@ def _search(expr, p, registry, depth, limit, cache) -> DerivationTree | None:
             continue
         for mine, other in ((parsed.left, parsed.right), (parsed.right, parsed.left)):
             if dsl.print_expr(mine) == text:
-                sub = _search(other, p, registry, depth - 1, limit, cache)
+                sub = _search(other, p, registry, depth - 1, limit)
                 if sub is not None:
                     return DerivationTree(text, "FACTOR", f"witness {entry.name}", (sub,))
 
@@ -379,14 +397,11 @@ def replay(
     p: int,
     registry: Registry,
     limit: int | None = None,
-    _memo: dict | None = None,
 ) -> None:
     """Re-check every rule application in a derivation; raises on failure."""
-    if _memo is None:
-        _memo = {}
     expr = dsl.parse(tree.subject)
     if tree.rule == "SEED":
-        group = dsl.evaluate(expr, limit, memo=_memo)
+        group = registry._evaluate(expr, limit)
         axiom = _match_seed(expr, p, group)
         if axiom != tree.detail:
             raise ConsistencyError(
@@ -418,7 +433,7 @@ def replay(
             or tree.premises[0].subject != dsl.print_expr(expr.inner)
         ):
             raise ConsistencyError(f"{tree.subject}: malformed CENTRALIZER node")
-        inner_group = dsl.evaluate(expr.inner, limit, memo=_memo)
+        inner_group = registry._evaluate(expr.inner, limit)
         rep, _ = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
         if not is_p_power(rep.order(), p):
             raise ConsistencyError(
@@ -444,7 +459,7 @@ def replay(
     else:
         raise ConsistencyError(f"{tree.subject}: unknown rule {tree.rule!r}")
     for premise in tree.premises:
-        replay(premise, p, registry, limit, _memo)
+        replay(premise, p, registry, limit)
 
 
 def register_derivation(
@@ -455,11 +470,10 @@ def register_derivation(
 ) -> list[RegistryEntry]:
     """Add an entry per derivation node (leaves first); returns new entries."""
     added = []
-    memo: dict = {}
     for node in reversed(list(tree.walk())):
         if registry.get(node.subject) is not None:
             continue
-        group = dsl.evaluate(dsl.parse(node.subject), limit, memo=memo)
+        group = registry._evaluate(dsl.parse(node.subject), limit)
         parents: tuple[str, ...]
         if node.rule == "SEED":
             parents = (f"axiom:{node.detail}",)
@@ -483,32 +497,26 @@ def register_derivation(
 # -- exploration -------------------------------------------------------------
 
 
-@dataclass
-class _Session:
-    """Transient realization state for one explore run."""
-
-    groups: dict[str, PermGroup] = field(default_factory=dict)
+def _memo_key(name: str, expr: str | None):
+    return expr if expr is not None else ("entry", name)
 
 
-def _realize(entry: RegistryEntry, session: _Session, limit) -> PermGroup | None:
-    group = session.groups.get(entry.name)
+def _realize(registry: Registry, entry: RegistryEntry, limit) -> PermGroup | None:
+    group = registry._memo(limit).get(_memo_key(entry.name, entry.expr))
     if group is not None:
         return group
     if entry.expr is None:
         log.info("explore: cannot realize %s (no expression); skipping", entry.name)
         return None
     try:
-        group = dsl.evaluate(dsl.parse(entry.expr), limit)
+        return registry._evaluate(dsl.parse(entry.expr), limit)
     except ThresholdExceeded as exc:
         log.info("explore: %s exceeds the enumeration limit (%s); skipping", entry.name, exc)
         return None
-    session.groups[entry.name] = group
-    return group
 
 
 def _register_candidate(
     registry: Registry,
-    session: _Session,
     name: str,
     expr: str | None,
     p: int,
@@ -534,7 +542,7 @@ def _register_candidate(
         if paranoid:
             profile = group.class_profile(limit)
             for other in matches:
-                known = _realize(other, session, limit)
+                known = _realize(registry, other, limit)
                 if known is not None and known.class_profile(limit) != profile:
                     raise ConsistencyError(
                         f"fingerprint collision between {name!r} and {other.name!r}: "
@@ -558,12 +566,12 @@ def _register_candidate(
         parents=parents,
     )
     registry.add(entry)
-    session.groups[name] = group
+    registry._memo(limit).setdefault(_memo_key(name, expr), group)
     return entry
 
 
 def _centralizer_children(
-    registry, session, parent: RegistryEntry, group: PermGroup, p, bound, limit, paranoid
+    registry, parent: RegistryEntry, group: PermGroup, p, bound, limit, paranoid
 ) -> list[RegistryEntry]:
     """Centralizers of one representative per p-power class of the group."""
     cap = enumeration_limit(limit)
@@ -583,9 +591,10 @@ def _centralizer_children(
             expr = f"cent({parent.expr},order={o},czorder={czo})"
         chosen.setdefault((o, czo), rep.cycle_string())
         name = expr or f"cent[{parent.name};o{o};cz{czo};{rep.cycle_string()}]"
-        cent = group._centralizer_raw([rep.images], limit)
+        # A central class (size 1) is centralized by the whole group.
+        cent = group if size == 1 else group._centralizer_raw([rep.images], limit)
         entry = _register_candidate(
-            registry, session, name, expr, p, cent, "CENTRALIZER", (parent.name,), limit, paranoid
+            registry, name, expr, p, cent, "CENTRALIZER", (parent.name,), limit, paranoid
         )
         if entry is not None:
             added.append(entry)
@@ -615,13 +624,12 @@ def explore(
         raise ValueError(f"{p} is not prime")
     if registry.prime not in (None, p):
         raise ConsistencyError(f"registry is keyed to prime {registry.prime}, not {p}")
-    session = _Session()
     added: list[RegistryEntry] = []
     for _round in range(depth):
         snapshot = [e for e in registry.good_entries() if e.order is not None]
         fresh: list[RegistryEntry] = []
         for entry in snapshot:
-            group = _realize(entry, session, limit)
+            group = _realize(registry, entry, limit)
             if group is None:
                 continue
             # wreath with C_p, then its centralizer children
@@ -631,20 +639,18 @@ def explore(
                 wname = wexpr or f"wr[{entry.name};c({p})]"
                 wreath = constructors.wreath_cyclic(group, p)
                 wentry = _register_candidate(
-                    registry, session, wname, wexpr, p, wreath, "WREATH", (entry.name,), limit, paranoid
+                    registry, wname, wexpr, p, wreath, "WREATH", (entry.name,), limit, paranoid
                 )
                 if wentry is not None:
                     fresh.append(wentry)
                     fresh.extend(
                         _centralizer_children(
-                            registry, session, wentry, wreath, p, order_bound, limit, paranoid
+                            registry, wentry, wreath, p, order_bound, limit, paranoid
                         )
                     )
             # centralizers inside the entry itself
             fresh.extend(
-                _centralizer_children(
-                    registry, session, entry, group, p, order_bound, limit, paranoid
-                )
+                _centralizer_children(registry, entry, group, p, order_bound, limit, paranoid)
             )
             # products with other snapshot members
             for other in snapshot:
@@ -652,7 +658,7 @@ def explore(
                     continue
                 if other.name < entry.name:
                     continue  # unordered pairs once
-                ogroup = _realize(other, session, limit)
+                ogroup = _realize(registry, other, limit)
                 if ogroup is None:
                     continue
                 if entry.expr is not None and other.expr is not None:
@@ -661,17 +667,9 @@ def explore(
                     pexpr = None
                 pname = pexpr or f"prod[{entry.name};{other.name}]"
                 product = constructors.direct_product(group, ogroup)
+                parents = (entry.name, other.name)
                 pentry = _register_candidate(
-                    registry,
-                    session,
-                    pname,
-                    pexpr,
-                    p,
-                    product,
-                    "PRODUCT",
-                    (entry.name, other.name),
-                    limit,
-                    paranoid,
+                    registry, pname, pexpr, p, product, "PRODUCT", parents, limit, paranoid
                 )
                 if pentry is not None:
                     fresh.append(pentry)

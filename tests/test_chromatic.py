@@ -249,6 +249,21 @@ def test_recursion_checks_centralizer_orders(monkeypatch):
         verify_rank_identity(symmetric(4), 2, 2, 1)
 
 
+def test_recursion_reuses_the_group_for_central_classes(monkeypatch):
+    # Every class of an abelian group is central: the recursion builds no
+    # centralizer, and the count is |G_p|**h.
+    calls = []
+    centralizer_raw = PermGroup._centralizer_raw
+
+    def counting(self, raw_targets, limit=None):
+        calls.append(self.order())
+        return centralizer_raw(self, raw_targets, limit)
+
+    monkeypatch.setattr(PermGroup, "_centralizer_raw", counting)
+    assert hkr_rank(cyclic(8), 2, 2) == 64
+    assert calls == []
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_recursive_rank_matches_walk_on_random_groups(seed):

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from chromarank import chromatic
 from chromarank.cli import run
 
 
@@ -97,6 +100,37 @@ def test_usage_error_exit_2(capsys):
     assert run(["rank", "c(2)", "-p", "4", "-n", "1"]) == 2  # composite p
     assert run(["frobnicate"]) == 2
     assert run([]) == 2
+
+
+def test_argument_ranges_exit_2(capsys):
+    assert run(["rank", "c(2)", "-p", "2", "-n", "-1"]) == 2
+    assert run(["loops", "c(2)", "-p", "2", "-h", "-1"]) == 2
+    assert run(["order", "c(2)", "--max-order", "0"]) == 2
+    assert run(["verify", "c(2)", "-p", "2", "-n", "1", "-t", "2"]) == 2
+    assert run(["verify", "c(2)", "-p", "2", "-n", "1", "-t", "-1"]) == 2
+    _, err = out_of(capsys)
+    assert "0 <= t <= n" in err
+
+
+def test_internal_value_error_propagates(monkeypatch):
+    # A ValueError from inside a command is a bug, not a usage error.
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(chromatic, "hkr_rank", broken)
+    with pytest.raises(ValueError, match="internal"):
+        run(["rank", "c(2)", "-p", "2", "-n", "1"])
+
+
+def test_malformed_registry_record_exit_2(tmp_path, capsys):
+    path = tmp_path / "reg.jsonl"
+    path.write_text(
+        '{"name":"x","expr":null,"prime":"two","order":null,"fingerprint":null,'
+        '"status":"good","rule":"SEED","parents":[]}\n'
+    )
+    assert run(["registry", "list", "--registry", str(path)]) == 2
+    _, err = out_of(capsys)
+    assert "line 1" in err
 
 
 def test_certify_and_registry_flow(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from chromarank import (
     ChromarankError,
     DegreeMismatch,
+    InvalidPermutation,
     NotInGroup,
     ParseError,
     PermGroup,
@@ -58,6 +59,15 @@ def test_membership_by_parity():
     s4 = symmetric(4)
     for e in s4.elements():
         assert (e in a4) == (o_parity(e.images) == 0)
+
+
+def test_group_from_generators_degree():
+    gens = [Permutation.from_cycles("(0 1)", degree=3)]
+    assert group_from_generators(gens).degree == 3
+    with pytest.raises(DegreeMismatch):
+        group_from_generators(gens, degree=4)
+    with pytest.raises(InvalidPermutation):
+        group_from_generators([])
 
 
 def test_contains_degree_mismatch():

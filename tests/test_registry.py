@@ -1,5 +1,6 @@
 import json
 import logging
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from chromarank import (
     unitriangular4,
     wreath_cyclic,
 )
+from chromarank.group import PermGroup
 from chromarank.registry import DerivationTree, _match_seed
 from chromarank import dsl
 
@@ -399,3 +401,36 @@ def test_memo_hit_honours_a_smaller_limit(monkeypatch):
         certify(E96, 2, reg)
     with pytest.raises(ThresholdExceeded):
         register_derivation(reg, tree, 2)
+
+
+def test_certify_replay_register_build_the_class_table_once(monkeypatch):
+    builds = Counter()
+    conjugacy_classes = PermGroup.conjugacy_classes
+
+    def counting(self, limit=None):
+        if "classes" not in self._cache:
+            builds[self.order()] += 1
+        return conjugacy_classes(self, limit)
+
+    monkeypatch.setattr(PermGroup, "conjugacy_classes", counting)
+    reg = Registry.with_defaults(2)
+    tree = certify(E96, 2, reg)
+    replay(tree, 2, reg)
+    register_derivation(reg, tree, 2)
+    assert builds[4608] == 1
+
+
+def test_explore_over_an_abelian_entry_builds_no_centralizer(monkeypatch):
+    # Every class of c(4) is central, so each centralizer is c(4) itself.
+    calls = []
+    centralizer_raw = PermGroup._centralizer_raw
+
+    def counting(self, raw_targets, limit=None):
+        calls.append(self.order())
+        return centralizer_raw(self, raw_targets, limit)
+
+    reg = seeded_registry(2, ["c(4)"])
+    monkeypatch.setattr(PermGroup, "_centralizer_raw", counting)
+    added = explore(reg, 2, 16, depth=1)
+    assert [e.name for e in added] == ["prod(c(4),c(4))"]
+    assert calls == []
