@@ -19,7 +19,6 @@ import os
 import sys
 
 from . import chromatic, dsl, registry as registry_mod
-from .arith import is_prime
 from .errors import ChromarankError, HeightExceeded, ThresholdExceeded
 
 SCHEMA = "chromarank.v1"
@@ -40,6 +39,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _prime_arg(text: str) -> int:
     value = int(text)
+    from .arith import is_prime
+
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"{value} is not prime")
     return value

@@ -516,9 +516,7 @@ def group_from_generators(generators: Iterable[Permutation], degree: int | None 
     The degree defaults to that of the first generator.
     """
     gens = tuple(generators)
-    if degree is None:
-        if not gens:
-            raise InvalidPermutation("a group needs at least one generator")
+    if degree is None and gens:
         degree = gens[0].degree
     return PermGroup(degree, gens)
 
