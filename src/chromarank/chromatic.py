@@ -126,11 +126,13 @@ def commuting_tuple_classes(
 ) -> LoopDecomposition:
     """Conjugation classes of commuting p-power h-tuples.
 
-    Tuples are enumerated by a depth-first walk that extends a prefix only
-    by elements of the intersected centralizer pool, then grouped into
-    classes by closing each new tuple under simultaneous conjugation by
-    the group generators.  Components come out sorted by their lex-least
-    representative, which the walk visits first.
+    Tuples are enumerated by a depth-first walk through iterated
+    centralizers: a node holds C(prefix), the centralizer of its prefix,
+    built as C(prefix[:-1])._centralizer_raw([prefix[-1]]), and extends the
+    prefix by the p-power elements of C(prefix).  Each new tuple is closed
+    under simultaneous conjugation by the group generators.  The walk runs
+    in lex order, so it reaches every class first at the class's lex-least
+    tuple, which is its representative; components come out sorted by it.
     """
     _check_prime(p)
     _check_height(h, max_height)
@@ -153,30 +155,34 @@ def commuting_tuple_classes(
     seen: set[tuple] = set()
     components: list[LoopComponent] = []
 
-    def visit(tup: tuple):
+    def visit(tup: tuple, above: PermGroup):
         if tup in seen:
             return
         orbit = kernels.tuple_orbit(tup, raw_gens)
         seen.update(orbit)
         rep = min(orbit)
+        if rep != tup:
+            raise ChromarankError("walk reached a tuple class away from its lex-least tuple")
         ptuple = PTuple(p, tuple(Permutation._wrap(t) for t in rep))
-        cent = group._centralizer_raw(list(rep), limit)
+        cent = above._centralizer_raw([rep[-1]], limit)
         if order % cent.order() or order // cent.order() != len(orbit):
             raise ChromarankError("orbit size disagrees with centralizer index")
         components.append(LoopComponent(ptuple, cent, len(orbit)))
 
-    def walk(prefix: list, pool: list):
-        # The last entry only needs to commute with the prefix, which every
-        # element of pool already does, so no pool is built below it.
+    def walk(prefix: list, above: PermGroup, pool: list):
+        # above is C(prefix) and pool its p-power elements.  A full tuple's
+        # centralizer is built in visit, and only for a class representative.
         for x in pool:
             prefix.append(x)
             if len(prefix) == h:
-                visit(tuple(prefix))
+                visit(tuple(prefix), above)
             else:
-                walk(prefix, [y for y in pool if kernels.commutes(x, y)])
+                cent = above._centralizer_raw([x], limit)
+                members = set(cent._raw_elements(limit))
+                walk(prefix, cent, [y for y in pool if y in members])
             prefix.pop()
 
-    walk([], base)
+    walk([], group, base)
     components.sort(key=lambda c: tuple(e.images for e in c.rep.entries))
     decomposition = LoopDecomposition(p, h, group, tuple(components))
     group._cache[key] = decomposition

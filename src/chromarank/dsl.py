@@ -274,13 +274,15 @@ def print_expr(e: GroupExpr) -> str:
 
 
 def _select_centralizer(group: PermGroup, order: int, czorder: int | None, limit: int | None):
-    """Pick the lex-least class rep of the given element order (and, when
-    given, centralizer order); returns (rep, centralizer)."""
+    """The class rep whose centralizer cent(...) denotes: the lex-least one
+    of the given element order (and, when given, centralizer order).
+
+    Builds no subgroup: |C_G(x)| is read off the class table as |G| / |x^G|.
+    """
     table = group.conjugacy_classes(limit)
     for rep, size in zip(table.reps, table.sizes):
-        # |C_G(x)| = |G| / |x^G|, so only the chosen class's centralizer is built.
         if rep.order() == order and (czorder is None or group.order() // size == czorder):
-            return rep, group._centralizer_raw([rep.images], limit)
+            return rep
     wanted = f"element order {order}"
     if czorder is not None:
         wanted += f" and centralizer order {czorder}"
@@ -313,7 +315,8 @@ def evaluate(e: GroupExpr, limit: int | None = None, memo: dict | None = None) -
         group = evaluate(e.inner, limit, memo).sylow_subgroup(e.p, limit)
     elif isinstance(e, Cent):
         inner = evaluate(e.inner, limit, memo)
-        _, group = _select_centralizer(inner, e.order, e.czorder, limit)
+        rep = _select_centralizer(inner, e.order, e.czorder, limit)
+        group = inner._centralizer_raw([rep.images], limit)
     elif isinstance(e, Ingest):
         group = read_generator_file(e.path)
     else:

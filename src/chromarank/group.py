@@ -481,33 +481,50 @@ class PermGroup:
 def _subgroup_from_elements(degree: int, raw_elements) -> PermGroup:
     """Build a group from a closed element list, with a reduced generating set.
 
-    Scans elements in sorted order and keeps those not generated by the
-    elements kept so far; the element cache is pre-seeded since the full
-    list is already in hand.
+    Scans elements in sorted order and keeps those outside the span of the
+    elements kept so far.  The span grows by Dimino's coset extension, so
+    no stabilizer chain is built here; chain() builds one from the kept
+    generators when it is asked for.  The element cache is pre-seeded since
+    the full list is already in hand.
     """
     identity = tuple(range(degree))
     elems = sorted(raw_elements)
     gens: list[tuple[int, ...]] = []
-    chain: _Chain | None = None
+    span = {identity}
     for t in elems:
-        if t == identity:
-            continue
-        if chain is not None and chain.contains(t):
+        if len(span) >= len(elems):
+            break
+        if t in span:
             continue
         gens.append(t)
-        chain = _Chain(degree, gens)
-        if chain.order() == len(elems):
-            break
-    if not gens:
-        gens = [identity]
-        chain = _Chain(degree, gens)
-    group = PermGroup(degree, tuple(Permutation._wrap(t) for t in gens))
-    group._chain = chain
-    if chain.order() != len(elems):
+        _extend_span(span, gens, identity, len(elems))
+    if len(span) != len(elems) or span != set(elems):
         raise ChromarankError("element list is not closed under the group operation")
+    group = PermGroup(degree, tuple(Permutation._wrap(t) for t in gens or [identity]))
     group._cache["order"] = len(elems)
     group._cache["elements_raw"] = tuple(elems)
     return group
+
+
+def _extend_span(span: set, gens: list, identity: tuple, cap: int) -> None:
+    """Grow span, the group generated by gens[:-1], into the one generated by gens.
+
+    Dimino's algorithm (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 4.1): the new group is a union of right cosets H r of the
+    old group H, and a product r s with a generator s that lands outside
+    the span so far is the representative of a new coset.  Stops once the
+    span has more than cap elements.
+    """
+    block = list(span)
+    reps = [identity]
+    for r in reps:
+        for s in gens:
+            y = kernels.compose(r, s)
+            if y not in span:
+                reps.append(y)
+                span.update([kernels.compose(h, y) for h in block])
+                if len(span) > cap:
+                    return
 
 
 def group_from_generators(generators: Iterable[Permutation], degree: int | None = None) -> PermGroup:

@@ -357,7 +357,7 @@ def _search(expr, p, registry, depth, limit) -> DerivationTree | None:
     # CENTRALIZER: centralizers of p-power elements of a good group
     if isinstance(expr, dsl.Cent):
         inner_group = registry._evaluate(expr.inner, limit)
-        rep, _ = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
+        rep = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
         if is_p_power(rep.order(), p):
             inner = _search(expr.inner, p, registry, depth - 1, limit)
             if inner is not None:
@@ -434,7 +434,7 @@ def replay(
         ):
             raise ConsistencyError(f"{tree.subject}: malformed CENTRALIZER node")
         inner_group = registry._evaluate(expr.inner, limit)
-        rep, _ = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
+        rep = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
         if not is_p_power(rep.order(), p):
             raise ConsistencyError(
                 f"{tree.subject}: selected class has order {rep.order()}, not a {p}-power"

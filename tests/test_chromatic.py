@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -19,9 +20,9 @@ from chromarank import (
     verify_rank_identity,
 )
 from chromarank.chromatic import IdentityReport, report_from_record
-from chromarank.group import ConjClassTable, PermGroup
+from chromarank.group import ConjClassTable, PermGroup, _Chain
 
-from conftest import o_commuting_tuples, o_tuple_classes
+from conftest import CORPUS_BUILDERS, o_commuting_tuples, o_tuple_classes
 
 # frozen by hand before the engine existed; see also the naive oracles
 FROZEN = {
@@ -276,3 +277,49 @@ def test_recursive_rank_matches_walk_on_random_groups(seed):
     for p in (2, 3):
         for h in (1, 2):
             assert hkr_rank(group, p, h) == len(commuting_tuple_classes(group, p, h)), (p, h)
+
+
+# sha256 over the walk's components on the corpus, p in {2, 3}, h <= 3: the
+# representative, orbit size, centralizer generators and order of each.
+WALK_DIGEST = "20a210948646cf9d9dd2decc04b3a3dbb041e0487acf93c4eda796f6f457c5da"
+
+
+def test_walk_components_match_golden_digest():
+    digest = hashlib.sha256()
+    for name, build in CORPUS_BUILDERS.items():
+        group = build()
+        for p in (2, 3):
+            for h in range(4):
+                for comp in commuting_tuple_classes(group, p, h).components:
+                    record = (
+                        name,
+                        p,
+                        h,
+                        [e.images for e in comp.rep.entries],
+                        comp.orbit_size,
+                        comp.centralizer._raw,
+                        comp.centralizer.order(),
+                    )
+                    digest.update(repr(record).encode())
+    assert digest.hexdigest() == WALK_DIGEST
+
+
+def test_walk_and_recursion_build_no_chain(monkeypatch):
+    # Centralizers carry their order and elements from construction, so
+    # below the input group (whose chain gives its order) no chain is built.
+    groups = [build() for build in CORPUS_BUILDERS.values()]
+    for group in groups:
+        group.order()
+    builds = []
+    chain_init = _Chain.__init__
+
+    def counting(self, degree, raw_gens):
+        builds.append(degree)
+        chain_init(self, degree, raw_gens)
+
+    monkeypatch.setattr(_Chain, "__init__", counting)
+    for group in groups:
+        for p in (2, 3):
+            for h in range(4):
+                assert hkr_rank(group, p, h) == len(commuting_tuple_classes(group, p, h))
+    assert builds == []

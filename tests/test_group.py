@@ -23,7 +23,7 @@ from chromarank import (
     read_generator_file,
     symmetric,
 )
-from chromarank.group import Fingerprint, enumeration_limit
+from chromarank.group import Fingerprint, _Chain, _subgroup_from_elements, enumeration_limit
 
 from conftest import (
     CORPUS_ORDERS,
@@ -108,6 +108,51 @@ def test_centralizer_matches_oracle(corpus):
             cent = group.centralizer([target])
             expected = o_centralizer([e.images for e in elems], [target.images])
             assert sorted(e.images for e in cent.elements()) == expected, name
+
+
+def _chain_per_generator_selection(degree, raw_elements):
+    """The generator choice of a chain-based scan: keep each sorted element
+    its predecessors' chain does not contain, rebuilding the chain each time."""
+    identity = tuple(range(degree))
+    elems = sorted(raw_elements)
+    gens = []
+    chain = None
+    for t in elems:
+        if t == identity or (chain is not None and chain.contains(t)):
+            continue
+        gens.append(t)
+        chain = _Chain(degree, gens)
+        if chain.order() == len(elems):
+            break
+    if not gens:
+        gens = [identity]
+        chain = _Chain(degree, gens)
+    return gens, chain
+
+
+def _levels(chain):
+    return [(lvl.base, lvl.gens, list(lvl.transversal.items())) for lvl in chain.levels]
+
+
+def test_subgroup_generators_match_chain_per_generator_selection(corpus):
+    for name, group in corpus.items():
+        table = group.conjugacy_classes()
+        subgroups = [group.centralizer([rep]) for rep in table.reps]
+        subgroups += [group.center(), group.sylow_subgroup(2), group.sylow_subgroup(3)]
+        for sub in subgroups:
+            gens, chain = _chain_per_generator_selection(group.degree, sub._raw_elements())
+            assert list(sub._raw) == gens, name
+            assert _levels(sub.chain()) == _levels(chain), name
+
+
+def test_subgroup_from_elements_rejects_a_non_closed_list():
+    # The 4-cycle kept first generates a group of the list's size, but not
+    # the list: the two reflections are outside it.
+    elems = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 1, 0, 3), (3, 2, 1, 0)]
+    with pytest.raises(ChromarankError):
+        _subgroup_from_elements(4, elems)
+    with pytest.raises(ChromarankError):
+        _subgroup_from_elements(4, [(0, 1, 2, 3), (1, 0, 2, 3), (1, 0, 2, 3)])
 
 
 def test_centralizer_rejects_outsiders():

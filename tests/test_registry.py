@@ -420,6 +420,24 @@ def test_certify_replay_register_build_the_class_table_once(monkeypatch):
     assert builds[4608] == 1
 
 
+def test_certify_and_replay_build_a_centralizer_only_to_evaluate(monkeypatch):
+    # The CENTRALIZER step of the search and of replay reads only the class
+    # representative; the one build is the evaluation of the expression.
+    calls = []
+    centralizer_raw = PermGroup._centralizer_raw
+
+    def counting(self, raw_targets, limit=None):
+        calls.append(self.order())
+        return centralizer_raw(self, raw_targets, limit)
+
+    monkeypatch.setattr(PermGroup, "_centralizer_raw", counting)
+    reg = Registry.with_defaults(2)
+    tree = certify("cent(prod(s(4),s(3)),order=2,czorder=48)", 2, reg)
+    assert tree.rule == "CENTRALIZER"
+    replay(tree, 2, reg)
+    assert calls == [144]
+
+
 def test_explore_over_an_abelian_entry_builds_no_centralizer(monkeypatch):
     # Every class of c(4) is central, so each centralizer is c(4) itself.
     calls = []
