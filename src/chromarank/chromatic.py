@@ -62,14 +62,6 @@ class PTuple:
     def height(self) -> int:
         return len(self.entries)
 
-    def image_group(self, degree: int | None = None) -> PermGroup:
-        """The subgroup generated by the entries (the image of Z_p^h)."""
-        if self.entries:
-            return PermGroup(self.entries[0].degree, self.entries)
-        if degree is None:
-            raise ValueError("empty tuple needs an explicit degree")
-        return PermGroup.trivial(degree)
-
     def cycle_strings(self) -> list[str]:
         return [e.cycle_string() for e in self.entries]
 

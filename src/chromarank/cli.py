@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cent.add_argument("expr")
     p_cent.add_argument("-p", dest="prime", type=_prime_arg, required=True)
-    p_cent.add_argument("--elt-order", dest="elt_order", type=int, required=True)
+    p_cent.add_argument("--elt-order", dest="elt_order", type=_at_least(1), required=True)
     _add_common(p_cent)
     p_cent.set_defaults(fn=_cmd_centralizer)
 
@@ -335,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("expr")
     p_cert.add_argument("-p", dest="prime", type=_prime_arg, required=True)
     p_cert.add_argument("--registry", default=None, help="registry file to read and update")
-    p_cert.add_argument("--depth", type=int, default=registry_mod.DEFAULT_SEARCH_DEPTH)
+    p_cert.add_argument("--depth", type=_at_least(0), default=registry_mod.DEFAULT_SEARCH_DEPTH)
     _add_common(p_cert)
     p_cert.set_defaults(fn=_cmd_certify)
 
     p_exp = sub.add_parser("explore", help="grow the registry by forward construction")
     p_exp.add_argument("-p", dest="prime", type=_prime_arg, required=True)
-    p_exp.add_argument("--bound", type=int, required=True)
-    p_exp.add_argument("--depth", type=int, default=3)
+    p_exp.add_argument("--bound", type=_at_least(1), required=True)
+    p_exp.add_argument("--depth", type=_at_least(0), default=3)
     p_exp.add_argument("--registry", default=None, help="registry file to read and update")
     p_exp.add_argument("--paranoid", action="store_true")
     _add_common(p_exp)

@@ -97,21 +97,14 @@ def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
 def wreath_cyclic(g: PermGroup, n: int) -> PermGroup:
     """G wr C_n on n * deg(G) points.
 
-    Generators: for each generator of G, its copy on each of the n blocks,
-    then the block n-cycle.  The order is |G|**n * n.
+    Generators: each generator of G on block 0, then the block n-cycle, whose
+    powers carry block 0 onto the other blocks.  The order is |G|**n * n.
     """
     if n < 1:
         raise ValueError("wreath cycle length must be at least 1")
     dg = g.degree
     degree = n * dg
-    gens = []
-    for a in g.generators:
-        for block in range(n):
-            images = list(range(degree))
-            off = block * dg
-            for i in range(dg):
-                images[off + i] = off + a.images[i]
-            gens.append(Permutation(images))
+    gens = [Permutation(a.images + tuple(range(dg, degree))) for a in g.generators]
     shift = [((block + 1) % n) * dg + i for block in range(n) for i in range(dg)]
     gens.append(Permutation(shift))
     return PermGroup(degree, gens)

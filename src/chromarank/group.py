@@ -382,65 +382,62 @@ class PermGroup:
         elems = self._raw_elements(limit)
         identity = tuple(range(self.degree))
         seed = next(t for t in elems if t != identity and is_p_power(kernels.element_order(t), p))
-        sub_gens = [seed]
-        sub_elems = kernels.close_group(sub_gens, target)
-        if sub_elems is None:
-            raise ChromarankError("p-subgroup grew past the p-part; non-p-element slipped in")
-        while len(sub_elems) < target:
-            normalizer = kernels.normalizer_filter(list(elems), sub_gens, sub_elems)
-            sub_set = set(sub_elems)
+        gens = [seed]
+        span = {identity}
+        _extend_span(span, gens, identity, target)
+        while len(span) < target:
+            normalizer = kernels.normalizer_filter(list(elems), gens, span)
             ext = next(
                 (
                     t
                     for t in normalizer
-                    if t not in sub_set and is_p_power(kernels.element_order(t), p)
+                    if t not in span and is_p_power(kernels.element_order(t), p)
                 ),
                 None,
             )
             if ext is None:
                 raise ChromarankError("normalizer holds no p-element outside the subgroup")
-            sub_gens.append(ext)
-            sub_elems = kernels.close_group(sub_gens, target)
-            if sub_elems is None:
-                raise ChromarankError("p-subgroup grew past the p-part; non-p-element slipped in")
-        return _subgroup_from_elements(self.degree, sub_elems)
+            gens.append(ext)
+            _extend_span(span, gens, identity, target)
+        if len(span) != target:
+            raise ChromarankError("p-subgroup grew past the p-part; non-p-element slipped in")
+        return _subgroup_from_elements(self.degree, span)
 
     def derived_subgroup(self, limit: int | None = None) -> "PermGroup":
-        """Normal closure of the generator commutators."""
+        """Normal closure of the generator commutators.
+
+        Raises ThresholdExceeded, and caches nothing, once the closure grows
+        past the enumeration limit.
+        """
         result = self._cache.get("derived")
         if result is None:
-            result = self._derived_subgroup()
+            result = self._derived_subgroup(limit)
             self._cache["derived"] = result
         result._check_limit(limit)
         return result
 
-    def _derived_subgroup(self) -> "PermGroup":
+    def _derived_subgroup(self, limit: int | None) -> "PermGroup":
+        cap = enumeration_limit(limit)
         identity = tuple(range(self.degree))
-        work: list[tuple[int, ...]] = []
-        for a in self._raw:
-            for b in self._raw:
-                c = kernels.compose(
-                    kernels.compose(kernels.inverse(a), kernels.inverse(b)),
-                    kernels.compose(a, b),
-                )
-                if c != identity:
-                    work.append(c)
+        inv = [kernels.inverse(a) for a in self._raw]
+        work = [
+            kernels.compose(kernels.compose(ia, ib), kernels.compose(a, b))
+            for a, ia in zip(self._raw, inv)
+            for b, ib in zip(self._raw, inv)
+        ]
         gens: list[tuple[int, ...]] = []
-        chain: _Chain | None = None
-        while work:
-            x = work.pop(0)
-            if x == identity or (chain is not None and chain.contains(x)):
+        span = {identity}
+        for x in work:
+            if x in span:
                 continue
             gens.append(x)
-            chain = _Chain(self.degree, gens)
-            for g in self._raw:
-                work.append(kernels.conjugate(x, g))
-        if not gens:
-            result = _subgroup_from_elements(self.degree, [identity])
-        else:
-            result = PermGroup(self.degree, tuple(Permutation._wrap(t) for t in gens))
-            result._chain = chain
-        return result
+            _extend_span(span, gens, identity, cap)
+            if len(span) > cap:
+                raise ThresholdExceeded(
+                    f"desk-scale exceeded: derived subgroup order > limit {cap}"
+                )
+            work.extend(kernels.conjugate(x, g) for g in self._raw)
+        return _subgroup_from_elements(self.degree, span)
 
     def fingerprint(self, limit: int | None = None) -> Fingerprint:
         self._check_limit(limit)

@@ -108,6 +108,11 @@ def test_argument_ranges_exit_2(capsys):
     assert run(["order", "c(2)", "--max-order", "0"]) == 2
     assert run(["verify", "c(2)", "-p", "2", "-n", "1", "-t", "2"]) == 2
     assert run(["verify", "c(2)", "-p", "2", "-n", "1", "-t", "-1"]) == 2
+    assert run(["centralizer", "c(4)", "-p", "2", "--elt-order", "0"]) == 2
+    assert run(["centralizer", "c(4)", "-p", "2", "--elt-order", "-2"]) == 2
+    assert run(["explore", "-p", "2", "--bound", "-5", "--depth", "1"]) == 2
+    assert run(["explore", "-p", "2", "--bound", "8", "--depth", "-1"]) == 2
+    assert run(["certify", "c(2)", "-p", "2", "--depth", "-3"]) == 2
     _, err = out_of(capsys)
     assert "0 <= t <= n" in err
 

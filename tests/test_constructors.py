@@ -4,6 +4,8 @@ import pytest
 
 from chromarank import (
     ChromarankError,
+    PermGroup,
+    Permutation,
     abelian,
     cyclic,
     dihedral,
@@ -94,6 +96,39 @@ def test_wreath_cyclic_order_and_known_case():
     # C_2 wr C_2 is dihedral of order 8
     w = wreath_cyclic(cyclic(2), 2)
     assert w.fingerprint() == dihedral(4).fingerprint()
+
+
+def _per_block_wreath(g, n):
+    """G wr C_n generated by a copy of each generator of G on every block,
+    then the block n-cycle."""
+    dg = g.degree
+    degree = n * dg
+    gens = []
+    for a in g.generators:
+        for block in range(n):
+            off = block * dg
+            images = list(range(degree))
+            images[off : off + dg] = [off + x for x in a.images]
+            gens.append(Permutation(images))
+    gens.append(Permutation([((block + 1) % n) * dg + i for block in range(n) for i in range(dg)]))
+    return PermGroup(degree, gens)
+
+
+def test_wreath_generators_match_the_per_block_group():
+    # gl(2,3) wr C_3 (order 331,776) is left out: its class table alone
+    # takes about 10 s on the pure backend.
+    bases = (cyclic(3), symmetric(3), dihedral(4), quaternion8())
+    cases = [(base, n) for base in bases for n in (2, 3)]
+    cases.append((general_linear(2, 3), 2))
+    for base, n in cases:
+        w = wreath_cyclic(base, n)
+        ref = _per_block_wreath(base, n)
+        assert len(w.generators) == len(base.generators) + 1
+        assert w.elements() == ref.elements()
+        table, ref_table = w.conjugacy_classes(), ref.conjugacy_classes()
+        assert table.reps == ref_table.reps
+        assert table.sizes == ref_table.sizes
+        assert w.fingerprint() == ref.fingerprint()
 
 
 def test_wreath_4608(wreath_4608):

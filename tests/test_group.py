@@ -26,6 +26,7 @@ from chromarank import (
 from chromarank.group import Fingerprint, _Chain, _subgroup_from_elements, enumeration_limit
 
 from conftest import (
+    CORPUS_BUILDERS,
     CORPUS_ORDERS,
     o_centralizer,
     o_classes,
@@ -199,6 +200,39 @@ def test_derived_subgroup():
     for a in elems[:6]:
         for b in elems[:6]:
             assert a.inverse() * b.inverse() * a * b in der
+
+
+def test_derived_and_sylow_build_no_chain(monkeypatch):
+    # Derived and Sylow subgroups grow as Dimino spans inside the group, so
+    # once the group's own chain exists no further chain is built.
+    groups = [build() for build in CORPUS_BUILDERS.values()]
+    for group in groups:
+        group.chain()
+    builds = []
+    chain_init = _Chain.__init__
+
+    def counting(self, degree, raw_gens):
+        builds.append(degree)
+        chain_init(self, degree, raw_gens)
+
+    monkeypatch.setattr(_Chain, "__init__", counting)
+    for group in groups:
+        group.fingerprint()
+        for p in (2, 3):
+            group.sylow_subgroup(p)
+    assert builds == []
+
+
+def test_derived_subgroup_past_the_limit_caches_nothing(corpus):
+    for name, group in corpus.items():
+        order = group.fingerprint().derived_order
+        if order == 1:
+            continue
+        fresh = CORPUS_BUILDERS[name]()
+        with pytest.raises(ThresholdExceeded):
+            fresh.derived_subgroup(limit=order - 1)
+        assert "derived" not in fresh._cache, name
+        assert fresh.derived_subgroup(limit=order).order() == order, name
 
 
 def test_fingerprint_distinguishes_q8_from_d8():
