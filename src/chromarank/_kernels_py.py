@@ -3,16 +3,29 @@
 Permutations are bare tuples of point images; composition is left to right,
 so compose(a, b) maps i to b[a[i]].  chromarank._kernels_c implements the
 same contract compiled; chromarank.kernels picks one at import time.
+
+Every product is one C-level call: _then(a) is operator.itemgetter(*a),
+which maps b to (b[a[0]], b[a[1]], ...), that is to compose(a, b).  The
+closure and orbit loops build the getter of a permutation once and apply it
+to many others.  itemgetter of a single index returns the bare item rather
+than a 1-tuple, so at degree 1, where the only permutation is the identity
+and compose(a, b) is b, _then returns tuple instead.
 """
 
 from math import lcm
+from operator import itemgetter
 
 BACKEND = "pure"
 
 
+def _then(a):
+    """The map b -> compose(a, b), as one C-level call."""
+    return itemgetter(*a) if len(a) > 1 else tuple
+
+
 def compose(a, b):
     """a then b: the permutation mapping i to b[a[i]]."""
-    return tuple(map(b.__getitem__, a))
+    return _then(a)(b)
 
 
 def inverse(a):
@@ -31,7 +44,7 @@ def conjugate(x, g):
 
 
 def commutes(a, b):
-    return all(a[b[i]] == b[a[i]] for i in range(len(a)))
+    return _then(a)(b) == _then(b)(a)
 
 
 def element_order(a):
@@ -53,32 +66,43 @@ def element_order(a):
 def close_group(gens, limit):
     """All products of the generators, sorted; None once the count passes limit.
 
-    Breadth-first closure from the identity; the generator list must be
+    Dimino's closure (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 4.1): the generators join one at a time, and each new
+    group is grown as left cosets y H of the group H before it.  A product
+    s r of a generator s and a coset representative r that lands outside
+    the span so far represents a new coset.  The generator list must be
     nonempty and of uniform degree.
     """
-    degree = len(gens[0])
-    identity = tuple(range(degree))
-    seen = {identity}
-    queue = [identity]
-    for x in queue:
-        for g in gens:
-            y = tuple(map(g.__getitem__, x))
-            if y not in seen:
-                if len(seen) >= limit:
-                    return None
-                seen.add(y)
-                queue.append(y)
-    queue.sort()
-    return queue
+    identity = tuple(range(len(gens[0])))
+    span = {identity}
+    gen_thens = []
+    for s in gens:
+        if s in span:
+            continue
+        gen_thens.append(_then(s))
+        block = list(span)
+        reps = [identity]
+        for r in reps:
+            for s_then in gen_thens:
+                y = s_then(r)
+                if y not in span:
+                    reps.append(y)
+                    y_then = _then(y)
+                    span.update([y_then(h) for h in block])
+                    if len(span) > limit:
+                        return None
+    return sorted(span)
 
 
 def conjugacy_orbit(x, gens):
     """Orbit of x under conjugation by the generators, in discovery order."""
+    gen_pairs = [(_then(inverse(g)), g) for g in gens]
     orbit = {x}
     queue = [x]
     for e in queue:
-        for g in gens:
-            y = conjugate(e, g)
+        e_then = _then(e)
+        for g_inv_then, g in gen_pairs:
+            y = g_inv_then(e_then(g))
             if y not in orbit:
                 orbit.add(y)
                 queue.append(y)
@@ -87,12 +111,14 @@ def conjugacy_orbit(x, gens):
 
 def tuple_orbit(tup, gens):
     """Orbit of a tuple of permutations under simultaneous conjugation."""
+    gen_pairs = [(_then(inverse(g)), g) for g in gens]
     start = tuple(tup)
     orbit = {start}
     queue = [start]
     for e in queue:
-        for g in gens:
-            y = tuple(conjugate(c, g) for c in e)
+        thens = [_then(c) for c in e]
+        for g_inv_then, g in gen_pairs:
+            y = tuple([g_inv_then(c_then(g)) for c_then in thens])
             if y not in orbit:
                 orbit.add(y)
                 queue.append(y)
@@ -101,10 +127,12 @@ def tuple_orbit(tup, gens):
 
 def centralizer_filter(elements, targets):
     """Members of elements commuting with every target, input order kept."""
+    target_pairs = [(t, _then(t)) for t in targets]
     out = []
     for e in elements:
-        for t in targets:
-            if not commutes(e, t):
+        e_then = _then(e)
+        for t, t_then in target_pairs:
+            if e_then(t) != t_then(e):
                 break
         else:
             out.append(e)

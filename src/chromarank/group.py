@@ -406,8 +406,10 @@ class PermGroup:
     def derived_subgroup(self, limit: int | None = None) -> "PermGroup":
         """Normal closure of the generator commutators.
 
-        Raises ThresholdExceeded, and caches nothing, once the closure grows
-        past the enumeration limit.
+        The result is generated by the elements the closure kept, and its
+        order is the closure's size, so no second closure runs.  Raises
+        ThresholdExceeded, and caches nothing, once the closure grows past
+        the enumeration limit.
         """
         result = self._cache.get("derived")
         if result is None:
@@ -437,7 +439,9 @@ class PermGroup:
                     f"desk-scale exceeded: derived subgroup order > limit {cap}"
                 )
             work.extend(kernels.conjugate(x, g) for g in self._raw)
-        return _subgroup_from_elements(self.degree, span)
+        derived = PermGroup(self.degree, tuple(Permutation._wrap(t) for t in gens or [identity]))
+        derived._cache["order"] = len(span)
+        return derived
 
     def fingerprint(self, limit: int | None = None) -> Fingerprint:
         self._check_limit(limit)

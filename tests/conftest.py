@@ -6,8 +6,13 @@ from first principles so the fast paths have something honest to be
 checked against.
 """
 
+import importlib.util
 import itertools
+import shutil
+import subprocess
+import sysconfig
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +200,44 @@ def wreath_4608():
     from chromarank import wreath_cyclic
 
     return wreath_cyclic(general_linear(2, 3), 2)
+
+
+# -- compiled kernels --------------------------------------------------------
+
+KERNELS_C_SOURCE = Path(__file__).resolve().parents[1] / "src" / "chromarank" / "_kernels_c.c"
+
+
+@pytest.fixture(scope="session")
+def kernels_c(tmp_path_factory):
+    """The compiled kernels: the installed extension, else the shipped .c built here.
+
+    The build goes to a temporary directory and the module is not registered
+    in sys.modules, so the backend that chromarank.kernels picked stays as it
+    is.  Skips only when no C compiler or no Python headers are present.
+    """
+    try:
+        from chromarank import _kernels_c
+
+        return _kernels_c
+    except ImportError:
+        pass
+    cc = shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    include = sysconfig.get_paths()["include"]
+    if not (Path(include) / "Python.h").exists():
+        pytest.skip("no Python headers")
+    target = tmp_path_factory.mktemp("kernels_c") / (
+        "_kernels_c" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    build = subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", f"-I{include}", str(KERNELS_C_SOURCE), "-o", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    if build.returncode != 0:
+        pytest.fail(f"building {KERNELS_C_SOURCE.name} failed:\n{build.stderr}")
+    spec = importlib.util.spec_from_file_location("chromarank._kernels_c", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

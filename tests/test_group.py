@@ -23,6 +23,7 @@ from chromarank import (
     read_generator_file,
     symmetric,
 )
+from chromarank.dsl import evaluate, parse
 from chromarank.group import Fingerprint, _Chain, _subgroup_from_elements, enumeration_limit
 
 from conftest import (
@@ -233,6 +234,90 @@ def test_derived_subgroup_past_the_limit_caches_nothing(corpus):
             fresh.derived_subgroup(limit=order - 1)
         assert "derived" not in fresh._cache, name
         assert fresh.derived_subgroup(limit=order).order() == order, name
+
+
+E4608 = "wr(gl(2,3),c(2))"
+E96 = f"cent({E4608},order=4,czorder=96)"
+E18432 = f"wr({E96},c(2))"
+E192 = f"cent({E18432},order=8,czorder=192)"
+
+# The fingerprints of the four groups of the paper's worked example.
+PAPER_FINGERPRINTS = {
+    E4608: {
+        "order": 4608,
+        "exponent": 48,
+        "element_order_histogram": [
+            [1, 1], [2, 243], [3, 80], [4, 828], [6, 1008], [8, 912], [12, 576], [16, 576],
+            [24, 384],
+        ],
+        "class_size_histogram": [
+            [1, 2], [2, 1], [12, 6], [16, 4], [24, 2], [36, 3], [48, 2], [64, 2], [72, 3],
+            [96, 6], [128, 1], [144, 4], [192, 2], [288, 3], [384, 2], [576, 1],
+        ],
+        "center_order": 2,
+        "derived_order": 1152,
+        "abelian": False,
+    },
+    E96: {
+        "order": 96,
+        "exponent": 24,
+        "element_order_histogram": [
+            [1, 1], [2, 19], [3, 8], [4, 20], [6, 8], [8, 24], [12, 16],
+        ],
+        "class_size_histogram": [[1, 4], [6, 6], [8, 4], [12, 2]],
+        "center_order": 4,
+        "derived_order": 24,
+        "abelian": False,
+    },
+    E18432: {
+        "order": 18432,
+        "exponent": 48,
+        "element_order_histogram": [
+            [1, 1], [2, 495], [3, 80], [4, 3024], [6, 1584], [8, 4416], [12, 3456],
+            [16, 2304], [24, 3072],
+        ],
+        "class_size_histogram": [
+            [1, 4], [2, 6], [12, 24], [16, 16], [24, 8], [36, 6], [64, 4], [72, 15],
+            [96, 28], [128, 6], [144, 14], [192, 8], [288, 1], [576, 6], [768, 4],
+            [1152, 2],
+        ],
+        "center_order": 4,
+        "derived_order": 2304,
+        "abelian": False,
+    },
+    E192: {
+        "order": 192,
+        "exponent": 24,
+        "element_order_histogram": [
+            [1, 1], [2, 19], [3, 8], [4, 44], [6, 8], [8, 64], [12, 16], [24, 32],
+        ],
+        "class_size_histogram": [[1, 8], [6, 12], [8, 8], [12, 4]],
+        "center_order": 8,
+        "derived_order": 24,
+        "abelian": False,
+    },
+}
+
+
+def test_derived_subgroup_is_closed_once(monkeypatch):
+    # The normal closure already knows the derived subgroup's order, so the
+    # result is built from the elements it kept, with no second closure.
+    memo = {}
+    paper = {expr: evaluate(parse(expr), memo=memo) for expr in PAPER_FINGERPRINTS}
+    corpus = {name: build() for name, build in CORPUS_BUILDERS.items()}
+    calls = []
+
+    def counting(degree, raw_elements):
+        calls.append(degree)
+        return _subgroup_from_elements(degree, raw_elements)
+
+    monkeypatch.setattr("chromarank.group._subgroup_from_elements", counting)
+    for expr, group in paper.items():
+        assert group.fingerprint().to_record() == PAPER_FINGERPRINTS[expr], expr
+    for name, group in {**corpus, **paper}.items():
+        derived = group.derived_subgroup()
+        assert derived.order() == len(o_close(list(derived._raw))), name
+    assert calls == []
 
 
 def test_fingerprint_distinguishes_q8_from_d8():

@@ -1,21 +1,24 @@
-"""Backend equivalence: the compiled kernels must match the pure ones."""
+"""The pure kernels against brute-force oracles, and the compiled ones against the pure ones.
+
+The compiled kernels come from the kernels_c fixture (conftest.py): the
+installed extension, or else the shipped _kernels_c.c built for the session.
+"""
 
 import random
+import re
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromarank import _kernels_py
-from chromarank import kernels
+from chromarank import PermGroup, _kernels_py, abelian, kernels
 
-from conftest import o_close, o_compose
-
-try:
-    from chromarank import _kernels_c
-except ImportError:
-    _kernels_c = None
-
-needs_ext = pytest.mark.skipif(_kernels_c is None, reason="compiled kernels not built")
+from conftest import (
+    CORPUS_BUILDERS,
+    KERNELS_C_SOURCE,
+    o_centralizer,
+    o_close,
+    o_compose,
+    o_conjugate,
+)
 
 raw_perm = st.integers(min_value=1, max_value=9).flatmap(
     lambda d: st.permutations(range(d)).map(tuple)
@@ -27,9 +30,94 @@ def random_gens(seed, degree, count):
     return [tuple(rng.sample(range(degree), degree)) for _ in range(count)]
 
 
+# -- reference orbit loops: the per-point implementation the kernels replaced --
+
+
+def loop_conjugate(x, g):
+    out = [0] * len(x)
+    for j, gj in enumerate(g):
+        out[gj] = g[x[j]]
+    return tuple(out)
+
+
+def loop_conjugacy_orbit(x, gens):
+    orbit = {x}
+    queue = [x]
+    for e in queue:
+        for g in gens:
+            y = loop_conjugate(e, g)
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    return queue
+
+
+def loop_tuple_orbit(tup, gens):
+    start = tuple(tup)
+    orbit = {start}
+    queue = [start]
+    for e in queue:
+        for g in gens:
+            y = tuple(loop_conjugate(c, g) for c in e)
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    return queue
+
+
+def small_groups():
+    """Raw generators and sorted elements of the corpus, the trivial group of degree 1,
+    and a few random 2-generator groups of small degree."""
+    groups = [list(build()._raw) for build in CORPUS_BUILDERS.values()]
+    groups.append(list(PermGroup.trivial(1)._raw))
+    groups += [random_gens(seed, degree, 2) for seed, degree in ((1, 2), (2, 4), (3, 6))]
+    return [(gens, o_close(gens)) for gens in groups]
+
+
+# -- pure kernels against the oracles -----------------------------------------
+
+
 def test_selected_backend_exposes_contract():
     assert kernels.BACKEND in ("pure", "compiled")
     assert kernels.compose((1, 0), (0, 1)) == (1, 0)
+
+
+def test_compose_oracle_spot():
+    a = (1, 2, 0)
+    b = (1, 0, 2)
+    # a then b: 0 -> 1 -> 0, 1 -> 2 -> 2, 2 -> 0 -> 1
+    assert _kernels_py.compose(a, b) == o_compose(a, b) == (0, 2, 1)
+
+
+def test_products_match_oracles_from_degree_1():
+    # Degree 1 is where itemgetter of one index returns a bare int.
+    for degree in (1, 2, 3, 5, 8, 13, 24, 40):
+        perms = random_gens(degree, degree, 6) + [tuple(range(degree))]
+        for a in perms:
+            a2 = o_compose(a, a)
+            for b in perms + [a2]:
+                ab = _kernels_py.compose(a, b)
+                assert type(ab) is tuple and ab == o_compose(a, b)
+                assert _kernels_py.conjugate(a, b) == o_conjugate(a, b)
+                assert _kernels_py.commutes(a, b) == (o_compose(a, b) == o_compose(b, a))
+            assert _kernels_py.commutes(a, a2)
+
+
+def test_orbits_match_loop_reference_in_discovery_order():
+    for gens, elems in small_groups():
+        rng = random.Random(len(elems))
+        for x in rng.sample(elems, min(4, len(elems))):
+            y = rng.choice(elems)
+            assert _kernels_py.conjugacy_orbit(x, gens) == loop_conjugacy_orbit(x, gens)
+            for tup in ((), (x,), (x, y), (y, x, y)):
+                assert _kernels_py.tuple_orbit(tup, gens) == loop_tuple_orbit(tup, gens)
+
+
+def test_centralizer_filter_matches_oracle():
+    for gens, elems in small_groups():
+        rng = random.Random(len(elems))
+        for targets in ([], gens, [rng.choice(elems)], rng.sample(elems, min(2, len(elems)))):
+            assert _kernels_py.centralizer_filter(elems, targets) == o_centralizer(elems, targets)
 
 
 def test_close_group_limit_inclusive():
@@ -44,60 +132,92 @@ def test_close_group_matches_oracle():
         assert _kernels_py.close_group(gens, 10**4) == o_close(gens)
 
 
-@needs_ext
+def test_close_group_at_the_limit():
+    one_gen = [(1, 2, 3, 4, 5, 6, 0)]
+    twelve_gens = list(abelian((2,) * 12)._raw)
+    assert len(twelve_gens) == 12
+    for gens in (one_gen, twelve_gens):
+        elems = o_close(gens)
+        assert _kernels_py.close_group(gens, len(elems)) == elems
+        assert _kernels_py.close_group(gens, len(elems) - 1) is None
+        assert _kernels_py.close_group(gens, 1) is None
+    assert _kernels_py.close_group([(0,)], 1) == [(0,)]
+
+
+# -- compiled kernels ----------------------------------------------------------
+
+
+def test_shipped_c_quotes_the_current_pyx():
+    # Cython quotes each .pyx line it compiles, with its line number and two
+    # lines of context on either side, marking the line itself.
+    mark = "             # <<<<<<<<<<<<<<"
+    pyx = KERNELS_C_SOURCE.with_suffix(".pyx").read_text().splitlines()
+    c_lines = KERNELS_C_SOURCE.read_text().splitlines()
+    quotes = 0
+    stale = []
+    for i, line in enumerate(c_lines):
+        header = re.fullmatch(r'\s*/\* "chromarank/_kernels_c\.pyx":(\d+)', line)
+        if header is None:
+            continue
+        quotes += 1
+        block = []
+        for text in c_lines[i + 1 :]:
+            if text == "*/":
+                break
+            block.append(text[3:] if text.startswith(" * ") else text[2:])
+        marked = [j for j, text in enumerate(block) if text.endswith(mark)]
+        assert len(marked) == 1, f"no single marked line in the quote at line {i + 1}"
+        first = int(header.group(1)) - 1 - marked[0]
+        for j, text in enumerate(block):
+            want = pyx[first + j] if 0 <= first + j < len(pyx) else None
+            if want is None or text.removesuffix(mark).rstrip() != want.rstrip():
+                stale.append((i + 1, first + j + 1, text))
+    assert quotes > 0
+    assert stale == []
+
+
 @given(raw_perm, raw_perm)
-def test_pairwise_ops_equivalent(a, b):
+def test_pairwise_ops_equivalent(kernels_c, a, b):
     if len(a) != len(b):
         return
-    assert _kernels_c.compose(a, b) == _kernels_py.compose(a, b)
-    assert _kernels_c.conjugate(a, b) == _kernels_py.conjugate(a, b)
-    assert _kernels_c.commutes(a, b) == _kernels_py.commutes(a, b)
+    assert kernels_c.compose(a, b) == _kernels_py.compose(a, b)
+    assert kernels_c.conjugate(a, b) == _kernels_py.conjugate(a, b)
+    assert kernels_c.commutes(a, b) == _kernels_py.commutes(a, b)
 
 
-@needs_ext
 @given(raw_perm)
-def test_unary_ops_equivalent(a):
-    assert _kernels_c.inverse(a) == _kernels_py.inverse(a)
-    assert _kernels_c.element_order(a) == _kernels_py.element_order(a)
+def test_unary_ops_equivalent(kernels_c, a):
+    assert kernels_c.inverse(a) == _kernels_py.inverse(a)
+    assert kernels_c.element_order(a) == _kernels_py.element_order(a)
 
 
-@needs_ext
 @settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=0, max_value=10**6))
-def test_close_group_equivalent(seed):
+def test_close_group_equivalent(kernels_c, seed):
     gens = random_gens(seed, 6, 2)
     for limit in (10**5, 10, 1):
-        assert _kernels_c.close_group(gens, limit) == _kernels_py.close_group(gens, limit)
+        assert kernels_c.close_group(gens, limit) == _kernels_py.close_group(gens, limit)
 
 
-@needs_ext
-def test_orbit_functions_equivalent():
+def test_orbit_functions_equivalent(kernels_c):
     for seed in range(6):
         gens = random_gens(seed, 6, 2)
         x = random_gens(seed + 100, 6, 1)[0]
-        assert _kernels_c.conjugacy_orbit(x, gens) == _kernels_py.conjugacy_orbit(x, gens)
+        assert kernels_c.conjugacy_orbit(x, gens) == _kernels_py.conjugacy_orbit(x, gens)
         tup = (x, _kernels_py.inverse(x))
-        assert _kernels_c.tuple_orbit(tup, gens) == _kernels_py.tuple_orbit(tup, gens)
-    assert _kernels_c.tuple_orbit((), gens) == _kernels_py.tuple_orbit((), gens) == [()]
+        assert kernels_c.tuple_orbit(tup, gens) == _kernels_py.tuple_orbit(tup, gens)
+    assert kernels_c.tuple_orbit((), gens) == _kernels_py.tuple_orbit((), gens) == [()]
 
 
-@needs_ext
-def test_filters_equivalent():
+def test_filters_equivalent(kernels_c):
     gens = random_gens(3, 6, 2)
     elems = _kernels_py.close_group(gens, 10**5)
     targets = [elems[len(elems) // 3]]
-    assert _kernels_c.centralizer_filter(elems, targets) == _kernels_py.centralizer_filter(
+    assert kernels_c.centralizer_filter(elems, targets) == _kernels_py.centralizer_filter(
         elems, targets
     )
     sub_gens = [elems[1]]
     sub = _kernels_py.close_group(sub_gens, 10**5)
-    assert _kernels_c.normalizer_filter(elems, sub_gens, sub) == _kernels_py.normalizer_filter(
+    assert kernels_c.normalizer_filter(elems, sub_gens, sub) == _kernels_py.normalizer_filter(
         elems, sub_gens, sub
     )
-
-
-def test_compose_oracle_spot():
-    a = (1, 2, 0)
-    b = (1, 0, 2)
-    # a then b: 0 -> 1 -> 0, 1 -> 2 -> 2, 2 -> 0 -> 1
-    assert _kernels_py.compose(a, b) == o_compose(a, b) == (0, 2, 1)
