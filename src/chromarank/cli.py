@@ -8,13 +8,16 @@ or height bound).  Argument ranges are checked by the parser, so any
 other exception is a bug and propagates with its traceback.
 
 `--json` swaps the human-readable payload for one JSON object carrying a
-schema-version field, so scripts can pin the layout.
+schema-version field, so scripts can pin the layout.  `-v` sends the
+chromarank logger's INFO records, such as explore's per-round counts and
+skip notices, to stderr; without it nothing is logged.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 
@@ -275,6 +278,9 @@ def _cmd_registry(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable payload")
     parser.add_argument(
+        "-v", "--verbose", action="store_true", help="log progress at INFO to stderr"
+    )
+    parser.add_argument(
         "--max-order",
         type=_at_least(1),
         default=None,
@@ -371,6 +377,12 @@ def run(argv) -> int:
             parser.error("verify needs 0 <= t <= n")
     except SystemExit as exc:
         return int(exc.code or 0)
+    logger = logging.getLogger("chromarank")
+    level = logger.level
+    handler = logging.StreamHandler(sys.stderr)
+    if args.verbose:
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
     try:
         return args.fn(args)
     except (ThresholdExceeded, HeightExceeded) as exc:
@@ -379,6 +391,9 @@ def run(argv) -> int:
     except (ChromarankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def main() -> None:

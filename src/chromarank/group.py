@@ -11,6 +11,7 @@ fingerprints only run below a configurable order limit (the default is
 from __future__ import annotations
 
 import os
+import weakref
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from math import lcm, prod
@@ -347,9 +348,47 @@ class PermGroup:
         table = self.conjugacy_classes(limit)
         return tuple(sorted((rep.order(), size) for rep, size in zip(table.reps, table.sizes)))
 
+    def _intern_table(self) -> "_InternTable":
+        """The table this group's centralizers are interned in.
+
+        A subgroup interned in a table reaches it through a weak reference;
+        a group that reaches no live table starts one and holds it.  So the
+        table lives exactly as long as the group it was started on, and
+        adds no reference cycle.
+        """
+        ref = self._cache.get("intern")
+        table = None if ref is None else ref()
+        if table is None:
+            table = _InternTable()
+            self._cache["intern_table"] = table
+            self._cache["intern"] = weakref.ref(table)
+        return table
+
     def _centralizer_raw(self, raw_targets, limit: int | None = None) -> "PermGroup":
-        filtered = kernels.centralizer_filter(list(self._raw_elements(limit)), list(raw_targets))
-        return _subgroup_from_elements(self.degree, filtered)
+        """Centralizer of raw permutations, one group per distinct element set.
+
+        The filtered elements are sorted, since _raw_elements is, so they
+        are an exact key into the intern table: equal centralizers come
+        back as one object, which computes its class table, fingerprint and
+        ranks once.  The element tuple is memoized per target tuple; it is
+        kept rather than the group, because a centralizer can be the group
+        itself, and a group in its own cache is a reference cycle.
+        """
+        self._check_limit(limit)
+        key = ("centralizer", tuple(raw_targets))
+        elements = self._cache.get(key)
+        if elements is None:
+            elements = tuple(
+                kernels.centralizer_filter(list(self._raw_elements(limit)), list(raw_targets))
+            )
+        table = self._intern_table()
+        sub = table.get(elements)
+        if sub is None:
+            sub = _subgroup_from_elements(self.degree, elements)
+            sub._cache["intern"] = weakref.ref(table)
+            table[sub._cache["elements_raw"]] = sub
+        self._cache[key] = sub._cache["elements_raw"]
+        return sub
 
     def centralizer(self, targets: Iterable[Permutation], limit: int | None = None) -> "PermGroup":
         """Centralizer of a set of elements, by elementwise filtering."""
@@ -477,6 +516,12 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"
+
+
+class _InternTable(dict):
+    """Sorted element tuple -> the subgroup built on it (see _intern_table)."""
+
+    __slots__ = ("__weakref__",)
 
 
 def _subgroup_from_elements(degree: int, raw_elements) -> PermGroup:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 from . import constructors, dsl
@@ -525,8 +526,14 @@ def _register_candidate(
     parents: tuple[str, ...],
     limit,
     paranoid: bool,
+    tally: Counter,
 ) -> RegistryEntry | None:
-    """Fingerprint, dedup, and add a freshly constructed good group."""
+    """Fingerprint, dedup, and add a freshly constructed good group.
+
+    Counts the candidate in tally under its rule, and a fingerprint
+    duplicate under "duplicate".
+    """
+    tally[rule] += 1
     try:
         fp = group.fingerprint(limit)
     except ThresholdExceeded as exc:
@@ -539,6 +546,7 @@ def _register_candidate(
                 f"constructed good group {name!r} matches bad entry {other.name!r}"
             )
     if matches:
+        tally["duplicate"] += 1
         if paranoid:
             profile = group.class_profile(limit)
             for other in matches:
@@ -570,31 +578,42 @@ def _register_candidate(
     return entry
 
 
-def _centralizer_children(
-    registry, parent: RegistryEntry, group: PermGroup, p, bound, limit, paranoid
-) -> list[RegistryEntry]:
-    """Centralizers of one representative per p-power class of the group."""
-    cap = enumeration_limit(limit)
-    if group.order() > cap:
-        log.info("explore: %s too large to enumerate for centralizers", parent.name)
-        return []
-    added = []
+def _centralizer_classes(group: PermGroup, p, bound, limit) -> list | None:
+    """(representative, class size, element order, centralizer order) of
+    each p-power class whose centralizer order is at most bound; None when
+    the group is past the enumeration limit."""
+    if group.order() > enumeration_limit(limit):
+        return None
     table = group.conjugacy_classes(limit)
-    chosen: dict[tuple[int, int], str] = {}
+    out = []
     for rep, size in zip(table.reps, table.sizes):
         o = rep.order()
         czo = group.order() // size
-        if not is_p_power(o, p) or czo > bound:
-            continue
+        if is_p_power(o, p) and czo <= bound:
+            out.append((rep, size, o, czo))
+    return out
+
+
+def _centralizer_children(
+    registry, parent: RegistryEntry, group: PermGroup, p, bound, limit, paranoid, tally
+) -> list[RegistryEntry]:
+    """Centralizers of one representative per p-power class of the group."""
+    classes = _centralizer_classes(group, p, bound, limit)
+    if classes is None:
+        log.info("explore: %s too large to enumerate for centralizers", parent.name)
+        return []
+    added = []
+    named: set[tuple[int, int]] = set()
+    for rep, size, o, czo in classes:
         expr = None
-        if parent.expr is not None and (o, czo) not in chosen:
+        if parent.expr is not None and (o, czo) not in named:
             expr = f"cent({parent.expr},order={o},czorder={czo})"
-        chosen.setdefault((o, czo), rep.cycle_string())
+        named.add((o, czo))
         name = expr or f"cent[{parent.name};o{o};cz{czo};{rep.cycle_string()}]"
         # A central class (size 1) is centralized by the whole group.
         cent = group if size == 1 else group._centralizer_raw([rep.images], limit)
         entry = _register_candidate(
-            registry, name, expr, p, cent, "CENTRALIZER", (parent.name,), limit, paranoid
+            registry, name, expr, p, cent, "CENTRALIZER", (parent.name,), limit, paranoid, tally
         )
         if entry is not None:
             added.append(entry)
@@ -611,7 +630,7 @@ def explore(
 ) -> list[RegistryEntry]:
     """Forward closure of the good entries under the constructions.
 
-    Each round applies, to every concrete good entry: the wreath with C_p
+    Each round applies, to the concrete good entries: the wreath with C_p
     (and centralizers of p-power classes inside the new wreath), products
     with other registry members, and centralizers of p-power classes of
     the entry itself.  Only results of order at most order_bound are
@@ -619,47 +638,80 @@ def explore(
     bounds adds nothing once a round reaches a fixed point.  depth caps
     the number of rounds; groups past the enumeration limit are skipped
     with a logged notice.
+
+    Rounds are semi-naive: the wreath and the centralizers of an entry are
+    tried once, in the round after it is added (the first round tries every
+    entry), and a product once, when its newer factor is new.  A candidate
+    tried in an earlier round has its fingerprint in the registry since, so
+    retrying it could only find a duplicate; skipping it leaves the order of
+    additions unchanged.  Each round logs its counts at INFO.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if registry.prime not in (None, p):
         raise ConsistencyError(f"registry is keyed to prime {registry.prime}, not {p}")
     added: list[RegistryEntry] = []
-    for _round in range(depth):
+    old: set[str] = set()  # the previous round's snapshot
+    expanded: set[str] = set()  # entries whose centralizer children were tried
+    for round_no in range(1, depth + 1):
         snapshot = [e for e in registry.good_entries() if e.order is not None]
+        groups = {e.name: _realize(registry, e, limit) for e in snapshot}
+        tally: Counter = Counter()
         fresh: list[RegistryEntry] = []
         for entry in snapshot:
-            group = _realize(registry, entry, limit)
+            group = groups[entry.name]
             if group is None:
                 continue
+            new = entry.name not in old
             # wreath with C_p, then its centralizer children
             worder = entry.order**p * p
-            if worder <= order_bound:
+            if worder <= order_bound and not new:
+                tally["skipped"] += 1
+            elif worder <= order_bound:
                 wexpr = f"wr({entry.expr},c({p}))" if entry.expr is not None else None
                 wname = wexpr or f"wr[{entry.name};c({p})]"
                 wreath = constructors.wreath_cyclic(group, p)
                 wentry = _register_candidate(
-                    registry, wname, wexpr, p, wreath, "WREATH", (entry.name,), limit, paranoid
+                    registry,
+                    wname,
+                    wexpr,
+                    p,
+                    wreath,
+                    "WREATH",
+                    (entry.name,),
+                    limit,
+                    paranoid,
+                    tally,
                 )
                 if wentry is not None:
                     fresh.append(wentry)
                     fresh.extend(
                         _centralizer_children(
-                            registry, wentry, wreath, p, order_bound, limit, paranoid
+                            registry, wentry, wreath, p, order_bound, limit, paranoid, tally
                         )
                     )
+                    expanded.add(wentry.name)
             # centralizers inside the entry itself
-            fresh.extend(
-                _centralizer_children(registry, entry, group, p, order_bound, limit, paranoid)
-            )
+            if entry.name in expanded:
+                tally["skipped"] += len(_centralizer_classes(group, p, order_bound, limit) or ())
+            else:
+                fresh.extend(
+                    _centralizer_children(
+                        registry, entry, group, p, order_bound, limit, paranoid, tally
+                    )
+                )
+                expanded.add(entry.name)
             # products with other snapshot members
             for other in snapshot:
-                if other.order is None or entry.order * other.order > order_bound:
+                if entry.order * other.order > order_bound:
                     continue
                 if other.name < entry.name:
                     continue  # unordered pairs once
-                ogroup = _realize(registry, other, limit)
+                ogroup = groups[other.name]
                 if ogroup is None:
+                    continue
+                if not new and other.name in old:
+                    tally["skipped"] += 1
                     continue
                 if entry.expr is not None and other.expr is not None:
                     pexpr = f"prod({entry.expr},{other.expr})"
@@ -669,10 +721,24 @@ def explore(
                 product = constructors.direct_product(group, ogroup)
                 parents = (entry.name, other.name)
                 pentry = _register_candidate(
-                    registry, pname, pexpr, p, product, "PRODUCT", parents, limit, paranoid
+                    registry, pname, pexpr, p, product, "PRODUCT", parents, limit, paranoid, tally
                 )
                 if pentry is not None:
                     fresh.append(pentry)
+        log.info(
+            "explore round %d: %d entries, %d new; candidates WREATH %d, PRODUCT %d, "
+            "CENTRALIZER %d; added %d, fingerprint duplicates %d, skipped as already tried %d",
+            round_no,
+            len(snapshot),
+            sum(e.name not in old for e in snapshot),
+            tally["WREATH"],
+            tally["PRODUCT"],
+            tally["CENTRALIZER"],
+            len(fresh),
+            tally["duplicate"],
+            tally["skipped"],
+        )
+        old = {e.name for e in snapshot}
         added.extend(fresh)
         if not fresh:
             break

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -180,3 +181,41 @@ def test_certify_json(capsys):
     assert payload["status"] == "good"
     assert payload["derivation"]["rule"] == "WREATH"
     assert payload["derivation"]["premises"][0]["rule"] == "SEED"
+
+
+EXPLORE_81 = """\
+added: 8
+wr(c(3),c(3))  order=81  rule=WREATH
+cent(wr(c(3),c(3)),order=3,czorder=27)  order=27  rule=CENTRALIZER
+cent(wr(c(3),c(3)),order=3,czorder=9)  order=9  rule=CENTRALIZER
+cent(wr(c(3),c(3)),order=9,czorder=9)  order=9  rule=CENTRALIZER
+prod(c(3),cent(wr(c(3),c(3)),order=3,czorder=27))  order=81  rule=PRODUCT
+prod(c(3),cent(wr(c(3),c(3)),order=9,czorder=9))  order=27  rule=PRODUCT
+prod(cent(wr(c(3),c(3)),order=3,czorder=9),cent(wr(c(3),c(3)),order=9,czorder=9))  order=81  rule=PRODUCT
+prod(cent(wr(c(3),c(3)),order=9,czorder=9),cent(wr(c(3),c(3)),order=9,czorder=9))  order=81  rule=PRODUCT
+"""
+
+
+def test_verbose_logs_explore_rounds_to_stderr(tmp_path, capsys):
+    path = tmp_path / "reg.jsonl"
+    for expr in ("c(1)", "c(3)"):
+        assert run(["certify", expr, "-p", "3", "--registry", str(path)]) == 0
+    seeded = path.read_bytes()
+    capsys.readouterr()
+    command = ["explore", "-p", "3", "--bound", "81", "--depth", "6", "--registry", str(path)]
+    assert run(command) == 0
+    quiet = capsys.readouterr()
+    assert quiet.out == EXPLORE_81
+    assert quiet.err == ""
+    explored = path.read_bytes()
+    path.write_bytes(seeded)
+    assert run(command + ["-v"]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == EXPLORE_81
+    assert [line.split(":")[0] for line in loud.err.splitlines()] == [
+        "explore round 1",
+        "explore round 2",
+        "explore round 3",
+    ]
+    assert path.read_bytes() == explored
+    assert logging.getLogger("chromarank").handlers == []

@@ -1,3 +1,4 @@
+import gc
 import math
 from collections import Counter
 
@@ -13,14 +14,18 @@ from chromarank import (
     PermGroup,
     Permutation,
     ThresholdExceeded,
+    Registry,
+    certify,
     cyclic,
     dihedral,
+    explore,
     group_from_generators,
     hkr_rank,
     p_part,
     p_power_elements,
     quaternion8,
     read_generator_file,
+    register_derivation,
     symmetric,
 )
 from chromarank.dsl import evaluate, parse
@@ -110,6 +115,57 @@ def test_centralizer_matches_oracle(corpus):
             cent = group.centralizer([target])
             expected = o_centralizer([e.images for e in elems], [target.images])
             assert sorted(e.images for e in cent.elements()) == expected, name
+
+
+def test_equal_centralizers_are_one_group(corpus):
+    # x and its inverse have one centralizer, and so do conjugate targets
+    # inside it; within one root group each element set is built once.
+    for name, group in corpus.items():
+        interned = {}
+        for rep in group.conjugacy_classes().reps:
+            for target in (rep, rep.inverse()):
+                cent = group.centralizer([target])
+                assert interned.setdefault(cent.elements(), cent) is cent, name
+                # target is central in its own centralizer
+                assert cent.centralizer([target]) is cent, name
+        whole = group.centralizer([Permutation.identity(group.degree)])
+        assert whole is not group and whole.order() == group.order()
+        assert interned[group.elements()] is whole, name
+
+
+def test_interned_centralizer_honours_a_smaller_limit():
+    group = symmetric(5)
+    x = Permutation.from_cycles("(0 1 2 3 4)", 5)
+    cent = group.centralizer([x])
+    assert cent.order() == 5
+    with pytest.raises(ThresholdExceeded):
+        group.centralizer([x], limit=10)
+    with pytest.raises(ThresholdExceeded):
+        cent.centralizer([x], limit=4)
+    assert group.centralizer([x], limit=120) is cent
+    assert cent.centralizer([x], limit=5) is cent
+
+
+def test_dropped_groups_leave_no_reference_cycles():
+    # The intern table is reached from its subgroups only by a weak
+    # reference, so everything goes by reference counting alone.
+    def work():
+        group = evaluate(parse("wr(s(3),c(2))"))
+        hkr_rank(group, 2, 3)
+        cent = group.centralizer([group.generators[-1]])
+        hkr_rank(cent, 3, 2)
+        reg = Registry.with_defaults(3)
+        for text in ("c(1)", "c(3)"):
+            register_derivation(reg, certify(text, 3, reg), 3)
+        explore(reg, 3, 81, depth=6)
+
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _chain_per_generator_selection(degree, raw_elements):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 from collections import Counter
@@ -23,7 +24,7 @@ from chromarank import (
 )
 from chromarank.group import PermGroup
 from chromarank.registry import DerivationTree, _match_seed
-from chromarank import dsl
+from chromarank import constructors, dsl, registry as registry_mod
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -378,6 +379,64 @@ def test_explore_registry_bytes_match_golden(tmp_path):
     assert explore(reg, 3, 81, depth=6, paranoid=True) == []
     reg.save(str(path))
     assert path.read_bytes() == golden
+
+
+# sha256 of the registry file that explore at p=3, depth 6, writes from c(1)
+# and c(3), by order bound.  Written by the implementation that re-expanded
+# every entry in every round; the semi-naive rounds must not change a byte.
+EXPLORE_P3_DIGESTS = {
+    243: "5ec1c6b85cf43993b91b628153d77c9bc297ab2d6f45ea8f5cb4661fd72ef86d",
+    729: "9dbf83e32b3b45a6727e9949135cc4365813a1557b30e7df64eecfce0c012ec3",
+}
+
+
+@pytest.mark.parametrize("bound", sorted(EXPLORE_P3_DIGESTS))
+def test_explore_registry_bytes_match_digest(tmp_path, bound):
+    reg = seeded_registry(3, ["c(1)", "c(3)"])
+    explore(reg, 3, bound, depth=6)
+    path = tmp_path / "reg.jsonl"
+    reg.save(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPLORE_P3_DIGESTS[bound]
+
+
+def test_explore_expands_each_entry_once(monkeypatch):
+    # A wreath or a centralizer tried in an earlier round could only find a
+    # fingerprint duplicate again, so no entry is wreathed or expanded twice.
+    wreathed = []
+    expanded = []
+    wreath_cyclic_ = constructors.wreath_cyclic
+    centralizer_children = registry_mod._centralizer_children
+
+    def recording_wreath(group, n):
+        wreathed.append(group)
+        return wreath_cyclic_(group, n)
+
+    def recording_children(registry, parent, *args):
+        expanded.append(parent.name)
+        return centralizer_children(registry, parent, *args)
+
+    monkeypatch.setattr(constructors, "wreath_cyclic", recording_wreath)
+    monkeypatch.setattr(registry_mod, "_centralizer_children", recording_children)
+    reg = seeded_registry(3, ["c(1)", "c(3)"])
+    added = explore(reg, 3, 81, depth=6)
+    assert len(added) == 8
+    assert len(wreathed) == 2 and wreathed[0] is not wreathed[1]
+    assert sorted(expanded) == sorted(set(expanded))
+    assert set(expanded) == {"c(1)", "c(3)"} | {e.name for e in added}
+
+
+def test_explore_logs_each_round(caplog):
+    reg = seeded_registry(3, ["c(1)", "c(3)"])
+    with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+        explore(reg, 3, 81, depth=6)
+    assert [m for m in caplog.messages if m.startswith("explore round")] == [
+        "explore round 1: 2 entries, 2 new; candidates WREATH 2, PRODUCT 3, CENTRALIZER 21; "
+        "added 4, fingerprint duplicates 22, skipped as already tried 0",
+        "explore round 2: 6 entries, 4 new; candidates WREATH 0, PRODUCT 10, CENTRALIZER 45; "
+        "added 4, fingerprint duplicates 51, skipped as already tried 26",
+        "explore round 3: 10 entries, 4 new; candidates WREATH 0, PRODUCT 5, CENTRALIZER 270; "
+        "added 0, fingerprint duplicates 275, skipped as already tried 81",
+    ]
 
 
 # -- the group memo --------------------------------------------------------------
