@@ -2,17 +2,10 @@ import os
 
 from setuptools import Extension, setup
 
+# The shipped _kernels_c.c is Cython's output for _kernels_c.pyx, so the
+# build needs only a C compiler; without one the install keeps the pure kernels.
 ext_modules = []
 if os.environ.get("CHROMARANK_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("chromarank._kernels_c", ["src/chromarank/_kernels_c.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        # No Cython available: install runs pure-Python kernels only.
-        ext_modules = []
+    ext_modules = [Extension("chromarank._kernels_c", ["src/chromarank/_kernels_c.c"], optional=True)]
 
 setup(ext_modules=ext_modules)

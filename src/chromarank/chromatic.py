@@ -81,7 +81,6 @@ class LoopDecomposition:
 
     prime: int
     height: int
-    group: PermGroup
     components: tuple[LoopComponent, ...]
 
     def raw_tuple_count(self) -> int:
@@ -96,17 +95,15 @@ def p_power_elements(
 ) -> tuple[Permutation, ...]:
     """Elements of p-power order (identity included), in lex order."""
     _check_prime(p)
-    group._check_limit(limit)
-    key = ("p_power", p)
-    cached = group._cache.get(key)
-    if cached is None:
-        cached = tuple(
+    return group._cached(
+        ("p_power", p),
+        limit,
+        lambda: tuple(
             Permutation._wrap(t)
             for t in group._raw_elements(limit)
             if is_p_power(kernels.element_order(t), p)
-        )
-        group._cache[key] = cached
-    return cached
+        ),
+    )
 
 
 def commuting_tuple_classes(
@@ -128,19 +125,12 @@ def commuting_tuple_classes(
     """
     _check_prime(p)
     _check_height(h, max_height)
-    if h:  # height 0 needs no enumeration
-        group._check_limit(limit)
-    key = ("tuple_classes", p, h)
-    cached = group._cache.get(key)
-    if cached is not None:
-        return cached
+    if h == 0:  # one empty tuple, centralized by the group; nothing to enumerate
+        return LoopDecomposition(p, 0, (LoopComponent(PTuple(p, ()), group, 1),))
+    return group._cached(("tuple_classes", p, h), limit, lambda: _walk_classes(group, p, h, limit))
 
-    if h == 0:
-        empty = PTuple(p, ())
-        decomposition = LoopDecomposition(p, 0, group, (LoopComponent(empty, group, 1),))
-        group._cache[key] = decomposition
-        return decomposition
 
+def _walk_classes(group: PermGroup, p: int, h: int, limit: int | None) -> LoopDecomposition:
     base = [e.images for e in p_power_elements(group, p, limit)]
     raw_gens = group._raw
     order = group.order()
@@ -161,24 +151,25 @@ def commuting_tuple_classes(
             raise ChromarankError("orbit size disagrees with centralizer index")
         components.append(LoopComponent(ptuple, cent, len(orbit)))
 
-    def walk(prefix: list, above: PermGroup, pool: list):
-        # above is C(prefix) and pool its p-power elements.  A full tuple's
-        # centralizer is built in visit, and only for a class representative.
-        for x in pool:
-            prefix.append(x)
-            if len(prefix) == h:
-                visit(tuple(prefix), above)
-            else:
-                cent = above._centralizer_raw([x], limit)
-                members = set(cent._raw_elements(limit))
-                walk(prefix, cent, [y for y in pool if y in members])
-            prefix.pop()
-
-    walk([], group, base)
+    _walk([], group, base, h, limit, visit)
     components.sort(key=lambda c: tuple(e.images for e in c.rep.entries))
-    decomposition = LoopDecomposition(p, h, group, tuple(components))
-    group._cache[key] = decomposition
-    return decomposition
+    return LoopDecomposition(p, h, tuple(components))
+
+
+def _walk(prefix: list, above: PermGroup, pool: list, h: int, limit: int | None, visit) -> None:
+    # above is C(prefix) and pool its p-power elements.  A full tuple's
+    # centralizer is built in visit, and only for a class representative.
+    # Module-level, since a nested function that calls itself is a
+    # reference cycle holding everything the walk built.
+    for x in pool:
+        prefix.append(x)
+        if len(prefix) == h:
+            visit(tuple(prefix), above)
+        else:
+            cent = above._centralizer_raw([x], limit)
+            members = set(cent._raw_elements(limit))
+            _walk(prefix, cent, [y for y in pool if y in members], h, limit, visit)
+        prefix.pop()
 
 
 def hkr_rank(
@@ -202,27 +193,25 @@ def hkr_rank(
     _check_height(h, max_height)
     if h == 0:
         return 1
-    group._check_limit(limit)
-    key = ("rank", p, h)
-    cached = group._cache.get(key)
-    if cached is not None:
-        return cached
+    return group._cached(("rank", p, h), limit, lambda: _rank(group, p, h, limit, max_height))
+
+
+def _rank(group: PermGroup, p: int, h: int, limit: int | None, max_height: int) -> int:
     table = group.conjugacy_classes(limit)
     reps = [
-        (rep, size) for rep, size in zip(table.reps, table.sizes) if is_p_power(rep.order(), p)
+        (rep, size)
+        for rep, size, o in zip(table.reps, table.sizes, table.orders)
+        if is_p_power(o, p)
     ]
     if h == 1:
-        count = len(reps)
-    else:
-        order = group.order()
-        count = 0
-        for rep, size in reps:
-            # A central class (size 1) is centralized by the whole group.
-            cent = group if size == 1 else group._centralizer_raw([rep.images], limit)
-            if cent.order() * size != order:
-                raise ChromarankError("class size disagrees with centralizer index")
-            count += hkr_rank(cent, p, h - 1, limit, max_height)
-    group._cache[key] = count
+        return len(reps)
+    order = group.order()
+    count = 0
+    for rep, size in reps:
+        cent = group._class_centralizer(rep, limit)
+        if cent.order() * size != order:
+            raise ChromarankError("class size disagrees with centralizer index")
+        count += hkr_rank(cent, p, h - 1, limit, max_height)
     return count
 
 

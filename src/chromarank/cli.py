@@ -135,10 +135,10 @@ def _cmd_centralizer(args) -> int:
     group = dsl.evaluate(expr, args.max_order)
     table = group.conjugacy_classes(args.max_order)
     rows = []
-    for rep, size in zip(table.reps, table.sizes):
-        if rep.order() != args.elt_order:
+    for rep, size, o in zip(table.reps, table.sizes, table.orders):
+        if o != args.elt_order:
             continue
-        cent = group._centralizer_raw([rep.images], args.max_order)
+        cent = group._class_centralizer(rep, args.max_order)
         syl = cent.sylow_subgroup(args.prime, args.max_order)
         rows.append(
             {

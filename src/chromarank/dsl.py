@@ -280,8 +280,8 @@ def _select_centralizer(group: PermGroup, order: int, czorder: int | None, limit
     Builds no subgroup: |C_G(x)| is read off the class table as |G| / |x^G|.
     """
     table = group.conjugacy_classes(limit)
-    for rep, size in zip(table.reps, table.sizes):
-        if rep.order() == order and (czorder is None or group.order() // size == czorder):
+    for rep, size, o in zip(table.reps, table.sizes, table.orders):
+        if o == order and (czorder is None or group.order() // size == czorder):
             return rep
     wanted = f"element order {order}"
     if czorder is not None:
@@ -316,7 +316,7 @@ def evaluate(e: GroupExpr, limit: int | None = None, memo: dict | None = None) -
     elif isinstance(e, Cent):
         inner = evaluate(e.inner, limit, memo)
         rep = _select_centralizer(inner, e.order, e.czorder, limit)
-        group = inner._centralizer_raw([rep.images], limit)
+        group = inner._class_centralizer(rep, limit)
     elif isinstance(e, Ingest):
         group = read_generator_file(e.path)
     else:

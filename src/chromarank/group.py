@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import os
 import weakref
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm, prod
 
 from . import kernels
@@ -164,6 +165,11 @@ class ConjClassTable:
     sizes: tuple[int, ...]
     index: Mapping[tuple[int, ...], int]
 
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """The element order of each class, computed once per table."""
+        return tuple(kernels.element_order(rep.images) for rep in self.reps)
+
     def class_of(self, p: Permutation) -> int:
         return self.index[p.images]
 
@@ -285,47 +291,51 @@ class PermGroup:
     # -- enumeration-backed queries -------------------------------------------
 
     def _check_limit(self, limit: int | None) -> None:
-        """Raise ThresholdExceeded when the group is past the enumeration limit.
-
-        Enumeration-backed queries call this before their cache lookup, so a
-        cached result is returned exactly when a fresh group would compute it.
-        """
+        """Raise ThresholdExceeded when the group is past the enumeration limit."""
         cap = enumeration_limit(limit)
         n = self.order()
         if n > cap:
             raise ThresholdExceeded(f"desk-scale exceeded: group order {n} > limit {cap}")
 
-    def _raw_elements(self, limit: int | None = None) -> tuple[tuple[int, ...], ...]:
+    def _cached(self, key, limit: int | None, compute: Callable[[], object]):
+        """The enumeration-backed result stored under key, computed on a miss.
+
+        The limit is checked before the lookup, so a cached result is
+        returned exactly when a fresh group would compute it.
+        """
         self._check_limit(limit)
-        cached = self._cache.get("elements_raw")
-        if cached is not None:
-            return cached
+        value = self._cache.get(key)
+        if value is None:
+            value = compute()
+            self._cache[key] = value
+        return value
+
+    def _raw_elements(self, limit: int | None = None) -> tuple[tuple[int, ...], ...]:
+        return self._cached("elements_raw", limit, self._close)
+
+    def _close(self) -> tuple[tuple[int, ...], ...]:
         n = self.order()
         closed = kernels.close_group(list(self._raw), n)
         if closed is None or len(closed) != n:
             raise ChromarankError("closure disagrees with stabilizer chain order")
-        cached = tuple(closed)
-        self._cache["elements_raw"] = cached
-        return cached
+        return tuple(closed)
 
     def elements(self, limit: int | None = None) -> tuple[Permutation, ...]:
         """All elements, lexicographically sorted by image tuple."""
-        self._check_limit(limit)
-        cached = self._cache.get("elements")
-        if cached is None:
-            cached = tuple(Permutation._wrap(t) for t in self._raw_elements(limit))
-            self._cache["elements"] = cached
-        return cached
+        return self._cached(
+            "elements",
+            limit,
+            lambda: tuple(Permutation._wrap(t) for t in self._raw_elements(limit)),
+        )
 
     def exponent(self, limit: int | None = None) -> int:
-        return lcm(*(o for o, _ in self.class_profile(limit)))
+        return lcm(*self.conjugacy_classes(limit).orders)
 
     def conjugacy_classes(self, limit: int | None = None) -> ConjClassTable:
         """Orbits of the conjugation action via generator-conjugation closure."""
-        self._check_limit(limit)
-        cached = self._cache.get("classes")
-        if cached is not None:
-            return cached
+        return self._cached("classes", limit, lambda: self._class_table(limit))
+
+    def _class_table(self, limit: int | None) -> ConjClassTable:
         reps: list[Permutation] = []
         sizes: list[int] = []
         index: dict[tuple[int, ...], int] = {}
@@ -339,14 +349,12 @@ class PermGroup:
             sizes.append(len(orbit))
             for o in orbit:
                 index[o] = cid
-        table = ConjClassTable(tuple(reps), tuple(sizes), index)
-        self._cache["classes"] = table
-        return table
+        return ConjClassTable(tuple(reps), tuple(sizes), index)
 
     def class_profile(self, limit: int | None = None) -> tuple[tuple[int, int], ...]:
         """Sorted (element order, class size) pairs, one per conjugacy class."""
         table = self.conjugacy_classes(limit)
-        return tuple(sorted((rep.order(), size) for rep, size in zip(table.reps, table.sizes)))
+        return tuple(sorted(zip(table.orders, table.sizes)))
 
     def _intern_table(self) -> "_InternTable":
         """The table this group's centralizers are interned in.
@@ -400,12 +408,22 @@ class PermGroup:
                 raise NotInGroup(f"{t!r} is not a member of this group")
         return self._centralizer_raw([t.images for t in tt], limit)
 
-    def center(self, limit: int | None = None) -> "PermGroup":
-        """The union of the conjugacy classes of size 1."""
+    def _class_centralizer(self, rep: Permutation, limit: int | None = None) -> "PermGroup":
+        """Centralizer of a conjugacy-class representative.
+
+        A central class (size 1) is centralized by the whole group, which is
+        returned itself rather than rebuilt.
+        """
         table = self.conjugacy_classes(limit)
-        return _subgroup_from_elements(
-            self.degree, [rep.images for rep, size in zip(table.reps, table.sizes) if size == 1]
-        )
+        size = table.sizes[table.class_of(rep)]
+        if size == 1:
+            return self
+        return self._centralizer_raw([rep.images], limit)
+
+    def center(self, limit: int | None = None) -> "PermGroup":
+        """Z(G), the centralizer of the generators: the union of the classes
+        of size 1, interned like any other centralizer."""
+        return self._centralizer_raw(self._raw, limit)
 
     def sylow_subgroup(self, p: int, limit: int | None = None) -> "PermGroup":
         """A Sylow p-subgroup, grown from a cyclic p-subgroup via normalizers.
@@ -483,17 +501,16 @@ class PermGroup:
         return derived
 
     def fingerprint(self, limit: int | None = None) -> Fingerprint:
-        self._check_limit(limit)
-        cached = self._cache.get("fingerprint")
-        if cached is not None:
-            return cached
+        return self._cached("fingerprint", limit, lambda: self._fingerprint(limit))
+
+    def _fingerprint(self, limit: int | None) -> Fingerprint:
         order_counts: dict[int, int] = {}
         size_counts: dict[int, int] = {}
         for o, size in self.class_profile(limit):
             order_counts[o] = order_counts.get(o, 0) + size
             size_counts[size] = size_counts.get(size, 0) + 1
         center_order = size_counts.get(1, 0)
-        fp = Fingerprint(
+        return Fingerprint(
             order=self.order(),
             exponent=lcm(*order_counts),
             element_order_histogram=tuple(sorted(order_counts.items())),
@@ -502,8 +519,6 @@ class PermGroup:
             derived_order=self.derived_subgroup(limit).order(),
             abelian=center_order == self.order(),
         )
-        self._cache["fingerprint"] = fp
-        return fp
 
     def conjugate_by(self, s: Permutation) -> "PermGroup":
         """The relabeled group s^-1 G s."""

@@ -14,9 +14,9 @@ if _choice in ("", "auto"):
         from . import _kernels_c as _impl  # type: ignore[attr-defined]
     except ImportError:
         from . import _kernels_py as _impl
-elif _choice in ("c", "compiled", "ext"):
+elif _choice == "c":
     from . import _kernels_c as _impl  # type: ignore[attr-defined]
-elif _choice in ("pure", "py", "python"):
+elif _choice == "pure":
     from . import _kernels_py as _impl
 else:
     raise ImportError(f"unknown CHROMARANK_KERNELS value: {_choice!r}")

@@ -579,18 +579,18 @@ def _register_candidate(
 
 
 def _centralizer_classes(group: PermGroup, p, bound, limit) -> list | None:
-    """(representative, class size, element order, centralizer order) of
-    each p-power class whose centralizer order is at most bound; None when
-    the group is past the enumeration limit."""
-    if group.order() > enumeration_limit(limit):
+    """(representative, element order, centralizer order) of each p-power
+    class whose centralizer order is at most bound; None when the group is
+    past the enumeration limit."""
+    try:
+        table = group.conjugacy_classes(limit)
+    except ThresholdExceeded:
         return None
-    table = group.conjugacy_classes(limit)
     out = []
-    for rep, size in zip(table.reps, table.sizes):
-        o = rep.order()
+    for rep, size, o in zip(table.reps, table.sizes, table.orders):
         czo = group.order() // size
         if is_p_power(o, p) and czo <= bound:
-            out.append((rep, size, o, czo))
+            out.append((rep, o, czo))
     return out
 
 
@@ -604,14 +604,13 @@ def _centralizer_children(
         return []
     added = []
     named: set[tuple[int, int]] = set()
-    for rep, size, o, czo in classes:
+    for rep, o, czo in classes:
         expr = None
         if parent.expr is not None and (o, czo) not in named:
             expr = f"cent({parent.expr},order={o},czorder={czo})"
         named.add((o, czo))
         name = expr or f"cent[{parent.name};o{o};cz{czo};{rep.cycle_string()}]"
-        # A central class (size 1) is centralized by the whole group.
-        cent = group if size == 1 else group._centralizer_raw([rep.images], limit)
+        cent = group._class_centralizer(rep, limit)
         entry = _register_candidate(
             registry, name, expr, p, cent, "CENTRALIZER", (parent.name,), limit, paranoid, tally
         )

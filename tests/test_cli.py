@@ -49,6 +49,16 @@ def test_loops_help_still_available(capsys):
     assert "usage" in out
 
 
+def test_centralizer_of_a_central_class(capsys):
+    assert run(["centralizer", "d(4)", "-p", "2", "--elt-order", "2"]) == 0
+    out, _ = out_of(capsys)
+    assert out.splitlines() == [
+        "(0 1)(2 3)  centralizer=4  sylow_2=4  class_size=2",
+        "(1 3)  centralizer=4  sylow_2=4  class_size=2",
+        "(0 2)(1 3)  centralizer=8  sylow_2=8  class_size=1",
+    ]
+
+
 def test_centralizer_table(capsys):
     assert run(
         ["centralizer", "wr(gl(2,3),c(2))", "-p", "2", "--elt-order", "4", "--json"]

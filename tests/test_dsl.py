@@ -93,6 +93,13 @@ def test_evaluate_memo_shares_objects():
     assert a is b
 
 
+def test_central_cent_is_the_inner_group():
+    # (0 2)(1 3) is central in d(4), so its centralizer is d(4) itself.
+    memo = {}
+    cent = evaluate(parse("cent(d(4),order=2,czorder=8)"), memo=memo)
+    assert cent is evaluate(parse("d(4)"), memo=memo)
+
+
 def test_ingest(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("degree 3\n(0 1)\n(0 1 2)\n")

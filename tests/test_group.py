@@ -16,6 +16,7 @@ from chromarank import (
     ThresholdExceeded,
     Registry,
     certify,
+    commuting_tuple_classes,
     cyclic,
     dihedral,
     explore,
@@ -27,6 +28,7 @@ from chromarank import (
     read_generator_file,
     register_derivation,
     symmetric,
+    verify_rank_identity,
 )
 from chromarank.dsl import evaluate, parse
 from chromarank.group import Fingerprint, _Chain, _subgroup_from_elements, enumeration_limit
@@ -100,6 +102,23 @@ def test_conjugacy_classes_match_oracle(corpus):
             assert table.sizes[i] == len(cls)
 
 
+def test_class_table_orders_match_oracle(corpus):
+    for name, group in corpus.items():
+        table = group.conjugacy_classes()
+        assert table.orders == tuple(o_order(rep.images) for rep in table.reps), name
+
+
+def test_class_centralizer_reuses_the_group_for_central_classes(corpus):
+    for name, group in corpus.items():
+        table = group.conjugacy_classes()
+        for rep, size in zip(table.reps, table.sizes):
+            cent = group._class_centralizer(rep)
+            if size == 1:
+                assert cent is group, name
+            else:
+                assert cent is group.centralizer([rep]) and cent is not group, name
+
+
 def test_class_equation(corpus):
     for group in corpus.values():
         table = group.conjugacy_classes()
@@ -154,6 +173,9 @@ def test_dropped_groups_leave_no_reference_cycles():
         hkr_rank(group, 2, 3)
         cent = group.centralizer([group.generators[-1]])
         hkr_rank(cent, 3, 2)
+        commuting_tuple_classes(group, 3, 2)
+        for t in (0, 1, 2):
+            verify_rank_identity(group, 2, 2, t)
         reg = Registry.with_defaults(3)
         for text in ("c(1)", "c(3)"):
             register_derivation(reg, certify(text, 3, reg), 3)
@@ -223,6 +245,16 @@ def test_center():
     assert dihedral(4).center().order() == 2
     assert symmetric(4).center().order() == 1
     assert cyclic(6).center().order() == 6
+
+
+def test_center_is_the_interned_centralizer_of_the_generators(corpus):
+    for name, group in corpus.items():
+        table = group.conjugacy_classes()
+        center = group.center()
+        assert center is group.centralizer(group.generators), name
+        assert [e.images for e in center.elements()] == sorted(
+            rep.images for rep, size in zip(table.reps, table.sizes) if size == 1
+        ), name
 
 
 def test_exponent(corpus):

@@ -4,8 +4,12 @@ The compiled kernels come from the kernels_c fixture (conftest.py): the
 installed extension, or else the shipped _kernels_c.c built for the session.
 """
 
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -80,6 +84,16 @@ def small_groups():
 def test_selected_backend_exposes_contract():
     assert kernels.BACKEND in ("pure", "compiled")
     assert kernels.compose((1, 0), (0, 1)) == (1, 0)
+
+
+def test_backend_choice_rejects_undocumented_values():
+    src = Path(kernels.__file__).resolve().parents[1]
+    env = {**os.environ, "CHROMARANK_KERNELS": "py", "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import chromarank"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode != 0
+    assert "ImportError: unknown CHROMARANK_KERNELS value: 'py'" in proc.stderr
 
 
 def test_compose_oracle_spot():
