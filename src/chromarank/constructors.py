@@ -83,7 +83,11 @@ def abelian(invariants: list[int] | tuple[int, ...]) -> PermGroup:
 
 
 def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
-    """G x H on deg(G) + deg(H) points, G acting first."""
+    """G x H on deg(G) + deg(H) points, G acting first.
+
+    The factors are recorded on the result, which takes its class profile
+    and derived order from theirs.
+    """
     dg, dh = g.degree, h.degree
     degree = dg + dh
     gens = []
@@ -91,7 +95,7 @@ def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
         gens.append(Permutation(tuple(a.images) + tuple(range(dg, degree))))
     for b in h.generators:
         gens.append(Permutation(tuple(range(dg)) + tuple(x + dg for x in b.images)))
-    return PermGroup(degree, gens)
+    return PermGroup(degree, gens)._record_factors((g, h))
 
 
 def wreath_cyclic(g: PermGroup, n: int) -> PermGroup:
@@ -99,6 +103,8 @@ def wreath_cyclic(g: PermGroup, n: int) -> PermGroup:
 
     Generators: each generator of G on block 0, then the block n-cycle, whose
     powers carry block 0 onto the other blocks.  The order is |G|**n * n.
+    G and n are recorded on the result, which takes its class profile and
+    derived order from G's.
     """
     if n < 1:
         raise ValueError("wreath cycle length must be at least 1")
@@ -107,7 +113,7 @@ def wreath_cyclic(g: PermGroup, n: int) -> PermGroup:
     gens = [Permutation(a.images + tuple(range(dg, degree))) for a in g.generators]
     shift = [((block + 1) % n) * dg + i for block in range(n) for i in range(dg)]
     gens.append(Permutation(shift))
-    return PermGroup(degree, gens)
+    return PermGroup(degree, gens)._record_factors((g,), n)
 
 
 def _vector_points(n: int, q: int) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:

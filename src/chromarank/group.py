@@ -5,7 +5,9 @@ chosen as the smallest non-fixed point of each new strong generator, so
 orders, transversals and membership tests reproduce bit for bit.  Element
 enumeration, conjugacy classes, centralizers, Sylow subgroups and
 fingerprints only run below a configurable order limit (the default is
-2**21; see enumeration_limit).
+2**21; see enumeration_limit).  The class profile and fingerprint of a
+direct product or cyclic wreath product recorded by its constructor come
+from its factors', with no enumeration of the group itself.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import weakref
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm, prod
+from itertools import product
+from math import gcd, lcm, prod
 
 from . import kernels
 from .arith import is_p_power, is_prime, p_part
@@ -173,6 +176,10 @@ class ConjClassTable:
     def class_of(self, p: Permutation) -> int:
         return self.index[p.images]
 
+    def profile(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (element order, class size) pairs, one per class."""
+        return tuple(sorted(zip(self.orders, self.sizes)))
+
     def __len__(self) -> int:
         return len(self.reps)
 
@@ -329,7 +336,7 @@ class PermGroup:
         )
 
     def exponent(self, limit: int | None = None) -> int:
-        return lcm(*self.conjugacy_classes(limit).orders)
+        return lcm(*(o for o, _ in self.class_profile(limit)))
 
     def conjugacy_classes(self, limit: int | None = None) -> ConjClassTable:
         """Orbits of the conjugation action via generator-conjugation closure."""
@@ -351,10 +358,43 @@ class PermGroup:
                 index[o] = cid
         return ConjClassTable(tuple(reps), tuple(sizes), index)
 
+    def _record_factors(self, factors: tuple["PermGroup", ...], n: int | None = None) -> "PermGroup":
+        """Record that this group is the direct product of factors or, when n
+        is given, factors[0] wr C_n; returns the group.
+
+        class_profile and the derived order of fingerprint are then computed
+        from the factors (see _profile and _derived_order), and every other
+        query is answered from the generators as for any group.
+        """
+        self._cache["factors"] = (factors, n)
+        return self
+
     def class_profile(self, limit: int | None = None) -> tuple[tuple[int, int], ...]:
         """Sorted (element order, class size) pairs, one per conjugacy class."""
-        table = self.conjugacy_classes(limit)
-        return tuple(sorted(zip(table.orders, table.sizes)))
+        return self._cached("profile", limit, lambda: self._profile(limit))
+
+    def _profile(self, limit: int | None) -> tuple[tuple[int, int], ...]:
+        record = self._cache.get("factors")
+        if record is None:
+            return self.conjugacy_classes(limit).profile()
+        factors, n = record
+        if n is None:
+            return _product_profile([f.class_profile(limit) for f in factors])
+        (base,) = factors
+        return _wreath_profile(base.class_profile(limit), base.order(), n)
+
+    def _derived_order(self, limit: int | None) -> int:
+        """|G'|: the product of the factors' for a recorded direct product,
+        |H|**(n-1) * |H'| for a recorded H wr C_n (its abelianization is
+        H/H' x C_n), else the order of derived_subgroup."""
+        record = self._cache.get("factors")
+        if record is None:
+            return self.derived_subgroup(limit).order()
+        factors, n = record
+        if n is None:
+            return prod(f._derived_order(limit) for f in factors)
+        (base,) = factors
+        return base.order() ** (n - 1) * base._derived_order(limit)
 
     def _intern_table(self) -> "_InternTable":
         """The table this group's centralizers are interned in.
@@ -516,7 +556,7 @@ class PermGroup:
             element_order_histogram=tuple(sorted(order_counts.items())),
             class_size_histogram=tuple(sorted(size_counts.items())),
             center_order=center_order,
-            derived_order=self.derived_subgroup(limit).order(),
+            derived_order=self._derived_order(limit),
             abelian=center_order == self.order(),
         )
 
@@ -537,6 +577,47 @@ class _InternTable(dict):
     """Sorted element tuple -> the subgroup built on it (see _intern_table)."""
 
     __slots__ = ("__weakref__",)
+
+
+def _product_profile(profiles) -> tuple[tuple[int, int], ...]:
+    """Class profile of a direct product from its factors' profiles.
+
+    A class of G x H is a pair of classes, (a, b) of G and (c, d) of H: its
+    elements have order lcm(a, c) and there are b * d of them.
+    """
+    pairs = [(1, 1)]
+    for profile in profiles:
+        pairs = [(lcm(a, c), b * d) for a, b in pairs for c, d in profile]
+    return tuple(sorted(pairs))
+
+
+def _wreath_profile(profile, base_order: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Class profile of H wr C_n from H's profile and order.
+
+    James and Kerber, The Representation Theory of the Symmetric Group,
+    4.2.  An element with top part the j-th power of the block cycle has
+    d = gcd(j, n) cycles of m = n / d blocks each, and its class is fixed
+    by the classes (c_1, ..., c_d) of its d cycle products up to rotation
+    by C_d.  One rotation orbit of length r gives one class, of element
+    order lcm(m * o(c_i)) and size r * |H|**(n - d) * prod |c_i|.
+    """
+    out = []
+    for j in range(n):
+        d = gcd(j, n)
+        m = n // d
+        scale = base_order ** (n - d)
+        for word in product(range(len(profile)), repeat=d):
+            turns = {word[i:] + word[:i] for i in range(d)}
+            if word != min(turns):
+                continue
+            classes = [profile[i] for i in word]
+            out.append(
+                (
+                    lcm(*(m * o for o, _ in classes)),
+                    len(turns) * scale * prod(size for _, size in classes),
+                )
+            )
+    return tuple(sorted(out))
 
 
 def _subgroup_from_elements(degree: int, raw_elements) -> PermGroup:

@@ -531,7 +531,9 @@ def _register_candidate(
     """Fingerprint, dedup, and add a freshly constructed good group.
 
     Counts the candidate in tally under its rule, and a fingerprint
-    duplicate under "duplicate".
+    duplicate under "duplicate".  In paranoid mode, a PRODUCT or WREATH
+    candidate, whose fingerprint comes from its factors, is also checked
+    against its own class table and derived subgroup.
     """
     tally[rule] += 1
     try:
@@ -539,6 +541,8 @@ def _register_candidate(
     except ThresholdExceeded as exc:
         log.info("explore: skipping %s: %s", name, exc)
         return None
+    if paranoid and rule in ("PRODUCT", "WREATH"):
+        _check_factor_rule(name, group, fp, limit)
     matches = registry.find_fingerprint(fp)
     for other in matches:
         if other.status == "bad":
@@ -576,6 +580,24 @@ def _register_candidate(
     registry.add(entry)
     registry._memo(limit).setdefault(_memo_key(name, expr), group)
     return entry
+
+
+def _check_factor_rule(name: str, group: PermGroup, fp: Fingerprint, limit) -> None:
+    """Raise ConsistencyError when the class profile or derived order a
+    group took from its factors differs from the one enumeration gives."""
+    ruled = group.class_profile(limit)
+    enumerated = group.conjugacy_classes(limit).profile()
+    if ruled != enumerated:
+        raise ConsistencyError(
+            f"class profile of {name!r} from its factors is {list(ruled)}, "
+            f"its class table gives {list(enumerated)}"
+        )
+    derived = group.derived_subgroup(limit).order()
+    if fp.derived_order != derived:
+        raise ConsistencyError(
+            f"derived order of {name!r} from its factors is {fp.derived_order}, "
+            f"its derived subgroup has order {derived}"
+        )
 
 
 def _centralizer_classes(group: PermGroup, p, bound, limit) -> list | None:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from chromarank import (
+    PermGroup,
     abelian,
     cyclic,
     dihedral,
@@ -149,6 +150,31 @@ def o_exponent(elements):
     for e in elements:
         out = lcm(out, o_order(e))
     return out
+
+
+# -- the factor rule against enumeration ----------------------------------
+
+
+def assert_factor_rule_matches_enumeration(group, label=None):
+    """A product's or wreath's class profile, fingerprint (with its derived
+    order) and exponent, taken from its factors, equal those of a copy of
+    the group with no record of its construction, which enumerates; and
+    the group itself builds no class table to get them."""
+    tabled = []
+    class_table = PermGroup._class_table
+
+    def recording(self, limit):
+        tabled.append(self)
+        return class_table(self, limit)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PermGroup, "_class_table", recording)
+        got = (group.class_profile(), group.fingerprint(), group.exponent())
+    assert all(t is not group for t in tabled), label
+    plain = PermGroup(group.degree, group.generators)
+    want = (plain.conjugacy_classes().profile(), plain.fingerprint(), plain.exponent())
+    assert got == want, label
+    assert got[1].derived_order == plain.derived_subgroup().order(), label
 
 
 # -- corpus ----------------------------------------------------------------

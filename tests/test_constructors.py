@@ -1,6 +1,8 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromarank import (
     ChromarankError,
@@ -17,7 +19,9 @@ from chromarank import (
     wreath_cyclic,
 )
 
-from conftest import o_close, o_exponent
+from chromarank.dsl import evaluate, parse
+
+from conftest import assert_factor_rule_matches_enumeration, o_close, o_exponent
 
 
 def gl_order(n, q):
@@ -184,3 +188,69 @@ def test_constructor_validation():
     assert abelian(()).order() == 1
     with pytest.raises(ValueError):
         wreath_cyclic(cyclic(2), 0)
+
+
+# -- class profiles from the factors ------------------------------------------
+
+
+def test_factor_rule_on_products_of_corpus_pairs(corpus):
+    for (a, g), (b, h) in itertools.combinations_with_replacement(corpus.items(), 2):
+        assert_factor_rule_matches_enumeration(direct_product(g, h), (a, b))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "wr(s(3),c(1))",
+        "wr(gl(2,3),c(1))",
+        "wr(q8,c(2))",
+        "wr(d(4),c(2))",
+        "wr(gl(2,3),c(2))",
+        "wr(c(2),c(3))",
+        "wr(s(3),c(3))",
+        "wr(d(4),c(3))",
+        "wr(c(2),c(4))",
+        "wr(c(3),c(4))",
+        "wr(s(3),c(4))",
+        "wr(c(2),c(6))",
+        "wr(c(3),c(6))",
+        "wr(c(1),c(6))",
+    ],
+)
+def test_factor_rule_on_wreaths(text):
+    assert_factor_rule_matches_enumeration(evaluate(parse(text)), text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "wr(wr(c(2),c(2)),c(2))",
+        "wr(wr(c(3),c(2)),c(2))",
+        "wr(prod(c(2),c(3)),c(3))",
+        "prod(wr(c(2),c(4)),s(3))",
+        "prod(wr(c(2),c(2)),wr(c(3),c(2)))",
+        "prod(wr(s(3),c(2)),q8)",
+    ],
+)
+def test_factor_rule_on_nested_constructions(text):
+    assert_factor_rule_matches_enumeration(evaluate(parse(text)), text)
+
+
+@st.composite
+def small_groups(draw):
+    degree = draw(st.integers(min_value=1, max_value=4))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    return PermGroup(degree, [Permutation(tuple(g)) for g in gens])
+
+
+@settings(deadline=None, max_examples=30)
+@given(small_groups(), small_groups(), st.integers(min_value=1, max_value=4))
+def test_factor_rule_on_random_groups(g, h, n):
+    # The wreath's cycle length is cut down until the group has at most
+    # 2000 elements, so that the enumerating copy stays quick.
+    while n > 1 and g.order() ** n * n > 2000:
+        n -= 1
+    assert_factor_rule_matches_enumeration(direct_product(g, h))
+    assert_factor_rule_matches_enumeration(wreath_cyclic(g, n))
+    if g.order() * h.order() <= 40:
+        assert_factor_rule_matches_enumeration(wreath_cyclic(direct_product(g, h), 2))

@@ -36,6 +36,7 @@ from chromarank.group import Fingerprint, _Chain, _subgroup_from_elements, enume
 from conftest import (
     CORPUS_BUILDERS,
     CORPUS_ORDERS,
+    assert_factor_rule_matches_enumeration,
     o_centralizer,
     o_classes,
     o_close,
@@ -306,7 +307,7 @@ def test_derived_and_sylow_build_no_chain(monkeypatch):
 
     monkeypatch.setattr(_Chain, "__init__", counting)
     for group in groups:
-        group.fingerprint()
+        group.derived_subgroup()
         for p in (2, 3):
             group.sylow_subgroup(p)
     assert builds == []
@@ -406,6 +407,48 @@ def test_derived_subgroup_is_closed_once(monkeypatch):
         derived = group.derived_subgroup()
         assert derived.order() == len(o_close(list(derived._raw))), name
     assert calls == []
+
+
+def test_paper_tower_is_fingerprinted_from_its_factors(monkeypatch):
+    # The order-18432 tower takes its profile and derived order from E96:
+    # no class table, closure or derived subgroup of its own is built.
+    calls = Counter()
+    for name in ("_class_table", "_close", "_derived_subgroup"):
+
+        def counting(self, *args, _name=name, _original=getattr(PermGroup, name)):
+            calls[_name, self.order()] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(PermGroup, name, counting)
+    tower = evaluate(parse(E18432))
+    assert tower.fingerprint().to_record() == PAPER_FINGERPRINTS[E18432]
+    assert tower.exponent() == 48
+    assert [key for key in calls if key[1] == 18432] == []
+    assert calls["_class_table", 4608] == 1 and calls["_close", 4608] == 1
+    monkeypatch.undo()
+    assert_factor_rule_matches_enumeration(evaluate(parse(E18432)), E18432)
+
+
+def test_factor_rule_holds_the_limit():
+    # One element short of the group's order is past the limit, whether or
+    # not a profile taken from the factors is cached.
+    queries = (
+        lambda g, limit: g.class_profile(limit=limit),
+        lambda g, limit: g.fingerprint(limit=limit),
+        lambda g, limit: g.exponent(limit=limit),
+    )
+    for text in ("prod(q8,s(3))", "wr(s(3),c(2))"):
+        order = evaluate(parse(text)).order()
+        for query in queries:
+            with pytest.raises(ThresholdExceeded):
+                query(evaluate(parse(text)), order - 1)
+            warm = evaluate(parse(text))
+            warm.class_profile()
+            with pytest.raises(ThresholdExceeded):
+                query(warm, order - 1)
+            query(warm, order)
+            with pytest.raises(ThresholdExceeded):
+                query(warm, order - 1)
 
 
 def test_fingerprint_distinguishes_q8_from_d8():

@@ -24,12 +24,16 @@ from chromarank import (
 )
 from chromarank.group import PermGroup
 from chromarank.registry import DerivationTree, _match_seed
-from chromarank import constructors, dsl, registry as registry_mod
+from chromarank import constructors, dsl, group as group_mod, registry as registry_mod
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# The paper's example: the centralizer of order 96 inside GL_2(F_3) wr C_2.
-E96 = "cent(wr(gl(2,3),c(2)),order=4,czorder=96)"
+# The paper's example: the centralizer of order 96 inside GL_2(F_3) wr C_2,
+# then the tower over it and the centralizer of order 192 inside the tower.
+E4608 = "wr(gl(2,3),c(2))"
+E96 = f"cent({E4608},order=4,czorder=96)"
+E18432 = f"wr({E96},c(2))"
+E192 = f"cent({E18432},order=8,czorder=192)"
 
 
 def entry_for(name, expr, p, group, status="good", rule="SEED", parents=()):
@@ -345,6 +349,47 @@ def test_explore_paranoid_mode_checks_existing_entries():
     )
     with pytest.raises(ConsistencyError):
         explore(reg, 3, 9, depth=1, paranoid=True)
+
+
+def _multiplied_orders(profiles):
+    # A wrong product rule: element orders multiplied, not their lcm taken.
+    pairs = [(1, 1)]
+    for profile in profiles:
+        pairs = [(a * c, b * d) for a, b in pairs for c, d in profile]
+    return tuple(sorted(pairs))
+
+
+@pytest.mark.parametrize(
+    "owner, attr, wrong",
+    [
+        (group_mod, "_product_profile", lambda original: _multiplied_orders),
+        # sizes without the factor |H|**(n - d)
+        (group_mod, "_wreath_profile", lambda original: lambda prof, order, n: original(prof, 1, n)),
+        (PermGroup, "_derived_order", lambda original: lambda g, limit: 2 * original(g, limit)),
+    ],
+)
+def test_explore_paranoid_mode_checks_the_factor_rule(monkeypatch, owner, attr, wrong):
+    # Products and wreaths take their fingerprints from their factors;
+    # paranoid mode compares each with the group's own class table and
+    # derived subgroup, so a wrong rule is caught, and only there.
+    monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
+    explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1)
+    with pytest.raises(ConsistencyError, match="from its factors is"):
+        explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1, paranoid=True)
+
+
+def test_paper_example_registry_bytes_match_golden(tmp_path):
+    # Golden file written by the implementation that fingerprinted every
+    # group from its own class table; taking the fingerprints of products
+    # and wreaths from their factors must not change a byte.
+    reg = Registry.with_defaults(2)
+    for expr in (E4608, E96, E18432, E192):
+        tree = certify(expr, 2, reg)
+        replay(tree, 2, reg)
+        register_derivation(reg, tree, 2)
+    path = tmp_path / "reg.jsonl"
+    reg.save(str(path))
+    assert path.read_bytes() == (GOLDEN / "certify_example_p2.jsonl").read_bytes()
 
 
 def test_explore_skips_unrealizable_entries(caplog):
