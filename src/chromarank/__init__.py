@@ -19,7 +19,6 @@ from .chromatic import (
     commuting_tuple_classes,
     hkr_rank,
     p_power_elements,
-    tuple_centralizer,
     verify_rank_identity,
 )
 from .constructors import (
@@ -114,7 +113,6 @@ __all__ = [
     "replay",
     "seed_defaults",
     "symmetric",
-    "tuple_centralizer",
     "unitriangular4",
     "verify_rank_identity",
     "wreath_cyclic",

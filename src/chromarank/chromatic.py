@@ -208,16 +208,11 @@ def _rank(group: PermGroup, p: int, h: int, limit: int | None, max_height: int) 
     order = group.order()
     count = 0
     for rep, size in reps:
-        cent = group._class_centralizer(rep, limit)
+        cent = group._class_centralizer(rep, size, limit)
         if cent.order() * size != order:
             raise ChromarankError("class size disagrees with centralizer index")
         count += hkr_rank(cent, p, h - 1, limit, max_height)
     return count
-
-
-def tuple_centralizer(group: PermGroup, t: PTuple, limit: int | None = None) -> PermGroup:
-    """Centralizer in the group of all entries of the tuple."""
-    return group.centralizer(t.entries, limit)
 
 
 @dataclass(frozen=True)
@@ -251,29 +246,6 @@ class IdentityReport:
             "rhs": self.rhs,
             "pass": self.passed,
         }
-
-
-def report_from_record(rec: dict, degree: int | None = None) -> dict:
-    """Parse a serialized report back into plain fields (round-trip check).
-
-    Tuple entries stay as cycle strings unless a degree is supplied, in
-    which case they are parsed into permutations.
-    """
-    required = {"group", "p", "n", "t", "lhs", "per_component", "rhs", "pass"}
-    missing = required - set(rec)
-    if missing:
-        raise ChromarankError(f"report record missing fields: {sorted(missing)}")
-    out = {k: rec[k] for k in required}
-    if degree is not None:
-        out["per_component"] = [
-            {
-                "tuple": [Permutation.from_cycles(s, degree) for s in comp["tuple"]],
-                "centralizer_order": comp["centralizer_order"],
-                "rank_t": comp["rank_t"],
-            }
-            for comp in rec["per_component"]
-        ]
-    return out
 
 
 def verify_rank_identity(

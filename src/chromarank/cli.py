@@ -60,12 +60,12 @@ def _at_least(low: int):
 
 
 def _registry_for(args, p: int) -> registry_mod.Registry:
+    """The registry in --registry FILE; a seeded one if FILE is absent or has no entries."""
     path = getattr(args, "registry", None)
     if path and os.path.exists(path):
         reg = registry_mod.Registry.load(path)
-        if reg.prime is None:
-            reg.prime = p
-        return reg
+        if reg.entries:
+            return reg
     return registry_mod.Registry.with_defaults(p, getattr(args, "max_order", None))
 
 
@@ -138,7 +138,7 @@ def _cmd_centralizer(args) -> int:
     for rep, size, o in zip(table.reps, table.sizes, table.orders):
         if o != args.elt_order:
             continue
-        cent = group._class_centralizer(rep, args.max_order)
+        cent = group._class_centralizer(rep, size, args.max_order)
         syl = cent.sylow_subgroup(args.prime, args.max_order)
         rows.append(
             {

@@ -274,15 +274,16 @@ def print_expr(e: GroupExpr) -> str:
 
 
 def _select_centralizer(group: PermGroup, order: int, czorder: int | None, limit: int | None):
-    """The class rep whose centralizer cent(...) denotes: the lex-least one
-    of the given element order (and, when given, centralizer order).
+    """(rep, class size) of the class whose centralizer cent(...) denotes:
+    the lex-least rep of the given element order (and, when given,
+    centralizer order).
 
     Builds no subgroup: |C_G(x)| is read off the class table as |G| / |x^G|.
     """
     table = group.conjugacy_classes(limit)
     for rep, size, o in zip(table.reps, table.sizes, table.orders):
         if o == order and (czorder is None or group.order() // size == czorder):
-            return rep
+            return rep, size
     wanted = f"element order {order}"
     if czorder is not None:
         wanted += f" and centralizer order {czorder}"
@@ -315,8 +316,8 @@ def evaluate(e: GroupExpr, limit: int | None = None, memo: dict | None = None) -
         group = evaluate(e.inner, limit, memo).sylow_subgroup(e.p, limit)
     elif isinstance(e, Cent):
         inner = evaluate(e.inner, limit, memo)
-        rep = _select_centralizer(inner, e.order, e.czorder, limit)
-        group = inner._class_centralizer(rep, limit)
+        rep, size = _select_centralizer(inner, e.order, e.czorder, limit)
+        group = inner._class_centralizer(rep, size, limit)
     elif isinstance(e, Ingest):
         group = read_generator_file(e.path)
     else:

@@ -12,11 +12,11 @@ from its factors', with no enumeration of the group itself.
 
 from __future__ import annotations
 
+import json
 import os
 import weakref
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -162,19 +162,11 @@ class _Chain:
 
 @dataclass(frozen=True)
 class ConjClassTable:
-    """Conjugacy classes: lex-least representatives, sizes, element index."""
+    """Conjugacy classes: lex-least representatives, sizes, element orders."""
 
     reps: tuple[Permutation, ...]
     sizes: tuple[int, ...]
-    index: Mapping[tuple[int, ...], int]
-
-    @cached_property
-    def orders(self) -> tuple[int, ...]:
-        """The element order of each class, computed once per table."""
-        return tuple(kernels.element_order(rep.images) for rep in self.reps)
-
-    def class_of(self, p: Permutation) -> int:
-        return self.index[p.images]
+    orders: tuple[int, ...]
 
     def profile(self) -> tuple[tuple[int, int], ...]:
         """Sorted (element order, class size) pairs, one per class."""
@@ -182,6 +174,29 @@ class ConjClassTable:
 
     def __len__(self) -> int:
         return len(self.reps)
+
+
+# Exact types, since bool is a subclass of int and int(3.7) == 3.
+_JSON_KINDS: dict[str, Callable[[object], bool]] = {
+    "an integer": lambda v: type(v) is int,
+    "an integer or null": lambda v: v is None or type(v) is int,
+    "a bool": lambda v: type(v) is bool,
+    "a string": lambda v: type(v) is str,
+    "a string or null": lambda v: v is None or type(v) is str,
+    "an object or null": lambda v: v is None or type(v) is dict,
+    "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "a list of integer pairs": lambda v: type(v) is list
+    and all(type(x) is list and [type(y) for y in x] == [int, int] for x in v),
+}
+
+
+def json_field(rec: dict, name: str, kind: str, owner: str = "field"):
+    """rec[name] if it is of the JSON kind, else a ParseError naming the
+    field: a loaded record is checked, never coerced."""
+    value = rec[name]
+    if not _JSON_KINDS[kind](value):
+        raise ParseError(f"{owner} {name!r} must be {kind}, got {json.dumps(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -230,14 +245,21 @@ class Fingerprint:
         }
         if set(rec) != expected:
             raise ParseError(f"bad fingerprint fields: {sorted(rec)}")
+
+        def field(name: str, kind: str = "an integer"):
+            return json_field(rec, name, kind, owner="fingerprint field")
+
+        def histogram(name: str) -> tuple[tuple[int, int], ...]:
+            return tuple(map(tuple, field(name, "a list of integer pairs")))
+
         return cls(
-            order=int(rec["order"]),
-            exponent=int(rec["exponent"]),
-            element_order_histogram=tuple((int(a), int(b)) for a, b in rec["element_order_histogram"]),
-            class_size_histogram=tuple((int(a), int(b)) for a, b in rec["class_size_histogram"]),
-            center_order=int(rec["center_order"]),
-            derived_order=int(rec["derived_order"]),
-            abelian=bool(rec["abelian"]),
+            order=field("order"),
+            exponent=field("exponent"),
+            element_order_histogram=histogram("element_order_histogram"),
+            class_size_histogram=histogram("class_size_histogram"),
+            center_order=field("center_order"),
+            derived_order=field("derived_order"),
+            abelian=field("abelian", "a bool"),
         )
 
 
@@ -345,18 +367,19 @@ class PermGroup:
     def _class_table(self, limit: int | None) -> ConjClassTable:
         reps: list[Permutation] = []
         sizes: list[int] = []
-        index: dict[tuple[int, ...], int] = {}
+        # A dict, not a set: on CPython a set of all |G| elements takes more memory.
+        seen: dict[tuple[int, ...], None] = {}
         raw_gens = self._raw
         for t in self._raw_elements(limit):
-            if t in index:
+            if t in seen:
                 continue
             orbit = kernels.conjugacy_orbit(t, raw_gens)
-            cid = len(reps)
             reps.append(Permutation._wrap(t))
             sizes.append(len(orbit))
             for o in orbit:
-                index[o] = cid
-        return ConjClassTable(tuple(reps), tuple(sizes), index)
+                seen[o] = None
+        orders = tuple(kernels.element_order(rep.images) for rep in reps)
+        return ConjClassTable(tuple(reps), tuple(sizes), orders)
 
     def _record_factors(self, factors: tuple["PermGroup", ...], n: int | None = None) -> "PermGroup":
         """Record that this group is the direct product of factors or, when n
@@ -448,15 +471,15 @@ class PermGroup:
                 raise NotInGroup(f"{t!r} is not a member of this group")
         return self._centralizer_raw([t.images for t in tt], limit)
 
-    def _class_centralizer(self, rep: Permutation, limit: int | None = None) -> "PermGroup":
-        """Centralizer of a conjugacy-class representative.
+    def _class_centralizer(self, rep: Permutation, size: int, limit: int | None = None) -> "PermGroup":
+        """Centralizer of a conjugacy-class representative whose class has
+        the given size, read by the caller from the same class table.
 
         A central class (size 1) is centralized by the whole group, which is
         returned itself rather than rebuilt.
         """
-        table = self.conjugacy_classes(limit)
-        size = table.sizes[table.class_of(rep)]
         if size == 1:
+            self._check_limit(limit)
             return self
         return self._centralizer_raw([rep.images], limit)
 

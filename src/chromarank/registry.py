@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from . import constructors, dsl
 from .arith import is_p_power, is_prime, p_part
 from .errors import ChromarankError, ConsistencyError, ParseError, ThresholdExceeded
-from .group import Fingerprint, PermGroup, enumeration_limit
+from .group import Fingerprint, PermGroup, enumeration_limit, json_field
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +72,8 @@ class RegistryEntry:
 
     @classmethod
     def from_record(cls, rec: dict) -> "RegistryEntry":
+        if type(rec) is not dict:
+            raise ParseError("registry record must be a JSON object")
         if set(rec) != set(ENTRY_FIELDS):
             unknown = sorted(set(rec) - set(ENTRY_FIELDS))
             missing = sorted(set(ENTRY_FIELDS) - set(rec))
@@ -81,16 +83,16 @@ class RegistryEntry:
             if missing:
                 trouble.append(f"missing fields {missing}")
             raise ParseError("registry record with " + " and ".join(trouble))
-        fp = rec["fingerprint"]
+        fp = json_field(rec, "fingerprint", "an object or null")
         return cls(
-            name=str(rec["name"]),
-            expr=None if rec["expr"] is None else str(rec["expr"]),
-            prime=int(rec["prime"]),
-            order=None if rec["order"] is None else int(rec["order"]),
+            name=json_field(rec, "name", "a string"),
+            expr=json_field(rec, "expr", "a string or null"),
+            prime=json_field(rec, "prime", "an integer"),
+            order=json_field(rec, "order", "an integer or null"),
             fingerprint=None if fp is None else Fingerprint.from_record(fp),
-            status=str(rec["status"]),
-            rule=str(rec["rule"]),
-            parents=tuple(str(x) for x in rec["parents"]),
+            status=json_field(rec, "status", "a string"),
+            rule=json_field(rec, "rule", "a string"),
+            parents=tuple(json_field(rec, "parents", "a list of strings")),
         )
 
 
@@ -223,10 +225,8 @@ class Registry:
                     raise ParseError(f"bad registry line: {exc}", line=no) from None
                 try:
                     entry = RegistryEntry.from_record(rec)
-                except ParseError as exc:
+                except ChromarankError as exc:
                     raise ParseError(str(exc.args[0]), line=no) from None
-                except (TypeError, ValueError) as exc:
-                    raise ParseError(f"bad registry record: {exc}", line=no) from None
                 reg.add(entry)
         return reg
 
@@ -358,7 +358,7 @@ def _search(expr, p, registry, depth, limit) -> DerivationTree | None:
     # CENTRALIZER: centralizers of p-power elements of a good group
     if isinstance(expr, dsl.Cent):
         inner_group = registry._evaluate(expr.inner, limit)
-        rep = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
+        rep, _ = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
         if is_p_power(rep.order(), p):
             inner = _search(expr.inner, p, registry, depth - 1, limit)
             if inner is not None:
@@ -435,7 +435,7 @@ def replay(
         ):
             raise ConsistencyError(f"{tree.subject}: malformed CENTRALIZER node")
         inner_group = registry._evaluate(expr.inner, limit)
-        rep = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
+        rep, _ = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
         if not is_p_power(rep.order(), p):
             raise ConsistencyError(
                 f"{tree.subject}: selected class has order {rep.order()}, not a {p}-power"
@@ -601,9 +601,9 @@ def _check_factor_rule(name: str, group: PermGroup, fp: Fingerprint, limit) -> N
 
 
 def _centralizer_classes(group: PermGroup, p, bound, limit) -> list | None:
-    """(representative, element order, centralizer order) of each p-power
-    class whose centralizer order is at most bound; None when the group is
-    past the enumeration limit."""
+    """(representative, class size, element order, centralizer order) of
+    each p-power class whose centralizer order is at most bound; None when
+    the group is past the enumeration limit."""
     try:
         table = group.conjugacy_classes(limit)
     except ThresholdExceeded:
@@ -612,7 +612,7 @@ def _centralizer_classes(group: PermGroup, p, bound, limit) -> list | None:
     for rep, size, o in zip(table.reps, table.sizes, table.orders):
         czo = group.order() // size
         if is_p_power(o, p) and czo <= bound:
-            out.append((rep, o, czo))
+            out.append((rep, size, o, czo))
     return out
 
 
@@ -626,13 +626,13 @@ def _centralizer_children(
         return []
     added = []
     named: set[tuple[int, int]] = set()
-    for rep, o, czo in classes:
+    for rep, size, o, czo in classes:
         expr = None
         if parent.expr is not None and (o, czo) not in named:
             expr = f"cent({parent.expr},order={o},czorder={czo})"
         named.add((o, czo))
         name = expr or f"cent[{parent.name};o{o};cz{czo};{rep.cycle_string()}]"
-        cent = group._class_centralizer(rep, limit)
+        cent = group._class_centralizer(rep, size, limit)
         entry = _register_candidate(
             registry, name, expr, p, cent, "CENTRALIZER", (parent.name,), limit, paranoid, tally
         )

@@ -149,6 +149,29 @@ def test_malformed_registry_record_exit_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_registry_list_rejects_wrong_json_types(tmp_path, capsys):
+    path = tmp_path / "reg.jsonl"
+    path.write_text(
+        '{"name":"c(3)","expr":"c(3)","prime":3,"order":3.7,"fingerprint":{"order":3,'
+        '"exponent":3,"element_order_histogram":[[1,1],[3,2]],"class_size_histogram":[[1,3]],'
+        '"center_order":3,"derived_order":1,"abelian":"no"},"status":"good","rule":"SEED",'
+        '"parents":"abc"}\n'
+    )
+    assert run(["registry", "list", "--registry", str(path)]) == 2
+    _, err = out_of(capsys)
+    assert "'order'" in err and "line 1" in err
+
+
+def test_certify_seeds_an_empty_registry_file(tmp_path, capsys):
+    path = tmp_path / "reg.jsonl"
+    path.write_text("")
+    assert run(["certify", "-p", "3", "--registry", str(path), "c(3)"]) == 0
+    names = [json.loads(line)["name"] for line in path.read_text().splitlines()]
+    assert "c(3)" in names
+    assert {"axiom:abelian", "axiom:symmetric", "axiom:gl-coprime", "axiom:order-p3"} <= set(names)
+    assert "unipotent-radical-gl4" in names
+
+
 def test_certify_and_registry_flow(tmp_path, capsys):
     reg_path = str(tmp_path / "reg.jsonl")
     assert run(["certify", "gl(2,3)", "-p", "2", "--registry", reg_path]) == 0

@@ -91,16 +91,11 @@ def test_conjugacy_classes_match_oracle(corpus):
         expected = o_classes(elems)
         table = group.conjugacy_classes()
         assert len(table) == len(expected), name
-        got = sorted(
-            frozenset(x.images for x in group.elements() if table.class_of(x) == i)
-            for i in range(len(table))
-        )
-        assert got == sorted(expected)
-        # reps are the lex-least member of their class
-        for i, rep in enumerate(table.reps):
-            cls = [e for e in elems if table.index[e] == i]
-            assert rep.images == min(cls)
-            assert table.sizes[i] == len(cls)
+        # each rep is the lex-least member of its oracle class, with its size
+        by_min = {min(cls): cls for cls in expected}
+        assert {rep.images for rep in table.reps} == set(by_min), name
+        for rep, size in zip(table.reps, table.sizes):
+            assert size == len(by_min[rep.images]), name
 
 
 def test_class_table_orders_match_oracle(corpus):
@@ -113,9 +108,12 @@ def test_class_centralizer_reuses_the_group_for_central_classes(corpus):
     for name, group in corpus.items():
         table = group.conjugacy_classes()
         for rep, size in zip(table.reps, table.sizes):
-            cent = group._class_centralizer(rep)
+            cent = group._class_centralizer(rep, size)
             if size == 1:
                 assert cent is group, name
+                # the cached table is not consulted, but the limit still holds
+                with pytest.raises(ThresholdExceeded):
+                    group._class_centralizer(rep, size, limit=group.order() - 1)
             else:
                 assert cent is group.centralizer([rep]) and cent is not group, name
 
@@ -237,8 +235,12 @@ def test_subgroup_from_elements_rejects_a_non_closed_list():
 
 
 def test_centralizer_rejects_outsiders():
-    with pytest.raises(NotInGroup):
-        cyclic(3).centralizer([Permutation.from_cycles("(0 1)", degree=3)])
+    for group, outsider, error in (
+        (cyclic(3), Permutation.from_cycles("(0 1)", degree=3), NotInGroup),
+        (symmetric(4), Permutation.from_cycles("(0 1)", degree=5), DegreeMismatch),
+    ):
+        with pytest.raises(error):
+            group.centralizer([outsider])
 
 
 def test_center():

@@ -137,10 +137,12 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_load_reports_line_numbers(tmp_path):
     path = tmp_path / "broken.jsonl"
-    path.write_text('{"name":"x","expr":null,"prime":2,"order":null,"fingerprint":null,"status":"good","rule":"SEED","parents":[]}\nnot json\n')
-    with pytest.raises(ParseError) as exc:
-        Registry.load(str(path))
-    assert "line 2" in str(exc.value)
+    first = '{"name":"x","expr":null,"prime":2,"order":null,"fingerprint":null,"status":"good","rule":"SEED","parents":[]}\n'
+    for second in ("not json", first.replace('"x"', '"y"').replace('"good"', '"maybe"')):
+        path.write_text(first + second + "\n")
+        with pytest.raises(ParseError) as exc:
+            Registry.load(str(path))
+        assert "line 2" in str(exc.value)
 
 
 def test_load_rejects_unknown_fields(tmp_path):
@@ -151,6 +153,45 @@ def test_load_rejects_unknown_fields(tmp_path):
     with pytest.raises(ParseError) as exc:
         Registry.load(str(path))
     assert "line 1" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("order", 3.7),
+        ("order", "4"),
+        ("order", True),
+        ("prime", 2.0),
+        ("prime", False),
+        ("name", 4),
+        ("expr", ["c(4)"]),
+        ("status", None),
+        ("rule", 1),
+        ("parents", "abc"),
+        ("parents", [1]),
+        ("fingerprint", "abc"),
+        ("fingerprint.abelian", "no"),
+        ("fingerprint.abelian", 1),
+        ("fingerprint.order", 4.0),
+        ("fingerprint.exponent", "4"),
+        ("fingerprint.center_order", None),
+        ("fingerprint.derived_order", True),
+        ("fingerprint.element_order_histogram", [[1, 1], [2, 1.0]]),
+        ("fingerprint.element_order_histogram", [[1, 1, 1]]),
+        ("fingerprint.class_size_histogram", "1,4"),
+        ("fingerprint.class_size_histogram", [["1", 4]]),
+    ],
+)
+def test_load_rejects_wrong_json_types(tmp_path, field, value):
+    good = entry_for("c(4)", "c(4)", 2, cyclic(4)).to_record()
+    bad = dict(json.loads(json.dumps(good)), name="c(4) again")
+    *outer, key = field.split(".")
+    (bad[outer[0]] if outer else bad)[key] = value
+    path = tmp_path / "types.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ParseError) as exc:
+        Registry.load(str(path))
+    assert f"{key!r}" in str(exc.value) and "line 2" in str(exc.value)
 
 
 def test_load_empty_file(tmp_path):
