@@ -149,6 +149,12 @@ def test_ptuple_validation(corpus):
     assert cent.order() == 4
 
 
+def test_tuple_centralizer_requires_membership(corpus):
+    outside = Permutation.from_cycles("(0 1)", degree=5)
+    with pytest.raises(ChromarankError):
+        corpus["S_4"].centralizer(PTuple(2, (outside,)).entries)
+
+
 def test_verify_identity_s3_component_breakdown(corpus):
     report = verify_rank_identity(corpus["S_3"], 2, 2, 1)
     assert report.passed
