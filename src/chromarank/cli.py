@@ -133,11 +133,8 @@ def _cmd_loops(args) -> int:
 def _cmd_centralizer(args) -> int:
     expr = dsl.parse(args.expr)
     group = dsl.evaluate(expr, args.max_order)
-    table = group.conjugacy_classes(args.max_order)
     rows = []
-    for rep, size, o in zip(table.reps, table.sizes, table.orders):
-        if o != args.elt_order:
-            continue
+    for rep, size, _ in group._classes(args.max_order, args.elt_order):
         cent = group._class_centralizer(rep, size, args.max_order)
         syl = cent.sylow_subgroup(args.prime, args.max_order)
         rows.append(

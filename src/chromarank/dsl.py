@@ -278,16 +278,21 @@ def _select_centralizer(group: PermGroup, order: int, czorder: int | None, limit
     the lex-least rep of the given element order (and, when given,
     centralizer order).
 
-    Builds no subgroup: |C_G(x)| is read off the class table as |G| / |x^G|.
+    Walks only the classes of that element order (PermGroup._classes), so
+    no class table is built, and builds no subgroup: |C_G(x)| is read as
+    |G| / |x^G|.  The selection is cached on the group; a failed one is not.
     """
-    table = group.conjugacy_classes(limit)
-    for rep, size, o in zip(table.reps, table.sizes, table.orders):
-        if o == order and (czorder is None or group.order() // size == czorder):
-            return rep, size
-    wanted = f"element order {order}"
-    if czorder is not None:
-        wanted += f" and centralizer order {czorder}"
-    raise ChromarankError(f"no conjugacy class with {wanted}")
+
+    def select():
+        for rep, size, _ in group._classes(limit, order):
+            if czorder is None or group.order() // size == czorder:
+                return rep, size
+        wanted = f"element order {order}"
+        if czorder is not None:
+            wanted += f" and centralizer order {czorder}"
+        raise ChromarankError(f"no conjugacy class with {wanted}")
+
+    return group._cached(("class_with", order, czorder), limit, select)
 
 
 def evaluate(e: GroupExpr, limit: int | None = None, memo: dict | None = None) -> PermGroup:

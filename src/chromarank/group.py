@@ -5,9 +5,9 @@ chosen as the smallest non-fixed point of each new strong generator, so
 orders, transversals and membership tests reproduce bit for bit.  Element
 enumeration, conjugacy classes, centralizers, Sylow subgroups and
 fingerprints only run below a configurable order limit (the default is
-2**21; see enumeration_limit).  The class profile and fingerprint of a
-direct product or cyclic wreath product recorded by its constructor come
-from its factors', with no enumeration of the group itself.
+2**21; see enumeration_limit).  The order, class profile and fingerprint
+of a direct product or cyclic wreath product recorded by its constructor
+come from its factors', with no chain or enumeration of the group itself.
 """
 
 from __future__ import annotations
@@ -365,31 +365,49 @@ class PermGroup:
         return self._cached("classes", limit, lambda: self._class_table(limit))
 
     def _class_table(self, limit: int | None) -> ConjClassTable:
-        reps: list[Permutation] = []
-        sizes: list[int] = []
+        reps, sizes, orders = zip(*self._classes(limit))
+        return ConjClassTable(reps, sizes, orders)
+
+    def _classes(self, limit: int | None, order: int | None = None):
+        """Yield (rep, size, element order) per conjugacy class, in rep order.
+
+        Each rep is the least element of its class, since the elements are
+        walked in sorted order.  With order given, only the classes of that
+        element order are walked: an element of another order is skipped
+        unseen, and a class of the wanted order is still first reached at
+        its least member, which has the same order as every other member.
+        """
         # A dict, not a set: on CPython a set of all |G| elements takes more memory.
         seen: dict[tuple[int, ...], None] = {}
         raw_gens = self._raw
         for t in self._raw_elements(limit):
             if t in seen:
                 continue
+            o = kernels.element_order(t)
+            if order is not None and o != order:
+                continue
             orbit = kernels.conjugacy_orbit(t, raw_gens)
-            reps.append(Permutation._wrap(t))
-            sizes.append(len(orbit))
-            for o in orbit:
-                seen[o] = None
-        orders = tuple(kernels.element_order(rep.images) for rep in reps)
-        return ConjClassTable(tuple(reps), tuple(sizes), orders)
+            for x in orbit:
+                seen[x] = None
+            yield Permutation._wrap(t), len(orbit), o
 
     def _record_factors(self, factors: tuple["PermGroup", ...], n: int | None = None) -> "PermGroup":
         """Record that this group is the direct product of factors or, when n
         is given, factors[0] wr C_n; returns the group.
 
-        class_profile and the derived order of fingerprint are then computed
-        from the factors (see _profile and _derived_order), and every other
-        query is answered from the generators as for any group.
+        The order is stored now, as prod |factor| or |H|**n * n, so no
+        stabilizer chain is built for it; _close still checks the closure's
+        length against it.  class_profile and the derived order of
+        fingerprint are computed from the factors (see _profile and
+        _derived_order), and every other query is answered from the
+        generators as for any group.
         """
         self._cache["factors"] = (factors, n)
+        if n is None:
+            self._cache["order"] = prod(f.order() for f in factors)
+        else:
+            (base,) = factors
+            self._cache["order"] = base.order() ** n * n
         return self
 
     def class_profile(self, limit: int | None = None) -> tuple[tuple[int, int], ...]:

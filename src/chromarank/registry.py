@@ -238,8 +238,9 @@ def seed_defaults(p: int, limit: int | None = None) -> list[RegistryEntry]:
     """Axiom entries for the good families, plus the known bad example.
 
     The bad entry at odd p is the unipotent radical of GL_4(F_p), the
-    upper unitriangular 4x4 matrices, of order p**6; its fingerprint is
-    computed here once from a faithful q**3-point action.
+    upper unitriangular 4x4 matrices, of order p**6.  Its fingerprint has
+    a closed form for p >= 5 (_unitriangular4_fingerprint); at p = 3, where
+    the exponent is 9, it is computed from the faithful 27-point action.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -259,20 +260,48 @@ def seed_defaults(p: int, limit: int | None = None) -> list[RegistryEntry]:
             )
         )
     if p != 2:
-        uni = constructors.unitriangular4(p)
+        if p == 3:
+            fingerprint = constructors.unitriangular4(p).fingerprint(limit)
+        else:
+            fingerprint = _unitriangular4_fingerprint(p)
         out.append(
             RegistryEntry(
                 name="unipotent-radical-gl4",
                 expr=None,
                 prime=p,
-                order=uni.order(),
-                fingerprint=uni.fingerprint(limit),
+                order=fingerprint.order,
+                fingerprint=fingerprint,
                 status="bad",
                 rule="CITED",
                 parents=(),
             )
         )
     return out
+
+
+def _unitriangular4_fingerprint(p: int) -> Fingerprint:
+    """Fingerprint of U_4(F_p) for a prime p >= 5, with no enumeration.
+
+    U_4(F_p) has order p**6, centre and derived subgroup of orders p and
+    p**3, and 2p**3 + p**2 - 2p classes: p of size 1, p**2 - 1 of size p,
+    p**3 + p**2 - 2p of size p**2 and p**3 - p**2 - p + 1 of size p**3.
+    Its nilpotency class 3 is below p, so every element but the identity
+    has order p.
+    """
+    return Fingerprint(
+        order=p**6,
+        exponent=p,
+        element_order_histogram=((1, 1), (p, p**6 - 1)),
+        class_size_histogram=(
+            (1, p),
+            (p, p**2 - 1),
+            (p**2, p**3 + p**2 - 2 * p),
+            (p**3, p**3 - p**2 - p + 1),
+        ),
+        center_order=p,
+        derived_order=p**3,
+        abelian=False,
+    )
 
 
 def _match_seed(expr: dsl.GroupExpr, p: int, group: PermGroup) -> str | None:

@@ -15,9 +15,11 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from chromarank import (
     PermGroup,
+    Permutation,
     abelian,
     cyclic,
     dihedral,
@@ -175,6 +177,14 @@ def assert_factor_rule_matches_enumeration(group, label=None):
     want = (plain.conjugacy_classes().profile(), plain.fingerprint(), plain.exponent())
     assert got == want, label
     assert got[1].derived_order == plain.derived_subgroup().order(), label
+
+
+@st.composite
+def small_groups(draw):
+    """A group on at most 4 points with one or two random generators."""
+    degree = draw(st.integers(min_value=1, max_value=4))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    return PermGroup(degree, [Permutation(tuple(g)) for g in gens])
 
 
 # -- corpus ----------------------------------------------------------------

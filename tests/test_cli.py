@@ -172,6 +172,18 @@ def test_certify_seeds_an_empty_registry_file(tmp_path, capsys):
     assert "unipotent-radical-gl4" in names
 
 
+def test_certify_at_p13_seeds_the_bad_entry_without_enumerating(tmp_path, capsys):
+    # U_4(F_13) has 13**6 elements, past the default limit; its seed
+    # fingerprint comes from a closed form.
+    path = tmp_path / "reg.jsonl"
+    assert run(["certify", "-p", "13", "--registry", str(path), "c(13)"]) == 0
+    records = {rec["name"]: rec for rec in map(json.loads, path.read_text().splitlines())}
+    bad = records["unipotent-radical-gl4"]
+    assert bad["status"] == "bad"
+    assert bad["order"] == bad["fingerprint"]["order"] == 4826809
+    assert records["c(13)"]["status"] == "good"
+
+
 def test_certify_and_registry_flow(tmp_path, capsys):
     reg_path = str(tmp_path / "reg.jsonl")
     assert run(["certify", "gl(2,3)", "-p", "2", "--registry", reg_path]) == 0

@@ -20,8 +20,9 @@ from chromarank import (
 )
 
 from chromarank.dsl import evaluate, parse
+from chromarank.group import _Chain
 
-from conftest import assert_factor_rule_matches_enumeration, o_close, o_exponent
+from conftest import assert_factor_rule_matches_enumeration, o_close, o_exponent, small_groups
 
 
 def gl_order(n, q):
@@ -221,26 +222,36 @@ def test_factor_rule_on_wreaths(text):
     assert_factor_rule_matches_enumeration(evaluate(parse(text)), text)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "wr(wr(c(2),c(2)),c(2))",
-        "wr(wr(c(3),c(2)),c(2))",
-        "wr(prod(c(2),c(3)),c(3))",
-        "prod(wr(c(2),c(4)),s(3))",
-        "prod(wr(c(2),c(2)),wr(c(3),c(2)))",
-        "prod(wr(s(3),c(2)),q8)",
-    ],
-)
+NESTED_CONSTRUCTIONS = [
+    "wr(wr(c(2),c(2)),c(2))",
+    "wr(wr(c(3),c(2)),c(2))",
+    "wr(prod(c(2),c(3)),c(3))",
+    "prod(wr(c(2),c(4)),s(3))",
+    "prod(wr(c(2),c(2)),wr(c(3),c(2)))",
+    "prod(wr(s(3),c(2)),q8)",
+]
+
+
+@pytest.mark.parametrize("text", NESTED_CONSTRUCTIONS)
 def test_factor_rule_on_nested_constructions(text):
     assert_factor_rule_matches_enumeration(evaluate(parse(text)), text)
 
 
-@st.composite
-def small_groups(draw):
-    degree = draw(st.integers(min_value=1, max_value=4))
-    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
-    return PermGroup(degree, [Permutation(tuple(g)) for g in gens])
+def test_recorded_order_matches_the_chain(corpus):
+    # A product or wreath stores its order from its factors when it is
+    # built; a stabilizer chain on its generators is the independent check.
+    groups = {
+        (a, b): direct_product(g, h)
+        for (a, g), (b, h) in itertools.combinations_with_replacement(corpus.items(), 2)
+    }
+    groups.update(
+        ((name, n), wreath_cyclic(g, n)) for name, g in corpus.items() for n in (1, 2, 3, 4)
+    )
+    groups.update((text, evaluate(parse(text))) for text in NESTED_CONSTRUCTIONS)
+    for label, group in groups.items():
+        assert group._chain is None, label
+        assert group.order() == _Chain(group.degree, group._raw).order(), label
+        assert group._chain is None, label
 
 
 @settings(deadline=None, max_examples=30)

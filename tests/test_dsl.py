@@ -1,9 +1,21 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
 
-from chromarank import ChromarankError, ParseError, evaluate, parse, print_expr
-from chromarank.dsl import GL, Atom, Cent, Ingest, Prod, Syl, Wr
+from chromarank import (
+    ChromarankError,
+    ParseError,
+    PermGroup,
+    ThresholdExceeded,
+    evaluate,
+    parse,
+    print_expr,
+)
+from chromarank.dsl import GL, Atom, Cent, Ingest, Prod, Syl, Wr, _select_centralizer
+
+from conftest import CORPUS_BUILDERS, small_groups
 
 
 def test_parse_shapes():
@@ -78,6 +90,79 @@ def test_evaluate_centralizer_selection():
     assert g3.order() == 8  # the double-transposition class instead
     with pytest.raises(ChromarankError):
         evaluate(parse("cent(c(3),order=2)"))  # no order-2 class
+
+
+def assert_selection_matches_table(group, label=None):
+    """For every (element order, centralizer order) pair of the group's
+    classes, and every element order with no centralizer order, the
+    selection is the first matching row of the class table of a copy of
+    the group; a pair with no class raises and caches nothing."""
+    n = group.order()
+    table = PermGroup(group.degree, group.generators).conjugacy_classes()
+    rows = list(zip(table.reps, table.sizes, table.orders))
+    pairs = {(o, n // size) for _, size, o in rows} | {(o, None) for _, _, o in rows}
+    for order, czorder in pairs:
+        want = next(
+            (rep, size)
+            for rep, size, o in rows
+            if o == order and (czorder is None or n // size == czorder)
+        )
+        assert _select_centralizer(group, order, czorder, None) == want, (label, order, czorder)
+    assert "classes" not in group._cache, label
+    missing = max(table.orders) + 1
+    present = table.orders[-1]
+    for order, czorder, message in (
+        (missing, None, f"no conjugacy class with element order {missing}"),
+        (
+            present,
+            n + 1,
+            f"no conjugacy class with element order {present} and centralizer order {n + 1}",
+        ),
+    ):
+        with pytest.raises(ChromarankError, match=f"^{re.escape(message)}$"):
+            _select_centralizer(group, order, czorder, None)
+        assert ("class_with", order, czorder) not in group._cache, label
+
+
+def test_selection_is_the_first_matching_table_row():
+    for name, build in CORPUS_BUILDERS.items():
+        assert_selection_matches_table(build(), name)
+    assert_selection_matches_table(evaluate(parse("wr(s(3),c(2))")), "wr(s(3),c(2))")
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_groups())
+def test_selection_matches_the_table_on_random_groups(group):
+    assert_selection_matches_table(group)
+
+
+def test_selection_holds_the_limit():
+    # One element short of the group's order is past the limit, whether or
+    # not the selection is cached.
+    for text, order, czorder in (("gl(2,3)", 4, 8), ("wr(s(3),c(2))", 2, None)):
+        group = evaluate(parse(text))
+        n = group.order()
+        with pytest.raises(ThresholdExceeded):
+            _select_centralizer(group, order, czorder, n - 1)
+        assert _select_centralizer(group, order, czorder, n) is not None
+        assert ("class_with", order, czorder) in group._cache
+        with pytest.raises(ThresholdExceeded):
+            _select_centralizer(group, order, czorder, n - 1)
+
+
+def test_paper_selections():
+    # The class representatives the paper's example selects, in the order-4608
+    # wreath and in the order-18432 tower over its centralizer of order 96.
+    e4608 = "wr(gl(2,3),c(2))"
+    e18432 = f"wr(cent({e4608},order=4,czorder=96),c(2))"
+    rep, size = _select_centralizer(evaluate(parse(e4608)), 4, 96, None)
+    assert (rep.cycle_string(), size) == ("(0 8 1 9)(2 10 5 13)(3 11 7 15)(4 12 6 14)", 48)
+    rep, size = _select_centralizer(evaluate(parse(e18432)), 8, 192, None)
+    assert (rep.cycle_string(), size) == (
+        "(0 16 8 24 1 17 9 25)(2 18 10 26 5 21 13 29)(3 19 11 27 7 23 15 31)"
+        "(4 20 12 28 6 22 14 30)",
+        96,
+    )
 
 
 def test_evaluate_deterministic():

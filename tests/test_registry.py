@@ -75,6 +75,28 @@ def test_seed_defaults_odd_p_has_bad_entry():
     assert bad[0].fingerprint == unitriangular4(3).fingerprint()
 
 
+def test_seed_bad_entry_closed_form_matches_enumeration():
+    # From p = 5 on, the bad entry's fingerprint comes from a closed form;
+    # at p = 5 the group is still small enough to enumerate against it.
+    (bad,) = [e for e in seed_defaults(5) if e.status == "bad"]
+    assert bad.order == 5**6
+    assert bad.fingerprint == unitriangular4(5).fingerprint()
+
+
+def test_seed_defaults_past_p5_build_no_group(monkeypatch):
+    def no_group(self, *args, **kwargs):
+        raise AssertionError("seed_defaults built a group")
+
+    monkeypatch.setattr(PermGroup, "__init__", no_group)
+    reg = Registry.with_defaults(7)
+    (bad,) = [e for e in reg.entries if e.status == "bad"]
+    fp = bad.fingerprint
+    assert bad.order == fp.order == 7**6
+    assert (fp.exponent, fp.center_order, fp.derived_order, fp.abelian) == (7, 7, 343, False)
+    assert fp.element_order_histogram == ((1, 1), (7, 7**6 - 1))
+    assert sum(size * count for size, count in fp.class_size_histogram) == 7**6
+
+
 def test_seed_matching():
     assert _match_seed(dsl.parse("s(5)"), 2, dsl.evaluate(dsl.parse("s(5)"))) == "symmetric"
     assert _match_seed(dsl.parse("gl(2,3)"), 2, general_linear(2, 3)) == "gl-coprime"
@@ -529,7 +551,7 @@ def test_explore_logs_each_round(caplog):
 
 
 def test_memo_hit_honours_a_smaller_limit(monkeypatch):
-    # E96 needs the class table of the order-4608 wreath, so at a limit of
+    # E96 enumerates the order-4608 wreath to select its class, so at a limit of
     # 1000 a fresh registry raises; a registry that already built E96 at
     # the default limit must raise too.
     with pytest.raises(ThresholdExceeded):
@@ -549,20 +571,31 @@ def test_memo_hit_honours_a_smaller_limit(monkeypatch):
 
 
 def test_certify_replay_register_build_the_class_table_once(monkeypatch):
+    # The CENTRALIZER steps select E96's class by a walk over the classes of
+    # order 4 alone, so no class table of the order-4608 wreath is built,
+    # and the selection is cached: one walk serves certify, replay and
+    # register_derivation.
     builds = Counter()
-    conjugacy_classes = PermGroup.conjugacy_classes
+    walks = Counter()
+    class_table = PermGroup._class_table
+    classes = PermGroup._classes
 
-    def counting(self, limit=None):
-        if "classes" not in self._cache:
-            builds[self.order()] += 1
-        return conjugacy_classes(self, limit)
+    def counting_table(self, limit):
+        builds[self.order()] += 1
+        return class_table(self, limit)
 
-    monkeypatch.setattr(PermGroup, "conjugacy_classes", counting)
+    def counting_walk(self, limit, order=None):
+        walks[self.order(), order] += 1
+        return classes(self, limit, order)
+
+    monkeypatch.setattr(PermGroup, "_class_table", counting_table)
+    monkeypatch.setattr(PermGroup, "_classes", counting_walk)
     reg = Registry.with_defaults(2)
     tree = certify(E96, 2, reg)
     replay(tree, 2, reg)
     register_derivation(reg, tree, 2)
-    assert builds[4608] == 1
+    assert builds[4608] == 0
+    assert walks[4608, 4] == 1
 
 
 def test_certify_and_replay_build_a_centralizer_only_to_evaluate(monkeypatch):
