@@ -29,11 +29,11 @@ from .perm import Permutation
 DEFAULT_MAX_HEIGHT = 4
 
 
-def _check_height(h: int, max_height: int) -> None:
+def _check_height(h: int) -> None:
     if h < 0:
         raise ValueError("height must be nonnegative")
-    if h > max_height:
-        raise HeightExceeded(f"height {h} above configured bound {max_height}")
+    if h > DEFAULT_MAX_HEIGHT:
+        raise HeightExceeded(f"height {h} above bound {DEFAULT_MAX_HEIGHT}")
 
 
 def _check_prime(p: int) -> None:
@@ -107,11 +107,7 @@ def p_power_elements(
 
 
 def commuting_tuple_classes(
-    group: PermGroup,
-    p: int,
-    h: int,
-    limit: int | None = None,
-    max_height: int = DEFAULT_MAX_HEIGHT,
+    group: PermGroup, p: int, h: int, limit: int | None = None
 ) -> LoopDecomposition:
     """Conjugation classes of commuting p-power h-tuples.
 
@@ -124,7 +120,7 @@ def commuting_tuple_classes(
     tuple, which is its representative; components come out sorted by it.
     """
     _check_prime(p)
-    _check_height(h, max_height)
+    _check_height(h)
     if h == 0:  # one empty tuple, centralized by the group; nothing to enumerate
         return LoopDecomposition(p, 0, (LoopComponent(PTuple(p, ()), group, 1),))
     return group._cached(("tuple_classes", p, h), limit, lambda: _walk_classes(group, p, h, limit))
@@ -172,13 +168,7 @@ def _walk(prefix: list, above: PermGroup, pool: list, h: int, limit: int | None,
         prefix.pop()
 
 
-def hkr_rank(
-    group: PermGroup,
-    p: int,
-    h: int,
-    limit: int | None = None,
-    max_height: int = DEFAULT_MAX_HEIGHT,
-) -> int:
+def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:
     """Number of commuting p-power h-tuple classes (1 at height 0).
 
     Counted by the centralizer recursion: at height 1 the classes are the
@@ -190,13 +180,13 @@ def hkr_rank(
     oracle.
     """
     _check_prime(p)
-    _check_height(h, max_height)
+    _check_height(h)
     if h == 0:
         return 1
-    return group._cached(("rank", p, h), limit, lambda: _rank(group, p, h, limit, max_height))
+    return group._cached(("rank", p, h), limit, lambda: _rank(group, p, h, limit))
 
 
-def _rank(group: PermGroup, p: int, h: int, limit: int | None, max_height: int) -> int:
+def _rank(group: PermGroup, p: int, h: int, limit: int | None) -> int:
     table = group.conjugacy_classes(limit)
     reps = [
         (rep, size)
@@ -211,7 +201,7 @@ def _rank(group: PermGroup, p: int, h: int, limit: int | None, max_height: int) 
         cent = group._class_centralizer(rep, size, limit)
         if cent.order() * size != order:
             raise ChromarankError("class size disagrees with centralizer index")
-        count += hkr_rank(cent, p, h - 1, limit, max_height)
+        count += hkr_rank(cent, p, h - 1, limit)
     return count
 
 
@@ -249,13 +239,7 @@ class IdentityReport:
 
 
 def verify_rank_identity(
-    group: PermGroup,
-    p: int,
-    n: int,
-    t: int,
-    limit: int | None = None,
-    max_height: int = DEFAULT_MAX_HEIGHT,
-    label: str | None = None,
+    group: PermGroup, p: int, n: int, t: int, limit: int | None = None, label: str | None = None
 ) -> IdentityReport:
     """Check rank(G, n) against the t-rank sum over (n-t)-tuple centralizers.
 
@@ -267,15 +251,15 @@ def verify_rank_identity(
     checks nothing: both sides count the same walk's components.
     """
     _check_prime(p)
-    _check_height(n, max_height)
+    _check_height(n)
     if not 0 <= t <= n:
         raise ValueError("need 0 <= t <= n")
-    lhs = len(commuting_tuple_classes(group, p, n, limit, max_height))
-    decomposition = commuting_tuple_classes(group, p, n - t, limit, max_height)
+    lhs = len(commuting_tuple_classes(group, p, n, limit))
+    decomposition = commuting_tuple_classes(group, p, n - t, limit)
     per = []
     rhs = 0
     for comp in decomposition.components:
-        rank_t = hkr_rank(comp.centralizer, p, t, limit, max_height)
+        rank_t = hkr_rank(comp.centralizer, p, t, limit)
         per.append((comp.rep, comp.centralizer.order(), rank_t))
         rhs += rank_t
     if label is None:

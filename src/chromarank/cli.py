@@ -22,6 +22,7 @@ import os
 import sys
 
 from . import chromatic, dsl, registry as registry_mod
+from .arith import is_prime, p_part
 from .errors import ChromarankError, HeightExceeded, ThresholdExceeded
 
 SCHEMA = "chromarank.v1"
@@ -42,8 +43,6 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _prime_arg(text: str) -> int:
     value = int(text)
-    from .arith import is_prime
-
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"{value} is not prime")
     return value
@@ -66,7 +65,7 @@ def _registry_for(args, p: int) -> registry_mod.Registry:
         reg = registry_mod.Registry.load(path)
         if reg.entries:
             return reg
-    return registry_mod.Registry.with_defaults(p, getattr(args, "max_order", None))
+    return registry_mod.Registry.with_defaults(p)
 
 
 def _cmd_order(args) -> int:
@@ -135,14 +134,13 @@ def _cmd_centralizer(args) -> int:
     group = dsl.evaluate(expr, args.max_order)
     rows = []
     for rep, size, _ in group._classes(args.max_order, args.elt_order):
-        cent = group._class_centralizer(rep, size, args.max_order)
-        syl = cent.sylow_subgroup(args.prime, args.max_order)
+        cent_order = group._class_centralizer(rep, size, args.max_order).order()
         rows.append(
             {
                 "rep": rep.cycle_string(),
                 "class_size": size,
-                "centralizer_order": cent.order(),
-                "sylow_order": syl.order(),
+                "centralizer_order": cent_order,
+                "sylow_order": p_part(cent_order, args.prime),  # by Sylow's theorem
             }
         )
     rows.sort(key=lambda r: (r["centralizer_order"], r["rep"]))

@@ -22,7 +22,7 @@ class ThresholdExceeded(ChromarankError):
 
 
 class HeightExceeded(ChromarankError):
-    """Requested tuple height lies above the configured bound."""
+    """Requested tuple height lies above chromatic.DEFAULT_MAX_HEIGHT."""
 
 
 class ParseError(ChromarankError, ValueError):

@@ -710,15 +710,13 @@ def _extend_span(span: set, gens: list, identity: tuple, cap: int) -> None:
                     return
 
 
-def group_from_generators(generators: Iterable[Permutation], degree: int | None = None) -> PermGroup:
+def group_from_generators(generators: Iterable[Permutation]) -> PermGroup:
     """Public constructor used by callers that have bare generator lists.
 
-    The degree defaults to that of the first generator.
+    The degree is that of the first generator.
     """
     gens = tuple(generators)
-    if degree is None and gens:
-        degree = gens[0].degree
-    return PermGroup(degree, gens)
+    return PermGroup(gens[0].degree if gens else None, gens)
 
 
 def read_generator_file(path: str) -> PermGroup:

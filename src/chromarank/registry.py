@@ -21,6 +21,7 @@ error since the rules are theorems.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from collections import Counter
@@ -152,8 +153,8 @@ class Registry:
             self.add(e)
 
     @classmethod
-    def with_defaults(cls, p: int, limit: int | None = None) -> "Registry":
-        return cls(p, seed_defaults(p, limit))
+    def with_defaults(cls, p: int) -> "Registry":
+        return cls(p, seed_defaults(p))
 
     def add(self, entry: RegistryEntry) -> RegistryEntry:
         if self.prime is None:
@@ -234,13 +235,12 @@ class Registry:
 # -- seeds ---------------------------------------------------------------
 
 
-def seed_defaults(p: int, limit: int | None = None) -> list[RegistryEntry]:
+def seed_defaults(p: int) -> list[RegistryEntry]:
     """Axiom entries for the good families, plus the known bad example.
 
     The bad entry at odd p is the unipotent radical of GL_4(F_p), the
-    upper unitriangular 4x4 matrices, of order p**6.  Its fingerprint has
-    a closed form for p >= 5 (_unitriangular4_fingerprint); at p = 3, where
-    the exponent is 9, it is computed from the faithful 27-point action.
+    upper unitriangular 4x4 matrices, of order p**6.  Its fingerprint is a
+    closed form (_unitriangular4_fingerprint), so seeding builds no group.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -260,10 +260,7 @@ def seed_defaults(p: int, limit: int | None = None) -> list[RegistryEntry]:
             )
         )
     if p != 2:
-        if p == 3:
-            fingerprint = constructors.unitriangular4(p).fingerprint(limit)
-        else:
-            fingerprint = _unitriangular4_fingerprint(p)
+        fingerprint = _unitriangular4_fingerprint(p)
         out.append(
             RegistryEntry(
                 name="unipotent-radical-gl4",
@@ -280,18 +277,23 @@ def seed_defaults(p: int, limit: int | None = None) -> list[RegistryEntry]:
 
 
 def _unitriangular4_fingerprint(p: int) -> Fingerprint:
-    """Fingerprint of U_4(F_p) for a prime p >= 5, with no enumeration.
+    """Fingerprint of U_4(F_p) for an odd prime p, with no enumeration.
 
     U_4(F_p) has order p**6, centre and derived subgroup of orders p and
     p**3, and 2p**3 + p**2 - 2p classes: p of size 1, p**2 - 1 of size p,
     p**3 + p**2 - 2p of size p**2 and p**3 - p**2 - p + 1 of size p**3.
-    Its nilpotency class 3 is below p, so every element but the identity
-    has order p.
+    Write an element as I + N with N strictly upper triangular.  In
+    characteristic p, (I + N)**p = I + N**p, and N**4 = 0.  So for p >= 5
+    every element but the identity has order p.  At p = 3,
+    N**3 = n12*n23*n34*E14, and the (p-1)**3 * p**3 elements whose three
+    superdiagonal entries are all nonzero have order p**2.
     """
+    order_p2 = (p - 1) ** 3 * p**3 if p < 4 else 0
+    orders = ((1, 1), (p, p**6 - 1 - order_p2)) + (((p**2, order_p2),) if order_p2 else ())
     return Fingerprint(
         order=p**6,
-        exponent=p,
-        element_order_histogram=((1, 1), (p, p**6 - 1)),
+        exponent=orders[-1][0],
+        element_order_histogram=orders,
         class_size_histogram=(
             (1, p),
             (p, p**2 - 1),
@@ -345,7 +347,8 @@ def certify(
         raise ValueError(f"{p} is not prime")
     if registry.prime not in (None, p):
         raise ConsistencyError(f"registry is keyed to prime {registry.prime}, not {p}")
-    tree = _search(expr, p, registry, depth, limit)
+    witnesses = functools.cache(lambda: _factor_witnesses(registry))
+    tree = _search(expr, p, registry, depth, limit, witnesses)
     if tree is not None:
         group = registry._evaluate(expr, limit)
         if registry.has_bad_of_order(group.order()):
@@ -359,7 +362,23 @@ def certify(
     return tree
 
 
-def _search(expr, p, registry, depth, limit) -> DerivationTree | None:
+def _factor_witnesses(registry: Registry) -> list:
+    """(name, ((left text, right), (right text, left))) of each good product
+    entry in registry order: the FACTOR rule's candidates.  A search adds no
+    entries, so certify parses them once, at the first node reaching FACTOR."""
+    out = []
+    for entry in registry.good_entries():
+        try:
+            parsed = None if entry.expr is None else dsl.parse(entry.expr)
+        except ParseError:
+            continue
+        if isinstance(parsed, dsl.Prod):
+            left, right = parsed.left, parsed.right
+            out.append((entry.name, ((dsl.print_expr(left), right), (dsl.print_expr(right), left))))
+    return out
+
+
+def _search(expr, p, registry, depth, limit, witnesses) -> DerivationTree | None:
     if depth <= 0:
         return None
     text = dsl.print_expr(expr)
@@ -372,15 +391,15 @@ def _search(expr, p, registry, depth, limit) -> DerivationTree | None:
 
     # PRODUCT
     if isinstance(expr, dsl.Prod):
-        left = _search(expr.left, p, registry, depth - 1, limit)
+        left = _search(expr.left, p, registry, depth - 1, limit, witnesses)
         if left is not None:
-            right = _search(expr.right, p, registry, depth - 1, limit)
+            right = _search(expr.right, p, registry, depth - 1, limit, witnesses)
             if right is not None:
                 return DerivationTree(text, "PRODUCT", "", (left, right))
 
     # WREATH: base wr C_p with the registry prime on top
     if isinstance(expr, dsl.Wr) and expr.n == p:
-        base = _search(expr.base, p, registry, depth - 1, limit)
+        base = _search(expr.base, p, registry, depth - 1, limit, witnesses)
         if base is not None:
             return DerivationTree(text, "WREATH", f"top c({p})", (base,))
 
@@ -389,7 +408,7 @@ def _search(expr, p, registry, depth, limit) -> DerivationTree | None:
         inner_group = registry._evaluate(expr.inner, limit)
         rep, _ = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
         if is_p_power(rep.order(), p):
-            inner = _search(expr.inner, p, registry, depth - 1, limit)
+            inner = _search(expr.inner, p, registry, depth - 1, limit, witnesses)
             if inner is not None:
                 return DerivationTree(
                     text, "CENTRALIZER", f"of class rep {rep.cycle_string()}", (inner,)
@@ -399,25 +418,17 @@ def _search(expr, p, registry, depth, limit) -> DerivationTree | None:
     if not (isinstance(expr, dsl.Syl) and expr.p == p):
         if p_part(group.order(), p) < group.order():
             syl_expr = dsl.Syl(p, expr)
-            sub = _search(syl_expr, p, registry, depth - 1, limit)
+            sub = _search(syl_expr, p, registry, depth - 1, limit, witnesses)
             if sub is not None:
                 return DerivationTree(text, "SYLOW", "", (sub,))
 
     # FACTOR: a registered good product with this expression as one factor
-    for entry in registry.good_entries():
-        if entry.expr is None:
-            continue
-        try:
-            parsed = dsl.parse(entry.expr)
-        except ParseError:
-            continue
-        if not isinstance(parsed, dsl.Prod):
-            continue
-        for mine, other in ((parsed.left, parsed.right), (parsed.right, parsed.left)):
-            if dsl.print_expr(mine) == text:
-                sub = _search(other, p, registry, depth - 1, limit)
+    for name, sides in witnesses():
+        for mine, other in sides:
+            if mine == text:
+                sub = _search(other, p, registry, depth - 1, limit, witnesses)
                 if sub is not None:
-                    return DerivationTree(text, "FACTOR", f"witness {entry.name}", (sub,))
+                    return DerivationTree(text, "FACTOR", f"witness {name}", (sub,))
 
     return None
 
@@ -572,12 +583,10 @@ def _register_candidate(
         return None
     if paranoid and rule in ("PRODUCT", "WREATH"):
         _check_factor_rule(name, group, fp, limit)
+    bad = registry.bad_match(fp)
+    if bad is not None:
+        raise ConsistencyError(f"constructed good group {name!r} matches bad entry {bad.name!r}")
     matches = registry.find_fingerprint(fp)
-    for other in matches:
-        if other.status == "bad":
-            raise ConsistencyError(
-                f"constructed good group {name!r} matches bad entry {other.name!r}"
-            )
     if matches:
         tally["duplicate"] += 1
         if paranoid:

@@ -5,6 +5,7 @@ import pytest
 
 from chromarank import chromatic
 from chromarank.cli import run
+from chromarank.group import PermGroup
 
 
 def out_of(capsys):
@@ -69,6 +70,30 @@ def test_centralizer_table(capsys):
     assert any(r["centralizer_order"] == 96 and r["sylow_order"] == 32 for r in rows)
     cents = [r["centralizer_order"] for r in rows]
     assert cents == sorted(cents)
+
+
+def test_centralizer_builds_no_sylow_subgroup(monkeypatch, capsys):
+    # A Sylow p-subgroup of C has order p_part(|C|, p), so none is built.
+    def no_sylow(self, *args, **kwargs):
+        raise AssertionError("centralizer built a Sylow subgroup")
+
+    monkeypatch.setattr(PermGroup, "sylow_subgroup", no_sylow)
+    assert run(["centralizer", "wr(gl(2,3),c(2))", "-p", "2", "--elt-order", "4"]) == 0
+    out, _ = out_of(capsys)
+    assert out.splitlines() == [
+        "(0 8)(1 9)(2 10 5 13)(3 11 6 14)(4 12 7 15)  centralizer=8  sylow_2=8  class_size=576",
+        "(2 5)(3 6)(4 7)(8 10 9 13)(11 12 15 14)  centralizer=32  sylow_2=32  class_size=144",
+        "(0 8 1 9)(2 10 5 13)(3 11 7 15)(4 12 6 14)  centralizer=96  sylow_2=32  class_size=48",
+        "(0 2 1 5)(3 4 7 6)(8 10 9 13)(11 12 15 14)  centralizer=128  sylow_2=128  class_size=36",
+        "(0 1)(2 5)(3 7)(4 6)(8 10 9 13)(11 12 15 14)  centralizer=384  sylow_2=128  class_size=12",
+        "(8 10 9 13)(11 12 15 14)  centralizer=384  sylow_2=128  class_size=12",
+    ]
+    assert run(["centralizer", "s(5)", "-p", "3", "--elt-order", "2"]) == 0
+    out, _ = out_of(capsys)
+    assert out.splitlines() == [
+        "(1 2)(3 4)  centralizer=8  sylow_3=1  class_size=15",
+        "(3 4)  centralizer=12  sylow_3=3  class_size=10",
+    ]
 
 
 def test_verify_pass(capsys):
@@ -182,6 +207,22 @@ def test_certify_at_p13_seeds_the_bad_entry_without_enumerating(tmp_path, capsys
     assert bad["status"] == "bad"
     assert bad["order"] == bad["fingerprint"]["order"] == 4826809
     assert records["c(13)"]["status"] == "good"
+
+
+def test_certify_at_p3_seeds_the_bad_entry_under_a_small_limit(tmp_path, capsys):
+    # U_4(F_3) has 729 elements, past --max-order 100; its seed fingerprint
+    # comes from a closed form, so the limit bounds only the certified group.
+    records = {}
+    for limit in ([], ["--max-order", "100"]):
+        path = tmp_path / f"reg{len(limit)}.jsonl"
+        assert run(["certify", "-p", "3", *limit, "--registry", str(path), "c(3)"]) == 0
+        records[len(limit)] = {
+            rec["name"]: rec for rec in map(json.loads, path.read_text().splitlines())
+        }
+    bad = records[2]["unipotent-radical-gl4"]
+    assert bad == records[0]["unipotent-radical-gl4"]
+    assert bad["fingerprint"]["exponent"] == 9
+    assert records[2]["c(3)"]["status"] == "good"
 
 
 def test_certify_and_registry_flow(tmp_path, capsys):

@@ -76,25 +76,35 @@ def test_seed_defaults_odd_p_has_bad_entry():
 
 
 def test_seed_bad_entry_closed_form_matches_enumeration():
-    # From p = 5 on, the bad entry's fingerprint comes from a closed form;
-    # at p = 5 the group is still small enough to enumerate against it.
-    (bad,) = [e for e in seed_defaults(5) if e.status == "bad"]
-    assert bad.order == 5**6
-    assert bad.fingerprint == unitriangular4(5).fingerprint()
+    # The bad entry's fingerprint is a closed form at every odd prime; at
+    # p = 3 (exponent 9) and p = 5 (exponent 5) the group is still small
+    # enough to enumerate against it.
+    for p in (3, 5):
+        expected = unitriangular4(p).fingerprint()
+        assert registry_mod._unitriangular4_fingerprint(p) == expected
+        (bad,) = [e for e in seed_defaults(p) if e.status == "bad"]
+        assert bad.order == p**6
+        assert bad.fingerprint == expected
 
 
-def test_seed_defaults_past_p5_build_no_group(monkeypatch):
+def test_seed_defaults_build_no_group(monkeypatch):
     def no_group(self, *args, **kwargs):
         raise AssertionError("seed_defaults built a group")
 
     monkeypatch.setattr(PermGroup, "__init__", no_group)
-    reg = Registry.with_defaults(7)
-    (bad,) = [e for e in reg.entries if e.status == "bad"]
-    fp = bad.fingerprint
-    assert bad.order == fp.order == 7**6
-    assert (fp.exponent, fp.center_order, fp.derived_order, fp.abelian) == (7, 7, 343, False)
-    assert fp.element_order_histogram == ((1, 1), (7, 7**6 - 1))
-    assert sum(size * count for size, count in fp.class_size_histogram) == 7**6
+    for p in (3, 5, 7):
+        reg = Registry.with_defaults(p)
+        (bad,) = [e for e in reg.entries if e.status == "bad"]
+        fp = bad.fingerprint
+        assert bad.order == fp.order == p**6
+        assert (fp.center_order, fp.derived_order, fp.abelian) == (p, p**3, False)
+        assert sum(size * count for size, count in fp.class_size_histogram) == p**6
+        if p == 3:
+            assert fp.exponent == 9
+            assert fp.element_order_histogram == ((1, 1), (3, 512), (9, 216))
+        else:
+            assert fp.exponent == p
+            assert fp.element_order_histogram == ((1, 1), (p, p**6 - 1))
 
 
 def test_seed_matching():
@@ -296,6 +306,35 @@ def test_certify_factor_rule():
     assert tree.detail == "witness witness"
     assert tree.premises[0].subject == "c(3)"
     replay(tree, 2, reg)
+
+
+def test_certify_parses_each_factor_witness_once(monkeypatch):
+    # Every node of this failing search falls through to FACTOR: d(8) and
+    # the product are no seeds, and both are 2-groups, so SYLOW is barred.
+    reg = Registry.with_defaults(2)
+    witnesses = ["prod(d(8),d(8))", "prod(s(3),c(2))", "prod(c(4),d(4))"]
+    for text in witnesses:
+        reg.add(entry_for(text, text, 2, dsl.evaluate(dsl.parse(text)), rule="CITED"))
+    expr = dsl.parse("prod(d(8),d(8))")
+    parsed = Counter()
+    real_parse = dsl.parse
+
+    def counting_parse(text):
+        parsed[text] += 1
+        return real_parse(text)
+
+    nodes = Counter()
+    real_search = registry_mod._search
+
+    def counting_search(expr, *args):
+        nodes[dsl.print_expr(expr)] += 1
+        return real_search(expr, *args)
+
+    monkeypatch.setattr(dsl, "parse", counting_parse)
+    monkeypatch.setattr(registry_mod, "_search", counting_search)
+    assert certify(expr, 2, reg) is None
+    assert sum(nodes.values()) >= 2
+    assert parsed == Counter(witnesses)
 
 
 def test_certify_depth_zero_finds_nothing():
