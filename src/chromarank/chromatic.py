@@ -100,8 +100,8 @@ def p_power_elements(
         limit,
         lambda: tuple(
             Permutation._wrap(t)
-            for t in group._raw_elements(limit)
-            if is_p_power(kernels.element_order(t), p)
+            for t, o in zip(group._raw_elements(limit), group._element_orders(limit))
+            if is_p_power(o, p)
         ),
     )
 

@@ -134,7 +134,7 @@ def _cmd_centralizer(args) -> int:
     group = dsl.evaluate(expr, args.max_order)
     rows = []
     for rep, size, _ in group._classes(args.max_order, args.elt_order):
-        cent_order = group._class_centralizer(rep, size, args.max_order).order()
+        cent_order = group.order() // size  # |C(rep)| = |G| / |class|
         rows.append(
             {
                 "rep": rep.cycle_string(),

@@ -7,7 +7,11 @@ enumeration, conjugacy classes, centralizers, Sylow subgroups and
 fingerprints only run below a configurable order limit (the default is
 2**21; see enumeration_limit).  The order, class profile and fingerprint
 of a direct product or cyclic wreath product recorded by its constructor
-come from its factors', with no chain or enumeration of the group itself.
+come from its factors', with no chain or enumeration of the group itself;
+its sorted elements and their orders are assembled from its factors'
+elements and orders, with no closure, sort or element_order kernel call.
+Closure of the generators enumerates every other group, and stays the
+independent check of the factor rules (registry paranoid mode, tests).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import os
 import weakref
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from math import gcd, lcm, prod
 
 from . import kernels
@@ -340,9 +344,23 @@ class PermGroup:
         return value
 
     def _raw_elements(self, limit: int | None = None) -> tuple[tuple[int, ...], ...]:
-        return self._cached("elements_raw", limit, self._close)
+        return self._cached("elements_raw", limit, lambda: self._close(limit))
 
-    def _close(self) -> tuple[tuple[int, ...], ...]:
+    def _close(self, limit: int | None) -> tuple[tuple[int, ...], ...]:
+        """The sorted elements.
+
+        A recorded direct product or wreath assembles them from its factors'
+        elements (see _product_elements and _wreath_elements); any other
+        group closes its generators, and the closure's length is checked
+        against the stabilizer chain order.
+        """
+        record = self._cache.get("factors")
+        if record is not None:
+            factors, n = record
+            if n is None:
+                return _product_elements([(f.degree, f._raw_elements(limit)) for f in factors])
+            (base,) = factors
+            return _wreath_elements(base._raw_elements(limit), base.degree, n)
         n = self.order()
         closed = kernels.close_group(list(self._raw), n)
         if closed is None or len(closed) != n:
@@ -356,6 +374,20 @@ class PermGroup:
             limit,
             lambda: tuple(Permutation._wrap(t) for t in self._raw_elements(limit)),
         )
+
+    def _element_orders(self, limit: int | None = None) -> tuple[int, ...]:
+        """The order of each element of _raw_elements, in the same order."""
+        return self._cached("element_orders", limit, lambda: self._orders(limit))
+
+    def _orders(self, limit: int | None) -> tuple[int, ...]:
+        record = self._cache.get("factors")
+        if record is None:
+            return tuple(map(kernels.element_order, self._raw_elements(limit)))
+        factors, n = record
+        if n is None:
+            return _product_orders([f._element_orders(limit) for f in factors])
+        (base,) = factors
+        return _wreath_orders(base._raw_elements(limit), base._element_orders(limit), n)
 
     def exponent(self, limit: int | None = None) -> int:
         return lcm(*(o for o, _ in self.class_profile(limit)))
@@ -372,20 +404,22 @@ class PermGroup:
         """Yield (rep, size, element order) per conjugacy class, in rep order.
 
         Each rep is the least element of its class, since the elements are
-        walked in sorted order.  With order given, only the classes of that
-        element order are walked: an element of another order is skipped
-        unseen, and a class of the wanted order is still first reached at
-        its least member, which has the same order as every other member.
+        walked in sorted order.  With order given, only the elements of that
+        order are walked, read from _element_orders: a class of the wanted
+        order is still first reached at its least member, which has the same
+        order as every other member.  Without it, the order of each rep is
+        computed alone, so a full table costs one kernel call per class.
         """
         # A dict, not a set: on CPython a set of all |G| elements takes more memory.
         seen: dict[tuple[int, ...], None] = {}
         raw_gens = self._raw
-        for t in self._raw_elements(limit):
+        elements = self._raw_elements(limit)
+        if order is not None:
+            elements = compress(elements, [o == order for o in self._element_orders(limit)])
+        for t in elements:
             if t in seen:
                 continue
-            o = kernels.element_order(t)
-            if order is not None and o != order:
-                continue
+            o = kernels.element_order(t) if order is None else order
             orbit = kernels.conjugacy_orbit(t, raw_gens)
             for x in orbit:
                 seen[x] = None
@@ -396,11 +430,11 @@ class PermGroup:
         is given, factors[0] wr C_n; returns the group.
 
         The order is stored now, as prod |factor| or |H|**n * n, so no
-        stabilizer chain is built for it; _close still checks the closure's
-        length against it.  class_profile and the derived order of
-        fingerprint are computed from the factors (see _profile and
-        _derived_order), and every other query is answered from the
-        generators as for any group.
+        stabilizer chain is built for it.  The sorted elements, their orders,
+        class_profile and the derived order of fingerprint are computed from
+        the factors (see _close, _orders, _profile and _derived_order), and
+        every other query is answered from those elements and the generators
+        as for any group.
         """
         self._cache["factors"] = (factors, n)
         if n is None:
@@ -659,6 +693,81 @@ def _wreath_profile(profile, base_order: int, n: int) -> tuple[tuple[int, int], 
                 )
             )
     return tuple(sorted(out))
+
+
+def _product_elements(factors) -> tuple[tuple[int, ...], ...]:
+    """Sorted elements of a direct product from (degree, sorted elements)
+    of each factor, in order.
+
+    An element is x + y shifted by deg x, for x and y elements of the
+    factors.  Every point of the shifted part lies above every point of x,
+    so with x in the outer loop the concatenations come out sorted.
+    """
+    out = [()]
+    offset = 0
+    for degree, elements in factors:
+        shifted = [tuple(map(offset.__add__, y)) for y in elements]
+        out = [x + y for x in out for y in shifted]
+        offset += degree
+    return tuple(out)
+
+
+def _product_orders(orders) -> tuple[int, ...]:
+    """Element orders of a direct product, aligned with _product_elements:
+    x + shifted y has order lcm(o(x), o(y))."""
+    out = [1]
+    for factor in orders:
+        out = [lcm(a, b) for a in out for b in factor]
+    return tuple(out)
+
+
+def _wreath_elements(elements, degree: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Sorted elements of H wr C_n from H's sorted elements and degree.
+
+    The element with top part c**j and base part (h_0, ..., h_{n-1}) sends
+    point i of block b to point h_b(i) of block (b + j) mod n, so its
+    images are the h_b, each shifted onto block (b + j) mod n, concatenated
+    over b.  Block 0 goes to block j, so the elements sort by j, then by
+    (h_0, ..., h_{n-1}) in product order over H's sorted elements.
+    """
+    blocks = [[tuple(map((k * degree).__add__, h)) for h in elements] for k in range(n)]
+    out = []
+    for j in range(n):
+        words = [()]
+        for b in range(n):
+            words = [w + h for w in words for h in blocks[(b + j) % n]]
+        out.extend(words)
+    return tuple(out)
+
+
+def _wreath_orders(elements, orders, n: int) -> tuple[int, ...]:
+    """Element orders of H wr C_n, aligned with _wreath_elements, from H's
+    sorted elements and their orders.
+
+    With top part c**j, let d = gcd(j, n) and m = n / d.  The m-th power of
+    the element maps each block to itself, and on the d block cycles
+    b, b + j, ..., b + (m-1)j (b < d) it is conjugate to the cycle product
+    h_b then h_{b+j} then ... then h_{b+(m-1)j}.  So the order is m times
+    the lcm of the orders of the d cycle products, and when j = 0 it is the
+    lcm of the o(h_b).
+    """
+    out = [1]
+    for _ in range(n):
+        out = [lcm(a, o) for a in out for o in orders]
+    index = {h: k for k, h in enumerate(elements)}
+    for j in range(1, n):
+        d = gcd(j, n)
+        m = n // d
+        cycles = [[(b + t * j) % n for t in range(m)] for b in range(d)]
+        for word in product(elements, repeat=n):
+            o = 1
+            for cycle in cycles:
+                x = word[cycle[0]]
+                for b in cycle[1:]:
+                    x = kernels.compose(x, word[b])
+                o = lcm(o, orders[index[x]])
+            out.append(m * o)
+    return tuple(out)
 
 
 def _subgroup_from_elements(degree: int, raw_elements) -> PermGroup:

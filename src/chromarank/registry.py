@@ -26,8 +26,9 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from . import constructors, dsl
+from . import constructors, dsl, kernels
 from .arith import is_p_power, is_prime, p_part
 from .errors import ChromarankError, ConsistencyError, ParseError, ThresholdExceeded
 from .group import Fingerprint, PermGroup, enumeration_limit, json_field
@@ -572,8 +573,9 @@ def _register_candidate(
 
     Counts the candidate in tally under its rule, and a fingerprint
     duplicate under "duplicate".  In paranoid mode, a PRODUCT or WREATH
-    candidate, whose fingerprint comes from its factors, is also checked
-    against its own class table and derived subgroup.
+    candidate, whose elements, element orders and fingerprint come from
+    its factors, is also checked against the closure of its generators,
+    the kernel's element orders, its own class table and derived subgroup.
     """
     tally[rule] += 1
     try:
@@ -621,8 +623,26 @@ def _register_candidate(
 
 
 def _check_factor_rule(name: str, group: PermGroup, fp: Fingerprint, limit) -> None:
-    """Raise ConsistencyError when the class profile or derived order a
-    group took from its factors differs from the one enumeration gives."""
+    """Raise ConsistencyError when the elements, element orders, class
+    profile or derived order a group took from its factors differ from the
+    ones enumeration gives.  The elements are checked first, since the
+    class table is walked over them."""
+    elements = group._raw_elements(limit)
+    closed = tuple(kernels.close_group(list(group._raw), group.order()) or ())
+    if closed != elements:
+        i, (ruled, enumerated) = next(
+            (i, pair) for i, pair in enumerate(zip_longest(elements, closed)) if pair[0] != pair[1]
+        )
+        raise ConsistencyError(
+            f"element {i} of {name!r} from its factors is {ruled}, "
+            f"the closure of its generators gives {enumerated}"
+        )
+    kernel_orders = map(kernels.element_order, elements)
+    for t, o, k in zip(elements, group._element_orders(limit), kernel_orders):
+        if o != k:
+            raise ConsistencyError(
+                f"order of {t} in {name!r} from its factors is {o}, the kernel gives {k}"
+            )
     ruled = group.class_profile(limit)
     enumerated = group.conjugacy_classes(limit).profile()
     if ruled != enumerated:

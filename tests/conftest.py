@@ -25,6 +25,7 @@ from chromarank import (
     dihedral,
     direct_product,
     general_linear,
+    kernels,
     quaternion8,
     symmetric,
 )
@@ -158,25 +159,47 @@ def o_exponent(elements):
 
 
 def assert_factor_rule_matches_enumeration(group, label=None):
-    """A product's or wreath's class profile, fingerprint (with its derived
-    order) and exponent, taken from its factors, equal those of a copy of
-    the group with no record of its construction, which enumerates; and
-    the group itself builds no class table to get them."""
+    """A product's or wreath's sorted elements, element orders, class
+    profile, fingerprint (with its derived order) and exponent, taken from
+    its factors, equal those of a copy of the group with no record of its
+    construction, which closes its generators and runs the element_order
+    kernel; and the group itself builds no class table and runs no closure
+    to get them."""
     tabled = []
+    closed = []
     class_table = PermGroup._class_table
+    close_group = kernels.close_group
 
     def recording(self, limit):
         tabled.append(self)
         return class_table(self, limit)
 
+    def recording_close(gens, limit):
+        closed.append(gens)
+        return close_group(gens, limit)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PermGroup, "_class_table", recording)
-        got = (group.class_profile(), group.fingerprint(), group.exponent())
+        mp.setattr(kernels, "close_group", recording_close)
+        got = (
+            group._raw_elements(),
+            group._element_orders(),
+            group.class_profile(),
+            group.fingerprint(),
+            group.exponent(),
+        )
     assert all(t is not group for t in tabled), label
+    assert list(group._raw) not in closed, label
     plain = PermGroup(group.degree, group.generators)
-    want = (plain.conjugacy_classes().profile(), plain.fingerprint(), plain.exponent())
+    want = (
+        plain._raw_elements(),
+        plain._element_orders(),
+        plain.conjugacy_classes().profile(),
+        plain.fingerprint(),
+        plain.exponent(),
+    )
     assert got == want, label
-    assert got[1].derived_order == plain.derived_subgroup().order(), label
+    assert got[3].derived_order == plain.derived_subgroup().order(), label
 
 
 @st.composite

@@ -72,28 +72,45 @@ def test_centralizer_table(capsys):
     assert cents == sorted(cents)
 
 
-def test_centralizer_builds_no_sylow_subgroup(monkeypatch, capsys):
-    # A Sylow p-subgroup of C has order p_part(|C|, p), so none is built.
-    def no_sylow(self, *args, **kwargs):
-        raise AssertionError("centralizer built a Sylow subgroup")
-
-    monkeypatch.setattr(PermGroup, "sylow_subgroup", no_sylow)
-    assert run(["centralizer", "wr(gl(2,3),c(2))", "-p", "2", "--elt-order", "4"]) == 0
-    out, _ = out_of(capsys)
-    assert out.splitlines() == [
+CENTRALIZER_ROWS = {
+    ("wr(gl(2,3),c(2))", "2", "4"): [
         "(0 8)(1 9)(2 10 5 13)(3 11 6 14)(4 12 7 15)  centralizer=8  sylow_2=8  class_size=576",
         "(2 5)(3 6)(4 7)(8 10 9 13)(11 12 15 14)  centralizer=32  sylow_2=32  class_size=144",
         "(0 8 1 9)(2 10 5 13)(3 11 7 15)(4 12 6 14)  centralizer=96  sylow_2=32  class_size=48",
         "(0 2 1 5)(3 4 7 6)(8 10 9 13)(11 12 15 14)  centralizer=128  sylow_2=128  class_size=36",
         "(0 1)(2 5)(3 7)(4 6)(8 10 9 13)(11 12 15 14)  centralizer=384  sylow_2=128  class_size=12",
         "(8 10 9 13)(11 12 15 14)  centralizer=384  sylow_2=128  class_size=12",
-    ]
-    assert run(["centralizer", "s(5)", "-p", "3", "--elt-order", "2"]) == 0
-    out, _ = out_of(capsys)
-    assert out.splitlines() == [
+    ],
+    ("s(5)", "3", "2"): [
         "(1 2)(3 4)  centralizer=8  sylow_3=1  class_size=15",
         "(3 4)  centralizer=12  sylow_3=3  class_size=10",
-    ]
+    ],
+}
+
+
+def assert_centralizer_rows(capsys):
+    for (expr, p, order), rows in CENTRALIZER_ROWS.items():
+        assert run(["centralizer", expr, "-p", p, "--elt-order", order]) == 0
+        out, _ = out_of(capsys)
+        assert out.splitlines() == rows
+
+
+def test_centralizer_builds_no_sylow_subgroup(monkeypatch, capsys):
+    # A Sylow p-subgroup of C has order p_part(|C|, p), so none is built.
+    def no_sylow(self, *args, **kwargs):
+        raise AssertionError("centralizer built a Sylow subgroup")
+
+    monkeypatch.setattr(PermGroup, "sylow_subgroup", no_sylow)
+    assert_centralizer_rows(capsys)
+
+
+def test_centralizer_builds_no_centralizer_subgroup(monkeypatch, capsys):
+    # |C(x)| = |G| / |x^G|, and the class walk yields |x^G|.
+    def no_centralizer(self, *args, **kwargs):
+        raise AssertionError("centralizer built a centralizer subgroup")
+
+    monkeypatch.setattr(PermGroup, "_centralizer_raw", no_centralizer)
+    assert_centralizer_rows(capsys)
 
 
 def test_verify_pass(capsys):

@@ -22,6 +22,7 @@ from chromarank import (
     explore,
     group_from_generators,
     hkr_rank,
+    kernels,
     p_part,
     p_power_elements,
     quaternion8,
@@ -30,7 +31,7 @@ from chromarank import (
     symmetric,
     verify_rank_identity,
 )
-from chromarank.dsl import evaluate, parse
+from chromarank.dsl import _select_centralizer, evaluate, parse
 from chromarank.group import Fingerprint, _Chain, _subgroup_from_elements, enumeration_limit
 
 from conftest import (
@@ -431,13 +432,40 @@ def test_paper_tower_is_fingerprinted_from_its_factors(monkeypatch):
     assert_factor_rule_matches_enumeration(evaluate(parse(E18432)), E18432)
 
 
+def test_paper_tower_is_enumerated_from_its_factors(monkeypatch):
+    # The 4608 group and the 18432 tower over E96 assemble their elements
+    # and element orders from their factors', so selecting E192 closes
+    # neither; the selected classes are those of test_paper_selections.
+    closed = []
+    close_group = kernels.close_group
+
+    def recording(gens, limit):
+        closed.append(limit)
+        return close_group(gens, limit)
+
+    monkeypatch.setattr(kernels, "close_group", recording)
+    memo = {}
+    assert evaluate(parse(E192), memo=memo).order() == 192
+    assert 4608 not in closed and 18432 not in closed
+    rep, size = _select_centralizer(memo[E4608], 4, 96, None)
+    assert (rep.cycle_string(), size) == ("(0 8 1 9)(2 10 5 13)(3 11 7 15)(4 12 6 14)", 48)
+    rep, size = _select_centralizer(memo[E18432], 8, 192, None)
+    assert (rep.cycle_string(), size) == (
+        "(0 16 8 24 1 17 9 25)(2 18 10 26 5 21 13 29)(3 19 11 27 7 23 15 31)"
+        "(4 20 12 28 6 22 14 30)",
+        96,
+    )
+
+
 def test_factor_rule_holds_the_limit():
     # One element short of the group's order is past the limit, whether or
-    # not a profile taken from the factors is cached.
+    # not a result taken from the factors is cached.
     queries = (
         lambda g, limit: g.class_profile(limit=limit),
         lambda g, limit: g.fingerprint(limit=limit),
         lambda g, limit: g.exponent(limit=limit),
+        lambda g, limit: g._raw_elements(limit=limit),
+        lambda g, limit: g._element_orders(limit=limit),
     )
     for text in ("prod(q8,s(3))", "wr(s(3),c(2))"):
         order = evaluate(parse(text)).order()

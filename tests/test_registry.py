@@ -1,12 +1,14 @@
 import hashlib
 import json
 import logging
+import math
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from chromarank import (
+    ChromarankError,
     ConsistencyError,
     ParseError,
     Registry,
@@ -461,6 +463,32 @@ def _multiplied_orders(profiles):
     return tuple(sorted(pairs))
 
 
+def _unturned_wreath_elements(elements, degree, n):
+    # A wrong wreath rule: h_b stays on block b whatever the top part c**j.
+    words = [()]
+    for b in range(n):
+        words = [w + tuple(x + b * degree for x in h) for w in words for h in elements]
+    return tuple(words) * n
+
+
+def _orders_without_cycle_length(original):
+    # A wrong wreath rule: orders with top part c**j, j != 0, lack the factor
+    # m = n / gcd(j, n).
+    def wrong(elements, orders, n):
+        base = len(elements) ** n
+        return tuple(
+            o if i < base else o // (n // math.gcd(i // base, n))
+            for i, o in enumerate(original(elements, orders, n))
+        )
+
+    return wrong
+
+
+# Centralizers are filtered from a group's elements, so wrong elements make
+# a non-paranoid explore fail too, but with an error that names no rule.
+UNPARANOID_FAILURES = {"_wreath_elements": "not closed"}
+
+
 @pytest.mark.parametrize(
     "owner, attr, wrong",
     [
@@ -468,14 +496,21 @@ def _multiplied_orders(profiles):
         # sizes without the factor |H|**(n - d)
         (group_mod, "_wreath_profile", lambda original: lambda prof, order, n: original(prof, 1, n)),
         (PermGroup, "_derived_order", lambda original: lambda g, limit: 2 * original(g, limit)),
+        (group_mod, "_wreath_elements", lambda original: _unturned_wreath_elements),
+        (group_mod, "_wreath_orders", _orders_without_cycle_length),
     ],
 )
 def test_explore_paranoid_mode_checks_the_factor_rule(monkeypatch, owner, attr, wrong):
-    # Products and wreaths take their fingerprints from their factors;
-    # paranoid mode compares each with the group's own class table and
-    # derived subgroup, so a wrong rule is caught, and only there.
+    # Products and wreaths take their elements, element orders and
+    # fingerprints from their factors; paranoid mode compares each with the
+    # closure of the generators, the element_order kernel, the group's own
+    # class table and derived subgroup, so a wrong rule is caught there.
     monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
-    explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1)
+    if attr in UNPARANOID_FAILURES:
+        with pytest.raises(ChromarankError, match=UNPARANOID_FAILURES[attr]):
+            explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1)
+    else:
+        explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1)
     with pytest.raises(ConsistencyError, match="from its factors is"):
         explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1, paranoid=True)
 
