@@ -339,6 +339,59 @@ def test_certify_parses_each_factor_witness_once(monkeypatch):
     assert parsed == Counter(witnesses)
 
 
+# Expressions whose certification takes in every rule, both sides of a FACTOR
+# witness, failing searches (at depth 2 and for good) and an evaluation error.
+DIGEST_WITNESSES = ("prod(c(3),d(8))", "prod(syl(3,wr(c(3),c(3))),c(2))")
+DIGEST_CASES = {
+    2: [
+        "c(4)", "s(5)", "gl(2,3)", "d(4)", "q8", "prod(d(4),c(4))", "prod(gl(2,2),s(3))",
+        "wr(gl(2,3),c(2))", "wr(wr(c(2),c(2)),c(2))", "cent(prod(s(4),s(3)),order=2,czorder=48)",
+        "cent(s(6),order=3,czorder=18)", "gl(2,2)", "d(8)", "d(32)", "cent(c(4),order=3)",
+    ],
+    3: [
+        "c(9)", "gl(2,3)", "gl(2,2)", "prod(gl(2,3),d(4))", "wr(c(3),c(3))", "wr(s(3),c(3))",
+        "wr(c(3),c(2))", "cent(wr(s(3),c(3)),order=3)", "syl(3,wr(c(3),c(3)))",
+        "prod(syl(3,wr(c(3),c(3))),syl(3,wr(c(3),c(3))))", "prod(s(3),wr(c(3),c(3)))",
+    ],
+}
+CERTIFY_DIGEST = "4c90f03cc25a3c6e4ae59ddcf39f3ce71c564d5107595e61582cae00b52ce6f5"
+
+
+def test_certify_trees_errors_and_records_match_digest(monkeypatch):
+    # Pins every tree certify returns, every error it raises, the registry
+    # records register_derivation writes and the number of search nodes.
+    # Each tree also replays on a fresh registry with the same entries.
+    nodes = []
+    real_search = registry_mod._search
+
+    def counting_search(expr, *args):
+        nodes.append(expr)
+        return real_search(expr, *args)
+
+    monkeypatch.setattr(registry_mod, "_search", counting_search)
+    digest = hashlib.sha256()
+    for p, exprs in DIGEST_CASES.items():
+        for depth in (2, 6):
+            reg = Registry.with_defaults(p)
+            for text in DIGEST_WITNESSES:
+                reg.add(entry_for(text, text, p, dsl.evaluate(dsl.parse(text)), rule="CITED"))
+            for text in exprs:
+                try:
+                    tree = certify(text, p, reg, depth=depth)
+                except ChromarankError as exc:
+                    line = f"{p} {depth} {text} error {type(exc).__name__}: {exc}"
+                else:
+                    line = f"{p} {depth} {text} " + json.dumps(tree and tree.to_record())
+                    if tree is not None:
+                        replay(tree, p, Registry(p, reg.entries))
+                        register_derivation(reg, tree, p)
+                digest.update(line.encode() + b"\n")
+            for e in reg.entries:
+                digest.update(json.dumps(e.to_record(), separators=(",", ":")).encode() + b"\n")
+    assert len(nodes) == 111
+    assert digest.hexdigest() == CERTIFY_DIGEST
+
+
 def test_certify_depth_zero_finds_nothing():
     reg = Registry.with_defaults(2)
     assert certify("s(5)", 2, reg, depth=0) is None
@@ -361,6 +414,57 @@ def test_replay_rejects_tampered_tree():
         replay(forged, 2, reg)
     with pytest.raises(ConsistencyError):
         replay(DerivationTree("s(4)", "SEED", "abelian"), 2, reg)
+
+
+def _seed(subject, axiom="abelian"):
+    return DerivationTree(subject, "SEED", axiom)
+
+
+# Trees certify can never build: each node must be a step of the rules, with
+# its detail and its premises, in rule order, as the search would give them.
+FORGED_TREES = {
+    "factor-premise-is-the-subject": DerivationTree(
+        "c(4)", "FACTOR", "witness prod(c(4),c(3))", (_seed("c(4)"),)
+    ),
+    "sylow-on-a-p-group": DerivationTree("c(4)", "SYLOW", "", (_seed("syl(2,c(4))"),)),
+    "sylow-on-a-sylow-subject": DerivationTree(
+        "syl(2,gl(2,2))", "SYLOW", "", (_seed("syl(2,syl(2,gl(2,2)))"),)
+    ),
+    "wreath-top-detail": DerivationTree(
+        "wr(gl(2,3),c(2))", "WREATH", "top c(7)", (_seed("gl(2,3)", "gl-coprime"),)
+    ),
+    "centralizer-rep-detail": DerivationTree(
+        "cent(prod(s(4),s(3)),order=2,czorder=48)",
+        "CENTRALIZER",
+        "of class rep (9 9)",
+        (
+            DerivationTree(
+                "prod(s(4),s(3))",
+                "PRODUCT",
+                "",
+                (_seed("s(4)", "symmetric"), _seed("s(3)", "symmetric")),
+            ),
+        ),
+    ),
+    "product-premises-swapped": DerivationTree(
+        "prod(gl(2,2),s(3))",
+        "PRODUCT",
+        "",
+        (
+            _seed("s(3)", "symmetric"),
+            DerivationTree("gl(2,2)", "SYLOW", "", (_seed("syl(2,gl(2,2))"),)),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("forged", FORGED_TREES.values(), ids=FORGED_TREES)
+def test_replay_rejects_steps_the_rules_do_not_allow(forged):
+    reg = Registry.with_defaults(2)
+    witness = dsl.evaluate(dsl.parse("prod(c(4),c(3))"))
+    reg.add(entry_for("prod(c(4),c(3))", "prod(c(4),c(3))", 2, witness, rule="CITED"))
+    with pytest.raises(ConsistencyError, match="the rules allow"):
+        replay(forged, 2, reg)
 
 
 def test_register_derivation_adds_all_nodes():
