@@ -845,7 +845,11 @@ def read_generator_file(path: str) -> PermGroup:
             continue
         if degree is None:
             parts = text.split()
-            if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdigit():
+            if (
+                len(parts) != 2
+                or parts[0] != "degree"
+                or not (parts[1].isascii() and parts[1].isdigit())
+            ):
                 raise ParseError(f"expected 'degree <d>' header, got {text!r}", line=no)
             degree = int(parts[1])
             if degree < 1:

@@ -30,15 +30,15 @@ class Permutation:
         if not imgs:
             raise InvalidPermutation("degree must be at least 1")
         seen = bytearray(len(imgs))
-        for i in imgs:
-            if not isinstance(i, int) or not 0 <= i < len(imgs) or seen[i]:
+        for i in imgs:  # exact type: bool is a subclass of int
+            if type(i) is not int or not 0 <= i < len(imgs) or seen[i]:
                 raise InvalidPermutation(f"not a bijection of 0..{len(imgs) - 1}: {imgs}")
             seen[i] = 1
         self.images = imgs
 
     @classmethod
     def _wrap(cls, images: tuple[int, ...]) -> "Permutation":
-        """Wrap a trusted image tuple without re-validaton."""
+        """Wrap a trusted image tuple without re-validation."""
         p = object.__new__(cls)
         p.images = images
         return p
@@ -69,7 +69,7 @@ class Permutation:
                 continue
             pts = []
             for tok in inner:
-                if not tok.isdigit():
+                if not (tok.isascii() and tok.isdigit()):
                     raise ParseError(f"bad point {tok!r} in {text!r}")
                 pts.append(int(tok))
             if len(set(pts)) != len(pts) or used & set(pts):

@@ -12,8 +12,11 @@ rule set mirrors the closure properties of the good class:
     SYLOW        Sylow p-subgroup good implies the group good
     FACTOR       product and one factor good implies the other factor good
 
-certify searches those rules backward from an expression to seed axioms;
-explore applies the forward constructions breadth-first, deduplicating by
+Each rule's hypotheses are stated once, in _steps, which yields the rule
+applications that conclude an expression is good.  certify searches those
+steps backward from an expression to seed axioms, and replay accepts a
+derivation node only when it is one of the steps for its subject.  explore
+applies the forward constructions breadth-first, deduplicating by
 fingerprint.  Matching fingerprints with contradictory statuses raise
 ConsistencyError, and a derivation for a bad-fingerprinted group is a hard
 error since the rules are theorems.
@@ -26,9 +29,8 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
 
-from . import constructors, dsl, kernels
+from . import constructors, dsl
 from .arith import is_p_power, is_prime, p_part
 from .errors import ChromarankError, ConsistencyError, ParseError, ThresholdExceeded
 from .group import Fingerprint, PermGroup, enumeration_limit, json_field
@@ -365,8 +367,9 @@ def certify(
 
 def _factor_witnesses(registry: Registry) -> list:
     """(name, ((left text, right), (right text, left))) of each good product
-    entry in registry order: the FACTOR rule's candidates.  A search adds no
-    entries, so certify parses them once, at the first node reaching FACTOR."""
+    entry in registry order: the FACTOR rule's candidates.  A search or a
+    replay adds no entries, so each parses them once per call, at the first
+    node reaching FACTOR."""
     out = []
     for entry in registry.good_entries():
         try:
@@ -379,58 +382,52 @@ def _factor_witnesses(registry: Registry) -> list:
     return out
 
 
-def _search(expr, p, registry, depth, limit, witnesses) -> DerivationTree | None:
-    if depth <= 0:
-        return None
-    text = dsl.print_expr(expr)
-
-    # SEED
+def _steps(expr, p, registry, limit, witnesses):
+    """Yield (rule, detail, premise expressions) for every rule application
+    that concludes expr is good, in RULES order: the one statement of the
+    rules' hypotheses, read by both _search and replay.  Lazy, so a search
+    that stops at a step computes nothing for the later ones."""
     group = registry._evaluate(expr, limit)
     axiom = _match_seed(expr, p, group)
     if axiom is not None:
-        return DerivationTree(text, "SEED", axiom)
-
-    # PRODUCT
+        yield "SEED", axiom, ()
     if isinstance(expr, dsl.Prod):
-        left = _search(expr.left, p, registry, depth - 1, limit, witnesses)
-        if left is not None:
-            right = _search(expr.right, p, registry, depth - 1, limit, witnesses)
-            if right is not None:
-                return DerivationTree(text, "PRODUCT", "", (left, right))
-
-    # WREATH: base wr C_p with the registry prime on top
+        yield "PRODUCT", "", (expr.left, expr.right)
+    # base wr C_p with the registry prime on top
     if isinstance(expr, dsl.Wr) and expr.n == p:
-        base = _search(expr.base, p, registry, depth - 1, limit, witnesses)
-        if base is not None:
-            return DerivationTree(text, "WREATH", f"top c({p})", (base,))
-
-    # CENTRALIZER: centralizers of p-power elements of a good group
+        yield "WREATH", f"top c({p})", (expr.base,)
+    # centralizers of p-power elements of a good group
     if isinstance(expr, dsl.Cent):
         inner_group = registry._evaluate(expr.inner, limit)
         rep, _ = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
         if is_p_power(rep.order(), p):
-            inner = _search(expr.inner, p, registry, depth - 1, limit, witnesses)
-            if inner is not None:
-                return DerivationTree(
-                    text, "CENTRALIZER", f"of class rep {rep.cycle_string()}", (inner,)
-                )
-
-    # SYLOW: good Sylow p-subgroup lifts to the group
-    if not (isinstance(expr, dsl.Syl) and expr.p == p):
-        if p_part(group.order(), p) < group.order():
-            syl_expr = dsl.Syl(p, expr)
-            sub = _search(syl_expr, p, registry, depth - 1, limit, witnesses)
-            if sub is not None:
-                return DerivationTree(text, "SYLOW", "", (sub,))
-
-    # FACTOR: a registered good product with this expression as one factor
+            yield "CENTRALIZER", f"of class rep {rep.cycle_string()}", (expr.inner,)
+    # a good Sylow p-subgroup lifts to the group
+    is_sylow = isinstance(expr, dsl.Syl) and expr.p == p
+    if not is_sylow and p_part(group.order(), p) < group.order():
+        yield "SYLOW", "", (dsl.Syl(p, expr),)
+    # a registered good product with this expression as one factor
+    text = dsl.print_expr(expr)
     for name, sides in witnesses():
         for mine, other in sides:
             if mine == text:
-                sub = _search(other, p, registry, depth - 1, limit, witnesses)
-                if sub is not None:
-                    return DerivationTree(text, "FACTOR", f"witness {name}", (sub,))
+                yield "FACTOR", f"witness {name}", (other,)
 
+
+def _search(expr, p, registry, depth, limit, witnesses) -> DerivationTree | None:
+    """The first step of _steps whose premises all have derivations within
+    depth - 1, as a tree; None when there is none."""
+    if depth <= 0:
+        return None
+    for rule, detail, premises in _steps(expr, p, registry, limit, witnesses):
+        subs = []
+        for premise in premises:
+            sub = _search(premise, p, registry, depth - 1, limit, witnesses)
+            if sub is None:
+                break
+            subs.append(sub)
+        else:
+            return DerivationTree(dsl.print_expr(expr), rule, detail, tuple(subs))
     return None
 
 
@@ -440,68 +437,30 @@ def replay(
     registry: Registry,
     limit: int | None = None,
 ) -> None:
-    """Re-check every rule application in a derivation; raises on failure."""
-    expr = dsl.parse(tree.subject)
-    if tree.rule == "SEED":
-        group = registry._evaluate(expr, limit)
-        axiom = _match_seed(expr, p, group)
-        if axiom != tree.detail:
+    """Re-check a derivation; raises ConsistencyError on failure.
+
+    Every node's rule, detail and premise subjects, in order, must be one
+    of the steps of _steps for its subject, and a SEED node's axiom entry
+    must be in the registry.
+    """
+    witnesses = functools.cache(lambda: _factor_witnesses(registry))
+    for node in tree.walk():
+        claim = (node.rule, node.detail, tuple(t.subject for t in node.premises))
+        allowed = []
+        steps = _steps(dsl.parse(node.subject), p, registry, limit, witnesses)
+        for rule, detail, premises in steps:
+            allowed.append((rule, detail, tuple(map(dsl.print_expr, premises))))
+            if allowed[-1] == claim:
+                break
+        else:
             raise ConsistencyError(
-                f"{tree.subject}: seed axiom {tree.detail!r} no longer matches"
+                f"{node.subject}: {node.rule} node {claim} is no rule step; "
+                f"the rules allow {allowed}"
             )
-        if registry.get(f"axiom:{axiom}") is None and axiom in SEED_AXIOMS:
+        if node.rule == "SEED" and registry.get(f"axiom:{node.detail}") is None:
             # Seeded registries carry the axiom entries; their absence means
             # the registry was not initialized for this prime.
-            raise ConsistencyError(f"axiom entry axiom:{axiom} missing from registry")
-        return
-    if tree.rule == "PRODUCT":
-        if not isinstance(expr, dsl.Prod) or len(tree.premises) != 2:
-            raise ConsistencyError(f"{tree.subject}: malformed PRODUCT node")
-        expected = {dsl.print_expr(expr.left), dsl.print_expr(expr.right)}
-        if {t.subject for t in tree.premises} != expected:
-            raise ConsistencyError(f"{tree.subject}: PRODUCT premises do not match factors")
-    elif tree.rule == "WREATH":
-        if (
-            not isinstance(expr, dsl.Wr)
-            or expr.n != p
-            or len(tree.premises) != 1
-            or tree.premises[0].subject != dsl.print_expr(expr.base)
-        ):
-            raise ConsistencyError(f"{tree.subject}: malformed WREATH node")
-    elif tree.rule == "CENTRALIZER":
-        if (
-            not isinstance(expr, dsl.Cent)
-            or len(tree.premises) != 1
-            or tree.premises[0].subject != dsl.print_expr(expr.inner)
-        ):
-            raise ConsistencyError(f"{tree.subject}: malformed CENTRALIZER node")
-        inner_group = registry._evaluate(expr.inner, limit)
-        rep, _ = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
-        if not is_p_power(rep.order(), p):
-            raise ConsistencyError(
-                f"{tree.subject}: selected class has order {rep.order()}, not a {p}-power"
-            )
-    elif tree.rule == "SYLOW":
-        if len(tree.premises) != 1 or tree.premises[0].subject != dsl.print_expr(
-            dsl.Syl(p, expr)
-        ):
-            raise ConsistencyError(f"{tree.subject}: malformed SYLOW node")
-    elif tree.rule == "FACTOR":
-        if len(tree.premises) != 1 or not tree.detail.startswith("witness "):
-            raise ConsistencyError(f"{tree.subject}: malformed FACTOR node")
-        witness = registry.get(tree.detail.removeprefix("witness "))
-        if witness is None or witness.status != "good" or witness.expr is None:
-            raise ConsistencyError(f"{tree.subject}: FACTOR witness missing or not good")
-        parsed = dsl.parse(witness.expr)
-        if not isinstance(parsed, dsl.Prod):
-            raise ConsistencyError(f"{tree.subject}: FACTOR witness is not a product")
-        sides = {dsl.print_expr(parsed.left), dsl.print_expr(parsed.right)}
-        if tree.subject not in sides or tree.premises[0].subject not in sides:
-            raise ConsistencyError(f"{tree.subject}: FACTOR sides do not line up")
-    else:
-        raise ConsistencyError(f"{tree.subject}: unknown rule {tree.rule!r}")
-    for premise in tree.premises:
-        replay(premise, p, registry, limit)
+            raise ConsistencyError(f"axiom entry axiom:{node.detail} missing from registry")
 
 
 def register_derivation(
@@ -573,9 +532,9 @@ def _register_candidate(
 
     Counts the candidate in tally under its rule, and a fingerprint
     duplicate under "duplicate".  In paranoid mode, a PRODUCT or WREATH
-    candidate, whose elements, element orders and fingerprint come from
-    its factors, is also checked against the closure of its generators,
-    the kernel's element orders, its own class table and derived subgroup.
+    candidate, whose order, elements, element orders and fingerprint come
+    from its factors, is also checked against a copy of it with no record
+    of its factors (_check_factor_rule).
     """
     tally[rule] += 1
     try:
@@ -584,7 +543,7 @@ def _register_candidate(
         log.info("explore: skipping %s: %s", name, exc)
         return None
     if paranoid and rule in ("PRODUCT", "WREATH"):
-        _check_factor_rule(name, group, fp, limit)
+        _check_factor_rule(name, group, limit)
     bad = registry.bad_match(fp)
     if bad is not None:
         raise ConsistencyError(f"constructed good group {name!r} matches bad entry {bad.name!r}")
@@ -622,39 +581,38 @@ def _register_candidate(
     return entry
 
 
-def _check_factor_rule(name: str, group: PermGroup, fp: Fingerprint, limit) -> None:
-    """Raise ConsistencyError when the elements, element orders, class
-    profile or derived order a group took from its factors differ from the
-    ones enumeration gives.  The elements are checked first, since the
-    class table is walked over them."""
-    elements = group._raw_elements(limit)
-    closed = tuple(kernels.close_group(list(group._raw), group.order()) or ())
-    if closed != elements:
-        i, (ruled, enumerated) = next(
-            (i, pair) for i, pair in enumerate(zip_longest(elements, closed)) if pair[0] != pair[1]
-        )
+# What a recorded product or wreath takes from its factors, each checked
+# against the same query on a copy of the group with no record of them.
+_FACTOR_FACTS = (
+    ("order", lambda g, limit: g.order()),
+    ("element", lambda g, limit: g._raw_elements(limit)),
+    ("order of element", lambda g, limit: g._element_orders(limit)),
+    ("class profile", lambda g, limit: g.class_profile(limit)),
+    ("derived order", lambda g, limit: g._derived_order(limit)),
+)
+
+
+def _check_factor_rule(name: str, group: PermGroup, limit) -> None:
+    """Raise ConsistencyError when a fact a group took from its factors
+    differs from the one the copy PermGroup(group.degree, group.generators)
+    gives: its order (stabilizer chain), sorted elements (closure), their
+    orders (kernel), class profile (its own class table) and derived order
+    (derived subgroup).  They are compared in that order, since each is read
+    from the ones before; per-element facts name the first differing index."""
+    plain = PermGroup(group.degree, group.generators)
+    for fact, query in _FACTOR_FACTS:
+        ruled, enumerated = query(group, limit), query(plain, limit)
+        if ruled == enumerated:
+            continue
+        if fact in ("element", "order of element"):
+            pairs = enumerate(zip(ruled, enumerated))
+            i = next((i for i, (a, b) in pairs if a != b), None)
+            if i is None:
+                fact, ruled, enumerated = f"{fact} count", len(ruled), len(enumerated)
+            else:
+                fact, ruled, enumerated = f"{fact} {i}", ruled[i], enumerated[i]
         raise ConsistencyError(
-            f"element {i} of {name!r} from its factors is {ruled}, "
-            f"the closure of its generators gives {enumerated}"
-        )
-    kernel_orders = map(kernels.element_order, elements)
-    for t, o, k in zip(elements, group._element_orders(limit), kernel_orders):
-        if o != k:
-            raise ConsistencyError(
-                f"order of {t} in {name!r} from its factors is {o}, the kernel gives {k}"
-            )
-    ruled = group.class_profile(limit)
-    enumerated = group.conjugacy_classes(limit).profile()
-    if ruled != enumerated:
-        raise ConsistencyError(
-            f"class profile of {name!r} from its factors is {list(ruled)}, "
-            f"its class table gives {list(enumerated)}"
-        )
-    derived = group.derived_subgroup(limit).order()
-    if fp.derived_order != derived:
-        raise ConsistencyError(
-            f"derived order of {name!r} from its factors is {fp.derived_order}, "
-            f"its derived subgroup has order {derived}"
+            f"{fact} of {name!r} from its factors is {ruled}, its generators give {enumerated}"
         )
 
 

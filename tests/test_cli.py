@@ -134,6 +134,26 @@ def test_parse_error_exit_2(capsys):
     assert "offset 8" in err
 
 
+def test_superscript_digit_in_an_expression_exit_2(capsys):
+    # "²".isdigit() holds, but int() rejects it: only 0-9 are digits.
+    assert run(["order", "c(²)"]) == 2
+    _, err = out_of(capsys)
+    assert err.startswith("error:") and "offset 2" in err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("degree 2\n(0 ¹)\n", "line 2"), ("degree ³\n(0 1)\n", "line 1")],
+    ids=["point", "degree"],
+)
+def test_superscript_digit_in_a_generator_file_exit_2(tmp_path, capsys, text, line):
+    path = tmp_path / "gens.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(["order", f'ingest("{path}")']) == 2
+    _, err = out_of(capsys)
+    assert err.startswith("error:") and line in err
+
+
 def test_threshold_exit_3(capsys):
     assert run(["rank", "s(12)", "-p", "2", "-n", "1"]) == 3
     _, err = out_of(capsys)

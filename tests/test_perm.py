@@ -36,6 +36,14 @@ def test_validation_rejects_non_bijections():
         Permutation(())
 
 
+def test_validation_rejects_bool_entries():
+    # bool is a subclass of int, and True == 1, yet it is no point.
+    with pytest.raises(InvalidPermutation):
+        Permutation([True, False])
+    with pytest.raises(InvalidPermutation):
+        Permutation((0, True, 2))
+
+
 def test_compose_order_is_left_to_right():
     a = Permutation.from_cycles("(0 1 2)", degree=3)
     b = Permutation.from_cycles("(0 1)", degree=3)

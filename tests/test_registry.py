@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -616,6 +617,23 @@ def test_explore_paranoid_mode_checks_the_factor_rule(monkeypatch, owner, attr, 
     else:
         explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1)
     with pytest.raises(ConsistencyError, match="from its factors is"):
+        explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1, paranoid=True)
+
+
+def test_explore_paranoid_mode_checks_the_recorded_order(monkeypatch):
+    # A wrong order recorded for products and wreaths: nothing else reads it
+    # against the generators, so only paranoid mode sees that it is twice
+    # the order of the group they generate.
+    record_factors = PermGroup._record_factors
+
+    def doubled(self, factors, n=None):
+        record_factors(self, factors, n)
+        self._cache["order"] *= 2
+        return self
+
+    monkeypatch.setattr(PermGroup, "_record_factors", doubled)
+    explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1)
+    with pytest.raises(ConsistencyError, match=re.escape("order of 'wr(c(1),c(3))' from its factors is 6")):
         explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1, paranoid=True)
 
 
