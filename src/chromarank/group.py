@@ -318,8 +318,12 @@ class PermGroup:
         return self.contains(p)
 
     def is_abelian(self) -> bool:
-        raw = self._raw
-        return all(kernels.commutes(a, b) for i, a in enumerate(raw) for b in raw[i + 1 :])
+        cached = self._cache.get("abelian")
+        if cached is None:
+            raw = self._raw
+            cached = all(kernels.commutes(a, b) for i, a in enumerate(raw) for b in raw[i + 1 :])
+            self._cache["abelian"] = cached
+        return cached
 
     # -- enumeration-backed queries -------------------------------------------
 

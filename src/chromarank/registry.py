@@ -402,9 +402,9 @@ def _steps(expr, p, registry, limit, witnesses):
         rep, _ = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
         if is_p_power(rep.order(), p):
             yield "CENTRALIZER", f"of class rep {rep.cycle_string()}", (expr.inner,)
-    # a good Sylow p-subgroup lifts to the group
-    is_sylow = isinstance(expr, dsl.Syl) and expr.p == p
-    if not is_sylow and p_part(group.order(), p) < group.order():
+    # a good Sylow p-subgroup lifts to the group; syl(p, X) is a p-group,
+    # so this never offers SYLOW on one
+    if p_part(group.order(), p) < group.order():
         yield "SYLOW", "", (dsl.Syl(p, expr),)
     # a registered good product with this expression as one factor
     text = dsl.print_expr(expr)

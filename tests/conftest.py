@@ -266,9 +266,28 @@ def wreath_4608():
 KERNELS_C_SOURCE = Path(__file__).resolve().parents[1] / "src" / "chromarank" / "_kernels_c.c"
 
 
+def compile_kernels_c(target, *flags):
+    """Compile the hand-written _kernels_c.c into target with gcc and the given flags.
+
+    Skips the calling test only when no C compiler or no Python headers are
+    present; returns the finished compiler process.
+    """
+    cc = shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    include = sysconfig.get_paths()["include"]
+    if not (Path(include) / "Python.h").exists():
+        pytest.skip("no Python headers")
+    return subprocess.run(
+        [cc, *flags, f"-I{include}", str(KERNELS_C_SOURCE), "-o", str(target)],
+        capture_output=True,
+        text=True,
+    )
+
+
 @pytest.fixture(scope="session")
 def kernels_c(tmp_path_factory):
-    """The compiled kernels: the installed extension, else the shipped .c built here.
+    """The compiled kernels: the installed extension, else _kernels_c.c built here.
 
     The build goes to a temporary directory and the module is not registered
     in sys.modules, so the backend that chromarank.kernels picked stays as it
@@ -280,20 +299,10 @@ def kernels_c(tmp_path_factory):
         return _kernels_c
     except ImportError:
         pass
-    cc = shutil.which("gcc")
-    if cc is None:
-        pytest.skip("no C compiler")
-    include = sysconfig.get_paths()["include"]
-    if not (Path(include) / "Python.h").exists():
-        pytest.skip("no Python headers")
     target = tmp_path_factory.mktemp("kernels_c") / (
         "_kernels_c" + sysconfig.get_config_var("EXT_SUFFIX")
     )
-    build = subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", f"-I{include}", str(KERNELS_C_SOURCE), "-o", str(target)],
-        capture_output=True,
-        text=True,
-    )
+    build = compile_kernels_c(target, "-O2", "-shared", "-fPIC")
     if build.returncode != 0:
         pytest.fail(f"building {KERNELS_C_SOURCE.name} failed:\n{build.stderr}")
     spec = importlib.util.spec_from_file_location("chromarank._kernels_c", target)

@@ -526,6 +526,25 @@ def test_threshold_exceeded():
     assert symmetric(12).order() == math.factorial(12)
 
 
+def test_is_abelian_is_cached(corpus, monkeypatch):
+    calls = []
+    commutes = kernels.commutes
+
+    def counting(a, b):
+        calls.append((a, b))
+        return commutes(a, b)
+
+    monkeypatch.setattr(kernels, "commutes", counting)
+    for name, want in (("C_2xC_4", True), ("S_4", False)):
+        group = PermGroup(corpus[name].degree, corpus[name].generators)
+        assert group.is_abelian() is want
+        first = len(calls)
+        assert first > 0
+        assert group.is_abelian() is want
+        assert len(calls) == first, name
+        calls.clear()
+
+
 def test_limit_holds_on_cached_results():
     queries = (
         lambda g, limit: g.elements(limit=limit),

@@ -1,12 +1,12 @@
 """The pure kernels against brute-force oracles, and the compiled ones against the pure ones.
 
 The compiled kernels come from the kernels_c fixture (conftest.py): the
-installed extension, or else the shipped _kernels_c.c built for the session.
+installed extension, or else the hand-written _kernels_c.c built for the session.
 """
 
+import math
 import os
 import random
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +17,7 @@ from chromarank import PermGroup, _kernels_py, abelian, kernels
 
 from conftest import (
     CORPUS_BUILDERS,
-    KERNELS_C_SOURCE,
+    compile_kernels_c,
     o_centralizer,
     o_close,
     o_compose,
@@ -161,33 +161,37 @@ def test_close_group_at_the_limit():
 # -- compiled kernels ----------------------------------------------------------
 
 
-def test_shipped_c_quotes_the_current_pyx():
-    # Cython quotes each .pyx line it compiles, with its line number and two
-    # lines of context on either side, marking the line itself.
-    mark = "             # <<<<<<<<<<<<<<"
-    pyx = KERNELS_C_SOURCE.with_suffix(".pyx").read_text().splitlines()
-    c_lines = KERNELS_C_SOURCE.read_text().splitlines()
-    quotes = 0
-    stale = []
-    for i, line in enumerate(c_lines):
-        header = re.fullmatch(r'\s*/\* "chromarank/_kernels_c\.pyx":(\d+)', line)
-        if header is None:
-            continue
-        quotes += 1
-        block = []
-        for text in c_lines[i + 1 :]:
-            if text == "*/":
-                break
-            block.append(text[3:] if text.startswith(" * ") else text[2:])
-        marked = [j for j, text in enumerate(block) if text.endswith(mark)]
-        assert len(marked) == 1, f"no single marked line in the quote at line {i + 1}"
-        first = int(header.group(1)) - 1 - marked[0]
-        for j, text in enumerate(block):
-            want = pyx[first + j] if 0 <= first + j < len(pyx) else None
-            if want is None or text.removesuffix(mark).rstrip() != want.rstrip():
-                stale.append((i + 1, first + j + 1, text))
-    assert quotes > 0
-    assert stale == []
+KERNEL_NAMES = (
+    "compose",
+    "inverse",
+    "conjugate",
+    "commutes",
+    "element_order",
+    "close_group",
+    "conjugacy_orbit",
+    "tuple_orbit",
+    "centralizer_filter",
+    "normalizer_filter",
+)
+
+
+def test_kernels_c_compiles_without_warnings(tmp_path):
+    build = compile_kernels_c(
+        tmp_path / "_kernels_c.o", "-Wall", "-Wextra", "-Werror", "-O2", "-fPIC", "-c"
+    )
+    assert build.returncode == 0, build.stderr
+
+
+def test_compiled_module_exposes_the_pure_names(kernels_c):
+    # The names _kernels_py defines, not the ones it imports (lcm, itemgetter).
+    pure = {
+        name
+        for name, value in vars(_kernels_py).items()
+        if not name.startswith("_")
+        and getattr(value, "__module__", _kernels_py.__name__) == _kernels_py.__name__
+    }
+    assert pure == {"BACKEND", *KERNEL_NAMES}
+    assert {name for name in vars(kernels_c) if not name.startswith("_")} == pure
 
 
 @given(raw_perm, raw_perm)
@@ -235,3 +239,65 @@ def test_filters_equivalent(kernels_c):
     assert kernels_c.normalizer_filter(elems, sub_gens, sub) == _kernels_py.normalizer_filter(
         elems, sub_gens, sub
     )
+
+
+def test_element_order_equivalent_past_64_bits(kernels_c):
+    # Cycles of the prime lengths 2..59 on 440 points: the order is their
+    # product, about 1.9e21.  A 4-cycle after them doubles it once the order
+    # is already past 2**64.
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    perm = []
+    for length in primes + [4]:
+        base = len(perm)
+        perm += [base + (i + 1) % length for i in range(length)]
+    primorial = tuple(perm[:440])
+    assert math.prod(primes) == 1922760350154212639070
+    assert kernels_c.element_order(primorial) == _kernels_py.element_order(primorial)
+    assert _kernels_py.element_order(primorial) == math.prod(primes)
+    assert kernels_c.element_order(tuple(perm)) == _kernels_py.element_order(tuple(perm))
+    assert _kernels_py.element_order(tuple(perm)) == 2 * math.prod(primes)
+
+
+# Per kernel, arguments with an image outside 0..degree-1 and with a
+# permutation whose length is not the degree of the call.
+BAD_ARGUMENTS = {
+    "compose": [((3, 0), (0, 1)), ((0, 1, 2), (0, 1))],
+    "inverse": [((3, 0),)],
+    "conjugate": [((0, 1), (3, 0)), ((0, 1, 2), (0, 1))],
+    "commutes": [((3, 0), (0, 1)), ((0, 1), (0, 1, 2))],
+    "element_order": [((3, 0),)],
+    "close_group": [([(3, 0)], 10), ([(0, 1, 2), (0, 1)], 10)],
+    "conjugacy_orbit": [((0, 1), [(3, 0)]), ((0, 1, 2), [(0, 1)])],
+    "tuple_orbit": [(((3, 0),), [(0, 1)]), (((0, 1),), [(0, 1, 2)])],
+    "centralizer_filter": [([(3, 0)], [(0, 1)]), ([(0, 1)], [(0, 1, 2)])],
+    "normalizer_filter": [([(0, 1)], [(3, 0)], [(0, 1)]), ([(0, 1)], [(0, 1)], [(0, 1, 2)])],
+}
+
+BAD_ARGUMENTS_SCRIPT = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("chromarank._kernels_c", sys.argv[1])
+kernels_c = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kernels_c)
+for name, calls in {calls!r}.items():
+    for args in calls:
+        print(name, args, end=" -> ", flush=True)
+        try:
+            print("returned", getattr(kernels_c, name)(*args))
+        except ValueError:
+            print("ValueError")
+"""
+
+
+def test_compiled_kernels_reject_bad_arguments(kernels_c):
+    # In a child process, so that a read out of bounds that crashes the
+    # interpreter fails this test instead of ending the run.
+    assert set(BAD_ARGUMENTS) == set(KERNEL_NAMES)
+    proc = subprocess.run(
+        [sys.executable, "-c", BAD_ARGUMENTS_SCRIPT.format(calls=BAD_ARGUMENTS), kernels_c.__file__],
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0, (proc.returncode, lines, proc.stderr)
+    assert len(lines) == sum(map(len, BAD_ARGUMENTS.values()))
+    assert all(line.endswith(" -> ValueError") for line in lines), lines
