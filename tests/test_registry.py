@@ -703,6 +703,22 @@ def test_explore_registry_bytes_match_digest(tmp_path, bound):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPLORE_P3_DIGESTS[bound]
 
 
+# sha256 of the registry file that explore at p=2, default depth 3, to order
+# 512 writes from the README's certify -p 2 "wr(gl(2,3),c(2))" registry.
+# Written by the implementation that filtered every centralizer of a product
+# or wreath from the group's own elements; 108 entries.
+EXPLORE_P2_DIGEST = "0a1c5cdeba0854cd1f7ed2f47ab8e6aa89b6aa6f2976959c480d7c24d8e11498"
+
+
+def test_explore_p2_registry_bytes_match_digest(tmp_path):
+    reg = seeded_registry(2, ["wr(gl(2,3),c(2))"])
+    explore(reg, 2, 512)
+    path = tmp_path / "reg.jsonl"
+    reg.save(str(path))
+    assert len(reg.entries) == 108
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPLORE_P2_DIGEST
+
+
 def test_explore_expands_each_entry_once(monkeypatch):
     # A wreath or a centralizer tried in an earlier round could only find a
     # fingerprint duplicate again, so no entry is wreathed or expanded twice.
