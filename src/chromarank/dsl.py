@@ -278,7 +278,7 @@ def _select_centralizer(group: PermGroup, order: int, czorder: int | None, limit
     the lex-least rep of the given element order (and, when given,
     centralizer order).
 
-    Walks only the classes of that element order (PermGroup._classes), so
+    Reads only the classes of that element order (PermGroup._classes), so
     no class table is built, and builds no subgroup: |C_G(x)| is read as
     |G| / |x^G|.  The selection is cached on the group; a failed one is not.
     """

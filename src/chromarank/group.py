@@ -9,8 +9,11 @@ fingerprints only run below a configurable order limit (the default is
 of a direct product or cyclic wreath product recorded by its constructor
 come from its factors', with no chain or enumeration of the group itself;
 its sorted elements and their orders are assembled from its factors'
-elements and orders, with no closure, sort or element_order kernel call.
-Closure of the generators enumerates every other group, and stays the
+elements and orders, with no closure, sort or element_order kernel call;
+its class table is read from its factors' class tables, with no class
+walk; and its centralizers are built from its factors' elements and
+centralizers, with no filtering of its own elements.  Closure, the class
+walk and centralizer_filter serve every other group, and stay the
 independent check of the factor rules (registry paranoid mode, tests).
 """
 
@@ -21,8 +24,9 @@ import os
 import weakref
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import chain, compress, product
 from math import gcd, lcm, prod
+from operator import itemgetter
 
 from . import kernels
 from .arith import is_p_power, is_prime, p_part
@@ -397,7 +401,7 @@ class PermGroup:
         return lcm(*(o for o, _ in self.class_profile(limit)))
 
     def conjugacy_classes(self, limit: int | None = None) -> ConjClassTable:
-        """Orbits of the conjugation action via generator-conjugation closure."""
+        """The conjugacy classes, one row per class from _classes."""
         return self._cached("classes", limit, lambda: self._class_table(limit))
 
     def _class_table(self, limit: int | None) -> ConjClassTable:
@@ -407,13 +411,30 @@ class PermGroup:
     def _classes(self, limit: int | None, order: int | None = None):
         """Yield (rep, size, element order) per conjugacy class, in rep order.
 
-        Each rep is the least element of its class, since the elements are
-        walked in sorted order.  With order given, only the elements of that
-        order are walked, read from _element_orders: a class of the wanted
-        order is still first reached at its least member, which has the same
-        order as every other member.  Without it, the order of each rep is
-        computed alone, so a full table costs one kernel call per class.
+        Each rep is the least element of its class.  A recorded direct
+        product or wreath reads its classes from its factors' class tables
+        (see _product_classes and _wreath_classes).  Any other group walks
+        its elements in sorted order, so each class is first reached at its
+        least member.  With order given, only the classes of that element
+        order are yielded; the walk then visits only the elements of that
+        order, read from _element_orders.  Without it, the walk computes the
+        order of each rep alone, so a full table costs one kernel call per
+        class.
         """
+        record = self._cache.get("factors")
+        if record is not None:
+            self._check_limit(limit)
+            factors, n = record
+            if n is None:
+                tables = [(f.degree, f.conjugacy_classes(limit)) for f in factors]
+                rows = _product_classes(tables, order)
+            else:
+                (base,) = factors
+                table = base.conjugacy_classes(limit)
+                rows = _wreath_classes(table, base.order(), base.degree, n, order)
+            for t, size, o in rows:
+                yield Permutation._wrap(t), size, o
+            return
         # A dict, not a set: on CPython a set of all |G| elements takes more memory.
         seen: dict[tuple[int, ...], None] = {}
         raw_gens = self._raw
@@ -435,10 +456,11 @@ class PermGroup:
 
         The order is stored now, as prod |factor| or |H|**n * n, so no
         stabilizer chain is built for it.  The sorted elements, their orders,
-        class_profile and the derived order of fingerprint are computed from
-        the factors (see _close, _orders, _profile and _derived_order), and
-        every other query is answered from those elements and the generators
-        as for any group.
+        the conjugacy classes, class_profile, centralizers and the derived
+        order of fingerprint are computed from the factors (see _close,
+        _orders, _classes, _profile, _centralizer_elements and
+        _derived_order), and every other query is answered from those and
+        the generators as for any group.
         """
         self._cache["factors"] = (factors, n)
         if n is None:
@@ -447,6 +469,11 @@ class PermGroup:
             (base,) = factors
             self._cache["order"] = base.order() ** n * n
         return self
+
+    def recorded_factors(self) -> tuple[tuple["PermGroup", ...], int | None] | None:
+        """(factors, n) as given to _record_factors, or None for a group
+        with no record of its construction."""
+        return self._cache.get("factors")
 
     def class_profile(self, limit: int | None = None) -> tuple[tuple[int, int], ...]:
         """Sorted (element order, class size) pairs, one per conjugacy class."""
@@ -494,31 +521,53 @@ class PermGroup:
     def _centralizer_raw(self, raw_targets, limit: int | None = None) -> "PermGroup":
         """Centralizer of raw permutations, one group per distinct element set.
 
-        The filtered elements are sorted, since _raw_elements is, so they
-        are an exact key into the intern table: equal centralizers come
-        back as one object, which computes its class table, fingerprint and
-        ranks once.  The element tuple is memoized per target tuple; it is
-        kept rather than the group, because a centralizer can be the group
-        itself, and a group in its own cache is a reference cycle.
+        Its elements (_centralizer_elements) are sorted, so they are an
+        exact key into the intern table: equal centralizers come back as one
+        object, which computes its class table, fingerprint and ranks once.
+        The element tuple is memoized per target tuple; it is kept rather
+        than the group, because a centralizer can be the group itself, and a
+        group in its own cache is a reference cycle.
         """
         self._check_limit(limit)
-        key = ("centralizer", tuple(raw_targets))
-        elements = self._cache.get(key)
-        if elements is None:
-            elements = tuple(
-                kernels.centralizer_filter(list(self._raw_elements(limit)), list(raw_targets))
-            )
+        targets = tuple(raw_targets)
+        elements = self._centralizer_elements(targets, limit)
         table = self._intern_table()
         sub = table.get(elements)
         if sub is None:
             sub = _subgroup_from_elements(self.degree, elements)
             sub._cache["intern"] = weakref.ref(table)
             table[sub._cache["elements_raw"]] = sub
-        self._cache[key] = sub._cache["elements_raw"]
+        self._cache[("centralizer", targets)] = sub._cache["elements_raw"]
         return sub
 
+    def _centralizer_elements(self, targets: tuple, limit: int | None):
+        """Sorted elements commuting with every target, read from the memo
+        _centralizer_raw fills when it holds them.
+
+        A recorded direct product or wreath builds the centralizer of the
+        first target from its factors (_product_centralizer,
+        _wreath_centralizer) and filters that by the other targets; any
+        other group filters its own elements.
+        """
+        elements = self._cache.get(("centralizer", targets))
+        if elements is not None:
+            return elements
+        record = self._cache.get("factors")
+        if record is None or not targets:
+            return tuple(kernels.centralizer_filter(list(self._raw_elements(limit)), list(targets)))
+        factors, n = record
+        first, rest = targets[0], list(targets[1:])
+        if n is None:
+            elements = _product_centralizer(factors, first, limit)
+        else:
+            (base,) = factors
+            elements = _wreath_centralizer(base, n, first, limit)
+        if rest:
+            elements = tuple(kernels.centralizer_filter(list(elements), rest))
+        return elements
+
     def centralizer(self, targets: Iterable[Permutation], limit: int | None = None) -> "PermGroup":
-        """Centralizer of a set of elements, by elementwise filtering."""
+        """Centralizer of a set of elements (see _centralizer_elements)."""
         tt = tuple(targets)
         for t in tt:
             if not isinstance(t, Permutation):
@@ -671,32 +720,84 @@ def _product_profile(profiles) -> tuple[tuple[int, int], ...]:
 
 
 def _wreath_profile(profile, base_order: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Class profile of H wr C_n from H's profile and order.
+    """Class profile of H wr C_n from H's profile and order: the order and
+    size of each class _wreath_words describes."""
+    return tuple(
+        sorted(
+            (
+                lcm(*(m * profile[i][0] for i in word)),
+                turns * base_order ** (n - len(word)) * prod(profile[i][1] for i in word),
+            )
+            for _, m, word, turns in _wreath_words(len(profile), n)
+        )
+    )
+
+
+def _wreath_words(classes: int, n: int):
+    """Yield (j, m, word, turns) per conjugacy class of H wr C_n, for an H
+    with the given number of classes.
 
     James and Kerber, The Representation Theory of the Symmetric Group,
     4.2.  An element with top part the j-th power of the block cycle has
     d = gcd(j, n) cycles of m = n / d blocks each, and its class is fixed
     by the classes (c_1, ..., c_d) of its d cycle products up to rotation
-    by C_d.  One rotation orbit of length r gives one class, of element
-    order lcm(m * o(c_i)) and size r * |H|**(n - d) * prod |c_i|.
+    by C_d.  word is the least rotation of those class indices, and turns
+    the number of its distinct rotations.  The class has element order
+    lcm(m * o(c_i)) and size turns * |H|**(n - d) * prod |c_i|.
     """
-    out = []
     for j in range(n):
         d = gcd(j, n)
-        m = n // d
-        scale = base_order ** (n - d)
-        for word in product(range(len(profile)), repeat=d):
-            turns = {word[i:] + word[:i] for i in range(d)}
-            if word != min(turns):
-                continue
-            classes = [profile[i] for i in word]
-            out.append(
-                (
-                    lcm(*(m * o for o, _ in classes)),
-                    len(turns) * scale * prod(size for _, size in classes),
-                )
-            )
-    return tuple(sorted(out))
+        for word in product(range(classes), repeat=d):
+            rotations = {word[i:] + word[:i] for i in range(d)}
+            if word == min(rotations):
+                yield j, n // d, word, len(rotations)
+
+
+def _product_classes(tables, order: int | None) -> list:
+    """Sorted (rep, size, element order) rows of a direct product's classes
+    of the given element order (all when None), from (degree, class table)
+    of each factor, in order.
+
+    A class of G x H is a pair of classes: its least element is x + y
+    shifted by deg G, for the least elements x and y of the two classes,
+    since G's points come first.  Its size is the product of the sizes and
+    its element order the lcm of the orders.
+    """
+    rows = [((), 1, 1)]
+    offset = 0
+    for degree, table in tables:
+        shifted = [
+            (tuple(map(offset.__add__, rep.images)), size, o)
+            for rep, size, o in zip(table.reps, table.sizes, table.orders)
+        ]
+        rows = [(x + y, a * b, lcm(c, e)) for x, a, c in rows for y, b, e in shifted]
+        offset += degree
+    return sorted(row for row in rows if order is None or row[2] == order)
+
+
+def _wreath_classes(table, base_order: int, degree: int, n: int, order: int | None) -> list:
+    """Sorted (rep, size, element order) rows of the classes of H wr C_n of
+    the given element order (all when None), from H's class table, order
+    and degree.
+
+    The least element of the class _wreath_words gives as (j, m, word) has
+    top part c**j, h_b the identity for b < n - d, and h_(n-d+i) the least
+    element of H's class word[i]: the identity is H's least element, and
+    the last d blocks meet each of the d block cycles once.
+    """
+    reps = [rep.images for rep in table.reps]
+    identity = tuple(range(degree))
+    rows = []
+    for j, m, word, turns in _wreath_words(len(reps), n):
+        o = lcm(*(m * table.orders[i] for i in word))
+        if order is not None and o != order:
+            continue
+        d = len(word)
+        base = [identity] * (n - d) + [reps[i] for i in word]
+        rep = tuple(x + (b + j) % n * degree for b, h in enumerate(base) for x in h)
+        size = turns * base_order ** (n - d) * prod(table.sizes[i] for i in word)
+        rows.append((rep, size, o))
+    return sorted(rows)
 
 
 def _product_elements(factors) -> tuple[tuple[int, ...], ...]:
@@ -771,6 +872,77 @@ def _wreath_orders(elements, orders, n: int) -> tuple[int, ...]:
                     x = kernels.compose(x, word[b])
                 o = lcm(o, orders[index[x]])
             out.append(m * o)
+    return tuple(out)
+
+
+def _product_centralizer(factors, z: tuple[int, ...], limit: int | None):
+    """Sorted elements of the centralizer of z in the direct product of
+    factors: C(x, y) = C_G(x) x C_H(y), for z = x + y shifted by deg G."""
+    parts = []
+    offset = 0
+    for f in factors:
+        piece = tuple(v - offset for v in z[offset : offset + f.degree])
+        parts.append((f.degree, f._centralizer_elements((piece,), limit)))
+        offset += f.degree
+    return _product_elements(parts)
+
+
+def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: int | None):
+    """Sorted elements of the centralizer of z in H wr C_n, for H = base.
+
+    Write z = (h; c**j) and an element k = (k; c**t), as in
+    _wreath_elements.  z then k sends block b to block b + j + t by
+    h_b k_(b+j), and k then z by k_b h_(b+t), so k commutes with z exactly
+    when k_(b+j) = h_b**-1 k_b h_(b+t) for every b, products left to
+    right.  On each cycle b, b + j, ... of the shift by j, the value y at
+    the cycle's start fixes every other value by that recurrence, and is
+    kept when the recurrence returns to y.  The centralizer elements with
+    top part c**t are the products of the kept values over the cycles, so
+    the cost is about n |H| compositions per t, where filtering the group
+    costs n |H|**n.
+
+    They come out sorted with no sort: an element with top part c**t sends
+    point 0 into block t, so t comes first; and blocks 0, ..., d-1 are the
+    starts of cycles 0, ..., d-1, whose kept values are scanned in H's
+    sorted order, so the product over the cycles, cycle 0 outermost, runs
+    in the order of those first d blocks.
+    """
+    degree = base.degree
+    elements = base._raw_elements(limit)
+    j = z[0] // degree
+    h = [
+        tuple(v - (b + j) % n * degree for v in z[b * degree : (b + 1) * degree])
+        for b in range(n)
+    ]
+    h_inv = [kernels.inverse(x) for x in h]
+    d = gcd(j, n)
+    m = n // d
+    cycles = [[(r + s * j) % n for s in range(m)] for r in range(d)]
+    # Cycle r holds blocks r, r + d, ..., r + (m-1)d.  The products below
+    # list the blocks cycle by cycle; when that is not block order, one
+    # getter per element puts block b, at place (b mod d) m + b div d,
+    # back in its place.
+    reorder = None
+    if 1 < d < n:
+        places = [(b % d * m + b // d) * degree for b in range(n)]
+        reorder = itemgetter(*(place + i for place in places for i in range(degree)))
+    out = []
+    for t in range(n):
+        words = None
+        for r, cycle in enumerate(cycles):
+            offsets = [(b + t) % n * degree for b in range(r, n, d)]
+            kept = []
+            for y in elements:
+                k = y
+                values = [None] * m
+                for b in cycle:
+                    values[b // d] = k
+                    k = kernels.compose(kernels.compose(h_inv[b], k), h[(b + t) % n])
+                if k == y:
+                    shifted = (map(o.__add__, v) for o, v in zip(offsets, values))
+                    kept.append(tuple(chain.from_iterable(shifted)))
+            words = kept if words is None else [w + v for w in words for v in kept]
+        out.extend(words if reorder is None else map(reorder, words))
     return tuple(out)
 
 

@@ -30,7 +30,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 
-from . import constructors, dsl
+from . import constructors, dsl, kernels
 from .arith import is_p_power, is_prime, p_part
 from .errors import ChromarankError, ConsistencyError, ParseError, ThresholdExceeded
 from .group import Fingerprint, PermGroup, enumeration_limit, json_field
@@ -532,9 +532,9 @@ def _register_candidate(
 
     Counts the candidate in tally under its rule, and a fingerprint
     duplicate under "duplicate".  In paranoid mode, a PRODUCT or WREATH
-    candidate, whose order, elements, element orders and fingerprint come
-    from its factors, is also checked against a copy of it with no record
-    of its factors (_check_factor_rule).
+    candidate, whose order, elements, element orders, class table and
+    fingerprint come from its factors, is also checked against a copy of
+    it with no record of its factors (_check_factor_rule).
     """
     tally[rule] += 1
     try:
@@ -581,12 +581,18 @@ def _register_candidate(
     return entry
 
 
+def _class_rows(group: PermGroup, limit) -> list:
+    table = group.conjugacy_classes(limit)
+    return list(zip(table.reps, table.sizes, table.orders))
+
+
 # What a recorded product or wreath takes from its factors, each checked
 # against the same query on a copy of the group with no record of them.
 _FACTOR_FACTS = (
     ("order", lambda g, limit: g.order()),
     ("element", lambda g, limit: g._raw_elements(limit)),
     ("order of element", lambda g, limit: g._element_orders(limit)),
+    ("class", _class_rows),
     ("class profile", lambda g, limit: g.class_profile(limit)),
     ("derived order", lambda g, limit: g._derived_order(limit)),
 )
@@ -596,30 +602,37 @@ def _check_factor_rule(name: str, group: PermGroup, limit) -> None:
     """Raise ConsistencyError when a fact a group took from its factors
     differs from the one the copy PermGroup(group.degree, group.generators)
     gives: its order (stabilizer chain), sorted elements (closure), their
-    orders (kernel), class profile (its own class table) and derived order
-    (derived subgroup).  They are compared in that order, since each is read
-    from the ones before; per-element facts name the first differing index."""
+    orders (kernel), class table (its own class walk), class profile and
+    derived order (derived subgroup).  They are compared in that order,
+    since each is read from the ones before."""
     plain = PermGroup(group.degree, group.generators)
     for fact, query in _FACTOR_FACTS:
-        ruled, enumerated = query(group, limit), query(plain, limit)
-        if ruled == enumerated:
-            continue
-        if fact in ("element", "order of element"):
-            pairs = enumerate(zip(ruled, enumerated))
-            i = next((i for i, (a, b) in pairs if a != b), None)
-            if i is None:
-                fact, ruled, enumerated = f"{fact} count", len(ruled), len(enumerated)
-            else:
-                fact, ruled, enumerated = f"{fact} {i}", ruled[i], enumerated[i]
-        raise ConsistencyError(
-            f"{fact} of {name!r} from its factors is {ruled}, its generators give {enumerated}"
-        )
+        _compare_factor_fact(name, fact, query(group, limit), query(plain, limit))
+
+
+def _compare_factor_fact(name: str, fact: str, ruled, enumerated) -> None:
+    """Raise ConsistencyError when ruled, taken from the factors, differs
+    from enumerated; a list or tuple names its first differing item."""
+    if ruled == enumerated:
+        return
+    if isinstance(ruled, (list, tuple)):
+        pairs = enumerate(zip(ruled, enumerated))
+        i = next((i for i, (a, b) in pairs if a != b), None)
+        if i is None:
+            fact, ruled, enumerated = f"{fact} count", len(ruled), len(enumerated)
+        else:
+            fact, ruled, enumerated = f"{fact} {i}", ruled[i], enumerated[i]
+    raise ConsistencyError(
+        f"{fact} of {name!r} from its factors is {ruled}, its generators give {enumerated}"
+    )
 
 
 def _centralizer_classes(group: PermGroup, p, bound, limit) -> list | None:
     """(representative, class size, element order, centralizer order) of
-    each p-power class whose centralizer order is at most bound; None when
-    the group is past the enumeration limit."""
+    each non-central p-power class whose centralizer order is at most
+    bound; None when the group is past the enumeration limit.  A central
+    class is left out: its centralizer is the group itself, whose
+    fingerprint the registry already holds."""
     try:
         table = group.conjugacy_classes(limit)
     except ThresholdExceeded:
@@ -627,7 +640,7 @@ def _centralizer_classes(group: PermGroup, p, bound, limit) -> list | None:
     out = []
     for rep, size, o in zip(table.reps, table.sizes, table.orders):
         czo = group.order() // size
-        if is_p_power(o, p) and czo <= bound:
+        if size > 1 and is_p_power(o, p) and czo <= bound:
             out.append((rep, size, o, czo))
     return out
 
@@ -635,11 +648,17 @@ def _centralizer_classes(group: PermGroup, p, bound, limit) -> list | None:
 def _centralizer_children(
     registry, parent: RegistryEntry, group: PermGroup, p, bound, limit, paranoid, tally
 ) -> list[RegistryEntry]:
-    """Centralizers of one representative per p-power class of the group."""
+    """Centralizers of one representative per non-central p-power class of
+    the group.  In paranoid mode, a centralizer a product or wreath builds
+    from its factors is checked against filtering the elements of a copy
+    of the group with no record of them."""
     classes = _centralizer_classes(group, p, bound, limit)
     if classes is None:
         log.info("explore: %s too large to enumerate for centralizers", parent.name)
         return []
+    plain = None
+    if paranoid and group.recorded_factors() is not None:
+        plain = PermGroup(group.degree, group.generators)
     added = []
     named: set[tuple[int, int]] = set()
     for rep, size, o, czo in classes:
@@ -649,6 +668,10 @@ def _centralizer_children(
         named.add((o, czo))
         name = expr or f"cent[{parent.name};o{o};cz{czo};{rep.cycle_string()}]"
         cent = group._class_centralizer(rep, size, limit)
+        if plain is not None:
+            filtered = kernels.centralizer_filter(list(plain._raw_elements(limit)), [rep.images])
+            ruled = cent._raw_elements(limit)
+            _compare_factor_fact(name, "centralizer element", ruled, tuple(filtered))
         entry = _register_candidate(
             registry, name, expr, p, cent, "CENTRALIZER", (parent.name,), limit, paranoid, tally
         )

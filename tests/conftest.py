@@ -164,11 +164,21 @@ def assert_factor_rule_matches_enumeration(group, label=None):
     its factors, equal those of a copy of the group with no record of its
     construction, which closes its generators and runs the element_order
     kernel; and the group itself builds no class table and runs no closure
-    to get them."""
+    to get them.
+
+    Then its class table (reps, sizes, element orders) equals the copy's
+    class walk.  Its centralizer of each class rep x is a sorted list of
+    distinct elements of the copy that commute with x, |G| / |x^G| of them,
+    so it is C_G(x) by the class equation.  Its centralizers of about eight
+    other elements, of two elements at once and of the generators (center)
+    equal centralizer_filter over the copy's elements.  The group itself
+    walks no conjugacy orbit to get any of them."""
     tabled = []
     closed = []
+    orbits = []
     class_table = PermGroup._class_table
     close_group = kernels.close_group
+    conjugacy_orbit = kernels.conjugacy_orbit
 
     def recording(self, limit):
         tabled.append(self)
@@ -177,6 +187,10 @@ def assert_factor_rule_matches_enumeration(group, label=None):
     def recording_close(gens, limit):
         closed.append(gens)
         return close_group(gens, limit)
+
+    def recording_orbit(x, gens):
+        orbits.append(gens)
+        return conjugacy_orbit(x, gens)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PermGroup, "_class_table", recording)
@@ -191,6 +205,25 @@ def assert_factor_rule_matches_enumeration(group, label=None):
     assert all(t is not group for t in tabled), label
     assert list(group._raw) not in closed, label
     plain = PermGroup(group.degree, group.generators)
+    elements = plain._raw_elements()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "conjugacy_orbit", recording_orbit)
+        table = group.conjugacy_classes()
+        picks = [rep.images for rep in table.reps] + list(elements[:: max(1, len(elements) // 8)])
+        targets = [[x] for x in picks] + [picks[-2:]]
+        cents = [group._centralizer_raw(t)._raw_elements() for t in targets]
+        center = group.center()._raw_elements()
+    assert all(gens is not group._raw for gens in orbits), label
+    assert table == plain.conjugacy_classes(), label
+    members = set(elements)
+    for rep, size, cent in zip(table.reps, table.sizes, cents):
+        assert len(cent) * size == len(elements), (label, rep)
+        assert all(a < b for a, b in zip(cent, cent[1:])), (label, rep)
+        assert members.issuperset(cent), (label, rep)
+        assert kernels.centralizer_filter(list(cent), [rep.images]) == list(cent), (label, rep)
+    for t, cent in list(zip(targets, cents))[len(table) :]:
+        assert cent == tuple(kernels.centralizer_filter(list(elements), t)), (label, t)
+    assert center == tuple(kernels.centralizer_filter(list(elements), list(plain._raw))), label
     want = (
         plain._raw_elements(),
         plain._element_orders(),

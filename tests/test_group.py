@@ -178,6 +178,9 @@ def test_dropped_groups_leave_no_reference_cycles():
         for text in ("c(1)", "c(3)"):
             register_derivation(reg, certify(text, 3, reg), 3)
         explore(reg, 3, 81, depth=6)
+        hkr_rank(evaluate(parse("prod(s(3),d(4))")), 2, 2)
+        group.center()
+        evaluate(parse(E192))
 
     gc.collect()
     gc.disable()
@@ -413,8 +416,9 @@ def test_derived_subgroup_is_closed_once(monkeypatch):
 def test_paper_tower_is_fingerprinted_from_its_factors(monkeypatch):
     # The order-18432 tower takes its profile and derived order from E96:
     # no class table, closure or derived subgroup of its own is built.  E96
-    # is selected by a walk over the classes of order 4 of the 4608 group,
-    # which builds no class table of that group either.
+    # is selected from the classes of order 4 of the 4608 group, read from
+    # GL_2(F_3)'s class table, and is its centralizer built from GL_2(F_3)'s
+    # elements, so that group builds no class table or closure either.
     calls = Counter()
     for name in ("_class_table", "_close", "_derived_subgroup"):
 
@@ -427,7 +431,7 @@ def test_paper_tower_is_fingerprinted_from_its_factors(monkeypatch):
     assert tower.fingerprint().to_record() == PAPER_FINGERPRINTS[E18432]
     assert tower.exponent() == 48
     assert [key for key in calls if key[1] == 18432] == []
-    assert calls["_class_table", 4608] == 0 and calls["_close", 4608] == 1
+    assert calls["_class_table", 4608] == 0 and calls["_close", 4608] == 0
     monkeypatch.undo()
     assert_factor_rule_matches_enumeration(evaluate(parse(E18432)), E18432)
 
@@ -466,6 +470,10 @@ def test_factor_rule_holds_the_limit():
         lambda g, limit: g.exponent(limit=limit),
         lambda g, limit: g._raw_elements(limit=limit),
         lambda g, limit: g._element_orders(limit=limit),
+        lambda g, limit: g.conjugacy_classes(limit=limit),
+        lambda g, limit: list(g._classes(limit, 2)),
+        lambda g, limit: g._centralizer_raw([g._raw[0]], limit=limit),
+        lambda g, limit: g.center(limit=limit),
     )
     for text in ("prod(q8,s(3))", "wr(s(3),c(2))"):
         order = evaluate(parse(text)).order()
