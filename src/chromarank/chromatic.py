@@ -58,16 +58,6 @@ class PTuple:
                 if not kernels.commutes(t, u):
                     raise ChromarankError("tuple entries do not commute pairwise")
 
-    @classmethod
-    def _unchecked(cls, prime: int, entries: tuple[Permutation, ...]) -> "PTuple":
-        """A tuple built without __post_init__'s checks, for entries known
-        to be valid: the tuple walk draws them from p_power_elements and
-        iterated centralizers."""
-        tup = object.__new__(cls)
-        object.__setattr__(tup, "prime", prime)
-        object.__setattr__(tup, "entries", entries)
-        return tup
-
     @property
     def height(self) -> int:
         return len(self.entries)
@@ -151,7 +141,7 @@ def _walk_classes(group: PermGroup, p: int, h: int, limit: int | None) -> LoopDe
         rep = min(orbit)
         if rep != tup:
             raise ChromarankError("walk reached a tuple class away from its lex-least tuple")
-        ptuple = PTuple._unchecked(p, tuple(Permutation._wrap(t) for t in rep))
+        ptuple = PTuple(p, tuple(Permutation._wrap(t) for t in rep))
         cent = above._centralizer_raw([rep[-1]], limit)
         if order % cent.order() or order // cent.order() != len(orbit):
             raise ChromarankError("orbit size disagrees with centralizer index")

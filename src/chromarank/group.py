@@ -458,7 +458,7 @@ class PermGroup:
         stabilizer chain is built for it.  The sorted elements, their orders,
         the conjugacy classes, class_profile, centralizers and the derived
         order of fingerprint are computed from the factors (see _close,
-        _orders, _classes, _profile, _centralizer_elements and
+        _orders, _classes, _profile, _centralizer_group and
         _derived_order), and every other query is answered from those and
         the generators as for any group.
         """
@@ -469,11 +469,6 @@ class PermGroup:
             (base,) = factors
             self._cache["order"] = base.order() ** n * n
         return self
-
-    def recorded_factors(self) -> tuple[tuple["PermGroup", ...], int | None] | None:
-        """(factors, n) as given to _record_factors, or None for a group
-        with no record of its construction."""
-        return self._cache.get("factors")
 
     def class_profile(self, limit: int | None = None) -> tuple[tuple[int, int], ...]:
         """Sorted (element order, class size) pairs, one per conjugacy class."""
@@ -521,53 +516,71 @@ class PermGroup:
     def _centralizer_raw(self, raw_targets, limit: int | None = None) -> "PermGroup":
         """Centralizer of raw permutations, one group per distinct element set.
 
-        Its elements (_centralizer_elements) are sorted, so they are an
-        exact key into the intern table: equal centralizers come back as one
-        object, which computes its class table, fingerprint and ranks once.
-        The element tuple is memoized per target tuple; it is kept rather
-        than the group, because a centralizer can be the group itself, and a
-        group in its own cache is a reference cycle.
+        Its elements are sorted, so they are an exact key into the intern
+        table (_intern): equal centralizers come back as one object, which
+        computes its class table, fingerprint and ranks once.  The element
+        tuple is memoized per target tuple; it is kept rather than the
+        group, because a centralizer can be the group itself, and a group
+        in its own cache is a reference cycle.
         """
         self._check_limit(limit)
         targets = tuple(raw_targets)
-        elements = self._centralizer_elements(targets, limit)
+        key = ("centralizer", targets)
+        elements = self._cache.get(key)
+        if elements is None:
+            sub = self._centralizer_group(targets, limit)
+        else:
+            sub = self._intern(elements)
+        self._cache[key] = sub._cache["elements_raw"]
+        return sub
+
+    def _intern(self, elements) -> "PermGroup":
+        """The subgroup on a sorted element tuple, from the intern table,
+        built and added to it when it is not there."""
         table = self._intern_table()
         sub = table.get(elements)
         if sub is None:
             sub = _subgroup_from_elements(self.degree, elements)
             sub._cache["intern"] = weakref.ref(table)
             table[sub._cache["elements_raw"]] = sub
-        self._cache[("centralizer", targets)] = sub._cache["elements_raw"]
         return sub
 
-    def _centralizer_elements(self, targets: tuple, limit: int | None):
-        """Sorted elements commuting with every target, read from the memo
-        _centralizer_raw fills when it holds them.
+    def _centralizer_group(self, targets: tuple, limit: int | None) -> "PermGroup":
+        """The interned subgroup of elements commuting with every target.
 
-        A recorded direct product or wreath builds the centralizer of the
-        first target from its factors (_product_centralizer,
-        _wreath_centralizer) and filters that by the other targets; any
-        other group filters its own elements.
+        Any group but a recorded one filters its own elements.  A recorded
+        direct product or wreath builds the centralizer of the first target
+        from its factors (_product_centralizer, _wreath_centralizer) and
+        filters that by the other targets.  Both rules first give a key,
+        the data of the factors that fixes the centralizer, and assemble
+        the elements only for a key not seen before: many targets share a
+        centralizer, and a later one reads the subgroup from the cache.  A
+        recorded group is never one of its own centralizers, and they do
+        not reach it, so the cache holds them with no reference cycle.
         """
-        elements = self._cache.get(("centralizer", targets))
-        if elements is not None:
-            return elements
         record = self._cache.get("factors")
         if record is None or not targets:
-            return tuple(kernels.centralizer_filter(list(self._raw_elements(limit)), list(targets)))
+            return self._intern(
+                tuple(kernels.centralizer_filter(list(self._raw_elements(limit)), list(targets)))
+            )
         factors, n = record
         first, rest = targets[0], list(targets[1:])
         if n is None:
-            elements = _product_centralizer(factors, first, limit)
+            key, build = _product_centralizer(factors, first, limit)
         else:
             (base,) = factors
-            elements = _wreath_centralizer(base, n, first, limit)
+            key, build = _wreath_centralizer(base, n, first, limit)
+        key = ("centralizer from factors", key)
+        sub = self._cache.get(key)
+        if sub is None:
+            sub = self._cache[key] = self._intern(build())
         if rest:
-            elements = tuple(kernels.centralizer_filter(list(elements), rest))
-        return elements
+            elements = sub._cache["elements_raw"]
+            sub = self._intern(tuple(kernels.centralizer_filter(list(elements), rest)))
+        return sub
 
     def centralizer(self, targets: Iterable[Permutation], limit: int | None = None) -> "PermGroup":
-        """Centralizer of a set of elements (see _centralizer_elements)."""
+        """Centralizer of a set of elements (see _centralizer_group)."""
         tt = tuple(targets)
         for t in tt:
             if not isinstance(t, Permutation):
@@ -876,30 +889,44 @@ def _wreath_orders(elements, orders, n: int) -> tuple[int, ...]:
 
 
 def _product_centralizer(factors, z: tuple[int, ...], limit: int | None):
-    """Sorted elements of the centralizer of z in the direct product of
-    factors: C(x, y) = C_G(x) x C_H(y), for z = x + y shifted by deg G."""
-    parts = []
+    """The centralizer of z in the direct product of factors, as (key,
+    build) for PermGroup._centralizer_group: C(x, y) = C_G(x) x C_H(y),
+    for z = x + y shifted by deg G.
+
+    Each factor's centralizer comes from its own _centralizer_raw, so it is
+    memoized and interned there, and the tuple of those subgroups is the
+    key: every (x, y) with y central in H, say, gives C_G(x) x H.
+    """
+    subs = []
     offset = 0
     for f in factors:
         piece = tuple(v - offset for v in z[offset : offset + f.degree])
-        parts.append((f.degree, f._centralizer_elements((piece,), limit)))
+        subs.append(f._centralizer_raw((piece,), limit))
         offset += f.degree
-    return _product_elements(parts)
+    subs = tuple(subs)
+    return subs, lambda: _product_elements([(s.degree, s._raw_elements(limit)) for s in subs])
 
 
 def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: int | None):
-    """Sorted elements of the centralizer of z in H wr C_n, for H = base.
+    """The centralizer of z in H wr C_n, for H = base, as (key, build) for
+    PermGroup._centralizer_group.
 
     Write z = (h; c**j) and an element k = (k; c**t), as in
     _wreath_elements.  z then k sends block b to block b + j + t by
     h_b k_(b+j), and k then z by k_b h_(b+t), so k commutes with z exactly
     when k_(b+j) = h_b**-1 k_b h_(b+t) for every b, products left to
-    right.  On each cycle b, b + j, ... of the shift by j, the value y at
-    the cycle's start fixes every other value by that recurrence, and is
-    kept when the recurrence returns to y.  The centralizer elements with
-    top part c**t are the products of the kept values over the cycles, so
-    the cost is about n |H| compositions per t, where filtering the group
-    costs n |H|**n.
+    right.  On each cycle c_0, c_1 = c_0 + j, ... of the shift by j, the
+    value y at the cycle's start fixes every other value by that
+    recurrence: k_(c_s) = q_s**-1 y r_s, for q_s the product of the h
+    along c_0, ..., c_(s-1) and r_s the same along c_0 + t, ...,
+    c_(s-1) + t.  The recurrence returns to y when y r_m = q_m y, so H is
+    scanned once per cycle with that test, and the other values are
+    composed for the kept y only.  The centralizer elements with top part
+    c**t are the products of the kept values over the cycles, so the cost
+    is about 2 n |H| compositions per t, where filtering the group costs
+    n |H|**n.  The key is j and, per t and cycle, the kept values with the
+    offset, q_s**-1 and r_s of each block: they fix the elements, which
+    build() composes and concatenates.
 
     They come out sorted with no sort: an element with top part c**t sends
     point 0 into block t, so t comes first; and blocks 0, ..., d-1 are the
@@ -909,41 +936,60 @@ def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: in
     """
     degree = base.degree
     elements = base._raw_elements(limit)
+    compose = kernels.compose
+    identity = tuple(range(degree))
     j = z[0] // degree
     h = [
         tuple(v - (b + j) % n * degree for v in z[b * degree : (b + 1) * degree])
         for b in range(n)
     ]
-    h_inv = [kernels.inverse(x) for x in h]
     d = gcd(j, n)
     m = n // d
-    cycles = [[(r + s * j) % n for s in range(m)] for r in range(d)]
-    # Cycle r holds blocks r, r + d, ..., r + (m-1)d.  The products below
-    # list the blocks cycle by cycle; when that is not block order, one
-    # getter per element puts block b, at place (b mod d) m + b div d,
-    # back in its place.
-    reorder = None
-    if 1 < d < n:
-        places = [(b % d * m + b // d) * degree for b in range(n)]
-        reorder = itemgetter(*(place + i for place in places for i in range(degree)))
-    out = []
+    parts = []
     for t in range(n):
-        words = None
-        for r, cycle in enumerate(cycles):
-            offsets = [(b + t) % n * degree for b in range(r, n, d)]
-            kept = []
-            for y in elements:
-                k = y
-                values = [None] * m
-                for b in cycle:
-                    values[b // d] = k
-                    k = kernels.compose(kernels.compose(h_inv[b], k), h[(b + t) % n])
-                if k == y:
-                    shifted = (map(o.__add__, v) for o, v in zip(offsets, values))
-                    kept.append(tuple(chain.from_iterable(shifted)))
-            words = kept if words is None else [w + v for w in words for v in kept]
-        out.extend(words if reorder is None else map(reorder, words))
-    return tuple(out)
+        cycles = []
+        for r in range(d):
+            cycle = [(r + s * j) % n for s in range(m)]
+            q, rr = [identity], [identity]
+            for b in cycle:
+                q.append(compose(q[-1], h[b]))
+                rr.append(compose(rr[-1], h[(b + t) % n]))
+            closed_q, closed_r = q.pop(), rr.pop()
+            kept = tuple(y for y in elements if compose(y, closed_r) == compose(closed_q, y))
+            # Per block r, r + d, ... of the cycle, in that order: the
+            # offset of its image block c_s + t, q_s**-1 and r_s.
+            order = sorted(range(m), key=cycle.__getitem__)
+            steps = tuple(((cycle[s] + t) % n * degree, kernels.inverse(q[s]), rr[s]) for s in order)
+            cycles.append((kept, steps))
+        parts.append(tuple(cycles))
+    parts = tuple(parts)
+
+    def build():
+        # Cycle r holds blocks r, r + d, ..., r + (m-1)d.  The products list
+        # the blocks cycle by cycle; when that is not block order, one
+        # getter per element puts block b, at place (b mod d) m + b div d,
+        # back in its place.
+        reorder = None
+        if 1 < d < n:
+            places = [(b % d * m + b // d) * degree for b in range(n)]
+            reorder = itemgetter(*(place + i for place in places for i in range(degree)))
+        out = []
+        for cycles in parts:
+            words = [()]
+            for kept, steps in cycles:
+                values = [
+                    tuple(
+                        chain.from_iterable(
+                            map(o.__add__, compose(compose(qi, y), ri)) for o, qi, ri in steps
+                        )
+                    )
+                    for y in kept
+                ]
+                words = [w + v for w in words for v in values]
+            out.extend(words if reorder is None else map(reorder, words))
+        return tuple(out)
+
+    return (j, parts), build
 
 
 def _subgroup_from_elements(degree: int, raw_elements) -> PermGroup:

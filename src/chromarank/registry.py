@@ -649,16 +649,14 @@ def _centralizer_children(
     registry, parent: RegistryEntry, group: PermGroup, p, bound, limit, paranoid, tally
 ) -> list[RegistryEntry]:
     """Centralizers of one representative per non-central p-power class of
-    the group.  In paranoid mode, a centralizer a product or wreath builds
-    from its factors is checked against filtering the elements of a copy
-    of the group with no record of them."""
+    the group.  In paranoid mode, each is checked against filtering the
+    elements of a copy of the group with no record of its factors, as a
+    product or wreath builds its centralizers from them."""
     classes = _centralizer_classes(group, p, bound, limit)
     if classes is None:
         log.info("explore: %s too large to enumerate for centralizers", parent.name)
         return []
-    plain = None
-    if paranoid and group.recorded_factors() is not None:
-        plain = PermGroup(group.degree, group.generators)
+    plain = PermGroup(group.degree, group.generators) if paranoid else None
     added = []
     named: set[tuple[int, int]] = set()
     for rep, size, o, czo in classes:

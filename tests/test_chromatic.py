@@ -18,7 +18,6 @@ from chromarank import (
     symmetric,
     verify_rank_identity,
 )
-from chromarank import kernels
 from chromarank.group import ConjClassTable, PermGroup, _Chain
 
 from conftest import CORPUS_BUILDERS, o_commuting_tuples, o_tuple_classes
@@ -146,27 +145,6 @@ def test_ptuple_validation(corpus):
         PTuple(2, (b, Permutation.from_cycles("(1 2)", degree=4)))  # they do not commute
     cent = s4.centralizer(t.entries)
     assert cent.order() == 4
-
-
-def test_walk_builds_valid_tuples_unchecked(monkeypatch):
-    # The walk's tuples skip PTuple's checks: once the element orders are
-    # known, it makes no element_order or commutes call.  Each tuple still
-    # passes the checks.
-    calls = []
-
-    def counting(original):
-        return lambda *args: calls.append(args) or original(*args)
-
-    for name in ("S_4", "D_8", "Q_8", "S_3xS_3"):
-        group = CORPUS_BUILDERS[name]()
-        p_power_elements(group, 2)
-        for kernel in ("element_order", "commutes"):
-            monkeypatch.setattr(kernels, kernel, counting(getattr(kernels, kernel)))
-        decomposition = commuting_tuple_classes(group, 2, 2)
-        monkeypatch.undo()
-        assert calls == [], name
-        for comp in decomposition.components:
-            assert PTuple(2, comp.rep.entries) == comp.rep, name
 
 
 def test_tuple_centralizer_requires_membership(corpus):

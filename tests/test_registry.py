@@ -609,7 +609,8 @@ def _base_only_wreath_centralizer(original):
     # A wrong wreath rule: the centralizer without its elements of top part
     # c**t, t != 0, which send point 0 off block 0.  They still form a group.
     def wrong(base, n, z, limit):
-        return tuple(x for x in original(base, n, z, limit) if x[0] < base.degree)
+        key, build = original(base, n, z, limit)
+        return key, lambda: tuple(x for x in build() if x[0] < base.degree)
 
     return wrong
 
@@ -833,7 +834,8 @@ def test_certify_replay_register_build_the_class_table_once(monkeypatch):
 
 def test_certify_and_replay_build_a_centralizer_only_to_evaluate(monkeypatch):
     # The CENTRALIZER step of the search and of replay reads only the class
-    # representative; the one build is the evaluation of the expression.
+    # representative; the one build is the evaluation of the expression,
+    # where the product takes C(x, y) from C(x) in S_4 and C(y) in S_3.
     calls = []
     centralizer_raw = PermGroup._centralizer_raw
 
@@ -846,7 +848,7 @@ def test_certify_and_replay_build_a_centralizer_only_to_evaluate(monkeypatch):
     tree = certify("cent(prod(s(4),s(3)),order=2,czorder=48)", 2, reg)
     assert tree.rule == "CENTRALIZER"
     replay(tree, 2, reg)
-    assert calls == [144]
+    assert calls == [144, 24, 6]
 
 
 def test_explore_over_an_abelian_entry_builds_no_centralizer(monkeypatch):
