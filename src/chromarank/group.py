@@ -12,9 +12,12 @@ its sorted elements and their orders are assembled from its factors'
 elements and orders, with no closure, sort or element_order kernel call;
 its class table is read from its factors' class tables, with no class
 walk; and its centralizers are built from its factors' elements and
-centralizers, with no filtering of its own elements.  Closure, the class
-walk and centralizer_filter serve every other group, and stay the
-independent check of the factor rules (registry paranoid mode, tests).
+centralizers, with no filtering of its own elements.  A relabeled copy
+(conjugate_by) keeps the order and the record, and reads from it only
+what a relabeling does not change: the class profile, the derived order
+and, in chromatic, the ranks.  Closure, the class walk and
+centralizer_filter serve every other group, and stay the independent
+check of the factor rules (registry paranoid mode, tests).
 """
 
 from __future__ import annotations
@@ -460,9 +463,10 @@ class PermGroup:
         order of fingerprint are computed from the factors (see _close,
         _orders, _classes, _profile, _centralizer_group and
         _derived_order), and every other query is answered from those and
-        the generators as for any group.
+        the generators as for any group.  The record is also kept under a
+        second key, which conjugate_by copies (see factor_record).
         """
-        self._cache["factors"] = (factors, n)
+        self._cache["factors"] = self._cache["factors up to relabeling"] = (factors, n)
         if n is None:
             self._cache["order"] = prod(f.order() for f in factors)
         else:
@@ -470,12 +474,27 @@ class PermGroup:
             self._cache["order"] = base.order() ** n * n
         return self
 
+    def factor_record(self) -> tuple[tuple["PermGroup", ...], int | None] | None:
+        """(factors, n) when the group is, up to a relabeling of its points,
+        the direct product of factors (n None) or factors[0] wr C_n, else
+        None.
+
+        Read-only.  A group built by direct_product or wreath_cyclic has a
+        record, and conjugate_by keeps it on the relabeled copy; only facts
+        that a relabeling does not change (class profile, derived order,
+        ranks) may be read from it.  Elements, their orders, class
+        tables and centralizers come from the factors only on the group the
+        constructor built (the "factors" key), and from the copy's own
+        generators on a copy.
+        """
+        return self._cache.get("factors up to relabeling")
+
     def class_profile(self, limit: int | None = None) -> tuple[tuple[int, int], ...]:
         """Sorted (element order, class size) pairs, one per conjugacy class."""
         return self._cached("profile", limit, lambda: self._profile(limit))
 
     def _profile(self, limit: int | None) -> tuple[tuple[int, int], ...]:
-        record = self._cache.get("factors")
+        record = self.factor_record()
         if record is None:
             return self.conjugacy_classes(limit).profile()
         factors, n = record
@@ -488,7 +507,7 @@ class PermGroup:
         """|G'|: the product of the factors' for a recorded direct product,
         |H|**(n-1) * |H'| for a recorded H wr C_n (its abelianization is
         H/H' x C_n), else the order of derived_subgroup."""
-        record = self._cache.get("factors")
+        record = self.factor_record()
         if record is None:
             return self.derived_subgroup(limit).order()
         factors, n = record
@@ -544,6 +563,20 @@ class PermGroup:
             sub._cache["intern"] = weakref.ref(table)
             table[sub._cache["elements_raw"]] = sub
         return sub
+
+    def _unshared_copy(self, limit: int | None = None) -> "PermGroup":
+        """A group on the same generators, order and sorted elements that is
+        in no intern table, so its own centralizers go to a table it starts.
+
+        A group that is its own intern-table entry gets itself back as the
+        centralizer of a central element.  A result cached on the group that
+        held that centralizer would be a reference cycle; it holds this copy
+        instead.
+        """
+        copy = PermGroup(self.degree, self.generators)
+        copy._cache["order"] = self.order()
+        copy._cache["elements_raw"] = self._raw_elements(limit)
+        return copy
 
     def _centralizer_group(self, targets: tuple, limit: int | None) -> "PermGroup":
         """The interned subgroup of elements commuting with every target.
@@ -702,13 +735,23 @@ class PermGroup:
         )
 
     def conjugate_by(self, s: Permutation) -> "PermGroup":
-        """The relabeled group s^-1 G s."""
+        """The relabeled group s^-1 G s.
+
+        The copy keeps what a relabeling does not change and is already
+        known: the order and the factor record (see factor_record).  Its
+        elements, class table and centralizers come from its own
+        generators.
+        """
         if s.degree != self.degree:
             raise DegreeMismatch(f"degree {s.degree} vs group degree {self.degree}")
-        return PermGroup(
+        copy = PermGroup(
             self.degree,
             tuple(Permutation._wrap(kernels.conjugate(t, s.images)) for t in self._raw),
         )
+        for key in ("order", "factors up to relabeling"):
+            if key in self._cache:
+                copy._cache[key] = self._cache[key]
+        return copy
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"

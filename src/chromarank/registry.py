@@ -28,6 +28,7 @@ import functools
 import json
 import logging
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import constructors, dsl, kernels
@@ -518,7 +519,7 @@ def _realize(registry: Registry, entry: RegistryEntry, limit) -> PermGroup | Non
 
 def _register_candidate(
     registry: Registry,
-    name: str,
+    name: Callable[[], str],
     expr: str | None,
     p: int,
     group: PermGroup,
@@ -534,19 +535,22 @@ def _register_candidate(
     duplicate under "duplicate".  In paranoid mode, a PRODUCT or WREATH
     candidate, whose order, elements, element orders, class table and
     fingerprint come from its factors, is also checked against a copy of
-    it with no record of its factors (_check_factor_rule).
+    it with no record of its factors (_check_factor_rule).  name() gives
+    the candidate's name, and is called only for an entry that is added, a
+    skip that is logged or an error that is reported: most candidates are
+    duplicates, and a centralizer's name prints its representative.
     """
     tally[rule] += 1
     try:
         fp = group.fingerprint(limit)
     except ThresholdExceeded as exc:
-        log.info("explore: skipping %s: %s", name, exc)
+        log.info("explore: skipping %s: %s", name(), exc)
         return None
     if paranoid and rule in ("PRODUCT", "WREATH"):
         _check_factor_rule(name, group, limit)
     bad = registry.bad_match(fp)
     if bad is not None:
-        raise ConsistencyError(f"constructed good group {name!r} matches bad entry {bad.name!r}")
+        raise ConsistencyError(f"constructed good group {name()!r} matches bad entry {bad.name!r}")
     matches = registry.find_fingerprint(fp)
     if matches:
         tally["duplicate"] += 1
@@ -556,10 +560,11 @@ def _register_candidate(
                 known = _realize(registry, other, limit)
                 if known is not None and known.class_profile(limit) != profile:
                     raise ConsistencyError(
-                        f"fingerprint collision between {name!r} and {other.name!r}: "
+                        f"fingerprint collision between {name()!r} and {other.name!r}: "
                         f"class profiles differ"
                     )
         return None
+    name = name()
     if registry.get(name) is not None:
         # Same name, different fingerprint: disambiguate deterministically.
         suffix = 2
@@ -598,7 +603,7 @@ _FACTOR_FACTS = (
 )
 
 
-def _check_factor_rule(name: str, group: PermGroup, limit) -> None:
+def _check_factor_rule(name: Callable[[], str], group: PermGroup, limit) -> None:
     """Raise ConsistencyError when a fact a group took from its factors
     differs from the one the copy PermGroup(group.degree, group.generators)
     gives: its order (stabilizer chain), sorted elements (closure), their
@@ -610,9 +615,10 @@ def _check_factor_rule(name: str, group: PermGroup, limit) -> None:
         _compare_factor_fact(name, fact, query(group, limit), query(plain, limit))
 
 
-def _compare_factor_fact(name: str, fact: str, ruled, enumerated) -> None:
+def _compare_factor_fact(name: Callable[[], str], fact: str, ruled, enumerated) -> None:
     """Raise ConsistencyError when ruled, taken from the factors, differs
-    from enumerated; a list or tuple names its first differing item."""
+    from enumerated; a list or tuple names its first differing item, and
+    name() the group."""
     if ruled == enumerated:
         return
     if isinstance(ruled, (list, tuple)):
@@ -623,7 +629,7 @@ def _compare_factor_fact(name: str, fact: str, ruled, enumerated) -> None:
         else:
             fact, ruled, enumerated = f"{fact} {i}", ruled[i], enumerated[i]
     raise ConsistencyError(
-        f"{fact} of {name!r} from its factors is {ruled}, its generators give {enumerated}"
+        f"{fact} of {name()!r} from its factors is {ruled}, its generators give {enumerated}"
     )
 
 
@@ -664,7 +670,10 @@ def _centralizer_children(
         if parent.expr is not None and (o, czo) not in named:
             expr = f"cent({parent.expr},order={o},czorder={czo})"
         named.add((o, czo))
-        name = expr or f"cent[{parent.name};o{o};cz{czo};{rep.cycle_string()}]"
+
+        def name():
+            return expr or f"cent[{parent.name};o{o};cz{czo};{rep.cycle_string()}]"
+
         cent = group._class_centralizer(rep, size, limit)
         if plain is not None:
             filtered = kernels.centralizer_filter(list(plain._raw_elements(limit)), [rep.images])
@@ -731,7 +740,7 @@ def explore(
                 wreath = constructors.wreath_cyclic(group, p)
                 wentry = _register_candidate(
                     registry,
-                    wname,
+                    lambda: wname,
                     wexpr,
                     p,
                     wreath,
@@ -779,7 +788,16 @@ def explore(
                 product = constructors.direct_product(group, ogroup)
                 parents = (entry.name, other.name)
                 pentry = _register_candidate(
-                    registry, pname, pexpr, p, product, "PRODUCT", parents, limit, paranoid, tally
+                    registry,
+                    lambda: pname,
+                    pexpr,
+                    p,
+                    product,
+                    "PRODUCT",
+                    parents,
+                    limit,
+                    paranoid,
+                    tally,
                 )
                 if pentry is not None:
                     fresh.append(pentry)

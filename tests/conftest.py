@@ -25,6 +25,7 @@ from chromarank import (
     dihedral,
     direct_product,
     general_linear,
+    hkr_rank,
     kernels,
     quaternion8,
     symmetric,
@@ -157,6 +158,18 @@ def o_exponent(elements):
 
 # -- the factor rule against enumeration ----------------------------------
 
+# The (p, h) at which the factor rule's ranks are checked; a group of more
+# than RANK_H2_MAX_ORDER elements is checked at h = 1 only, since its
+# recursion at h = 2 takes seconds.
+RANK_CASES = ((2, 1), (2, 2), (3, 1), (3, 2))
+RANK_H2_MAX_ORDER = 5000
+
+
+def relabeling(degree):
+    """The reversal of the points, a fixed relabeling that moves every
+    point but the middle one of an odd degree."""
+    return Permutation(tuple(reversed(range(degree))))
+
 
 def assert_factor_rule_matches_enumeration(group, label=None):
     """A product's or wreath's sorted elements, element orders, class
@@ -165,6 +178,12 @@ def assert_factor_rule_matches_enumeration(group, label=None):
     construction, which closes its generators and runs the element_order
     kernel; and the group itself builds no class table and runs no closure
     to get them.
+
+    Its HKR ranks, and those of a relabeled copy (conjugate_by), taken from
+    its factors' ranks, equal the centralizer recursion's on the unrecorded
+    copy, and neither the group nor the relabeled copy builds a class table
+    of its own for them.  The relabeled copy keeps the order, with no
+    stabilizer chain.
 
     Then its class table (reps, sizes, element orders) equals the copy's
     class walk.  Its centralizer of each class rep x is a sorted list of
@@ -192,6 +211,8 @@ def assert_factor_rule_matches_enumeration(group, label=None):
         orbits.append(gens)
         return conjugacy_orbit(x, gens)
 
+    relabeled = group.conjugate_by(relabeling(group.degree))
+    cases = [(p, h) for p, h in RANK_CASES if h == 1 or group.order() <= RANK_H2_MAX_ORDER]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PermGroup, "_class_table", recording)
         mp.setattr(kernels, "close_group", recording_close)
@@ -202,9 +223,12 @@ def assert_factor_rule_matches_enumeration(group, label=None):
             group.fingerprint(),
             group.exponent(),
         )
-    assert all(t is not group for t in tabled), label
+        ranks = [hkr_rank(g, p, h) for g in (group, relabeled) for p, h in cases]
+    assert all(t is not group and t is not relabeled for t in tabled), label
     assert list(group._raw) not in closed, label
+    assert relabeled.order() == group.order() and relabeled._chain is None, label
     plain = PermGroup(group.degree, group.generators)
+    assert ranks == [hkr_rank(plain, p, h) for p, h in cases] * 2, label
     elements = plain._raw_elements()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "conjugacy_orbit", recording_orbit)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from chromarank import (
     direct_product,
     group_from_generators,
     hkr_rank,
+    kernels,
     p_power_elements,
     symmetric,
     verify_rank_identity,
@@ -305,3 +307,39 @@ def test_walk_and_recursion_build_no_chain(monkeypatch):
             for h in range(4):
                 assert hkr_rank(group, p, h) == len(commuting_tuple_classes(group, p, h))
     assert builds == []
+
+
+def test_walk_closes_one_prefix_per_class(monkeypatch):
+    # The walk closes a prefix only at the first, lex-least, member of its
+    # class, so the length-k tuples it closes are one per height-k class,
+    # counted here by the recursion, which closes no tuple.
+    closed = []
+    tuple_orbit = kernels.tuple_orbit
+
+    def recording(tup, gens):
+        closed.append(tup)
+        return tuple_orbit(tup, gens)
+
+    monkeypatch.setattr(kernels, "tuple_orbit", recording)
+    for name, build in CORPUS_BUILDERS.items():
+        group = build()
+        for p in (2, 3):
+            closed.clear()
+            commuting_tuple_classes(group, p, 3)
+            lengths = Counter(len(t) for t in closed)
+            assert lengths == {k: hkr_rank(group, p, k) for k in (1, 2, 3)}, (name, p)
+            assert len(closed) == len(set(closed)), (name, p)
+
+
+def test_walk_rejects_a_prefix_away_from_its_lex_least_tuple(monkeypatch):
+    # An orbit of prefixes with a member below the prefix the walk reached
+    # means the walk's order is broken.
+    tuple_orbit = kernels.tuple_orbit
+
+    def with_a_smaller_prefix(tup, gens):
+        orbit = tuple_orbit(tup, gens)
+        return orbit + [((-1,) * len(tup[0]),)] if len(tup) == 1 else orbit
+
+    monkeypatch.setattr(kernels, "tuple_orbit", with_a_smaller_prefix)
+    with pytest.raises(ChromarankError, match="lex-least"):
+        commuting_tuple_classes(symmetric(3), 2, 2)

@@ -47,6 +47,7 @@ from conftest import (
     o_is_p_power,
     o_order,
     o_parity,
+    relabeling,
 )
 
 
@@ -166,11 +167,17 @@ def test_interned_centralizer_honours_a_smaller_limit():
 def test_dropped_groups_leave_no_reference_cycles():
     # The intern table is reached from its subgroups only by a weak
     # reference, so everything goes by reference counting alone.
+    # The recorded wreath takes its rank from its factors, so an unrecorded
+    # copy keeps the recursion on a large group covered.  The interned
+    # centralizer's walk meets the centralizer itself as C(identity).
     def work():
         group = evaluate(parse("wr(s(3),c(2))"))
         hkr_rank(group, 2, 3)
+        hkr_rank(PermGroup(group.degree, group.generators), 2, 3)
         cent = group.centralizer([group.generators[-1]])
         hkr_rank(cent, 3, 2)
+        commuting_tuple_classes(cent, 2, 1)
+        verify_rank_identity(cent, 2, 2, 1)
         commuting_tuple_classes(group, 3, 2)
         for t in (0, 1, 2):
             verify_rank_identity(group, 2, 2, t)
@@ -466,6 +473,7 @@ def test_factor_rule_holds_the_limit():
     # not a result taken from the factors is cached.
     queries = (
         lambda g, limit: g.class_profile(limit=limit),
+        lambda g, limit: hkr_rank(g, 2, 2, limit=limit),
         lambda g, limit: g.fingerprint(limit=limit),
         lambda g, limit: g.exponent(limit=limit),
         lambda g, limit: g._raw_elements(limit=limit),
@@ -592,6 +600,31 @@ def test_conjugate_by_relabels():
     h = g.conjugate_by(s)
     assert h.order() == 6
     assert sorted(e.images for e in h.elements()) == sorted(e.images for e in g.elements())
+
+
+@pytest.mark.parametrize("text", ["prod(q8,s(3))", "wr(s(3),c(2))", "wr(c(2),c(4))"])
+def test_relabeled_copy_keeps_only_relabeling_invariant_facts(text):
+    # The copy keeps the order and the factor record, so its rank and class
+    # profile come from the factors, and a rank past the limit still
+    # raises.  Its elements, class table and centralizers come from its own
+    # generators, as those of an unrecorded group on them do.
+    group = evaluate(parse(text))
+    s = relabeling(group.degree)
+    copy = group.conjugate_by(s)
+    assert copy.factor_record() == group.factor_record() is not None
+    with pytest.raises(ThresholdExceeded):
+        hkr_rank(copy, 2, 2, limit=group.order() - 1)
+    assert hkr_rank(copy, 2, 2) == hkr_rank(group, 2, 2)
+    assert copy.class_profile() == group.class_profile()
+    plain = PermGroup(copy.degree, copy.generators)
+    conjugated = sorted(kernels.conjugate(t, s.images) for t in group._raw_elements())
+    assert list(copy._raw_elements()) == list(plain._raw_elements()) == conjugated
+    assert copy._element_orders() == plain._element_orders()
+    assert copy.conjugacy_classes() == plain.conjugacy_classes()
+    x = copy.conjugacy_classes().reps[-1].images
+    assert copy._centralizer_raw([x])._raw_elements() == tuple(
+        kernels.centralizer_filter(list(plain._raw_elements()), [x])
+    )
 
 
 def test_trivial_group():

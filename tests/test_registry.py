@@ -12,6 +12,7 @@ from chromarank import (
     ChromarankError,
     ConsistencyError,
     ParseError,
+    Permutation,
     Registry,
     RegistryEntry,
     ThresholdExceeded,
@@ -765,6 +766,23 @@ def test_explore_expands_each_entry_once(monkeypatch):
     assert len(wreathed) == 2 and wreathed[0] is not wreathed[1]
     assert sorted(expanded) == sorted(set(expanded))
     assert set(expanded) == {"c(1)", "c(3)"} | {e.name for e in added}
+
+
+def test_explore_names_only_the_centralizers_it_adds(monkeypatch):
+    # An expressionless centralizer's name prints its representative; most
+    # candidates are fingerprint duplicates, so only added ones are named.
+    named = []
+    cycle_string = Permutation.cycle_string
+
+    def recording(self):
+        named.append(self)
+        return cycle_string(self)
+
+    monkeypatch.setattr(Permutation, "cycle_string", recording)
+    reg = seeded_registry(2, ["wr(gl(2,3),c(2))"])
+    added = explore(reg, 2, 256)
+    expressionless = [e for e in added if e.name.startswith("cent[")]
+    assert expressionless and len(named) == len(expressionless)
 
 
 def test_explore_logs_each_round(caplog):
