@@ -85,8 +85,8 @@ def abelian(invariants: list[int] | tuple[int, ...]) -> PermGroup:
 def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
     """G x H on deg(G) + deg(H) points, G acting first.
 
-    The factors are recorded on the result, which takes its class profile
-    and derived order from theirs.
+    The factors are recorded on the result, which takes from theirs its
+    order, class table, profile, derived order, centralizers and ranks.
     """
     dg, dh = g.degree, h.degree
     degree = dg + dh
@@ -103,8 +103,8 @@ def wreath_cyclic(g: PermGroup, n: int) -> PermGroup:
 
     Generators: each generator of G on block 0, then the block n-cycle, whose
     powers carry block 0 onto the other blocks.  The order is |G|**n * n.
-    G and n are recorded on the result, which takes its class profile and
-    derived order from G's.
+    G and n are recorded on the result, which takes from G's its order,
+    class table, profile, derived order, centralizers and ranks.
     """
     if n < 1:
         raise ValueError("wreath cycle length must be at least 1")

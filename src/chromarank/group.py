@@ -5,19 +5,18 @@ chosen as the smallest non-fixed point of each new strong generator, so
 orders, transversals and membership tests reproduce bit for bit.  Element
 enumeration, conjugacy classes, centralizers, Sylow subgroups and
 fingerprints only run below a configurable order limit (the default is
-2**21; see enumeration_limit).  The order, class profile and fingerprint
-of a direct product or cyclic wreath product recorded by its constructor
-come from its factors', with no chain or enumeration of the group itself;
-its sorted elements and their orders are assembled from its factors'
-elements and orders, with no closure, sort or element_order kernel call;
-its class table is read from its factors' class tables, with no class
-walk; and its centralizers are built from its factors' elements and
-centralizers, with no filtering of its own elements.  A relabeled copy
-(conjugate_by) keeps the order and the record, and reads from it only
-what a relabeling does not change: the class profile, the derived order
-and, in chromatic, the ranks.  Closure, the class walk and
-centralizer_filter serve every other group, and stay the independent
-check of the factor rules (registry paranoid mode, tests).
+2**21; see enumeration_limit).  Every group's sorted elements are the
+closure of its generators, and their orders come from the element_order
+kernel.  A direct product or cyclic wreath product recorded by its
+constructor takes its order and fingerprint from its factors', with no
+chain or enumeration; its class table from theirs, with no class walk;
+and its centralizers from their elements and centralizers, with no
+filtering of its own elements.  A relabeled copy (conjugate_by) keeps
+the order and the record, and reads from it only what a relabeling does
+not change: the class profile, the derived order and, in chromatic, the
+ranks.  The class walk and centralizer_filter serve every other group,
+and stay the independent check of the factor rules (registry paranoid
+mode, tests).
 """
 
 from __future__ import annotations
@@ -355,27 +354,16 @@ class PermGroup:
         return value
 
     def _raw_elements(self, limit: int | None = None) -> tuple[tuple[int, ...], ...]:
-        return self._cached("elements_raw", limit, lambda: self._close(limit))
+        return self._cached("elements_raw", limit, self._close)
 
-    def _close(self, limit: int | None) -> tuple[tuple[int, ...], ...]:
-        """The sorted elements.
-
-        A recorded direct product or wreath assembles them from its factors'
-        elements (see _product_elements and _wreath_elements); any other
-        group closes its generators, and the closure's length is checked
-        against the stabilizer chain order.
-        """
-        record = self._cache.get("factors")
-        if record is not None:
-            factors, n = record
-            if n is None:
-                return _product_elements([(f.degree, f._raw_elements(limit)) for f in factors])
-            (base,) = factors
-            return _wreath_elements(base._raw_elements(limit), base.degree, n)
+    def _close(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted elements: the closure of the generators, whose length
+        is checked against order(), the stabilizer chain order or, for a
+        recorded direct product or wreath, the order its record gives."""
         n = self.order()
         closed = kernels.close_group(list(self._raw), n)
         if closed is None or len(closed) != n:
-            raise ChromarankError("closure disagrees with stabilizer chain order")
+            raise ChromarankError("closure disagrees with the group order")
         return tuple(closed)
 
     def elements(self, limit: int | None = None) -> tuple[Permutation, ...]:
@@ -388,17 +376,11 @@ class PermGroup:
 
     def _element_orders(self, limit: int | None = None) -> tuple[int, ...]:
         """The order of each element of _raw_elements, in the same order."""
-        return self._cached("element_orders", limit, lambda: self._orders(limit))
-
-    def _orders(self, limit: int | None) -> tuple[int, ...]:
-        record = self._cache.get("factors")
-        if record is None:
-            return tuple(map(kernels.element_order, self._raw_elements(limit)))
-        factors, n = record
-        if n is None:
-            return _product_orders([f._element_orders(limit) for f in factors])
-        (base,) = factors
-        return _wreath_orders(base._raw_elements(limit), base._element_orders(limit), n)
+        return self._cached(
+            "element_orders",
+            limit,
+            lambda: tuple(map(kernels.element_order, self._raw_elements(limit))),
+        )
 
     def exponent(self, limit: int | None = None) -> int:
         return lcm(*(o for o, _ in self.class_profile(limit)))
@@ -458,13 +440,13 @@ class PermGroup:
         is given, factors[0] wr C_n; returns the group.
 
         The order is stored now, as prod |factor| or |H|**n * n, so no
-        stabilizer chain is built for it.  The sorted elements, their orders,
-        the conjugacy classes, class_profile, centralizers and the derived
-        order of fingerprint are computed from the factors (see _close,
-        _orders, _classes, _profile, _centralizer_group and
-        _derived_order), and every other query is answered from those and
-        the generators as for any group.  The record is also kept under a
-        second key, which conjugate_by copies (see factor_record).
+        stabilizer chain is built for it.  The conjugacy classes,
+        class_profile, centralizers and the derived order of fingerprint
+        are computed from the factors (see _classes, _profile,
+        _centralizer_group and _derived_order); the elements (_close), their
+        orders and every other query come from the generators as for any
+        group.  The record is also kept under a second key, which
+        conjugate_by copies (see factor_record).
         """
         self._cache["factors"] = self._cache["factors up to relabeling"] = (factors, n)
         if n is None:
@@ -482,10 +464,9 @@ class PermGroup:
         Read-only.  A group built by direct_product or wreath_cyclic has a
         record, and conjugate_by keeps it on the relabeled copy; only facts
         that a relabeling does not change (class profile, derived order,
-        ranks) may be read from it.  Elements, their orders, class
-        tables and centralizers come from the factors only on the group the
-        constructor built (the "factors" key), and from the copy's own
-        generators on a copy.
+        ranks) may be read from it.  Class tables and centralizers come from
+        the factors only on the group the constructor built (the "factors"
+        key), and from the copy's own generators on a copy.
         """
         return self._cache.get("factors up to relabeling")
 
@@ -873,64 +854,6 @@ def _product_elements(factors) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _product_orders(orders) -> tuple[int, ...]:
-    """Element orders of a direct product, aligned with _product_elements:
-    x + shifted y has order lcm(o(x), o(y))."""
-    out = [1]
-    for factor in orders:
-        out = [lcm(a, b) for a in out for b in factor]
-    return tuple(out)
-
-
-def _wreath_elements(elements, degree: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Sorted elements of H wr C_n from H's sorted elements and degree.
-
-    The element with top part c**j and base part (h_0, ..., h_{n-1}) sends
-    point i of block b to point h_b(i) of block (b + j) mod n, so its
-    images are the h_b, each shifted onto block (b + j) mod n, concatenated
-    over b.  Block 0 goes to block j, so the elements sort by j, then by
-    (h_0, ..., h_{n-1}) in product order over H's sorted elements.
-    """
-    blocks = [[tuple(map((k * degree).__add__, h)) for h in elements] for k in range(n)]
-    out = []
-    for j in range(n):
-        words = [()]
-        for b in range(n):
-            words = [w + h for w in words for h in blocks[(b + j) % n]]
-        out.extend(words)
-    return tuple(out)
-
-
-def _wreath_orders(elements, orders, n: int) -> tuple[int, ...]:
-    """Element orders of H wr C_n, aligned with _wreath_elements, from H's
-    sorted elements and their orders.
-
-    With top part c**j, let d = gcd(j, n) and m = n / d.  The m-th power of
-    the element maps each block to itself, and on the d block cycles
-    b, b + j, ..., b + (m-1)j (b < d) it is conjugate to the cycle product
-    h_b then h_{b+j} then ... then h_{b+(m-1)j}.  So the order is m times
-    the lcm of the orders of the d cycle products, and when j = 0 it is the
-    lcm of the o(h_b).
-    """
-    out = [1]
-    for _ in range(n):
-        out = [lcm(a, o) for a in out for o in orders]
-    index = {h: k for k, h in enumerate(elements)}
-    for j in range(1, n):
-        d = gcd(j, n)
-        m = n // d
-        cycles = [[(b + t * j) % n for t in range(m)] for b in range(d)]
-        for word in product(elements, repeat=n):
-            o = 1
-            for cycle in cycles:
-                x = word[cycle[0]]
-                for b in cycle[1:]:
-                    x = kernels.compose(x, word[b])
-                o = lcm(o, orders[index[x]])
-            out.append(m * o)
-    return tuple(out)
-
-
 def _product_centralizer(factors, z: tuple[int, ...], limit: int | None):
     """The centralizer of z in the direct product of factors, as (key,
     build) for PermGroup._centralizer_group: C(x, y) = C_G(x) x C_H(y),
@@ -954,8 +877,9 @@ def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: in
     """The centralizer of z in H wr C_n, for H = base, as (key, build) for
     PermGroup._centralizer_group.
 
-    Write z = (h; c**j) and an element k = (k; c**t), as in
-    _wreath_elements.  z then k sends block b to block b + j + t by
+    Write z = (h; c**j) when z sends point i of block b to point h_b(i) of
+    block (b + j) mod n, and an element k = (k; c**t) likewise.  z then k
+    sends block b to block b + j + t by
     h_b k_(b+j), and k then z by k_b h_(b+t), so k commutes with z exactly
     when k_(b+j) = h_b**-1 k_b h_(b+t) for every b, products left to
     right.  On each cycle c_0, c_1 = c_0 + j, ... of the shift by j, the

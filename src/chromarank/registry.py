@@ -533,12 +533,13 @@ def _register_candidate(
 
     Counts the candidate in tally under its rule, and a fingerprint
     duplicate under "duplicate".  In paranoid mode, a PRODUCT or WREATH
-    candidate, whose order, elements, element orders, class table and
-    fingerprint come from its factors, is also checked against a copy of
-    it with no record of its factors (_check_factor_rule).  name() gives
-    the candidate's name, and is called only for an entry that is added, a
-    skip that is logged or an error that is reported: most candidates are
-    duplicates, and a centralizer's name prints its representative.
+    candidate, whose order, class table, profile and derived order come
+    from its factors, is checked against a copy with no record of them
+    (_check_factor_rule), and its centralizers in _centralizer_children.
+    name() gives the candidate's name, and is called only for an entry
+    that is added, a skip that is logged or an error that is reported:
+    most candidates are duplicates, and a centralizer's name prints its
+    representative.
     """
     tally[rule] += 1
     try:
@@ -595,8 +596,6 @@ def _class_rows(group: PermGroup, limit) -> list:
 # against the same query on a copy of the group with no record of them.
 _FACTOR_FACTS = (
     ("order", lambda g, limit: g.order()),
-    ("element", lambda g, limit: g._raw_elements(limit)),
-    ("order of element", lambda g, limit: g._element_orders(limit)),
     ("class", _class_rows),
     ("class profile", lambda g, limit: g.class_profile(limit)),
     ("derived order", lambda g, limit: g._derived_order(limit)),
@@ -606,10 +605,10 @@ _FACTOR_FACTS = (
 def _check_factor_rule(name: Callable[[], str], group: PermGroup, limit) -> None:
     """Raise ConsistencyError when a fact a group took from its factors
     differs from the one the copy PermGroup(group.degree, group.generators)
-    gives: its order (stabilizer chain), sorted elements (closure), their
-    orders (kernel), class table (its own class walk), class profile and
-    derived order (derived subgroup).  They are compared in that order,
-    since each is read from the ones before."""
+    gives: its order (stabilizer chain), class table (its own class walk),
+    class profile and derived order (derived subgroup), compared in that
+    order, since each is read from the ones before.  Elements need no
+    check: both groups close the same generators."""
     plain = PermGroup(group.degree, group.generators)
     for fact, query in _FACTOR_FACTS:
         _compare_factor_fact(name, fact, query(group, limit), query(plain, limit))
@@ -656,13 +655,12 @@ def _centralizer_children(
 ) -> list[RegistryEntry]:
     """Centralizers of one representative per non-central p-power class of
     the group.  In paranoid mode, each is checked against filtering the
-    elements of a copy of the group with no record of its factors, as a
-    product or wreath builds its centralizers from them."""
+    group's elements, the closure of its generators, as a product or
+    wreath builds its centralizers from its factors."""
     classes = _centralizer_classes(group, p, bound, limit)
     if classes is None:
         log.info("explore: %s too large to enumerate for centralizers", parent.name)
         return []
-    plain = PermGroup(group.degree, group.generators) if paranoid else None
     added = []
     named: set[tuple[int, int]] = set()
     for rep, size, o, czo in classes:
@@ -675,8 +673,8 @@ def _centralizer_children(
             return expr or f"cent[{parent.name};o{o};cz{czo};{rep.cycle_string()}]"
 
         cent = group._class_centralizer(rep, size, limit)
-        if plain is not None:
-            filtered = kernels.centralizer_filter(list(plain._raw_elements(limit)), [rep.images])
+        if paranoid:
+            filtered = kernels.centralizer_filter(list(group._raw_elements(limit)), [rep.images])
             ruled = cent._raw_elements(limit)
             _compare_factor_fact(name, "centralizer element", ruled, tuple(filtered))
         entry = _register_candidate(

@@ -444,9 +444,9 @@ def test_paper_tower_is_fingerprinted_from_its_factors(monkeypatch):
 
 
 def test_paper_tower_is_enumerated_from_its_factors(monkeypatch):
-    # The 4608 group and the 18432 tower over E96 assemble their elements
-    # and element orders from their factors', so selecting E192 closes
-    # neither; the selected classes are those of test_paper_selections.
+    # The 4608 group and the 18432 tower over E96 take their class rows and
+    # centralizers from their factors, so selecting E192 closes neither;
+    # the selected classes are those of test_paper_selections.
     closed = []
     close_group = kernels.close_group
 
@@ -466,6 +466,24 @@ def test_paper_tower_is_enumerated_from_its_factors(monkeypatch):
         "(4 20 12 28 6 22 14 30)",
         96,
     )
+
+
+def test_enumeration_checks_the_recorded_order(monkeypatch):
+    # A product or wreath closes its generators like any group, and the
+    # closure's length is checked against the order its record gives, so a
+    # wrong recorded order is caught as soon as its elements are asked for.
+    record_factors = PermGroup._record_factors
+
+    def doubled(self, factors, n=None):
+        record_factors(self, factors, n)
+        self._cache["order"] *= 2
+        return self
+
+    monkeypatch.setattr(PermGroup, "_record_factors", doubled)
+    for text in ("wr(c(2),c(3))", "prod(s(3),c(2))"):
+        group = evaluate(parse(text))
+        with pytest.raises(ChromarankError, match="closure disagrees"):
+            group._raw_elements()
 
 
 def test_factor_rule_holds_the_limit():

@@ -569,27 +569,6 @@ def _multiplied_orders(profiles):
     return tuple(sorted(pairs))
 
 
-def _unturned_wreath_elements(elements, degree, n):
-    # A wrong wreath rule: h_b stays on block b whatever the top part c**j.
-    words = [()]
-    for b in range(n):
-        words = [w + tuple(x + b * degree for x in h) for w in words for h in elements]
-    return tuple(words) * n
-
-
-def _orders_without_cycle_length(original):
-    # A wrong wreath rule: orders with top part c**j, j != 0, lack the factor
-    # m = n / gcd(j, n).
-    def wrong(elements, orders, n):
-        base = len(elements) ** n
-        return tuple(
-            o if i < base else o // (n // math.gcd(i // base, n))
-            for i, o in enumerate(original(elements, orders, n))
-        )
-
-    return wrong
-
-
 def _misplaced_wreath_classes(original):
     # A wrong wreath rule: the reps of H's classes on the first d blocks
     # rather than the last d, a conjugate of the class's least element.
@@ -623,20 +602,17 @@ def _base_only_wreath_centralizer(original):
         # sizes without the factor |H|**(n - d)
         (group_mod, "_wreath_profile", lambda original: lambda prof, order, n: original(prof, 1, n)),
         (PermGroup, "_derived_order", lambda original: lambda g, limit: 2 * original(g, limit)),
-        (group_mod, "_wreath_elements", lambda original: _unturned_wreath_elements),
-        (group_mod, "_wreath_orders", _orders_without_cycle_length),
         (group_mod, "_wreath_classes", _misplaced_wreath_classes),
         (group_mod, "_wreath_centralizer", _base_only_wreath_centralizer),
     ],
 )
 def test_explore_paranoid_mode_checks_the_factor_rule(monkeypatch, owner, attr, wrong):
-    # Products and wreaths take their elements, element orders, class
-    # tables, centralizers and fingerprints from their factors; paranoid
-    # mode compares each with the closure of the generators, the
-    # element_order kernel, the group's own class walk, centralizer_filter
-    # and derived subgroup, so a wrong rule is caught there.  Nothing else
-    # reads these facts against the generators, so without it explore runs
-    # to the end.
+    # Products and wreaths take their class tables, centralizers and
+    # fingerprints from their factors; paranoid mode compares each with the
+    # group's own class walk, centralizer_filter over the closure of its
+    # generators and derived subgroup, so a wrong rule is caught there.
+    # Nothing else reads these facts against the generators, so without it
+    # explore runs to the end.
     monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
     explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1)
     with pytest.raises(ConsistencyError, match="from its factors is"):
