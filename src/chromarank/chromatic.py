@@ -123,14 +123,16 @@ def commuting_tuple_classes(
     first at the class's lex-least tuple, which is its representative;
     components come out sorted by it.  A prefix of a lex-least tuple is
     lex-least among its own conjugates, so a prefix whose orbit was reached
-    before is not extended.  No class table is read.
+    before is not extended.  No class table is read, and nothing is
+    cached: each call checks the limit and walks again.
     """
     _check_prime(p)
     _check_height(h)
     if h == 0:  # one empty tuple, centralized by the group; nothing to enumerate
         return LoopDecomposition(p, 0, (LoopComponent(PTuple(p, ()), group, 1),))
     limit = enumeration_limit(limit)
-    return group._cached(("tuple_classes", p, h), limit, lambda: _walk_classes(group, p, h, limit))
+    group._check_limit(limit)
+    return _walk_classes(group, p, h, limit)
 
 
 def _walk_classes(group: PermGroup, p: int, h: int, limit: int) -> LoopDecomposition:
@@ -158,10 +160,6 @@ def _walk_classes(group: PermGroup, p: int, h: int, limit: int) -> LoopDecomposi
             return
         ptuple = PTuple(p, tuple(Permutation._wrap(t) for t in tup))
         cent = above._centralizer_raw([tup[-1]], limit)
-        if cent is group:
-            # group is its own intern-table entry, and its cache is about
-            # to hold this component.
-            cent = group._unshared_copy(limit)
         if order % cent.order() or order // cent.order() != len(orbit):
             raise ChromarankError("orbit size disagrees with centralizer index")
         components.append(LoopComponent(ptuple, cent, len(orbit)))
@@ -300,14 +298,16 @@ def verify_rank_identity(
     tuple walk's height-n classes; rhs sums hkr_rank, the centralizer
     recursion, at height t over the walk's (n-t)-tuple classes.  Every
     t >= 1 thus compares the two algorithms.  t = 0 is the only case that
-    checks nothing: both sides count the same walk's components.
+    checks nothing: both sides count the components of one height-n walk.
     """
     _check_prime(p)
     _check_height(n)
     if not 0 <= t <= n:
         raise ValueError("need 0 <= t <= n")
-    lhs = len(commuting_tuple_classes(group, p, n, limit))
-    decomposition = commuting_tuple_classes(group, p, n - t, limit)
+    decomposition = commuting_tuple_classes(group, p, n, limit)
+    lhs = len(decomposition)
+    if t:
+        decomposition = commuting_tuple_classes(group, p, n - t, limit)
     per = []
     rhs = 0
     for comp in decomposition.components:

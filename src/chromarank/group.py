@@ -16,7 +16,10 @@ the order and the record, and reads from it only what a relabeling does
 not change: the class profile, the derived order and, in chromatic, the
 ranks.  The class walk and centralizer_filter serve every other group,
 and stay the independent check of the factor rules (registry paranoid
-mode, tests).
+mode, tests).  Every centralizer is interned, one subgroup per element
+set, and memoized per target tuple as that subgroup, except that a group
+is never held in its own cache: nothing cached here forms a reference
+cycle, so dropped groups are freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -518,20 +521,20 @@ class PermGroup:
 
         Its elements are sorted, so they are an exact key into the intern
         table (_intern): equal centralizers come back as one object, which
-        computes its class table, fingerprint and ranks once.  The element
-        tuple is memoized per target tuple; it is kept rather than the
-        group, because a centralizer can be the group itself, and a group
+        computes its class table, fingerprint and ranks once.  The subgroup
+        is memoized per target tuple, so a repeated target costs one lookup.
+        An interned group is its own centralizer for a central target; the
+        memo then marks it (_ITSELF) rather than holding it, since a group
         in its own cache is a reference cycle.
         """
         self._check_limit(limit)
-        targets = tuple(raw_targets)
-        key = ("centralizer", targets)
-        elements = self._cache.get(key)
-        if elements is None:
-            sub = self._centralizer_group(targets, limit)
-        else:
-            sub = self._intern(elements)
-        self._cache[key] = sub._cache["elements_raw"]
+        key = ("centralizer", tuple(raw_targets))
+        sub = self._cache.get(key)
+        if sub is None:
+            sub = self._centralizer_group(key[1], limit)
+            self._cache[key] = _ITSELF if sub is self else sub
+        elif sub is _ITSELF:
+            sub = self
         return sub
 
     def _intern(self, elements) -> "PermGroup":
@@ -544,20 +547,6 @@ class PermGroup:
             sub._cache["intern"] = weakref.ref(table)
             table[sub._cache["elements_raw"]] = sub
         return sub
-
-    def _unshared_copy(self, limit: int | None = None) -> "PermGroup":
-        """A group on the same generators, order and sorted elements that is
-        in no intern table, so its own centralizers go to a table it starts.
-
-        A group that is its own intern-table entry gets itself back as the
-        centralizer of a central element.  A result cached on the group that
-        held that centralizer would be a reference cycle; it holds this copy
-        instead.
-        """
-        copy = PermGroup(self.degree, self.generators)
-        copy._cache["order"] = self.order()
-        copy._cache["elements_raw"] = self._raw_elements(limit)
-        return copy
 
     def _centralizer_group(self, targets: tuple, limit: int | None) -> "PermGroup":
         """The interned subgroup of elements commuting with every target.
@@ -736,6 +725,10 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"
+
+
+# The centralizer memo's mark for a group that centralizes the target itself.
+_ITSELF = object()
 
 
 class _InternTable(dict):

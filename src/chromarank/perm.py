@@ -155,10 +155,14 @@ class Permutation:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
-    def __lt__(self, other: "Permutation") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return self.images < other.images
 
-    def __le__(self, other: "Permutation") -> bool:
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return self.images <= other.images
 
     def __hash__(self) -> int:

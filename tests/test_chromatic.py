@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chromarank import (
     ChromarankError,
+    chromatic,
     HeightExceeded,
     Permutation,
     PTuple,
@@ -183,11 +184,26 @@ def test_relabeling_invariance(seed):
         assert hkr_rank(group, p, h) == hkr_rank(relabeled, p, h)
 
 
-def test_caching_reuses_decompositions(corpus):
+def test_identity_at_t0_walks_height_n_once(corpus, monkeypatch):
+    # The walk is not cached; t = 0 reads both sides off one height-n walk,
+    # and t >= 1 walks heights n and n - t once each.
+    walks = []
+    walk = chromatic._walk_classes
+
+    def counting(group, p, h, limit):
+        walks.append(h)
+        return walk(group, p, h, limit)
+
+    monkeypatch.setattr(chromatic, "_walk_classes", counting)
     g = corpus["S_4"]
-    d1 = commuting_tuple_classes(g, 2, 2)
-    d2 = commuting_tuple_classes(g, 2, 2)
-    assert d1 is d2
+    for n in (1, 2, 3):
+        walks.clear()
+        report = verify_rank_identity(g, 2, n, 0)
+        assert walks == [n], n
+        assert report.passed and report.lhs == hkr_rank(g, 2, n), n
+        walks.clear()
+        verify_rank_identity(g, 2, n, 1)
+        assert walks == ([n, n - 1] if n > 1 else [n]), n
 
 
 def test_recursive_rank_matches_walk(corpus):

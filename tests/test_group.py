@@ -164,6 +164,29 @@ def test_interned_centralizer_honours_a_smaller_limit():
     assert cent.centralizer([x], limit=5) is cent
 
 
+def test_repeated_centralizer_skips_the_intern_table(corpus, monkeypatch):
+    # The memo holds each centralizer, and marks the group itself when it is
+    # its own centralizer, so a repeated target is one lookup.
+    intern = PermGroup._intern
+    calls = []
+
+    def counting(self, elements):
+        calls.append(elements)
+        return intern(self, elements)
+
+    for name, group in corpus.items():
+        targets = [rep.images for rep in group.conjugacy_classes().reps]
+        cents = [group._centralizer_raw([t]) for t in targets]
+        for cent, t in zip(cents, targets):
+            assert cent._centralizer_raw([t]) is cent, name
+        monkeypatch.setattr(PermGroup, "_intern", counting)
+        for cent, t in zip(cents, targets):
+            assert group._centralizer_raw([t]) is cent, name
+            assert cent._centralizer_raw([t]) is cent, name
+        assert calls == [], name
+        monkeypatch.undo()
+
+
 def test_dropped_groups_leave_no_reference_cycles():
     # The intern table is reached from its subgroups only by a weak
     # reference, so everything goes by reference counting alone.

@@ -93,6 +93,22 @@ def test_lex_ordering_and_hash():
     assert len({a, b, Permutation((0, 1, 2))}) == 2
 
 
+def test_ordering_against_a_non_permutation_is_a_type_error():
+    p = Permutation((1, 0))
+    for compare in (
+        lambda: p < 3,
+        lambda: p <= 3,
+        lambda: p > 3,
+        lambda: p >= 3,
+        lambda: 3 < p,
+        lambda: p < (1, 0),
+    ):
+        with pytest.raises(TypeError):
+            compare()
+    assert p != 3 and p != (1, 0)
+    assert Permutation((0, 1)) < p <= p and p > Permutation((0, 1))
+
+
 def test_conjugate_matches_definition():
     x = Permutation.from_cycles("(0 1)", degree=4)
     g = Permutation.from_cycles("(0 2)(1 3)", degree=4)

@@ -595,18 +595,34 @@ def _base_only_wreath_centralizer(original):
     return wrong
 
 
+def _first_factor_product_centralizer(original):
+    # A wrong product rule: C_G(x) x H, as if y were central in H.
+    def wrong(factors, z, limit):
+        (first, *_), _ = original(factors, z, limit)
+        subs = (first, *factors[1:])
+        return subs, lambda: group_mod._product_elements(
+            [(s.degree, s._raw_elements(limit)) for s in subs]
+        )
+
+    return wrong
+
+
 @pytest.mark.parametrize(
-    "owner, attr, wrong",
+    "owner, attr, wrong, bound, depth",
     [
-        (group_mod, "_product_profile", lambda original: _multiplied_orders),
+        (group_mod, "_product_profile", lambda original: _multiplied_orders, 81, 1),
         # sizes without the factor |H|**(n - d)
-        (group_mod, "_wreath_profile", lambda original: lambda prof, order, n: original(prof, 1, n)),
-        (PermGroup, "_derived_order", lambda original: lambda g, limit: 2 * original(g, limit)),
-        (group_mod, "_wreath_classes", _misplaced_wreath_classes),
-        (group_mod, "_wreath_centralizer", _base_only_wreath_centralizer),
+        (group_mod, "_wreath_profile", lambda original: lambda prof, order, n: original(prof, 1, n), 81, 1),
+        (PermGroup, "_derived_order", lambda original: lambda g, limit: 2 * original(g, limit), 81, 1),
+        # reps y + x rather than x + y
+        (group_mod, "_product_classes", lambda original: lambda tables, o: original(tables[::-1], o), 81, 1),
+        (group_mod, "_wreath_classes", _misplaced_wreath_classes, 81, 1),
+        # first reached by cent(prod(c(3),wr(c(3),c(3))),order=3,czorder=81)
+        (group_mod, "_product_centralizer", _first_factor_product_centralizer, 243, 3),
+        (group_mod, "_wreath_centralizer", _base_only_wreath_centralizer, 81, 1),
     ],
 )
-def test_explore_paranoid_mode_checks_the_factor_rule(monkeypatch, owner, attr, wrong):
+def test_explore_paranoid_mode_checks_the_factor_rule(monkeypatch, owner, attr, wrong, bound, depth):
     # Products and wreaths take their class tables, centralizers and
     # fingerprints from their factors; paranoid mode compares each with the
     # group's own class walk, centralizer_filter over the closure of its
@@ -614,9 +630,9 @@ def test_explore_paranoid_mode_checks_the_factor_rule(monkeypatch, owner, attr, 
     # Nothing else reads these facts against the generators, so without it
     # explore runs to the end.
     monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
-    explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1)
+    explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, bound, depth=depth)
     with pytest.raises(ConsistencyError, match="from its factors is"):
-        explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1, paranoid=True)
+        explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, bound, depth=depth, paranoid=True)
 
 
 def test_explore_paranoid_mode_checks_the_recorded_order(monkeypatch):
