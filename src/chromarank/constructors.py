@@ -86,7 +86,8 @@ def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
     """G x H on deg(G) + deg(H) points, G acting first.
 
     The factors are recorded on the result, which takes from theirs its
-    order, class table, profile, derived order, centralizers and ranks.
+    order, class table and profile (both read group._product_rows),
+    derived order, centralizers and ranks.
     """
     dg, dh = g.degree, h.degree
     degree = dg + dh
@@ -104,7 +105,8 @@ def wreath_cyclic(g: PermGroup, n: int) -> PermGroup:
     Generators: each generator of G on block 0, then the block n-cycle, whose
     powers carry block 0 onto the other blocks.  The order is |G|**n * n.
     G and n are recorded on the result, which takes from G's its order,
-    class table, profile, derived order, centralizers and ranks.
+    class table and profile (both read group._wreath_words), derived
+    order, centralizers and ranks.
     """
     if n < 1:
         raise ValueError("wreath cycle length must be at least 1")

@@ -401,7 +401,9 @@ class PermGroup:
 
         Each rep is the least element of its class.  A recorded direct
         product or wreath reads its classes from its factors' class tables
-        (see _product_classes and _wreath_classes).  Any other group walks
+        (see _product_classes and _wreath_classes), with each class's
+        element order and size from the formula _profile reads too
+        (_product_rows, _wreath_words).  Any other group walks
         its elements in sorted order, so each class is first reached at its
         least member.  With order given, only the classes of that element
         order are yielded; the walk then visits only the elements of that
@@ -446,10 +448,12 @@ class PermGroup:
         stabilizer chain is built for it.  The conjugacy classes,
         class_profile, centralizers and the derived order of fingerprint
         are computed from the factors (see _classes, _profile,
-        _centralizer_group and _derived_order); the elements (_close), their
-        orders and every other query come from the generators as for any
-        group.  The record is also kept under a second key, which
-        conjugate_by copies (see factor_record).
+        _centralizer_group and _derived_order); the classes and the profile
+        read each class's element order and size from one formula per
+        construction (_product_rows, _wreath_words).  The elements
+        (_close), their orders and every other query come from the
+        generators as for any group.  The record is also kept under a
+        second key, which conjugate_by copies (see factor_record).
         """
         self._cache["factors"] = self._cache["factors up to relabeling"] = (factors, n)
         if n is None:
@@ -483,9 +487,11 @@ class PermGroup:
             return self.conjugacy_classes(limit).profile()
         factors, n = record
         if n is None:
-            return _product_profile([f.class_profile(limit) for f in factors])
-        (base,) = factors
-        return _wreath_profile(base.class_profile(limit), base.order(), n)
+            rows = _product_rows([f.class_profile(limit) for f in factors])
+        else:
+            (base,) = factors
+            rows = (row[2:] for row in _wreath_words(base.class_profile(limit), base.order(), n))
+        return tuple(sorted(rows))
 
     def _derived_order(self, limit: int | None) -> int:
         """|G'|: the product of the factors' for a recorded direct product,
@@ -737,50 +743,40 @@ class _InternTable(dict):
     __slots__ = ("__weakref__",)
 
 
-def _product_profile(profiles) -> tuple[tuple[int, int], ...]:
-    """Class profile of a direct product from its factors' profiles.
+def _product_rows(columns) -> list[tuple[int, int]]:
+    """(element order, class size) of each class of a direct product, from
+    the (element order, class size) rows of each factor's classes, in
+    product order: the first factor's rows outermost.
 
     A class of G x H is a pair of classes, (a, b) of G and (c, d) of H: its
     elements have order lcm(a, c) and there are b * d of them.
     """
-    pairs = [(1, 1)]
-    for profile in profiles:
-        pairs = [(lcm(a, c), b * d) for a, b in pairs for c, d in profile]
-    return tuple(sorted(pairs))
+    rows = [(1, 1)]
+    for column in columns:
+        rows = [(lcm(a, c), b * d) for a, b in rows for c, d in column]
+    return rows
 
 
-def _wreath_profile(profile, base_order: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Class profile of H wr C_n from H's profile and order: the order and
-    size of each class _wreath_words describes."""
-    return tuple(
-        sorted(
-            (
-                lcm(*(m * profile[i][0] for i in word)),
-                turns * base_order ** (n - len(word)) * prod(profile[i][1] for i in word),
-            )
-            for _, m, word, turns in _wreath_words(len(profile), n)
-        )
-    )
-
-
-def _wreath_words(classes: int, n: int):
-    """Yield (j, m, word, turns) per conjugacy class of H wr C_n, for an H
-    with the given number of classes.
+def _wreath_words(rows, base_order: int, n: int):
+    """Yield (j, word, element order, size) per conjugacy class of H wr C_n,
+    from the (element order, class size) rows of H's classes and |H|.
 
     James and Kerber, The Representation Theory of the Symmetric Group,
     4.2.  An element with top part the j-th power of the block cycle has
     d = gcd(j, n) cycles of m = n / d blocks each, and its class is fixed
     by the classes (c_1, ..., c_d) of its d cycle products up to rotation
-    by C_d.  word is the least rotation of those class indices, and turns
-    the number of its distinct rotations.  The class has element order
-    lcm(m * o(c_i)) and size turns * |H|**(n - d) * prod |c_i|.
+    by C_d.  word is the least rotation of those row indices.  The class
+    has element order lcm(m * o(c_i)) and size r * |H|**(n - d) * prod
+    |c_i|, for r the number of distinct rotations of word.
     """
     for j in range(n):
         d = gcd(j, n)
-        for word in product(range(classes), repeat=d):
+        m = n // d
+        for word in product(range(len(rows)), repeat=d):
             rotations = {word[i:] + word[:i] for i in range(d)}
             if word == min(rotations):
-                yield j, n // d, word, len(rotations)
+                size = len(rotations) * base_order ** (n - d) * prod(rows[i][1] for i in word)
+                yield j, word, lcm(*(m * rows[i][0] for i in word)), size
 
 
 def _product_classes(tables, order: int | None) -> list:
@@ -788,21 +784,15 @@ def _product_classes(tables, order: int | None) -> list:
     of the given element order (all when None), from (degree, class table)
     of each factor, in order.
 
-    A class of G x H is a pair of classes: its least element is x + y
-    shifted by deg G, for the least elements x and y of the two classes,
-    since G's points come first.  Its size is the product of the sizes and
-    its element order the lcm of the orders.
+    A class of G x H is a pair of classes, with order and size from
+    _product_rows.  Its least element is x + y shifted by deg G, for the
+    least elements x and y of the two classes, since G's points come
+    first; _product_elements of the factors' sorted reps lists these in
+    the same product order, sorted.
     """
-    rows = [((), 1, 1)]
-    offset = 0
-    for degree, table in tables:
-        shifted = [
-            (tuple(map(offset.__add__, rep.images)), size, o)
-            for rep, size, o in zip(table.reps, table.sizes, table.orders)
-        ]
-        rows = [(x + y, a * b, lcm(c, e)) for x, a, c in rows for y, b, e in shifted]
-        offset += degree
-    return sorted(row for row in rows if order is None or row[2] == order)
+    reps = _product_elements([(degree, [rep.images for rep in table.reps]) for degree, table in tables])
+    rows = _product_rows([list(zip(table.orders, table.sizes)) for _, table in tables])
+    return [(rep, size, o) for rep, (o, size) in zip(reps, rows) if order is None or o == order]
 
 
 def _wreath_classes(table, base_order: int, degree: int, n: int, order: int | None) -> list:
@@ -810,7 +800,7 @@ def _wreath_classes(table, base_order: int, degree: int, n: int, order: int | No
     the given element order (all when None), from H's class table, order
     and degree.
 
-    The least element of the class _wreath_words gives as (j, m, word) has
+    The least element of the class _wreath_words gives as (j, word) has
     top part c**j, h_b the identity for b < n - d, and h_(n-d+i) the least
     element of H's class word[i]: the identity is H's least element, and
     the last d blocks meet each of the d block cycles once.
@@ -818,14 +808,11 @@ def _wreath_classes(table, base_order: int, degree: int, n: int, order: int | No
     reps = [rep.images for rep in table.reps]
     identity = tuple(range(degree))
     rows = []
-    for j, m, word, turns in _wreath_words(len(reps), n):
-        o = lcm(*(m * table.orders[i] for i in word))
+    for j, word, o, size in _wreath_words(list(zip(table.orders, table.sizes)), base_order, n):
         if order is not None and o != order:
             continue
-        d = len(word)
-        base = [identity] * (n - d) + [reps[i] for i in word]
+        base = [identity] * (n - len(word)) + [reps[i] for i in word]
         rep = tuple(x + (b + j) % n * degree for b, h in enumerate(base) for x in h)
-        size = turns * base_order ** (n - d) * prod(table.sizes[i] for i in word)
         rows.append((rep, size, o))
     return sorted(rows)
 

@@ -607,8 +607,9 @@ def _check_factor_rule(name: Callable[[], str], group: PermGroup, limit) -> None
     differs from the one the copy PermGroup(group.degree, group.generators)
     gives: its order (stabilizer chain), class table (its own class walk),
     class profile and derived order (derived subgroup), compared in that
-    order, since each is read from the ones before.  Elements need no
-    check: both groups close the same generators."""
+    order.  The table and the profile read one formula per construction,
+    so a wrong formula is named at the table.  Elements need no check:
+    both groups close the same generators."""
     plain = PermGroup(group.degree, group.generators)
     for fact, query in _FACTOR_FACTS:
         _compare_factor_fact(name, fact, query(group, limit), query(plain, limit))

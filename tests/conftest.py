@@ -175,12 +175,13 @@ def assert_factor_rule_matches_enumeration(group, label=None):
     """A product's or wreath's class profile, fingerprint (with its
     derived order) and exponent, taken from its factors, equal those of a
     copy of the group with no record of its construction, which walks its
-    own classes; and the group itself builds no class table to get them.
+    own classes; and no recorded group, neither the group nor a factor,
+    builds a class table to get them.
 
     Its HKR ranks, and those of a relabeled copy (conjugate_by), taken from
     its factors' ranks, equal the centralizer recursion's on the unrecorded
-    copy, and neither the group nor the relabeled copy builds a class table
-    of its own for them.  The relabeled copy keeps the order, with no
+    copy, and no recorded group, the relabeled copy included, builds a
+    class table for them.  The relabeled copy keeps the order, with no
     stabilizer chain.
 
     Then its class table (reps, sizes, element orders) equals the copy's
@@ -210,6 +211,7 @@ def assert_factor_rule_matches_enumeration(group, label=None):
         got = (group.class_profile(), group.fingerprint(), group.exponent())
         ranks = [hkr_rank(g, p, h) for g in (group, relabeled) for p, h in cases]
     assert all(t is not group and t is not relabeled for t in tabled), label
+    assert all(t.factor_record() is None for t in tabled), label
     assert relabeled.order() == group.order() and relabeled._chain is None, label
     plain = PermGroup(group.degree, group.generators)
     assert ranks == [hkr_rank(plain, p, h) for p, h in cases] * 2, label

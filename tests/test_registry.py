@@ -561,12 +561,12 @@ def test_explore_paranoid_mode_checks_existing_entries():
         explore(reg, 3, 9, depth=1, paranoid=True)
 
 
-def _multiplied_orders(profiles):
+def _multiplied_orders(columns):
     # A wrong product rule: element orders multiplied, not their lcm taken.
-    pairs = [(1, 1)]
-    for profile in profiles:
-        pairs = [(a * c, b * d) for a, b in pairs for c, d in profile]
-    return tuple(sorted(pairs))
+    rows = [(1, 1)]
+    for column in columns:
+        rows = [(a * c, b * d) for a, b in rows for c, d in column]
+    return rows
 
 
 def _misplaced_wreath_classes(original):
@@ -610,9 +610,9 @@ def _first_factor_product_centralizer(original):
 @pytest.mark.parametrize(
     "owner, attr, wrong, bound, depth",
     [
-        (group_mod, "_product_profile", lambda original: _multiplied_orders, 81, 1),
+        (group_mod, "_product_rows", lambda original: _multiplied_orders, 81, 1),
         # sizes without the factor |H|**(n - d)
-        (group_mod, "_wreath_profile", lambda original: lambda prof, order, n: original(prof, 1, n), 81, 1),
+        (group_mod, "_wreath_words", lambda original: lambda rows, order, n: original(rows, 1, n), 81, 1),
         (PermGroup, "_derived_order", lambda original: lambda g, limit: 2 * original(g, limit), 81, 1),
         # reps y + x rather than x + y
         (group_mod, "_product_classes", lambda original: lambda tables, o: original(tables[::-1], o), 81, 1),
