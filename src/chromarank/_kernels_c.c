@@ -8,10 +8,13 @@
  * repeat give unspecified results, but every buffer starts zeroed, so they
  * still index nothing out of bounds.
  *
- * close_group, conjugacy_orbit and tuple_orbit share one breadth-first
- * search.  It keeps each state packed into a bytes object as big-endian u32
- * images, so bytes comparison and hashing match tuple order while the inner
- * loops run on raw C arrays.
+ * close_group and the orbit kernels share one breadth-first search over
+ * single permutations: tuple_orbit is conjugacy_orbit applied to a tuple
+ * packed into one permutation, block j holding entry j shifted by j times the
+ * degree, under the block-diagonal copies of the generators.  The search
+ * keeps each state packed into a bytes object as big-endian u32 images, so
+ * bytes comparison and hashing match tuple order while the inner loops run
+ * on raw C arrays.
  *
  * Written against the CPython C API of 3.10; setup.py builds it.
  */
@@ -310,38 +313,37 @@ static PyObject *element_order(PyObject *Py_UNUSED(module), PyObject *a)
 
 /* -- closure and orbits ------------------------------------------------------ */
 
-/* Breadth-first search from the h permutations of degree d in start, under
- * the ng generators in gens.  A generator g sends a state x to x g when
- * conjugation is 0, and each of its permutations to g^-1 x g otherwise.
- * Returns the list of packed states in discovery order, None once more than
- * cap states are found, or NULL with an exception set. */
-static PyObject *search(const u32 *start, Py_ssize_t h, Py_ssize_t d, const u32 *gens,
-                        Py_ssize_t ng, int conjugation, Py_ssize_t cap)
+/* Breadth-first search from the permutation start of degree d, under the
+ * ng generators in gens.  A generator g sends a state x to x g when inv is
+ * NULL, and to g^-1 x g when inv holds the generators' inverses.  Returns
+ * the list of packed states in discovery order, None once more than cap
+ * states are found, or NULL with an exception set. */
+static PyObject *search(const u32 *start, Py_ssize_t d, const u32 *gens, const u32 *inv,
+                        Py_ssize_t ng, Py_ssize_t cap)
 {
-    Py_ssize_t n = h * d;
-    u32 *x = PyMem_Calloc(2 * (size_t)n + 1, sizeof(u32)), *y;
+    u32 *x = PyMem_Calloc(2 * (size_t)d + 1, sizeof(u32)), *y;
     PyObject *seen = PySet_New(NULL), *queue = PyList_New(0), *key = NULL;
     if (x == NULL)
         PyErr_NoMemory();
-    if (x == NULL || seen == NULL || queue == NULL || (key = packed(start, n)) == NULL
+    if (x == NULL || seen == NULL || queue == NULL || (key = packed(start, d)) == NULL
         || PySet_Add(seen, key) < 0 || PyList_Append(queue, key) < 0)
         goto fail;
     Py_CLEAR(key);
-    y = x + n;
+    y = x + d;
     for (Py_ssize_t q = 0; q < PyList_GET_SIZE(queue); q++) {
-        unpack((const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(queue, q)), n, x);
+        unpack((const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(queue, q)), d, x);
         for (Py_ssize_t k = 0; k < ng; k++) {
             const u32 *g = gens + k * d;
-            if (conjugation) {
-                for (Py_ssize_t c = 0; c < n; c += d)
-                    for (Py_ssize_t i = 0; i < d; i++)
-                        y[c + g[i]] = g[x[c + i]];
+            if (inv != NULL) {
+                const u32 *g_inv = inv + k * d;
+                for (Py_ssize_t i = 0; i < d; i++)
+                    y[i] = g[x[g_inv[i]]];
             } else {
-                for (Py_ssize_t i = 0; i < n; i++)
+                for (Py_ssize_t i = 0; i < d; i++)
                     y[i] = g[x[i]];
             }
             Py_ssize_t before = PySet_GET_SIZE(seen);
-            if ((key = packed(y, n)) == NULL || PySet_Add(seen, key) < 0)
+            if ((key = packed(y, d)) == NULL || PySet_Add(seen, key) < 0)
                 goto fail;
             if (PySet_GET_SIZE(seen) > before) {
                 if (before >= cap) {
@@ -366,40 +368,30 @@ done:
     return queue;
 }
 
-/* Replace each packed state in the list states by its h permutations of
- * degree d: a tuple of h tuples when nested, else the one tuple. */
-static int unpack_states(PyObject *states, Py_ssize_t h, Py_ssize_t d, int nested)
-{
-    u32 *x = PyMem_Malloc(((size_t)(h * d) + 1) * sizeof(u32));
-    if (x == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    int status = 0;
-    for (Py_ssize_t q = 0; status == 0 && q < PyList_GET_SIZE(states); q++) {
-        unpack((const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(states, q)), h * d, x);
-        PyObject *value = nested ? PyTuple_New(h) : to_tuple(x, d);
-        for (Py_ssize_t c = 0; nested && value != NULL && c < h; c++) {
-            PyObject *perm = to_tuple(x + c * d, d);
-            if (perm == NULL)
-                Py_CLEAR(value);
-            else
-                PyTuple_SET_ITEM(value, c, perm);
-        }
-        status = value == NULL ? -1 : PyList_SetItem(states, q, value);
-    }
-    PyMem_Free(x);
-    return status;
-}
-
-/* Turn the result of search into the kernel's result, sorted or not;
- * consumes the reference to states. */
-static PyObject *finish(PyObject *states, Py_ssize_t h, Py_ssize_t d, int nested, int sorted)
+/* Turn the result of search into the kernel's result, sorted or not, each
+ * packed state replaced by its tuple of d images; consumes the reference to
+ * states. */
+static PyObject *finish(PyObject *states, Py_ssize_t d, int sorted)
 {
     if (states == NULL || states == Py_None)
         return states;
-    if ((sorted && PyList_Sort(states) < 0) || unpack_states(states, h, d, nested) < 0)
-        Py_CLEAR(states);
+    u32 *x = NULL;
+    if ((sorted && PyList_Sort(states) < 0)
+        || (x = PyMem_Malloc(((size_t)d + 1) * sizeof(u32))) == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
+        Py_DECREF(states);
+        return NULL;
+    }
+    for (Py_ssize_t q = 0; q < PyList_GET_SIZE(states); q++) {
+        unpack((const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(states, q)), d, x);
+        PyObject *perm = to_tuple(x, d);
+        if (perm == NULL || PyList_SetItem(states, q, perm) < 0) {
+            Py_CLEAR(states);
+            break;
+        }
+    }
+    PyMem_Free(x);
     return states;
 }
 
@@ -415,40 +407,42 @@ static PyObject *close_group(PyObject *Py_UNUSED(module), PyObject *const *args,
         u32 *identity = gens + ng * d;
         for (Py_ssize_t i = 0; i < d; i++)
             identity[i] = (u32)i;
-        out = finish(search(identity, 1, d, gens, ng, 0, cap), 1, d, 0, 1);
+        out = finish(search(identity, d, gens, NULL, ng, cap), d, 1);
     }
     PyMem_Free(gens);
     return out;
 }
 
-/* The orbit under conjugation by gens of the permutation start, or of the
- * nonempty sequence of permutations start when nested. */
-static PyObject *orbit(PyObject *start, PyObject *gens, int nested)
+/* The orbit of args[0] under conjugation by the generators args[1], whose
+ * inverses are args[2]; name is the kernel's, for the arity error. */
+static PyObject *orbit(const char *name, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_ssize_t d = -1, ng = 0, h = 1;
+    Py_ssize_t d = -1, ng = 0, ni = 0;
     PyObject *out = NULL;
-    u32 *rows = nested ? read_seq(start, 0, &d, &h) : read_perms(&start, 1, 0, &d);
-    u32 *g = rows == NULL ? NULL : read_seq(gens, 0, &d, &ng);
-    if (g != NULL)
-        out = finish(search(rows, h, d, g, ng, 1, PY_SSIZE_T_MAX), h, d, nested, 0);
-    PyMem_Free(rows);
+    u32 *x = NULL, *g = NULL, *inv = NULL;
+    if (arity(name, nargs, 3) < 0 || (x = read_perms(args, 1, 0, &d)) == NULL
+        || (g = read_seq(args[1], 0, &d, &ng)) == NULL
+        || (inv = read_seq(args[2], 0, &d, &ni)) == NULL)
+        goto done;
+    if (ni != ng)
+        PyErr_Format(PyExc_ValueError, "%zd inverses for %zd generators", ni, ng);
+    else
+        out = finish(search(x, d, g, inv, ng, PY_SSIZE_T_MAX), d, 0);
+done:
+    PyMem_Free(x);
     PyMem_Free(g);
+    PyMem_Free(inv);
     return out;
 }
 
 static PyObject *conjugacy_orbit(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    return arity("conjugacy_orbit", nargs, 2) < 0 ? NULL : orbit(args[0], args[1], 0);
+    return orbit("conjugacy_orbit", args, nargs);
 }
 
 static PyObject *tuple_orbit(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_ssize_t h = arity("tuple_orbit", nargs, 2) < 0 ? -1 : PyObject_Length(args[0]);
-    if (h < 0)
-        return NULL;
-    if (h == 0)
-        return Py_BuildValue("[()]");
-    return orbit(args[0], args[1], 1);
+    return orbit("tuple_orbit", args, nargs);
 }
 
 /* -- filters ------------------------------------------------------------------- */
@@ -558,11 +552,12 @@ static PyMethodDef methods[] = {
      "Breadth-first closure from the identity; the generator list must be\n"
      "nonempty and of uniform degree."},
     {"conjugacy_orbit", FAST(conjugacy_orbit), METH_FASTCALL,
-     "conjugacy_orbit($module, x, gens, /)\n--\n\n"
-     "Orbit of x under conjugation by the generators, in discovery order."},
+     "conjugacy_orbit($module, x, gens, inverses, /)\n--\n\n"
+     "Orbit of x under conjugation by the generators, in discovery order.\n\n"
+     "inverses[k] is the inverse of gens[k]."},
     {"tuple_orbit", FAST(tuple_orbit), METH_FASTCALL,
-     "tuple_orbit($module, tup, gens, /)\n--\n\n"
-     "Orbit of a tuple of permutations under simultaneous conjugation."},
+     "tuple_orbit($module, x, gens, inverses, /)\n--\n\n"
+     "conjugacy_orbit of a packed tuple under block-diagonal generators."},
     {"centralizer_filter", FAST(centralizer_filter), METH_FASTCALL,
      "centralizer_filter($module, elements, targets, /)\n--\n\n"
      "Members of elements commuting with every target, input order kept."},

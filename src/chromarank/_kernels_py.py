@@ -94,9 +94,13 @@ def close_group(gens, limit):
     return sorted(span)
 
 
-def conjugacy_orbit(x, gens):
-    """Orbit of x under conjugation by the generators, in discovery order."""
-    gen_pairs = [(_then(inverse(g)), g) for g in gens]
+def conjugacy_orbit(x, gens, inverses):
+    """Orbit of x under conjugation by the generators, in discovery order.
+
+    inverses[k] is the inverse of gens[k]; the caller inverts each generator
+    once for all the orbits it walks.
+    """
+    gen_pairs = [(_then(g_inv), g) for g, g_inv in zip(gens, inverses)]
     orbit = {x}
     queue = [x]
     for e in queue:
@@ -109,20 +113,12 @@ def conjugacy_orbit(x, gens):
     return queue
 
 
-def tuple_orbit(tup, gens):
-    """Orbit of a tuple of permutations under simultaneous conjugation."""
-    gen_pairs = [(_then(inverse(g)), g) for g in gens]
-    start = tuple(tup)
-    orbit = {start}
-    queue = [start]
-    for e in queue:
-        thens = [_then(c) for c in e]
-        for g_inv_then, g in gen_pairs:
-            y = tuple([g_inv_then(c_then(g)) for c_then in thens])
-            if y not in orbit:
-                orbit.add(y)
-                queue.append(y)
-    return queue
+# The orbit of a packed tuple: a k-tuple of degree-n permutations packed
+# into one permutation of k*n points, block j holding entry j shifted by
+# j*n, conjugated by the block-diagonal copies of the generators.  Packing
+# keeps lex order, and conjugating the packed permutation conjugates every
+# entry at once, so it is conjugacy_orbit under its own name.
+tuple_orbit = conjugacy_orbit
 
 
 def centralizer_filter(elements, targets):

@@ -11,11 +11,13 @@ p-power conjugacy-class representatives x of G, so its work grows with the
 number of classes; a direct product or wreath recorded by its constructor
 (or a relabeled copy of one) takes its rank from its factors' ranks
 instead.  commuting_tuple_classes walks the raw tuples and groups them
-into orbits; it is the oracle the recursion and the factor rule are tested
-against, and it supplies the tuple representatives and centralizers that
-the loops command prints.  verify_rank_identity takes the rank at
-height n from the walk and the sum over (n-t)-tuple centralizers from the
-recursion, so for every t >= 1 it compares the two algorithms.
+into orbits under the generators of G, each tuple packed into one
+permutation so that an orbit is one kernel call; it is the oracle the
+recursion and the factor rule are tested against, and it supplies the
+tuple representatives and centralizers that the loops command prints.
+verify_rank_identity takes the rank at height n from the walk and the sum
+over (n-t)-tuple centralizers from the recursion, so for every t >= 1 it
+compares the two algorithms.
 """
 
 from __future__ import annotations
@@ -53,13 +55,21 @@ class PTuple:
 
     def __post_init__(self):
         _check_prime(self.prime)
-        raw = [e.images for e in self.entries]
-        for i, t in enumerate(raw):
-            if not is_p_power(kernels.element_order(t), self.prime):
-                raise ChromarankError(f"entry {i} does not have {self.prime}-power order")
-            for u in raw[i + 1 :]:
-                if not kernels.commutes(t, u):
-                    raise ChromarankError("tuple entries do not commute pairwise")
+        for i, entry in enumerate(self.entries):
+            _check_entry(self.prime, self.entries[:i], entry)
+
+    def extended(self, entry: Permutation) -> "PTuple":
+        """This tuple with entry appended.
+
+        Only the new entry is checked, its order and that it commutes with
+        every earlier entry, so a tuple grown one entry at a time from a
+        checked one is checked in full.
+        """
+        _check_entry(self.prime, self.entries, entry)
+        out = object.__new__(PTuple)
+        object.__setattr__(out, "prime", self.prime)
+        object.__setattr__(out, "entries", self.entries + (entry,))
+        return out
 
     @property
     def height(self) -> int:
@@ -67,6 +77,16 @@ class PTuple:
 
     def cycle_strings(self) -> list[str]:
         return [e.cycle_string() for e in self.entries]
+
+
+def _check_entry(p: int, earlier: tuple[Permutation, ...], entry: Permutation) -> None:
+    """Raise unless entry has p-power order and commutes with every earlier entry."""
+    t = entry.images
+    if not is_p_power(kernels.element_order(t), p):
+        raise ChromarankError(f"entry {len(earlier)} does not have {p}-power order")
+    for u in earlier:
+        if not kernels.commutes(u.images, t):
+            raise ChromarankError("tuple entries do not commute pairwise")
 
 
 @dataclass(frozen=True)
@@ -119,11 +139,16 @@ def commuting_tuple_classes(
     built as C(prefix[:-1])._centralizer_raw([prefix[-1]]), and extends the
     prefix by the p-power elements of C(prefix).  Each new tuple, and each
     new prefix, is closed under simultaneous conjugation by the group
-    generators.  The walk runs in lex order, so it reaches every class
-    first at the class's lex-least tuple, which is its representative;
-    components come out sorted by it.  A prefix of a lex-least tuple is
-    lex-least among its own conjugates, so a prefix whose orbit was reached
-    before is not extended.  No class table is read, and nothing is
+    generators, as one kernel call on the tuple packed into a single
+    permutation (block j holds entry j shifted by j times the degree) under
+    block-diagonal copies of the generators and of their inverses, built
+    once per walk.  The walk runs in lex order, which packing keeps, so it
+    reaches every class first at the class's lex-least tuple, which is its
+    representative; components come out sorted by it.  A prefix of a
+    lex-least tuple is lex-least among its own conjugates, so a prefix
+    whose orbit was reached before is not extended.  Each first-reached
+    prefix's PTuple extends its parent's by one entry, and only that entry
+    is checked (PTuple.extended).  No class table is read, and nothing is
     cached: each call checks the limit and walks again.
     """
     _check_prime(p)
@@ -136,54 +161,84 @@ def commuting_tuple_classes(
 
 
 def _walk_classes(group: PermGroup, p: int, h: int, limit: int) -> LoopDecomposition:
-    base = [e.images for e in p_power_elements(group, p, limit)]
-    raw_gens = group._raw
+    n = group.degree
     order = group.order()
-    # Orbits reached so far, of prefixes and of full tuples alike: tuples of
-    # different lengths never collide.
+    # A k-tuple is walked packed: one permutation of k*n points whose block j
+    # holds entry j shifted by j*n.  Packing keeps lex order, and conjugating
+    # every entry by g is conjugating the packed tuple by g's block-diagonal
+    # copy.  orbit_gens[k] holds those copies on k blocks, of the generators
+    # and of their inverses, each generator inverted once per walk.
+    gens = group._raw
+    inverses = [kernels.inverse(g) for g in gens]
+    orbit_gens = [
+        ([_diagonal(g, k, n) for g in gens], [_diagonal(g, k, n) for g in inverses])
+        for k in range(h + 1)
+    ]
+    # One row per base element: its images, its Permutation, and its copy
+    # for each block, so that extending a prefix is one concatenation.
+    rows = [
+        (e.images, e, [e.images] + [_shifted(e.images, j * n) for j in range(1, h)])
+        for e in p_power_elements(group, p, limit)
+    ]
+    # Packed orbits reached so far, of prefixes and of full tuples alike:
+    # tuples of different lengths never collide.
     seen: set[tuple] = set()
     components: list[LoopComponent] = []
 
-    def first_reached(tup: tuple) -> tuple | None:
-        """The orbit of tup, or None when the walk has reached it before."""
-        if tup in seen:
+    def first_reached(packed: tuple, k: int) -> list | None:
+        """The orbit of the packed k-tuple, or None when the walk has reached it before."""
+        if packed in seen:
             return None
-        orbit = kernels.tuple_orbit(tup, raw_gens)
+        orbit = kernels.tuple_orbit(packed, *orbit_gens[k])
         seen.update(orbit)
-        if min(orbit) != tup:
+        if min(orbit) != packed:
             raise ChromarankError("walk reached a tuple class away from its lex-least tuple")
         return orbit
 
-    def visit(tup: tuple, above: PermGroup):
-        orbit = first_reached(tup)
+    def visit(packed: tuple, prefix: PTuple, x: tuple, entry: Permutation, above: PermGroup):
+        orbit = first_reached(packed, h)
         if orbit is None:
             return
-        ptuple = PTuple(p, tuple(Permutation._wrap(t) for t in tup))
-        cent = above._centralizer_raw([tup[-1]], limit)
-        if order % cent.order() or order // cent.order() != len(orbit):
+        rep = prefix.extended(entry)
+        cent = above._centralizer_raw([x], limit)
+        if order != cent.order() * len(orbit):
             raise ChromarankError("orbit size disagrees with centralizer index")
-        components.append(LoopComponent(ptuple, cent, len(orbit)))
+        components.append(LoopComponent(rep, cent, len(orbit)))
 
-    _walk([], group, base, h, limit, first_reached, visit)
-    components.sort(key=lambda c: tuple(e.images for e in c.rep.entries))
+    _walk((), PTuple(p, ()), group, rows, h, limit, first_reached, visit)
     return LoopDecomposition(p, h, tuple(components))
 
 
-def _walk(prefix: list, above: PermGroup, pool: list, h: int, limit: int, reach, visit) -> None:
-    # above is C(prefix) and pool its p-power elements.  A prefix is
-    # extended only when reach finds it first reached, and a full tuple's
-    # centralizer is built in visit, only for a class representative.
+def _shifted(x: tuple, by: int) -> tuple:
+    return tuple([i + by for i in x])
+
+
+def _diagonal(g: tuple, k: int, n: int) -> tuple:
+    """g's block-diagonal copy on k blocks of n points."""
+    return tuple([i + j * n for j in range(k) for i in g])
+
+
+def _walk(
+    packed: tuple, prefix: PTuple, above: PermGroup, pool: list, h: int, limit: int, reach, visit
+) -> None:
+    # packed is prefix packed, above is C(prefix) and pool the rows of its
+    # p-power elements.  A prefix is extended only when reach finds it first
+    # reached, and a full tuple's centralizer is built in visit, only for a
+    # class representative; visit and each first-reached prefix build their
+    # PTuple from the parent's, checking only the new entry.  The walk runs
+    # in lex order, so components come out sorted by representative.
     # Module-level, since a nested function that calls itself is a
     # reference cycle holding everything the walk built.
-    for x in pool:
-        prefix.append(x)
-        if len(prefix) == h:
-            visit(tuple(prefix), above)
-        elif reach(tuple(prefix)) is not None:
+    k = len(prefix.entries)
+    for x, entry, copies in pool:
+        tup = packed + copies[k]
+        if k + 1 == h:
+            visit(tup, prefix, x, entry, above)
+        elif reach(tup, k + 1) is not None:
             cent = above._centralizer_raw([x], limit)
             members = set(cent._raw_elements(limit))
-            _walk(prefix, cent, [y for y in pool if y in members], h, limit, reach, visit)
-        prefix.pop()
+            below = [row for row in pool if row[0] in members]
+            _walk(tup, prefix.extended(entry), cent, below, h, limit, reach, visit)
 
 
 def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:

@@ -409,7 +409,8 @@ class PermGroup:
         order are yielded; the walk then visits only the elements of that
         order, read from _element_orders.  Without it, the walk computes the
         order of each rep alone, so a full table costs one kernel call per
-        class.
+        class.  The generators are inverted once per walk, for all its
+        orbits.
         """
         record = self._cache.get("factors")
         if record is not None:
@@ -428,6 +429,7 @@ class PermGroup:
         # A dict, not a set: on CPython a set of all |G| elements takes more memory.
         seen: dict[tuple[int, ...], None] = {}
         raw_gens = self._raw
+        inverses = [kernels.inverse(g) for g in raw_gens]
         elements = self._raw_elements(limit)
         if order is not None:
             elements = compress(elements, [o == order for o in self._element_orders(limit)])
@@ -435,7 +437,7 @@ class PermGroup:
             if t in seen:
                 continue
             o = kernels.element_order(t) if order is None else order
-            orbit = kernels.conjugacy_orbit(t, raw_gens)
+            orbit = kernels.conjugacy_orbit(t, raw_gens, inverses)
             for x in orbit:
                 seen[x] = None
             yield Permutation._wrap(t), len(orbit), o

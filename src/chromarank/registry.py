@@ -536,6 +536,10 @@ def _register_candidate(
     candidate, whose order, class table, profile and derived order come
     from its factors, is checked against a copy with no record of them
     (_check_factor_rule), and its centralizers in _centralizer_children.
+    A fingerprint that matches a bad entry is a contradiction only when
+    that entry cannot be realized or has the candidate's class profile;
+    otherwise the collision is logged and the candidate skipped, since a
+    good and a bad entry cannot share a fingerprint in one registry.
     name() gives the candidate's name, and is called only for an entry
     that is added, a skip that is logged or an error that is reported:
     most candidates are duplicates, and a centralizer's name prints its
@@ -551,7 +555,18 @@ def _register_candidate(
         _check_factor_rule(name, group, limit)
     bad = registry.bad_match(fp)
     if bad is not None:
-        raise ConsistencyError(f"constructed good group {name()!r} matches bad entry {bad.name!r}")
+        known = _realize(registry, bad, limit)
+        if known is None or known.class_profile(limit) == group.class_profile(limit):
+            raise ConsistencyError(
+                f"constructed good group {name()!r} matches bad entry {bad.name!r}"
+            )
+        log.warning(
+            "explore: fingerprint collision between %s and bad entry %s: class profiles differ; "
+            "skipping",
+            name(),
+            bad.name,
+        )
+        return None
     matches = registry.find_fingerprint(fp)
     if matches:
         tally["duplicate"] += 1

@@ -200,9 +200,9 @@ def assert_factor_rule_matches_enumeration(group, label=None):
         tabled.append(self)
         return class_table(self, limit)
 
-    def recording_orbit(x, gens):
+    def recording_orbit(x, gens, inverses):
         orbits.append(gens)
-        return conjugacy_orbit(x, gens)
+        return conjugacy_orbit(x, gens, inverses)
 
     relabeled = group.conjugate_by(relabeling(group.degree))
     cases = [(p, h) for p, h in RANK_CASES if h == 1 or group.order() <= RANK_H2_MAX_ORDER]

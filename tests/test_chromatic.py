@@ -150,6 +150,35 @@ def test_ptuple_validation(corpus):
     assert cent.order() == 4
 
 
+def test_ptuple_extension_checks_only_the_new_entry_as_the_constructor_does():
+    a = Permutation.from_cycles("(0 1)(2 3)", degree=4)
+    b = Permutation.from_cycles("(0 1)", degree=4)
+    c = Permutation.from_cycles("(0 1 2)", degree=4)
+    d = Permutation.from_cycles("(1 2)", degree=4)
+    t = PTuple(2, (a,))
+    assert t.extended(b) == PTuple(2, (a, b))
+    assert t.extended(b).extended(b) == PTuple(2, (a, b, b))
+    assert PTuple(2, ()).extended(a) == t
+    with pytest.raises(ChromarankError, match="entry 1 does not have 2-power order"):
+        PTuple(2, (a, c))
+    with pytest.raises(ChromarankError, match="entry 1 does not have 2-power order"):
+        t.extended(c)
+    with pytest.raises(ChromarankError, match="do not commute pairwise"):
+        PTuple(2, (a, b, d))
+    with pytest.raises(ChromarankError, match="do not commute pairwise"):
+        t.extended(b).extended(d)
+
+
+@pytest.mark.parametrize("h", range(5))
+def test_trivial_group_of_degree_1_has_one_class_at_every_height(h):
+    # At degree 1 a packed h-tuple has degree h: 1 is the single-index
+    # edge of the pure kernels' getters, and h = 0 the empty tuple.
+    for p in (2, 3):
+        dec = commuting_tuple_classes(cyclic(1), p, h)
+        assert len(dec) == dec.raw_tuple_count() == 1
+        assert dec.components[0].rep == PTuple(p, (Permutation((0,)),) * h)
+
+
 def test_tuple_centralizer_requires_membership(corpus):
     outside = Permutation.from_cycles("(0 1)", degree=5)
     with pytest.raises(ChromarankError):
@@ -328,13 +357,14 @@ def test_walk_and_recursion_build_no_chain(monkeypatch):
 def test_walk_closes_one_prefix_per_class(monkeypatch):
     # The walk closes a prefix only at the first, lex-least, member of its
     # class, so the length-k tuples it closes are one per height-k class,
-    # counted here by the recursion, which closes no tuple.
+    # counted here by the recursion, which closes no tuple.  A k-tuple is
+    # closed packed, as one permutation of k * degree points.
     closed = []
     tuple_orbit = kernels.tuple_orbit
 
-    def recording(tup, gens):
-        closed.append(tup)
-        return tuple_orbit(tup, gens)
+    def recording(packed, gens, inverses):
+        closed.append(packed)
+        return tuple_orbit(packed, gens, inverses)
 
     monkeypatch.setattr(kernels, "tuple_orbit", recording)
     for name, build in CORPUS_BUILDERS.items():
@@ -342,20 +372,22 @@ def test_walk_closes_one_prefix_per_class(monkeypatch):
         for p in (2, 3):
             closed.clear()
             commuting_tuple_classes(group, p, 3)
-            lengths = Counter(len(t) for t in closed)
+            lengths = Counter(len(t) // group.degree for t in closed)
             assert lengths == {k: hkr_rank(group, p, k) for k in (1, 2, 3)}, (name, p)
             assert len(closed) == len(set(closed)), (name, p)
 
 
 def test_walk_rejects_a_prefix_away_from_its_lex_least_tuple(monkeypatch):
     # An orbit of prefixes with a member below the prefix the walk reached
-    # means the walk's order is broken.
+    # means the walk's order is broken.  The smaller member is a packed
+    # 1-tuple, of the group's degree.
     tuple_orbit = kernels.tuple_orbit
+    group = symmetric(3)
 
-    def with_a_smaller_prefix(tup, gens):
-        orbit = tuple_orbit(tup, gens)
-        return orbit + [((-1,) * len(tup[0]),)] if len(tup) == 1 else orbit
+    def with_a_smaller_prefix(packed, gens, inverses):
+        orbit = tuple_orbit(packed, gens, inverses)
+        return orbit + [(-1,) * len(packed)] if len(packed) == group.degree else orbit
 
     monkeypatch.setattr(kernels, "tuple_orbit", with_a_smaller_prefix)
     with pytest.raises(ChromarankError, match="lex-least"):
-        commuting_tuple_classes(symmetric(3), 2, 2)
+        commuting_tuple_classes(group, 2, 2)

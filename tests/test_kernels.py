@@ -4,6 +4,7 @@ The compiled kernels come from the kernels_c fixture (conftest.py): the
 installed extension, or else the hand-written _kernels_c.c built for the session.
 """
 
+import inspect
 import math
 import os
 import random
@@ -69,6 +70,21 @@ def loop_tuple_orbit(tup, gens):
     return queue
 
 
+def loop_inverse(g):
+    return tuple(sorted(range(len(g)), key=g.__getitem__))
+
+
+def pack(tup, degree):
+    """The k-tuple tup as one permutation of k * degree points: block j holds
+    entry j shifted by j * degree."""
+    return tuple(i + j * degree for j, x in enumerate(tup) for i in x)
+
+
+def block_diagonal(perms, k, degree):
+    """Each permutation's copy acting on every one of k blocks."""
+    return [pack((g,) * k, degree) for g in perms]
+
+
 def small_groups():
     """Raw generators and sorted elements of the corpus, the trivial group of degree 1,
     and a few random 2-generator groups of small degree."""
@@ -117,14 +133,32 @@ def test_products_match_oracles_from_degree_1():
             assert _kernels_py.commutes(a, a2)
 
 
-def test_orbits_match_loop_reference_in_discovery_order():
+def assert_orbits_match_loop_reference(impl):
+    """impl's conjugacy_orbit, and its tuple_orbit on packed tuples, against
+    the loop references, in discovery order."""
     for gens, elems in small_groups():
+        degree = len(elems[0])
+        inverses = [loop_inverse(g) for g in gens]
         rng = random.Random(len(elems))
         for x in rng.sample(elems, min(4, len(elems))):
             y = rng.choice(elems)
-            assert _kernels_py.conjugacy_orbit(x, gens) == loop_conjugacy_orbit(x, gens)
+            assert impl.conjugacy_orbit(x, gens, inverses) == loop_conjugacy_orbit(x, gens)
             for tup in ((), (x,), (x, y), (y, x, y)):
-                assert _kernels_py.tuple_orbit(tup, gens) == loop_tuple_orbit(tup, gens)
+                k = len(tup)
+                got = impl.tuple_orbit(
+                    pack(tup, degree),
+                    block_diagonal(gens, k, degree),
+                    block_diagonal(inverses, k, degree),
+                )
+                assert got == [pack(t, degree) for t in loop_tuple_orbit(tup, gens)], (tup, gens)
+    # The empty tuple packs to the permutation of no points; a 1-tuple at
+    # degree 1 packs to the identity of degree 1.
+    assert impl.tuple_orbit((), [(), ()], [(), ()]) == [()]
+    assert impl.tuple_orbit((0,), [(0,)], [(0,)]) == [(0,)]
+
+
+def test_orbits_match_loop_reference_in_discovery_order():
+    assert_orbits_match_loop_reference(_kernels_py)
 
 
 def test_centralizer_filter_matches_oracle():
@@ -192,6 +226,16 @@ def test_compiled_module_exposes_the_pure_names(kernels_c):
     }
     assert pure == {"BACKEND", *KERNEL_NAMES}
     assert {name for name in vars(kernels_c) if not name.startswith("_")} == pure
+    # Each kernel takes the same positional parameters in both backends, the
+    # compiled ones as declared in their __text_signature__.
+    for name in KERNEL_NAMES:
+        want = positional_parameters(getattr(_kernels_py, name))
+        assert positional_parameters(getattr(kernels_c, name)) == want, name
+
+
+def positional_parameters(fn):
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    return [p.name for p in inspect.signature(fn).parameters.values() if p.kind in positional]
 
 
 @given(raw_perm, raw_perm)
@@ -218,13 +262,8 @@ def test_close_group_equivalent(kernels_c, seed):
 
 
 def test_orbit_functions_equivalent(kernels_c):
-    for seed in range(6):
-        gens = random_gens(seed, 6, 2)
-        x = random_gens(seed + 100, 6, 1)[0]
-        assert kernels_c.conjugacy_orbit(x, gens) == _kernels_py.conjugacy_orbit(x, gens)
-        tup = (x, _kernels_py.inverse(x))
-        assert kernels_c.tuple_orbit(tup, gens) == _kernels_py.tuple_orbit(tup, gens)
-    assert kernels_c.tuple_orbit((), gens) == _kernels_py.tuple_orbit((), gens) == [()]
+    # Equivalent to the pure kernels through the same loop references.
+    assert_orbits_match_loop_reference(kernels_c)
 
 
 def test_filters_equivalent(kernels_c):
@@ -259,7 +298,9 @@ def test_element_order_equivalent_past_64_bits(kernels_c):
 
 
 # Per kernel, arguments with an image outside 0..degree-1 and with a
-# permutation whose length is not the degree of the call.
+# permutation whose length is not the degree of the call; for the orbit
+# kernels also an inverse of the wrong degree, and fewer inverses than
+# generators.
 BAD_ARGUMENTS = {
     "compose": [((3, 0), (0, 1)), ((0, 1, 2), (0, 1))],
     "inverse": [((3, 0),)],
@@ -267,8 +308,18 @@ BAD_ARGUMENTS = {
     "commutes": [((3, 0), (0, 1)), ((0, 1), (0, 1, 2))],
     "element_order": [((3, 0),)],
     "close_group": [([(3, 0)], 10), ([(0, 1, 2), (0, 1)], 10)],
-    "conjugacy_orbit": [((0, 1), [(3, 0)]), ((0, 1, 2), [(0, 1)])],
-    "tuple_orbit": [(((3, 0),), [(0, 1)]), (((0, 1),), [(0, 1, 2)])],
+    "conjugacy_orbit": [
+        ((0, 1), [(3, 0)], [(0, 1)]),
+        ((0, 1, 2), [(0, 1)], [(0, 1)]),
+        ((0, 1), [(1, 0)], [(1, 0, 2)]),
+        ((0, 1), [(1, 0)], []),
+    ],
+    "tuple_orbit": [
+        ((0, 1, 2, 4), [(0, 1, 2, 3)], [(0, 1, 2, 3)]),
+        ((0, 1, 2, 3), [(0, 1, 2)], [(0, 1, 2, 3)]),
+        ((0, 1, 2, 3), [(1, 0, 3, 2)], [(1, 0)]),
+        ((0, 1, 2, 3), [(1, 0, 3, 2)], []),
+    ],
     "centralizer_filter": [([(3, 0)], [(0, 1)]), ([(0, 1)], [(0, 1, 2)])],
     "normalizer_filter": [([(0, 1)], [(3, 0)], [(0, 1)]), ([(0, 1)], [(0, 1)], [(0, 1, 2)])],
 }

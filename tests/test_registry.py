@@ -561,6 +561,36 @@ def test_explore_paranoid_mode_checks_existing_entries():
         explore(reg, 3, 9, depth=1, paranoid=True)
 
 
+def _bad_entry(expr, fingerprint_of):
+    return RegistryEntry(
+        name="bad-lookalike",
+        expr=expr,
+        prime=3,
+        order=9,
+        fingerprint=dsl.evaluate(dsl.parse(fingerprint_of)).fingerprint(),
+        status="bad",
+        rule="CITED",
+    )
+
+
+def test_explore_skips_a_fingerprint_collision_with_a_bad_entry(caplog):
+    # A bad entry for c(9) stored with the fingerprint of C_3 x C_3: the
+    # product c(3) x c(3) matches it, but c(9) has another class profile, so
+    # the match is a collision, not a contradiction.
+    reg = seeded_registry(3, ["c(3)"])
+    reg.add(_bad_entry("c(9)", "prod(c(3),c(3))"))
+    with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+        assert explore(reg, 3, 9, depth=1) == []
+    assert any("fingerprint collision" in m and "bad-lookalike" in m for m in caplog.messages)
+    # The same fingerprint on a bad entry that denotes C_3 x C_3, or that
+    # cannot be realized, is a contradiction.
+    for expr in ("prod(c(3),c(3))", None):
+        reg = seeded_registry(3, ["c(3)"])
+        reg.add(_bad_entry(expr, "prod(c(3),c(3))"))
+        with pytest.raises(ConsistencyError, match="matches bad entry 'bad-lookalike'"):
+            explore(reg, 3, 9, depth=1)
+
+
 def _multiplied_orders(columns):
     # A wrong product rule: element orders multiplied, not their lcm taken.
     rows = [(1, 1)]
