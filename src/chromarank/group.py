@@ -17,9 +17,10 @@ not change: the class profile, the derived order and, in chromatic, the
 ranks.  The class walk and centralizer_filter serve every other group,
 and stay the independent check of the factor rules (registry paranoid
 mode, tests).  Every centralizer is interned, one subgroup per element
-set, and memoized per target tuple as that subgroup, except that a group
-is never held in its own cache: nothing cached here forms a reference
-cycle, so dropped groups are freed by reference counting alone.
+set, in a weak-valued table held by the root group and by each subgroup
+in it, and memoized per target tuple as that subgroup, except that a
+group is never held in its own cache: nothing cached here forms a
+reference cycle, so dropped groups are freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ class PermGroup:
     fingerprint) is computed on demand and cached on the instance.
     """
 
-    __slots__ = ("degree", "generators", "_raw", "_chain", "_cache")
+    __slots__ = ("degree", "generators", "_raw", "_chain", "_cache", "__weakref__")
 
     def __init__(self, degree: int, generators: Iterable[Permutation]):
         gens = tuple(generators)
@@ -508,20 +509,17 @@ class PermGroup:
         (base,) = factors
         return base.order() ** (n - 1) * base._derived_order(limit)
 
-    def _intern_table(self) -> "_InternTable":
+    def _intern_table(self) -> weakref.WeakValueDictionary:
         """The table this group's centralizers are interned in.
 
-        A subgroup interned in a table reaches it through a weak reference;
-        a group that reaches no live table starts one and holds it.  So the
-        table lives exactly as long as the group it was started on, and
-        adds no reference cycle.
+        A group that has none starts one.  The table is held by that group
+        and by every subgroup interned in it, and holds them weakly: it
+        lives as long as any of them, adds no reference cycle, and alone
+        keeps no group alive.
         """
-        ref = self._cache.get("intern")
-        table = None if ref is None else ref()
+        table = self._cache.get("intern")
         if table is None:
-            table = _InternTable()
-            self._cache["intern_table"] = table
-            self._cache["intern"] = weakref.ref(table)
+            table = self._cache["intern"] = weakref.WeakValueDictionary()
         return table
 
     def _centralizer_raw(self, raw_targets, limit: int | None = None) -> "PermGroup":
@@ -529,11 +527,11 @@ class PermGroup:
 
         Its elements are sorted, so they are an exact key into the intern
         table (_intern): equal centralizers come back as one object, which
-        computes its class table, fingerprint and ranks once.  The subgroup
-        is memoized per target tuple, so a repeated target costs one lookup.
-        An interned group is its own centralizer for a central target; the
-        memo then marks it (_ITSELF) rather than holding it, since a group
-        in its own cache is a reference cycle.
+        computes its class table, fingerprint and ranks once.  A memo per
+        target tuple holds the subgroup (the table holds it weakly), so a
+        repeated target costs one lookup.  An interned group is its own
+        centralizer for a central target; the memo then marks it (_ITSELF)
+        rather than holding it: a group in its own cache is a cycle.
         """
         self._check_limit(limit)
         key = ("centralizer", tuple(raw_targets))
@@ -547,12 +545,12 @@ class PermGroup:
 
     def _intern(self, elements) -> "PermGroup":
         """The subgroup on a sorted element tuple, from the intern table,
-        built and added to it when it is not there."""
+        built and added to it, holding it, when it is not there."""
         table = self._intern_table()
         sub = table.get(elements)
         if sub is None:
             sub = _subgroup_from_elements(self.degree, elements)
-            sub._cache["intern"] = weakref.ref(table)
+            sub._cache["intern"] = table
             table[sub._cache["elements_raw"]] = sub
         return sub
 
@@ -565,9 +563,9 @@ class PermGroup:
         filters that by the other targets.  Both rules first give a key,
         the data of the factors that fixes the centralizer, and assemble
         the elements only for a key not seen before: many targets share a
-        centralizer, and a later one reads the subgroup from the cache.  A
-        recorded group is never one of its own centralizers, and they do
-        not reach it, so the cache holds them with no reference cycle.
+        centralizer, and a later one finds the subgroup in the intern table
+        under ("factors", key), which no sorted element tuple equals.  The
+        table holds it weakly there too, so the key goes with the subgroup.
         """
         record = self._cache.get("factors")
         if record is None or not targets:
@@ -581,10 +579,11 @@ class PermGroup:
         else:
             (base,) = factors
             key, build = _wreath_centralizer(base, n, first, limit)
-        key = ("centralizer from factors", key)
-        sub = self._cache.get(key)
+        table = self._intern_table()
+        key = ("factors", key)
+        sub = table.get(key)
         if sub is None:
-            sub = self._cache[key] = self._intern(build())
+            sub = table[key] = self._intern(build())
         if rest:
             elements = sub._cache["elements_raw"]
             sub = self._intern(tuple(kernels.centralizer_filter(list(elements), rest)))
@@ -618,10 +617,10 @@ class PermGroup:
         return self._centralizer_raw(self._raw, limit)
 
     def sylow_subgroup(self, p: int, limit: int | None = None) -> "PermGroup":
-        """A Sylow p-subgroup, grown from a cyclic p-subgroup via normalizers.
+        """A Sylow p-subgroup, grown from the trivial group by normalizers.
 
-        Deterministic: the seed and every extension element are the
-        lexicographically least candidates, so repeated runs agree.
+        Each step adds the lexicographically least p-element outside the
+        subgroup so far that normalizes it, so repeated runs agree.
         """
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -630,20 +629,12 @@ class PermGroup:
             return _subgroup_from_elements(self.degree, [tuple(range(self.degree))])
         elems = self._raw_elements(limit)
         identity = tuple(range(self.degree))
-        seed = next(t for t in elems if t != identity and is_p_power(kernels.element_order(t), p))
-        gens = [seed]
+        gens = []
         span = {identity}
-        _extend_span(span, gens, identity, target)
         while len(span) < target:
-            normalizer = kernels.normalizer_filter(list(elems), gens, span)
-            ext = next(
-                (
-                    t
-                    for t in normalizer
-                    if t not in span and is_p_power(kernels.element_order(t), p)
-                ),
-                None,
-            )
+            outside = [t for t in elems if t not in span]
+            normalizer = kernels.normalizer_filter(outside, gens, span)
+            ext = next((t for t in normalizer if is_p_power(kernels.element_order(t), p)), None)
             if ext is None:
                 raise ChromarankError("normalizer holds no p-element outside the subgroup")
             gens.append(ext)
@@ -737,12 +728,6 @@ class PermGroup:
 
 # The centralizer memo's mark for a group that centralizes the target itself.
 _ITSELF = object()
-
-
-class _InternTable(dict):
-    """Sorted element tuple -> the subgroup built on it (see _intern_table)."""
-
-    __slots__ = ("__weakref__",)
 
 
 def _product_rows(columns) -> list[tuple[int, int]]:
@@ -843,7 +828,7 @@ def _product_centralizer(factors, z: tuple[int, ...], limit: int | None):
 
     Each factor's centralizer comes from its own _centralizer_raw, so it is
     memoized and interned there, and the tuple of those subgroups is the
-    key: every (x, y) with y central in H, say, gives C_G(x) x H.
+    intern-table key: every (x, y) with y central in H gives C_G(x) x H.
     """
     subs = []
     offset = 0

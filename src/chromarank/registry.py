@@ -503,18 +503,26 @@ def _memo_key(name: str, expr: str | None):
     return expr if expr is not None else ("entry", name)
 
 
-def _realize(registry: Registry, entry: RegistryEntry, limit) -> PermGroup | None:
+def _realize(registry: Registry, entry: RegistryEntry, limit) -> tuple[PermGroup | None, str]:
+    """(the entry's group, ""), or (None, why it cannot be realized): it has
+    no expression, or its group is over the enumeration limit."""
     group = registry._memo(limit).get(_memo_key(entry.name, entry.expr))
     if group is not None:
-        return group
+        return group, ""
     if entry.expr is None:
-        log.info("explore: cannot realize %s (no expression); skipping", entry.name)
-        return None
+        return None, "no expression"
     try:
-        return registry._evaluate(dsl.parse(entry.expr), limit)
+        return registry._evaluate(dsl.parse(entry.expr), limit), ""
     except ThresholdExceeded as exc:
-        log.info("explore: %s exceeds the enumeration limit (%s); skipping", entry.name, exc)
-        return None
+        return None, f"over the enumeration limit: {exc}"
+
+
+def _realize_or_skip(registry: Registry, entry: RegistryEntry, limit) -> PermGroup | None:
+    """The entry's group, or None after logging why it is skipped."""
+    group, why = _realize(registry, entry, limit)
+    if group is None:
+        log.info("explore: cannot realize %s (%s); skipping", entry.name, why)
+    return group
 
 
 def _register_candidate(
@@ -555,10 +563,11 @@ def _register_candidate(
         _check_factor_rule(name, group, limit)
     bad = registry.bad_match(fp)
     if bad is not None:
-        known = _realize(registry, bad, limit)
+        known, why = _realize(registry, bad, limit)
         if known is None or known.class_profile(limit) == group.class_profile(limit):
+            why = f", which cannot be realized ({why})" if known is None else ""
             raise ConsistencyError(
-                f"constructed good group {name()!r} matches bad entry {bad.name!r}"
+                f"constructed good group {name()!r} matches bad entry {bad.name!r}{why}"
             )
         log.warning(
             "explore: fingerprint collision between %s and bad entry %s: class profiles differ; "
@@ -573,7 +582,7 @@ def _register_candidate(
         if paranoid:
             profile = group.class_profile(limit)
             for other in matches:
-                known = _realize(registry, other, limit)
+                known = _realize_or_skip(registry, other, limit)
                 if known is not None and known.class_profile(limit) != profile:
                     raise ConsistencyError(
                         f"fingerprint collision between {name()!r} and {other.name!r}: "
@@ -736,7 +745,7 @@ def explore(
     expanded: set[str] = set()  # entries whose centralizer children were tried
     for round_no in range(1, depth + 1):
         snapshot = [e for e in registry.good_entries() if e.order is not None]
-        groups = {e.name: _realize(registry, e, limit) for e in snapshot}
+        groups = {e.name: _realize_or_skip(registry, e, limit) for e in snapshot}
         tally: Counter = Counter()
         fresh: list[RegistryEntry] = []
         for entry in snapshot:

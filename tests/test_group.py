@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 from collections import Counter
 
@@ -19,6 +20,7 @@ from chromarank import (
     commuting_tuple_classes,
     cyclic,
     dihedral,
+    direct_product,
     explore,
     group_from_generators,
     hkr_rank,
@@ -31,6 +33,7 @@ from chromarank import (
     symmetric,
     verify_rank_identity,
 )
+from chromarank import group as group_module
 from chromarank.dsl import _select_centralizer, evaluate, parse
 from chromarank.group import Fingerprint, _Chain, _subgroup_from_elements, enumeration_limit
 
@@ -164,6 +167,41 @@ def test_interned_centralizer_honours_a_smaller_limit():
     assert cent.centralizer([x], limit=5) is cent
 
 
+def test_interning_outlives_the_root_group():
+    # The subgroup holds its root's intern table, so once the root is gone
+    # the subgroup still finds itself there as its own centralizer.
+    g = symmetric(4)
+    x = Permutation.from_cycles("(0 1)", 4)
+    c = g.centralizer([x])
+    del g
+    gc.collect()
+    assert c.centralizer([x]) is c
+
+
+def test_product_centralizers_with_one_factor_key_are_built_once(monkeypatch):
+    # (x, h1) and (x, h2) with h1, h2 in the central factor C_4 both have
+    # the centralizer C_S3(x) x C_4, keyed by the factors' centralizers: the
+    # second target finds it by that key and assembles no elements.
+    calls = []
+    product_elements = group_module._product_elements
+
+    def counting(factors):
+        calls.append(factors)
+        return product_elements(factors)
+
+    monkeypatch.setattr(group_module, "_product_elements", counting)
+    group = direct_product(symmetric(3), cyclic(4))
+    x = Permutation.from_cycles("(0 1)", 3).images
+    h = cyclic(4).generators[0]
+    cents = [
+        group.centralizer([Permutation(x + tuple(3 + v for v in k.images))])
+        for k in (h, h * h)
+    ]
+    assert cents[0] is cents[1]
+    assert cents[0].order() == 2 * 4
+    assert len(calls) == 1
+
+
 def test_repeated_centralizer_skips_the_intern_table(corpus, monkeypatch):
     # The memo holds each centralizer, and marks the group itself when it is
     # its own centralizer, so a repeated target is one lookup.
@@ -188,8 +226,8 @@ def test_repeated_centralizer_skips_the_intern_table(corpus, monkeypatch):
 
 
 def test_dropped_groups_leave_no_reference_cycles():
-    # The intern table is reached from its subgroups only by a weak
-    # reference, so everything goes by reference counting alone.
+    # The intern table holds its subgroups only by weak references, so
+    # everything goes by reference counting alone.
     # The recorded wreath takes its rank from its factors, so an unrecorded
     # copy keeps the recursion on a large group covered.  The interned
     # centralizer's walk meets the centralizer itself as C(identity).
@@ -305,6 +343,24 @@ def test_sylow_subgroups(corpus):
             for e in syl.elements():
                 assert o_is_p_power(e.order(), p)
                 assert e in group
+
+
+# sha256 over sylow_subgroup(p) at p in {2, 3} on the corpus and three of
+# the paper's groups (E4608, E96, E192, defined below): the generators,
+# order and sorted elements of each.
+SYLOW_DIGEST = "951a20f6b29bfc880409459388fac67e45ebb938b88d3c13139f58c850b9a0b6"
+
+
+def test_sylow_subgroups_match_golden_digest():
+    digest = hashlib.sha256()
+    memo = {}
+    groups = {name: build() for name, build in CORPUS_BUILDERS.items()}
+    groups.update((expr, evaluate(parse(expr), memo=memo)) for expr in (E4608, E96, E192))
+    for name, group in groups.items():
+        for p in (2, 3):
+            syl = group.sylow_subgroup(p)
+            digest.update(repr((name, p, syl._raw, syl.order(), syl._raw_elements())).encode())
+    assert digest.hexdigest() == SYLOW_DIGEST
 
 
 def test_sylow_rejects_composite():

@@ -583,12 +583,22 @@ def test_explore_skips_a_fingerprint_collision_with_a_bad_entry(caplog):
         assert explore(reg, 3, 9, depth=1) == []
     assert any("fingerprint collision" in m and "bad-lookalike" in m for m in caplog.messages)
     # The same fingerprint on a bad entry that denotes C_3 x C_3, or that
-    # cannot be realized, is a contradiction.
-    for expr in ("prod(c(3),c(3))", None):
+    # cannot be realized, is a contradiction; the error says why the entry
+    # could not be realized, and no log line claims it was skipped.
+    for expr, why in (
+        ("prod(c(3),c(3))", None),
+        (None, "no expression"),
+        ("cent(s(4),order=3,czorder=3)", "over the enumeration limit"),
+    ):
         reg = seeded_registry(3, ["c(3)"])
         reg.add(_bad_entry(expr, "prod(c(3),c(3))"))
-        with pytest.raises(ConsistencyError, match="matches bad entry 'bad-lookalike'"):
-            explore(reg, 3, 9, depth=1)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+            with pytest.raises(ConsistencyError, match="matches bad entry 'bad-lookalike'") as err:
+                explore(reg, 3, 9, depth=1, limit=20)
+        assert ("cannot be realized" in str(err.value)) == (why is not None), expr
+        assert why is None or why in str(err.value), expr
+        assert not any("bad-lookalike" in m and "skipping" in m for m in caplog.messages), expr
 
 
 def _multiplied_orders(columns):
