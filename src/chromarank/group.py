@@ -204,13 +204,58 @@ _JSON_KINDS: dict[str, Callable[[object], bool]] = {
 }
 
 
-def json_field(rec: dict, name: str, kind: str, owner: str = "field"):
-    """rec[name] if it is of the JSON kind, else a ParseError naming the
-    field: a loaded record is checked, never coerced."""
-    value = rec[name]
-    if not _JSON_KINDS[kind](value):
-        raise ParseError(f"{owner} {name!r} must be {kind}, got {json.dumps(value)}")
+# Kinds that JSON holds in another form: a list for a tuple, and an object
+# for the one record that a record nests, its fingerprint.
+_FROM_JSON: dict[str, Callable[[object], object]] = {
+    "a list of strings": tuple,
+    "a list of integer pairs": lambda v: tuple(map(tuple, v)),
+    "an object or null": lambda v: None if v is None else Fingerprint.from_record(v),
+}
+_TO_JSON: dict[str, Callable[[object], object]] = {
+    "a list of strings": list,
+    "a list of integer pairs": lambda v: [list(x) for x in v],
+    "an object or null": lambda v: None if v is None else v.to_record(),
+}
+
+
+def _as_is(value):
     return value
+
+
+def load_record(cls, rec: object, fields: dict[str, str], owner: str):
+    """cls built from rec, a JSON object with exactly the fields of its table
+    (field name -> JSON kind, in record order).  Every value is checked in
+    table order, never coerced, before any is converted by kind, so a nested
+    record is checked last.  A fault is a ParseError that names owner."""
+    if type(rec) is not dict:
+        raise ParseError(f"{owner} must be a JSON object")
+    if rec.keys() != fields.keys():
+        unknown = sorted(rec.keys() - fields.keys())
+        missing = sorted(fields.keys() - rec.keys())
+        trouble = [f"unknown fields {unknown}"] if unknown else []
+        trouble += [f"missing fields {missing}"] if missing else []
+        raise ParseError(f"{owner} with " + " and ".join(trouble))
+    for name, kind in fields.items():
+        if not _JSON_KINDS[kind](rec[name]):
+            raise ParseError(f"{owner} field {name!r} must be {kind}, got {json.dumps(rec[name])}")
+    return cls(**{name: _FROM_JSON.get(kind, _as_is)(rec[name]) for name, kind in fields.items()})
+
+
+def dump_record(obj, fields: dict[str, str]) -> dict:
+    """obj's fields as a JSON object in table order, converted by kind; the
+    inverse of load_record."""
+    return {name: _TO_JSON.get(kind, _as_is)(getattr(obj, name)) for name, kind in fields.items()}
+
+
+FINGERPRINT_FIELDS: dict[str, str] = {
+    "order": "an integer",
+    "exponent": "an integer",
+    "element_order_histogram": "a list of integer pairs",
+    "class_size_histogram": "a list of integer pairs",
+    "center_order": "an integer",
+    "derived_order": "an integer",
+    "abelian": "a bool",
+}
 
 
 @dataclass(frozen=True)
@@ -236,45 +281,11 @@ class Fingerprint:
     abelian: bool
 
     def to_record(self) -> dict:
-        return {
-            "order": self.order,
-            "exponent": self.exponent,
-            "element_order_histogram": [list(x) for x in self.element_order_histogram],
-            "class_size_histogram": [list(x) for x in self.class_size_histogram],
-            "center_order": self.center_order,
-            "derived_order": self.derived_order,
-            "abelian": self.abelian,
-        }
+        return dump_record(self, FINGERPRINT_FIELDS)
 
     @classmethod
-    def from_record(cls, rec: dict) -> "Fingerprint":
-        expected = {
-            "order",
-            "exponent",
-            "element_order_histogram",
-            "class_size_histogram",
-            "center_order",
-            "derived_order",
-            "abelian",
-        }
-        if set(rec) != expected:
-            raise ParseError(f"bad fingerprint fields: {sorted(rec)}")
-
-        def field(name: str, kind: str = "an integer"):
-            return json_field(rec, name, kind, owner="fingerprint field")
-
-        def histogram(name: str) -> tuple[tuple[int, int], ...]:
-            return tuple(map(tuple, field(name, "a list of integer pairs")))
-
-        return cls(
-            order=field("order"),
-            exponent=field("exponent"),
-            element_order_histogram=histogram("element_order_histogram"),
-            class_size_histogram=histogram("class_size_histogram"),
-            center_order=field("center_order"),
-            derived_order=field("derived_order"),
-            abelian=field("abelian", "a bool"),
-        )
+    def from_record(cls, rec: object) -> "Fingerprint":
+        return load_record(cls, rec, FINGERPRINT_FIELDS, "fingerprint")
 
 
 class PermGroup:

@@ -34,14 +34,23 @@ from dataclasses import dataclass
 from . import constructors, dsl, kernels
 from .arith import is_p_power, is_prime, p_part
 from .errors import ChromarankError, ConsistencyError, ParseError, ThresholdExceeded
-from .group import Fingerprint, PermGroup, enumeration_limit, json_field
+from .group import Fingerprint, PermGroup, dump_record, enumeration_limit, load_record
 
 log = logging.getLogger(__name__)
 
 RULES = ("SEED", "PRODUCT", "WREATH", "CENTRALIZER", "SYLOW", "FACTOR")
 STATUSES = ("good", "bad", "unknown")
 
-ENTRY_FIELDS = ("name", "expr", "prime", "order", "fingerprint", "status", "rule", "parents")
+ENTRY_FIELDS: dict[str, str] = {
+    "name": "a string",
+    "expr": "a string or null",
+    "prime": "an integer",
+    "order": "an integer or null",
+    "fingerprint": "an object or null",
+    "status": "a string",
+    "rule": "a string",
+    "parents": "a list of strings",
+}
 
 SEED_AXIOMS = ("abelian", "symmetric", "gl-coprime", "order-p3", "order-32")
 
@@ -62,43 +71,19 @@ class RegistryEntry:
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ChromarankError(f"bad status {self.status!r}")
+        if self.order is not None and self.order < 1:
+            raise ChromarankError(f"bad order {self.order}")
+        if self.fingerprint is not None and self.fingerprint.order != self.order:
+            raise ChromarankError(
+                f"order {self.order} contradicts the fingerprint's order {self.fingerprint.order}"
+            )
 
     def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "expr": self.expr,
-            "prime": self.prime,
-            "order": self.order,
-            "fingerprint": None if self.fingerprint is None else self.fingerprint.to_record(),
-            "status": self.status,
-            "rule": self.rule,
-            "parents": list(self.parents),
-        }
+        return dump_record(self, ENTRY_FIELDS)
 
     @classmethod
-    def from_record(cls, rec: dict) -> "RegistryEntry":
-        if type(rec) is not dict:
-            raise ParseError("registry record must be a JSON object")
-        if set(rec) != set(ENTRY_FIELDS):
-            unknown = sorted(set(rec) - set(ENTRY_FIELDS))
-            missing = sorted(set(ENTRY_FIELDS) - set(rec))
-            trouble = []
-            if unknown:
-                trouble.append(f"unknown fields {unknown}")
-            if missing:
-                trouble.append(f"missing fields {missing}")
-            raise ParseError("registry record with " + " and ".join(trouble))
-        fp = json_field(rec, "fingerprint", "an object or null")
-        return cls(
-            name=json_field(rec, "name", "a string"),
-            expr=json_field(rec, "expr", "a string or null"),
-            prime=json_field(rec, "prime", "an integer"),
-            order=json_field(rec, "order", "an integer or null"),
-            fingerprint=None if fp is None else Fingerprint.from_record(fp),
-            status=json_field(rec, "status", "a string"),
-            rule=json_field(rec, "rule", "a string"),
-            parents=tuple(json_field(rec, "parents", "a list of strings")),
-        )
+    def from_record(cls, rec: object) -> "RegistryEntry":
+        return load_record(cls, rec, ENTRY_FIELDS, "registry record")
 
 
 @dataclass(frozen=True)
@@ -229,10 +214,11 @@ class Registry:
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"bad registry line: {exc}", line=no) from None
                 try:
-                    entry = RegistryEntry.from_record(rec)
+                    reg.add(RegistryEntry.from_record(rec))
+                except ConsistencyError as exc:
+                    raise ConsistencyError(f"{exc} (line {no})") from None
                 except ChromarankError as exc:
                     raise ParseError(str(exc.args[0]), line=no) from None
-                reg.add(entry)
         return reg
 
 

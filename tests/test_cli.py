@@ -224,6 +224,18 @@ def test_registry_list_rejects_wrong_json_types(tmp_path, capsys):
     assert "'order'" in err and "line 1" in err
 
 
+def test_explore_refuses_an_order_its_fingerprint_contradicts(tmp_path, capsys):
+    path = tmp_path / "reg.jsonl"
+    assert run(["certify", "-p", "2", "--registry", str(path), "s(4)"]) == 0
+    text = path.read_text().replace('"order":24,"fingerprint"', '"order":2,"fingerprint"')
+    path.write_text(text)
+    argv = ["explore", "-p", "2", "--bound", "50", "--depth", "1", "--registry", str(path)]
+    assert run(argv) == 2
+    _, err = out_of(capsys)
+    assert "order 2 contradicts" in err and "(line " in err
+    assert path.read_text() == text
+
+
 def test_certify_seeds_an_empty_registry_file(tmp_path, capsys):
     path = tmp_path / "reg.jsonl"
     path.write_text("")

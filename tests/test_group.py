@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import math
@@ -35,7 +36,13 @@ from chromarank import (
 )
 from chromarank import group as group_module
 from chromarank.dsl import _select_centralizer, evaluate, parse
-from chromarank.group import Fingerprint, _Chain, _subgroup_from_elements, enumeration_limit
+from chromarank.group import (
+    FINGERPRINT_FIELDS,
+    Fingerprint,
+    _Chain,
+    _subgroup_from_elements,
+    enumeration_limit,
+)
 
 from conftest import (
     CORPUS_BUILDERS,
@@ -630,6 +637,20 @@ def test_fingerprint_record_roundtrip():
     assert Fingerprint.from_record(fp.to_record()) == fp
     with pytest.raises(ParseError):
         Fingerprint.from_record({**fp.to_record(), "bogus": 1})
+
+
+def test_fingerprint_table_lists_the_dataclass_fields_in_order():
+    assert list(FINGERPRINT_FIELDS) == [f.name for f in dataclasses.fields(Fingerprint)]
+
+
+def test_fingerprint_record_names_its_unknown_and_missing_fields():
+    rec = symmetric(4).fingerprint().to_record()
+    del rec["derived_order"]
+    with pytest.raises(ParseError) as exc:
+        Fingerprint.from_record({**rec, "bogus": 1})
+    assert str(exc.value) == (
+        "fingerprint with unknown fields ['bogus'] and missing fields ['derived_order']"
+    )
 
 
 def test_threshold_exceeded():

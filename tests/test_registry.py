@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import logging
@@ -7,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromarank import (
     ChromarankError,
@@ -26,7 +28,7 @@ from chromarank import (
     unitriangular4,
     wreath_cyclic,
 )
-from chromarank.group import PermGroup
+from chromarank.group import FINGERPRINT_FIELDS, Fingerprint, PermGroup
 from chromarank.registry import DerivationTree, _match_seed
 from chromarank import constructors, dsl, group as group_mod, registry as registry_mod
 
@@ -247,6 +249,110 @@ def test_load_contradiction_fails(tmp_path):
         fh.write(json.dumps(b.to_record()) + "\n")
     with pytest.raises(ConsistencyError):
         Registry.load(str(path))
+
+
+def test_load_rejects_an_order_its_fingerprint_contradicts(tmp_path):
+    # An order below the truth let explore's bound pass groups far above it.
+    reg = Registry.with_defaults(2)
+    reg.add(entry_for("s(4)", "s(4)", 2, constructors.symmetric(4), parents=("axiom:symmetric",)))
+    path = tmp_path / "order.jsonl"
+    reg.save(str(path))
+    text = path.read_text()
+    assert text.count('"order":24,"fingerprint"') == 1
+    path.write_text(text.replace('"order":24,"fingerprint"', '"order":2,"fingerprint"'))
+    with pytest.raises(ParseError) as exc:
+        Registry.load(str(path))
+    assert "order 2" in str(exc.value) and f"line {len(reg.entries)}" in str(exc.value)
+
+
+@pytest.mark.parametrize("order", [0, -4])
+def test_entry_order_below_one_is_refused(order):
+    with pytest.raises(ChromarankError, match=f"bad order {order}"):
+        RegistryEntry("x", None, 2, order, None, "good", "SEED")
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"a string"', "7"])
+def test_load_rejects_a_line_that_is_not_an_object(tmp_path, line):
+    first = json.dumps(entry_for("c(4)", "c(4)", 2, cyclic(4)).to_record())
+    path = tmp_path / "shapes.jsonl"
+    path.write_text(first + "\n" + line + "\n")
+    with pytest.raises(ParseError) as exc:
+        Registry.load(str(path))
+    assert "registry record must be a JSON object" in str(exc.value)
+    assert "line 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("change, named", [("drop", "missing fields ['derived_order']"),
+                                          ("add", "unknown fields ['surprise']")])
+def test_load_names_a_missing_or_unknown_fingerprint_field(tmp_path, change, named):
+    rec = entry_for("c(4)", "c(4)", 2, cyclic(4)).to_record()
+    if change == "drop":
+        del rec["fingerprint"]["derived_order"]
+    else:
+        rec["fingerprint"]["surprise"] = 1
+    path = tmp_path / "fields.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ParseError) as exc:
+        Registry.load(str(path))
+    assert f"fingerprint with {named}" in str(exc.value) and "line 1" in str(exc.value)
+
+
+def test_load_contradictions_name_their_line(tmp_path):
+    good = entry_for("c(4)", "c(4)", 2, cyclic(4))
+    cases = {
+        "duplicate entry name 'c(4)'": dataclasses.replace(good, expr=None),
+        "registry is keyed to prime 2, entry has 3": dataclasses.replace(good, name="c(4)@3", prime=3),
+        "contradictory status": dataclasses.replace(good, name="bad-c4", status="bad", rule="CITED"),
+    }
+    path = tmp_path / "contra.jsonl"
+    for message, second in cases.items():
+        path.write_text("".join(json.dumps(e.to_record()) + "\n" for e in (good, second)))
+        with pytest.raises(ConsistencyError) as exc:
+            Registry.load(str(path))
+        assert message in str(exc.value) and str(exc.value).endswith("(line 2)"), message
+
+
+def test_entry_table_lists_the_dataclass_fields_in_order():
+    assert list(registry_mod.ENTRY_FIELDS) == [f.name for f in dataclasses.fields(RegistryEntry)]
+
+
+_pairs = st.lists(st.tuples(st.integers(min_value=1), st.integers(min_value=1)), max_size=4).map(tuple)
+_fingerprints = st.builds(
+    Fingerprint,
+    order=st.integers(min_value=1),
+    exponent=st.integers(min_value=1),
+    element_order_histogram=_pairs,
+    class_size_histogram=_pairs,
+    center_order=st.integers(min_value=1),
+    derived_order=st.integers(min_value=1),
+    abelian=st.booleans(),
+)
+
+
+@st.composite
+def _entries(draw):
+    fingerprint = draw(st.none() | _fingerprints)
+    order = draw(st.none() | st.integers(min_value=1)) if fingerprint is None else fingerprint.order
+    return RegistryEntry(
+        name=draw(st.text()),
+        expr=draw(st.none() | st.text()),
+        prime=draw(st.integers()),
+        order=order,
+        fingerprint=fingerprint,
+        status=draw(st.sampled_from(registry_mod.STATUSES)),
+        rule=draw(st.text()),
+        parents=tuple(draw(st.lists(st.text(), max_size=3))),
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(_entries())
+def test_entry_record_roundtrip_through_json(entry):
+    rec = json.loads(json.dumps(entry.to_record()))
+    assert RegistryEntry.from_record(rec) == entry
+    assert list(rec) == list(registry_mod.ENTRY_FIELDS)
+    if entry.fingerprint is not None:
+        assert list(rec["fingerprint"]) == list(FINGERPRINT_FIELDS)
 
 
 # -- certify -------------------------------------------------------------------
