@@ -8,13 +8,12 @@
  * repeat give unspecified results, but every buffer starts zeroed, so they
  * still index nothing out of bounds.
  *
- * close_group and the orbit kernels share one breadth-first search over
- * single permutations: tuple_orbit is conjugacy_orbit applied to a tuple
- * packed into one permutation, block j holding entry j shifted by j times the
- * degree, under the block-diagonal copies of the generators.  The search
- * keeps each state packed into a bytes object as big-endian u32 images, so
- * bytes comparison and hashing match tuple order while the inner loops run
- * on raw C arrays.
+ * close_group and the orbit kernels share one breadth-first search: a state
+ * is a tuple of points, a permutation in close_group and conjugacy_orbit and
+ * any tuple of points in tuple_orbit, where the generators act on every
+ * entry.  The search keeps each state packed into a bytes object as
+ * big-endian u32 images, so bytes comparison and hashing match tuple order
+ * while the inner loops run on raw C arrays.
  *
  * Written against the CPython C API of 3.10; setup.py builds it.
  */
@@ -97,22 +96,23 @@ static PyObject *to_tuple(const u32 *src, Py_ssize_t n)
     return out;
 }
 
-/* Read the permutation perm, of degree d, into dst.  Any other sequence is
- * copied to a tuple first, so that code run by an image's __index__ cannot
- * pull the items away; a tuple, the common case, is read in place without
- * that call, which the filters would feel. */
-static int fill(PyObject *perm, u32 *dst, Py_ssize_t d)
+/* Read the n points of seq, each in 0..d-1, into dst: a permutation of
+ * degree d when n is d.  Any other sequence than a tuple is copied to a
+ * tuple first, so that code run by an image's __index__ cannot pull the
+ * items away; a tuple, the common case, is read in place without that call,
+ * which the filters would feel. */
+static int fill(PyObject *seq, u32 *dst, Py_ssize_t n, Py_ssize_t d)
 {
-    PyObject *tuple = perm;
-    if (PyTuple_CheckExact(perm))
-        Py_INCREF(perm);
-    else if ((tuple = PySequence_Tuple(perm)) == NULL)
+    PyObject *tuple = seq;
+    if (PyTuple_CheckExact(seq))
+        Py_INCREF(seq);
+    else if ((tuple = PySequence_Tuple(seq)) == NULL)
         return -1;
-    Py_ssize_t n = PyTuple_GET_SIZE(tuple);
     PyObject **items = PySequence_Fast_ITEMS(tuple);
     int status = 0;
-    if (n != d) {
-        PyErr_Format(PyExc_ValueError, "permutation of length %zd in a call of degree %zd", n, d);
+    if (PyTuple_GET_SIZE(tuple) != n) {
+        PyErr_Format(PyExc_ValueError, "permutation of length %zd in a call of degree %zd",
+                     PyTuple_GET_SIZE(tuple), d);
         status = -1;
     }
     for (Py_ssize_t i = 0; status == 0 && i < n; i++) {
@@ -146,7 +146,7 @@ static u32 *read_perms(PyObject *const *items, Py_ssize_t count, Py_ssize_t extr
         return NULL;
     }
     for (Py_ssize_t k = 0; k < count; k++) {
-        if (fill(items[k], rows + k * *d, *d) < 0) {
+        if (fill(items[k], rows + k * *d, *d, *d) < 0) {
             PyMem_Free(rows);
             return NULL;
         }
@@ -313,37 +313,39 @@ static PyObject *element_order(PyObject *Py_UNUSED(module), PyObject *a)
 
 /* -- closure and orbits ------------------------------------------------------ */
 
-/* Breadth-first search from the permutation start of degree d, under the
- * ng generators in gens.  A generator g sends a state x to x g when inv is
- * NULL, and to g^-1 x g when inv holds the generators' inverses.  Returns
- * the list of packed states in discovery order, None once more than cap
- * states are found, or NULL with an exception set. */
-static PyObject *search(const u32 *start, Py_ssize_t d, const u32 *gens, const u32 *inv,
-                        Py_ssize_t ng, Py_ssize_t cap)
+/* Breadth-first search from the state start of n points, under the ng
+ * generators in gens, of degree d.  A generator g sends a state x to the
+ * state y[i] = g[x[i]] when inv is NULL, which for a permutation x is x g;
+ * when inv holds the generators' inverses, x is a permutation, n is d, and
+ * g sends it to g^-1 x g.  Returns the list of packed states in discovery
+ * order, None once more than cap states are found, or NULL with an
+ * exception set. */
+static PyObject *search(const u32 *start, Py_ssize_t n, const u32 *gens, Py_ssize_t d,
+                        const u32 *inv, Py_ssize_t ng, Py_ssize_t cap)
 {
-    u32 *x = PyMem_Calloc(2 * (size_t)d + 1, sizeof(u32)), *y;
+    u32 *x = PyMem_Calloc(2 * (size_t)n + 1, sizeof(u32)), *y;
     PyObject *seen = PySet_New(NULL), *queue = PyList_New(0), *key = NULL;
     if (x == NULL)
         PyErr_NoMemory();
-    if (x == NULL || seen == NULL || queue == NULL || (key = packed(start, d)) == NULL
+    if (x == NULL || seen == NULL || queue == NULL || (key = packed(start, n)) == NULL
         || PySet_Add(seen, key) < 0 || PyList_Append(queue, key) < 0)
         goto fail;
     Py_CLEAR(key);
-    y = x + d;
+    y = x + n;
     for (Py_ssize_t q = 0; q < PyList_GET_SIZE(queue); q++) {
-        unpack((const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(queue, q)), d, x);
+        unpack((const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(queue, q)), n, x);
         for (Py_ssize_t k = 0; k < ng; k++) {
             const u32 *g = gens + k * d;
             if (inv != NULL) {
                 const u32 *g_inv = inv + k * d;
-                for (Py_ssize_t i = 0; i < d; i++)
+                for (Py_ssize_t i = 0; i < n; i++)
                     y[i] = g[x[g_inv[i]]];
             } else {
-                for (Py_ssize_t i = 0; i < d; i++)
+                for (Py_ssize_t i = 0; i < n; i++)
                     y[i] = g[x[i]];
             }
             Py_ssize_t before = PySet_GET_SIZE(seen);
-            if ((key = packed(y, d)) == NULL || PySet_Add(seen, key) < 0)
+            if ((key = packed(y, n)) == NULL || PySet_Add(seen, key) < 0)
                 goto fail;
             if (PySet_GET_SIZE(seen) > before) {
                 if (before >= cap) {
@@ -369,24 +371,24 @@ done:
 }
 
 /* Turn the result of search into the kernel's result, sorted or not, each
- * packed state replaced by its tuple of d images; consumes the reference to
+ * packed state replaced by its tuple of n images; consumes the reference to
  * states. */
-static PyObject *finish(PyObject *states, Py_ssize_t d, int sorted)
+static PyObject *finish(PyObject *states, Py_ssize_t n, int sorted)
 {
     if (states == NULL || states == Py_None)
         return states;
     u32 *x = NULL;
     if ((sorted && PyList_Sort(states) < 0)
-        || (x = PyMem_Malloc(((size_t)d + 1) * sizeof(u32))) == NULL) {
+        || (x = PyMem_Malloc(((size_t)n + 1) * sizeof(u32))) == NULL) {
         if (!PyErr_Occurred())
             PyErr_NoMemory();
         Py_DECREF(states);
         return NULL;
     }
     for (Py_ssize_t q = 0; q < PyList_GET_SIZE(states); q++) {
-        unpack((const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(states, q)), d, x);
-        PyObject *perm = to_tuple(x, d);
-        if (perm == NULL || PyList_SetItem(states, q, perm) < 0) {
+        unpack((const unsigned char *)PyBytes_AS_STRING(PyList_GET_ITEM(states, q)), n, x);
+        PyObject *state = to_tuple(x, n);
+        if (state == NULL || PyList_SetItem(states, q, state) < 0) {
             Py_CLEAR(states);
             break;
         }
@@ -407,27 +409,27 @@ static PyObject *close_group(PyObject *Py_UNUSED(module), PyObject *const *args,
         u32 *identity = gens + ng * d;
         for (Py_ssize_t i = 0; i < d; i++)
             identity[i] = (u32)i;
-        out = finish(search(identity, d, gens, NULL, ng, cap), d, 1);
+        out = finish(search(identity, d, gens, d, NULL, ng, cap), d, 1);
     }
     PyMem_Free(gens);
     return out;
 }
 
 /* The orbit of args[0] under conjugation by the generators args[1], whose
- * inverses are args[2]; name is the kernel's, for the arity error. */
-static PyObject *orbit(const char *name, PyObject *const *args, Py_ssize_t nargs)
+ * inverses are args[2]. */
+static PyObject *conjugacy_orbit(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_ssize_t d = -1, ng = 0, ni = 0;
     PyObject *out = NULL;
     u32 *x = NULL, *g = NULL, *inv = NULL;
-    if (arity(name, nargs, 3) < 0 || (x = read_perms(args, 1, 0, &d)) == NULL
+    if (arity("conjugacy_orbit", nargs, 3) < 0 || (x = read_perms(args, 1, 0, &d)) == NULL
         || (g = read_seq(args[1], 0, &d, &ng)) == NULL
         || (inv = read_seq(args[2], 0, &d, &ni)) == NULL)
         goto done;
     if (ni != ng)
         PyErr_Format(PyExc_ValueError, "%zd inverses for %zd generators", ni, ng);
     else
-        out = finish(search(x, d, g, inv, ng, PY_SSIZE_T_MAX), d, 0);
+        out = finish(search(x, d, g, d, inv, ng, PY_SSIZE_T_MAX), d, 0);
 done:
     PyMem_Free(x);
     PyMem_Free(g);
@@ -435,14 +437,26 @@ done:
     return out;
 }
 
-static PyObject *conjugacy_orbit(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    return orbit("conjugacy_orbit", args, nargs);
-}
-
+/* The orbit of the tuple of points args[0] under the permutations args[1],
+ * which take their degree from the first of them and act on every entry. */
 static PyObject *tuple_orbit(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    return orbit("tuple_orbit", args, nargs);
+    Py_ssize_t d = -1, ng = 0, n;
+    PyObject *x = NULL, *out = NULL;
+    u32 *perms = NULL, *start = NULL;
+    if (arity("tuple_orbit", nargs, 2) < 0 || (x = PySequence_Tuple(args[0])) == NULL
+        || (perms = read_seq(args[1], 0, &d, &ng)) == NULL)
+        goto done;
+    n = PyTuple_GET_SIZE(x);
+    if ((start = PyMem_Calloc((size_t)n + 1, sizeof(u32))) == NULL)
+        PyErr_NoMemory();
+    else if (fill(x, start, n, d) == 0)
+        out = finish(search(start, n, perms, d, NULL, ng, PY_SSIZE_T_MAX), n, 0);
+done:
+    Py_XDECREF(x);
+    PyMem_Free(perms);
+    PyMem_Free(start);
+    return out;
 }
 
 /* -- filters ------------------------------------------------------------------- */
@@ -465,7 +479,7 @@ static PyObject *centralizer_filter(PyObject *Py_UNUSED(module), PyObject *const
         PyObject *elem = PySequence_Fast_GET_ITEM(elements, q);
         Py_ssize_t k = 0;
         Py_INCREF(elem);
-        if (fill(elem, e, d) < 0)
+        if (fill(elem, e, d, d) < 0)
             Py_CLEAR(out);
         while (out != NULL && k < nt && commute(e, t + k * d, d))
             k++;
@@ -493,7 +507,7 @@ static PyObject *normalizer_filter(PyObject *Py_UNUSED(module), PyObject *const 
     if (sub == NULL || (members = PySequence_Fast(args[2], "expected a sequence")) == NULL)
         goto done;
     for (Py_ssize_t q = 0; q < PySequence_Fast_GET_SIZE(members); q++) {
-        if (fill(PySequence_Fast_GET_ITEM(members, q), g, d) < 0 || (key = packed(g, d)) == NULL)
+        if (fill(PySequence_Fast_GET_ITEM(members, q), g, d, d) < 0 || (key = packed(g, d)) == NULL)
             goto done;
         int added = PySet_Add(sub, key);
         Py_DECREF(key);
@@ -508,7 +522,7 @@ static PyObject *normalizer_filter(PyObject *Py_UNUSED(module), PyObject *const 
         PyObject *elem = PySequence_Fast_GET_ITEM(elements, q);
         int inside = 1;
         Py_INCREF(elem);
-        if (fill(elem, g, d) < 0)
+        if (fill(elem, g, d, d) < 0)
             inside = -1;
         for (Py_ssize_t k = 0; inside == 1 && k < ns; k++) {
             for (Py_ssize_t i = 0; i < d; i++)
@@ -556,8 +570,11 @@ static PyMethodDef methods[] = {
      "Orbit of x under conjugation by the generators, in discovery order.\n\n"
      "inverses[k] is the inverse of gens[k]."},
     {"tuple_orbit", FAST(tuple_orbit), METH_FASTCALL,
-     "tuple_orbit($module, x, gens, inverses, /)\n--\n\n"
-     "conjugacy_orbit of a packed tuple under block-diagonal generators."},
+     "tuple_orbit($module, x, perms, /)\n--\n\n"
+     "Orbit of the tuple of points x under perms, in discovery order.\n\n"
+     "A permutation acts on every entry at once: perm sends x to the tuple y\n"
+     "with y[j] = perm[x[j]].  The perms must be nonempty and of one length,\n"
+     "and x's entries points they act on."},
     {"centralizer_filter", FAST(centralizer_filter), METH_FASTCALL,
      "centralizer_filter($module, elements, targets, /)\n--\n\n"
      "Members of elements commuting with every target, input order kept."},

@@ -6,10 +6,10 @@ same contract compiled; chromarank.kernels picks one at import time.
 
 Every product is one C-level call: _then(a) is operator.itemgetter(*a),
 which maps b to (b[a[0]], b[a[1]], ...), that is to compose(a, b).  The
-closure and orbit loops build the getter of a permutation once and apply it
-to many others.  itemgetter of a single index returns the bare item rather
-than a 1-tuple, so at degree 1, where the only permutation is the identity
-and compose(a, b) is b, _then returns tuple instead.
+closure and orbit loops build the getter of a permutation, or of a tuple of
+points, once and apply it to many others.  itemgetter of a single index
+returns the bare item rather than a 1-tuple, and of no index is an error,
+so below two points _then builds the tuple itself.
 """
 
 from math import lcm
@@ -19,8 +19,8 @@ BACKEND = "pure"
 
 
 def _then(a):
-    """The map b -> compose(a, b), as one C-level call."""
-    return itemgetter(*a) if len(a) > 1 else tuple
+    """The map b -> (b[a[0]], b[a[1]], ...), compose(a, b) for a permutation a."""
+    return itemgetter(*a) if len(a) > 1 else lambda b: tuple([b[i] for i in a])
 
 
 def compose(a, b):
@@ -113,12 +113,25 @@ def conjugacy_orbit(x, gens, inverses):
     return queue
 
 
-# The orbit of a packed tuple: a k-tuple of degree-n permutations packed
-# into one permutation of k*n points, block j holding entry j shifted by
-# j*n, conjugated by the block-diagonal copies of the generators.  Packing
-# keeps lex order, and conjugating the packed permutation conjugates every
-# entry at once, so it is conjugacy_orbit under its own name.
-tuple_orbit = conjugacy_orbit
+def tuple_orbit(x, perms):
+    """Orbit of the tuple of points x under perms, in discovery order.
+
+    A permutation acts on every entry at once: perm sends x to the tuple y
+    with y[j] = perm[x[j]].  The perms must be nonempty and of one length,
+    and x's entries points they act on.  The tuple walk passes tuples of
+    indices into its sorted p-power elements, under conjugation by the
+    group's generators tabulated as permutations of those indices.
+    """
+    orbit = {x}
+    queue = [x]
+    for e in queue:
+        e_then = _then(e)
+        for perm in perms:
+            y = e_then(perm)
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    return queue
 
 
 def centralizer_filter(elements, targets):

@@ -11,10 +11,12 @@ p-power conjugacy-class representatives x of G, so its work grows with the
 number of classes; a direct product or wreath recorded by its constructor
 (or a relabeled copy of one) takes its rank from its factors' ranks
 instead.  commuting_tuple_classes walks the raw tuples and groups them
-into orbits under the generators of G, each tuple packed into one
-permutation so that an orbit is one kernel call; it is the oracle the
-recursion and the factor rule are tested against, and it supplies the
-tuple representatives and centralizers that the loops command prints.
+into orbits under the generators of G, each tuple held as the tuple of its
+entries' indices into the p-power elements, on which conjugation by each
+generator is tabulated once per walk, so that an orbit is one kernel call;
+it is the oracle the recursion and the factor rule are tested against, and
+it supplies the tuple representatives and centralizers that the loops
+command prints.
 verify_rank_identity takes the rank at height n from the walk and the sum
 over (n-t)-tuple centralizers from the recursion, so for every t >= 1 it
 compares the two algorithms.
@@ -139,17 +141,18 @@ def commuting_tuple_classes(
     built as C(prefix[:-1])._centralizer_raw([prefix[-1]]), and extends the
     prefix by the p-power elements of C(prefix).  Each new tuple, and each
     new prefix, is closed under simultaneous conjugation by the group
-    generators, as one kernel call on the tuple packed into a single
-    permutation (block j holds entry j shifted by j times the degree) under
-    block-diagonal copies of the generators and of their inverses, built
-    once per walk.  The walk runs in lex order, which packing keeps, so it
-    reaches every class first at the class's lex-least tuple, which is its
-    representative; components come out sorted by it.  A prefix of a
-    lex-least tuple is lex-least among its own conjugates, so a prefix
-    whose orbit was reached before is not extended.  Each first-reached
-    prefix's PTuple extends its parent's by one entry, and only that entry
-    is checked (PTuple.extended).  No class table is read, and nothing is
-    cached: each call checks the limit and walks again.
+    generators, as one kernel call on the tuple of its entries' indices into
+    the sorted p-power elements of G.  Conjugation by each generator is
+    tabulated once per walk as a permutation of those indices, and a
+    conjugate outside the p-power elements raises ChromarankError.  The walk
+    runs in lex order, which index order is, so it reaches every class first
+    at the class's lex-least tuple, which is its representative; components
+    come out sorted by it.  A prefix of a lex-least tuple is lex-least among
+    its own conjugates, so a prefix whose orbit was reached before is not
+    extended.  Each first-reached prefix's PTuple extends its parent's by
+    one entry, and only that entry is checked (PTuple.extended).  No class
+    table is read, and nothing is cached: each call checks the limit and
+    walks again.
     """
     _check_prime(p)
     _check_height(h)
@@ -161,42 +164,33 @@ def commuting_tuple_classes(
 
 
 def _walk_classes(group: PermGroup, p: int, h: int, limit: int) -> LoopDecomposition:
-    n = group.degree
     order = group.order()
-    # A k-tuple is walked packed: one permutation of k*n points whose block j
-    # holds entry j shifted by j*n.  Packing keeps lex order, and conjugating
-    # every entry by g is conjugating the packed tuple by g's block-diagonal
-    # copy.  orbit_gens[k] holds those copies on k blocks, of the generators
-    # and of their inverses, each generator inverted once per walk.
-    gens = group._raw
-    inverses = [kernels.inverse(g) for g in gens]
-    orbit_gens = [
-        ([_diagonal(g, k, n) for g in gens], [_diagonal(g, k, n) for g in inverses])
-        for k in range(h + 1)
-    ]
-    # One row per base element: its images, its Permutation, and its copy
-    # for each block, so that extending a prefix is one concatenation.
-    rows = [
-        (e.images, e, [e.images] + [_shifted(e.images, j * n) for j in range(1, h)])
-        for e in p_power_elements(group, p, limit)
-    ]
-    # Packed orbits reached so far, of prefixes and of full tuples alike:
-    # tuples of different lengths never collide.
+    elements = p_power_elements(group, p, limit)
+    # A k-tuple is walked as the k-tuple of its entries' indices into the
+    # sorted p-power elements, so index order is lex order.  Conjugation by
+    # each generator is tabulated once, as a permutation of those indices.
+    index = {e.images: i for i, e in enumerate(elements)}
+    try:
+        perms = [tuple([index[kernels.conjugate(x, g)] for x in index]) for g in group._raw]
+    except KeyError:
+        raise ChromarankError("a conjugate of a p-power element is not a p-power element") from None
+    # Orbits reached so far, of prefixes and of full tuples alike: tuples of
+    # different lengths never collide.
     seen: set[tuple] = set()
     components: list[LoopComponent] = []
 
-    def first_reached(packed: tuple, k: int) -> list | None:
-        """The orbit of the packed k-tuple, or None when the walk has reached it before."""
-        if packed in seen:
+    def first_reached(tup: tuple) -> list | None:
+        """The orbit of the index tuple, or None when the walk has reached it before."""
+        if tup in seen:
             return None
-        orbit = kernels.tuple_orbit(packed, *orbit_gens[k])
+        orbit = kernels.tuple_orbit(tup, perms)
         seen.update(orbit)
-        if min(orbit) != packed:
+        if min(orbit) != tup:
             raise ChromarankError("walk reached a tuple class away from its lex-least tuple")
         return orbit
 
-    def visit(packed: tuple, prefix: PTuple, x: tuple, entry: Permutation, above: PermGroup):
-        orbit = first_reached(packed, h)
+    def visit(tup: tuple, prefix: PTuple, x: tuple, entry: Permutation, above: PermGroup):
+        orbit = first_reached(tup)
         if orbit is None:
             return
         rep = prefix.extended(entry)
@@ -205,40 +199,33 @@ def _walk_classes(group: PermGroup, p: int, h: int, limit: int) -> LoopDecomposi
             raise ChromarankError("orbit size disagrees with centralizer index")
         components.append(LoopComponent(rep, cent, len(orbit)))
 
-    _walk((), PTuple(p, ()), group, rows, h, limit, first_reached, visit)
+    pool = [(i, e.images, e) for i, e in enumerate(elements)]
+    _walk((), PTuple(p, ()), group, pool, h, limit, first_reached, visit)
     return LoopDecomposition(p, h, tuple(components))
 
 
-def _shifted(x: tuple, by: int) -> tuple:
-    return tuple([i + by for i in x])
-
-
-def _diagonal(g: tuple, k: int, n: int) -> tuple:
-    """g's block-diagonal copy on k blocks of n points."""
-    return tuple([i + j * n for j in range(k) for i in g])
-
-
 def _walk(
-    packed: tuple, prefix: PTuple, above: PermGroup, pool: list, h: int, limit: int, reach, visit
+    tup: tuple, prefix: PTuple, above: PermGroup, pool: list, h: int, limit: int, reach, visit
 ) -> None:
-    # packed is prefix packed, above is C(prefix) and pool the rows of its
-    # p-power elements.  A prefix is extended only when reach finds it first
-    # reached, and a full tuple's centralizer is built in visit, only for a
-    # class representative; visit and each first-reached prefix build their
-    # PTuple from the parent's, checking only the new entry.  The walk runs
-    # in lex order, so components come out sorted by representative.
-    # Module-level, since a nested function that calls itself is a
-    # reference cycle holding everything the walk built.
-    k = len(prefix.entries)
-    for x, entry, copies in pool:
-        tup = packed + copies[k]
+    # tup is prefix as an index tuple, above is C(prefix) and pool the rows
+    # (index, images, Permutation) of its p-power elements.  A prefix is
+    # extended only when reach finds it first reached, and a full tuple's
+    # centralizer is built in visit, only for a class representative; visit
+    # and each first-reached prefix build their PTuple from the parent's,
+    # checking only the new entry.  The walk runs in lex order, so
+    # components come out sorted by representative.  Module-level, since a
+    # nested function that calls itself is a reference cycle holding
+    # everything the walk built.
+    k = len(tup)
+    for i, x, entry in pool:
+        longer = tup + (i,)
         if k + 1 == h:
-            visit(tup, prefix, x, entry, above)
-        elif reach(tup, k + 1) is not None:
+            visit(longer, prefix, x, entry, above)
+        elif reach(longer) is not None:
             cent = above._centralizer_raw([x], limit)
             members = set(cent._raw_elements(limit))
-            below = [row for row in pool if row[0] in members]
-            _walk(tup, prefix.extended(entry), cent, below, h, limit, reach, visit)
+            below = [row for row in pool if row[1] in members]
+            _walk(longer, prefix.extended(entry), cent, below, h, limit, reach, visit)
 
 
 def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:
@@ -324,6 +311,10 @@ class IdentityReport:
     passed: bool
 
     def to_record(self) -> dict:
+        # Representatives share few distinct entries, so each entry's cycle
+        # string is written once per call, keyed by its images.
+        entries = {e.images: e for rep, _, _ in self.per_component for e in rep.entries}
+        strings = {images: e.cycle_string() for images, e in entries.items()}
         return {
             "group": self.group,
             "p": self.p,
@@ -332,7 +323,7 @@ class IdentityReport:
             "lhs": self.lhs,
             "per_component": [
                 {
-                    "tuple": rep.cycle_strings(),
+                    "tuple": [strings[e.images] for e in rep.entries],
                     "centralizer_order": c_order,
                     "rank_t": rank_t,
                 }

@@ -280,6 +280,49 @@ class Fingerprint:
     derived_order: int
     abelian: bool
 
+    def __post_init__(self):
+        # The relations every group's fingerprint satisfies.  Explore dedupes
+        # groups by fingerprint, so a record that breaks one could hide or
+        # shadow a real group; it is refused when it is read.
+        order = self.order
+        if order < 1:
+            raise ChromarankError(f"fingerprint of order {order}")
+        for name, pairs in (
+            ("element order", self.element_order_histogram),
+            ("class size", self.class_size_histogram),
+        ):
+            for d, count in pairs:
+                if d < 1 or order % d or count < 1:
+                    raise ChromarankError(
+                        f"fingerprint of order {order} lists {name} {d} {count} times"
+                    )
+        elements = sum(count for _, count in self.element_order_histogram)
+        if elements != order:
+            raise ChromarankError(f"fingerprint of order {order} counts {elements} element orders")
+        covered = sum(size * count for size, count in self.class_size_histogram)
+        if covered != order:
+            raise ChromarankError(f"fingerprint of order {order} has classes of {covered} elements")
+        central = dict(self.class_size_histogram).get(1, 0)
+        if self.center_order != central:
+            raise ChromarankError(
+                f"fingerprint center order {self.center_order} with {central} classes of size 1"
+            )
+        if self.derived_order < 1 or order % self.derived_order:
+            raise ChromarankError(
+                f"fingerprint derived order {self.derived_order} does not divide order {order}"
+            )
+        if self.abelian != (self.center_order == order):
+            raise ChromarankError(
+                f"fingerprint abelian {self.abelian} with center order {self.center_order}"
+                f" and order {order}"
+            )
+        exponent = lcm(*(o for o, _ in self.element_order_histogram))
+        if self.exponent != exponent:
+            raise ChromarankError(
+                f"fingerprint exponent {self.exponent}, not the lcm {exponent}"
+                " of its element orders"
+            )
+
     def to_record(self) -> dict:
         return dump_record(self, FINGERPRINT_FIELDS)
 

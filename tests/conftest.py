@@ -303,16 +303,18 @@ def wreath_4608():
 KERNELS_C_SOURCE = Path(__file__).resolve().parents[1] / "src" / "chromarank" / "_kernels_c.c"
 
 
-def compile_kernels_c(target, *flags):
+def compile_kernels_c(target, *flags, include=None):
     """Compile the hand-written _kernels_c.c into target with gcc and the given flags.
 
+    The Python headers come from include, by default this interpreter's.
     Skips the calling test only when no C compiler or no Python headers are
     present; returns the finished compiler process.
     """
     cc = shutil.which("gcc")
     if cc is None:
         pytest.skip("no C compiler")
-    include = sysconfig.get_paths()["include"]
+    if include is None:
+        include = sysconfig.get_paths()["include"]
     if not (Path(include) / "Python.h").exists():
         pytest.skip("no Python headers")
     return subprocess.run(

@@ -354,17 +354,36 @@ def test_walk_and_recursion_build_no_chain(monkeypatch):
     assert builds == []
 
 
+def test_identity_record_writes_each_distinct_entry_once(monkeypatch):
+    # to_record writes a representative's entries as its cycle_strings, and
+    # each distinct entry's string once per call.
+    report = verify_rank_identity(symmetric(4), 2, 3, 1)
+    want = [rep.cycle_strings() for rep, _, _ in report.per_component]
+    distinct = {e.images for rep, _, _ in report.per_component for e in rep.entries}
+    written = []
+    cycle_string = Permutation.cycle_string
+
+    def counting(self):
+        written.append(self.images)
+        return cycle_string(self)
+
+    monkeypatch.setattr(Permutation, "cycle_string", counting)
+    record = report.to_record()
+    assert [c["tuple"] for c in record["per_component"]] == want
+    assert sorted(written) == sorted(distinct) and len(written) < sum(map(len, want))
+
+
 def test_walk_closes_one_prefix_per_class(monkeypatch):
     # The walk closes a prefix only at the first, lex-least, member of its
     # class, so the length-k tuples it closes are one per height-k class,
     # counted here by the recursion, which closes no tuple.  A k-tuple is
-    # closed packed, as one permutation of k * degree points.
+    # closed as the k-tuple of its entries' indices.
     closed = []
     tuple_orbit = kernels.tuple_orbit
 
-    def recording(packed, gens, inverses):
-        closed.append(packed)
-        return tuple_orbit(packed, gens, inverses)
+    def recording(tup, perms):
+        closed.append(tup)
+        return tuple_orbit(tup, perms)
 
     monkeypatch.setattr(kernels, "tuple_orbit", recording)
     for name, build in CORPUS_BUILDERS.items():
@@ -372,22 +391,36 @@ def test_walk_closes_one_prefix_per_class(monkeypatch):
         for p in (2, 3):
             closed.clear()
             commuting_tuple_classes(group, p, 3)
-            lengths = Counter(len(t) // group.degree for t in closed)
+            lengths = Counter(len(t) for t in closed)
             assert lengths == {k: hkr_rank(group, p, k) for k in (1, 2, 3)}, (name, p)
             assert len(closed) == len(set(closed)), (name, p)
 
 
 def test_walk_rejects_a_prefix_away_from_its_lex_least_tuple(monkeypatch):
     # An orbit of prefixes with a member below the prefix the walk reached
-    # means the walk's order is broken.  The smaller member is a packed
-    # 1-tuple, of the group's degree.
+    # means the walk's order is broken.  The smaller member is an index
+    # 1-tuple.
     tuple_orbit = kernels.tuple_orbit
-    group = symmetric(3)
 
-    def with_a_smaller_prefix(packed, gens, inverses):
-        orbit = tuple_orbit(packed, gens, inverses)
-        return orbit + [(-1,) * len(packed)] if len(packed) == group.degree else orbit
+    def with_a_smaller_prefix(tup, perms):
+        orbit = tuple_orbit(tup, perms)
+        return orbit + [(-1,)] if len(tup) == 1 else orbit
 
     monkeypatch.setattr(kernels, "tuple_orbit", with_a_smaller_prefix)
     with pytest.raises(ChromarankError, match="lex-least"):
-        commuting_tuple_classes(group, 2, 2)
+        commuting_tuple_classes(symmetric(3), 2, 2)
+
+
+def test_walk_rejects_a_conjugate_outside_the_p_power_elements(monkeypatch):
+    # The walk tabulates conjugation on the p-power elements; a conjugate
+    # outside them means the element list or the kernel is wrong.  Here the
+    # transposition (0 1) is sent to the 3-cycle (0 1 2).
+    conjugate = kernels.conjugate
+
+    def leaving(x, g):
+        y = conjugate(x, g)
+        return (1, 2, 0) if y == (1, 0, 2) else y
+
+    monkeypatch.setattr(kernels, "conjugate", leaving)
+    with pytest.raises(ChromarankError, match="not a p-power element"):
+        commuting_tuple_classes(symmetric(3), 2, 1)

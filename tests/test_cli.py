@@ -236,6 +236,24 @@ def test_explore_refuses_an_order_its_fingerprint_contradicts(tmp_path, capsys):
     assert path.read_text() == text
 
 
+def test_registry_list_refuses_a_self_contradicting_fingerprint(tmp_path, capsys):
+    # s(4)'s line edited to 105 elements of order 24, center order 7.
+    path = tmp_path / "reg.jsonl"
+    assert run(["certify", "-p", "2", "--registry", str(path), "s(4)"]) == 0
+    lines = path.read_text().splitlines()
+    (no,) = [i for i, line in enumerate(lines, start=1) if '"name":"s(4)"' in line]
+    edited = lines[no - 1].replace(
+        '"element_order_histogram":[[1,1],[2,9],[3,8],[4,6]]',
+        '"element_order_histogram":[[1,1],[2,90],[3,8],[4,6]]',
+    ).replace('"center_order":1,', '"center_order":7,')
+    assert edited.count("[2,90]") == edited.count('"center_order":7,') == 1
+    lines[no - 1] = edited
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["registry", "list", "--registry", str(path)]) == 2
+    _, err = out_of(capsys)
+    assert "counts 105 element orders" in err and f"(line {no})" in err
+
+
 def test_certify_seeds_an_empty_registry_file(tmp_path, capsys):
     path = tmp_path / "reg.jsonl"
     path.write_text("")

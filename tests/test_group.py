@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -637,6 +638,27 @@ def test_fingerprint_record_roundtrip():
     assert Fingerprint.from_record(fp.to_record()) == fp
     with pytest.raises(ParseError):
         Fingerprint.from_record({**fp.to_record(), "bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("order", 0, "fingerprint of order 0"),
+        ("element_order_histogram", ((1, 1), (2, 90), (3, 8), (4, 6)), "counts 105 element orders"),
+        ("element_order_histogram", ((1, 1), (2, 9), (3, 8), (5, 6)), "lists element order 5 6 times"),
+        ("element_order_histogram", ((1, 1), (2, 9), (3, 14), (4, 0)), "lists element order 4 0 times"),
+        ("class_size_histogram", ((1, 1), (3, 1), (6, 2), (8, 2)), "has classes of 32 elements"),
+        ("class_size_histogram", ((1, 1), (5, 3), (8, 1)), "lists class size 5 3 times"),
+        ("center_order", 7, "center order 7 with 1 classes of size 1"),
+        ("derived_order", 5, "derived order 5 does not divide order 24"),
+        ("abelian", True, "abelian True with center order 1 and order 24"),
+        ("exponent", 6, "exponent 6, not the lcm 12 of its element orders"),
+    ],
+)
+def test_fingerprint_refuses_fields_that_contradict_each_other(field, value, message):
+    fp = symmetric(4).fingerprint()
+    with pytest.raises(ChromarankError, match=re.escape(message)):
+        dataclasses.replace(fp, **{field: value})
 
 
 def test_fingerprint_table_lists_the_dataclass_fields_in_order():

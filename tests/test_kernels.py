@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chromarank import PermGroup, _kernels_py, abelian, kernels
@@ -74,17 +75,6 @@ def loop_inverse(g):
     return tuple(sorted(range(len(g)), key=g.__getitem__))
 
 
-def pack(tup, degree):
-    """The k-tuple tup as one permutation of k * degree points: block j holds
-    entry j shifted by j * degree."""
-    return tuple(i + j * degree for j, x in enumerate(tup) for i in x)
-
-
-def block_diagonal(perms, k, degree):
-    """Each permutation's copy acting on every one of k blocks."""
-    return [pack((g,) * k, degree) for g in perms]
-
-
 def small_groups():
     """Raw generators and sorted elements of the corpus, the trivial group of degree 1,
     and a few random 2-generator groups of small degree."""
@@ -134,27 +124,25 @@ def test_products_match_oracles_from_degree_1():
 
 
 def assert_orbits_match_loop_reference(impl):
-    """impl's conjugacy_orbit, and its tuple_orbit on packed tuples, against
-    the loop references, in discovery order."""
+    """impl's conjugacy_orbit, and its tuple_orbit on tuples of element
+    indices under conjugation tabulated on the indices, against the loop
+    references, in discovery order."""
     for gens, elems in small_groups():
-        degree = len(elems[0])
         inverses = [loop_inverse(g) for g in gens]
+        index = {e: i for i, e in enumerate(elems)}
+        perms = [tuple(index[loop_conjugate(e, g)] for e in elems) for g in gens]
         rng = random.Random(len(elems))
         for x in rng.sample(elems, min(4, len(elems))):
             y = rng.choice(elems)
             assert impl.conjugacy_orbit(x, gens, inverses) == loop_conjugacy_orbit(x, gens)
             for tup in ((), (x,), (x, y), (y, x, y)):
-                k = len(tup)
-                got = impl.tuple_orbit(
-                    pack(tup, degree),
-                    block_diagonal(gens, k, degree),
-                    block_diagonal(inverses, k, degree),
-                )
-                assert got == [pack(t, degree) for t in loop_tuple_orbit(tup, gens)], (tup, gens)
-    # The empty tuple packs to the permutation of no points; a 1-tuple at
-    # degree 1 packs to the identity of degree 1.
-    assert impl.tuple_orbit((), [(), ()], [(), ()]) == [()]
-    assert impl.tuple_orbit((0,), [(0,)], [(0,)]) == [(0,)]
+                got = impl.tuple_orbit(tuple(index[c] for c in tup), perms)
+                want = [tuple(index[c] for c in t) for t in loop_tuple_orbit(tup, gens)]
+                assert got == want, (tup, gens)
+    # The empty tuple is its own orbit; so is a point that every perm fixes.
+    assert impl.tuple_orbit((), [(1, 0), (0, 1)]) == [()]
+    assert impl.tuple_orbit((0,), [(0,)]) == [(0,)]
+    assert impl.tuple_orbit((2, 0), [(1, 2, 0)]) == [(2, 0), (0, 1), (1, 2)]
 
 
 def test_orbits_match_loop_reference_in_discovery_order():
@@ -209,11 +197,38 @@ KERNEL_NAMES = (
 )
 
 
+WARNING_FLAGS = ("-Wall", "-Wextra", "-Werror", "-O2", "-fPIC", "-c")
+
+
 def test_kernels_c_compiles_without_warnings(tmp_path):
-    build = compile_kernels_c(
-        tmp_path / "_kernels_c.o", "-Wall", "-Wextra", "-Werror", "-O2", "-fPIC", "-c"
-    )
+    build = compile_kernels_c(tmp_path / "_kernels_c.o", *WARNING_FLAGS)
     assert build.returncode == 0, build.stderr
+
+
+def sibling_python_includes():
+    """The header directories of the CPython 3.10 and later installs beside
+    this interpreter's (as pyenv keeps them), this one left out."""
+    here = Path(sys.base_prefix)
+    includes = []
+    for prefix in sorted(here.parent.iterdir()):
+        if prefix == here:
+            continue
+        for include in sorted(prefix.glob("include/python3.*")):
+            minor = include.name.removeprefix("python3.")
+            if minor.isdigit() and int(minor) >= 10 and (include / "Python.h").exists():
+                includes.append(include)
+    return includes
+
+
+def test_kernels_c_compiles_without_warnings_on_sibling_pythons(tmp_path):
+    # _kernels_c.c is written against the C API of 3.10; each later header
+    # must take it without a warning too.
+    includes = sibling_python_includes()
+    if not includes:
+        pytest.skip("no other CPython 3.10+ install beside this one")
+    for include in includes:
+        build = compile_kernels_c(tmp_path / f"{include.name}.o", *WARNING_FLAGS, include=include)
+        assert build.returncode == 0, (include, build.stderr)
 
 
 def test_compiled_module_exposes_the_pure_names(kernels_c):
@@ -298,9 +313,9 @@ def test_element_order_equivalent_past_64_bits(kernels_c):
 
 
 # Per kernel, arguments with an image outside 0..degree-1 and with a
-# permutation whose length is not the degree of the call; for the orbit
-# kernels also an inverse of the wrong degree, and fewer inverses than
-# generators.
+# permutation whose length is not the degree of the call; for
+# conjugacy_orbit also an inverse of the wrong degree, and fewer inverses
+# than generators.  tuple_orbit's degree is that of its first permutation.
 BAD_ARGUMENTS = {
     "compose": [((3, 0), (0, 1)), ((0, 1, 2), (0, 1))],
     "inverse": [((3, 0),)],
@@ -314,12 +329,7 @@ BAD_ARGUMENTS = {
         ((0, 1), [(1, 0)], [(1, 0, 2)]),
         ((0, 1), [(1, 0)], []),
     ],
-    "tuple_orbit": [
-        ((0, 1, 2, 4), [(0, 1, 2, 3)], [(0, 1, 2, 3)]),
-        ((0, 1, 2, 3), [(0, 1, 2)], [(0, 1, 2, 3)]),
-        ((0, 1, 2, 3), [(1, 0, 3, 2)], [(1, 0)]),
-        ((0, 1, 2, 3), [(1, 0, 3, 2)], []),
-    ],
+    "tuple_orbit": [((0, 3), [(1, 0, 2)]), ((0, 1), [(1, 0, 2), (1, 0)])],
     "centralizer_filter": [([(3, 0)], [(0, 1)]), ([(0, 1)], [(0, 1, 2)])],
     "normalizer_filter": [([(0, 1)], [(3, 0)], [(0, 1)]), ([(0, 1)], [(0, 1)], [(0, 1, 2)])],
 }

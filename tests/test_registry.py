@@ -93,6 +93,14 @@ def test_seed_bad_entry_closed_form_matches_enumeration():
         assert bad.fingerprint == expected
 
 
+def test_seed_bad_entry_closed_form_is_a_consistent_fingerprint():
+    # Fingerprint refuses a record whose fields contradict each other; the
+    # closed form must pass at p = 2 too, where it is not U_4's fingerprint.
+    for p in (2, 3, 5, 7):
+        fp = registry_mod._unitriangular4_fingerprint(p)
+        assert fp.order == p**6
+
+
 def test_seed_defaults_build_no_group(monkeypatch):
     def no_group(self, *args, **kwargs):
         raise AssertionError("seed_defaults built a group")
@@ -316,22 +324,35 @@ def test_entry_table_lists_the_dataclass_fields_in_order():
     assert list(registry_mod.ENTRY_FIELDS) == [f.name for f in dataclasses.fields(RegistryEntry)]
 
 
-_pairs = st.lists(st.tuples(st.integers(min_value=1), st.integers(min_value=1)), max_size=4).map(tuple)
-_fingerprints = st.builds(
-    Fingerprint,
-    order=st.integers(min_value=1),
-    exponent=st.integers(min_value=1),
-    element_order_histogram=_pairs,
-    class_size_histogram=_pairs,
-    center_order=st.integers(min_value=1),
-    derived_order=st.integers(min_value=1),
-    abelian=st.booleans(),
-)
+@st.composite
+def _fingerprints(draw):
+    # Self-consistent, as Fingerprint refuses any other: the element orders
+    # split the order among some of its divisors, and the classes are the
+    # central ones plus classes of one size dividing the order.
+    order = draw(st.integers(min_value=1, max_value=5000))
+    divisors = [d for d in range(1, order + 1) if order % d == 0]
+    picked = st.lists(st.sampled_from(divisors), min_size=1, max_size=min(4, order), unique=True)
+    orders = sorted(draw(picked))
+    k = len(orders) - 1
+    cuts = draw(st.lists(st.integers(1, order - 1), min_size=k, max_size=k, unique=True)) if k else []
+    bounds = [0, *sorted(cuts), order]
+    size = draw(st.sampled_from(divisors[1:] or [1]))
+    noncentral = draw(st.integers(0, (order - 1) // size)) if size > 1 else 0
+    center = order - size * noncentral
+    return Fingerprint(
+        order=order,
+        exponent=math.lcm(*orders),
+        element_order_histogram=tuple(zip(orders, (b - a for a, b in zip(bounds, bounds[1:])))),
+        class_size_histogram=((1, center),) + (((size, noncentral),) if noncentral else ()),
+        center_order=center,
+        derived_order=draw(st.sampled_from(divisors)),
+        abelian=center == order,
+    )
 
 
 @st.composite
 def _entries(draw):
-    fingerprint = draw(st.none() | _fingerprints)
+    fingerprint = draw(st.none() | _fingerprints())
     order = draw(st.none() | st.integers(min_value=1)) if fingerprint is None else fingerprint.order
     return RegistryEntry(
         name=draw(st.text()),
@@ -741,6 +762,30 @@ def _base_only_wreath_centralizer(original):
     return wrong
 
 
+def _wreath_words_without_block_count(original):
+    # A wrong wreath rule: element orders lcm(o(c_i)), without the factor
+    # m = n / d.  The orders still divide |G| and the sizes are right, so
+    # the fingerprint stays self-consistent.
+    def wrong(rows, base_order, n):
+        for j, word, o, size in original(rows, base_order, n):
+            yield j, word, o // (n // math.gcd(j, n)), size
+
+    return wrong
+
+
+def _wreath_derived_without_base_power(original):
+    # A wrong wreath rule: |H'| for H wr C_n, without the factor
+    # |H|**(n - 1); still a divisor of |G|.
+    def wrong(g, limit):
+        record = g.factor_record()
+        if record is None or record[1] is None:
+            return original(g, limit)
+        (base,), _ = record
+        return original(base, limit)
+
+    return wrong
+
+
 def _first_factor_product_centralizer(original):
     # A wrong product rule: C_G(x) x H, as if y were central in H.
     def wrong(factors, z, limit):
@@ -757,9 +802,8 @@ def _first_factor_product_centralizer(original):
     "owner, attr, wrong, bound, depth",
     [
         (group_mod, "_product_rows", lambda original: _multiplied_orders, 81, 1),
-        # sizes without the factor |H|**(n - d)
-        (group_mod, "_wreath_words", lambda original: lambda rows, order, n: original(rows, 1, n), 81, 1),
-        (PermGroup, "_derived_order", lambda original: lambda g, limit: 2 * original(g, limit), 81, 1),
+        (group_mod, "_wreath_words", lambda original: _wreath_words_without_block_count(original), 81, 1),
+        (PermGroup, "_derived_order", lambda original: _wreath_derived_without_base_power(original), 81, 1),
         # reps y + x rather than x + y
         (group_mod, "_product_classes", lambda original: lambda tables, o: original(tables[::-1], o), 81, 1),
         (group_mod, "_wreath_classes", _misplaced_wreath_classes, 81, 1),
@@ -774,7 +818,9 @@ def test_explore_paranoid_mode_checks_the_factor_rule(monkeypatch, owner, attr, 
     # group's own class walk, centralizer_filter over the closure of its
     # generators and derived subgroup, so a wrong rule is caught there.
     # Nothing else reads these facts against the generators, so without it
-    # explore runs to the end.
+    # explore runs to the end.  Each wrong rule here keeps the fingerprint
+    # self-consistent; Fingerprint refuses one that is not in either mode
+    # (test_explore_refuses_a_wrong_rule_that_breaks_a_fingerprint).
     monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
     explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, bound, depth=depth)
     with pytest.raises(ConsistencyError, match="from its factors is"):
@@ -782,9 +828,10 @@ def test_explore_paranoid_mode_checks_the_factor_rule(monkeypatch, owner, attr, 
 
 
 def test_explore_paranoid_mode_checks_the_recorded_order(monkeypatch):
-    # A wrong order recorded for products and wreaths: nothing else reads it
-    # against the generators, so only paranoid mode sees that it is twice
-    # the order of the group they generate.
+    # A wrong order recorded for products and wreaths, twice the order of
+    # the group they generate, contradicts the element count of the class
+    # profile taken from the factors.  So the fingerprint refuses it in
+    # either mode, before paranoid mode compares it with the chain's order.
     record_factors = PermGroup._record_factors
 
     def doubled(self, factors, n=None):
@@ -793,9 +840,38 @@ def test_explore_paranoid_mode_checks_the_recorded_order(monkeypatch):
         return self
 
     monkeypatch.setattr(PermGroup, "_record_factors", doubled)
-    explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1)
-    with pytest.raises(ConsistencyError, match=re.escape("order of 'wr(c(1),c(3))' from its factors is 6")):
-        explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1, paranoid=True)
+    for paranoid in (False, True):
+        with pytest.raises(ChromarankError, match=re.escape("fingerprint of order 6 counts 3 element orders")):
+            explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1, paranoid=paranoid)
+
+
+@pytest.mark.parametrize(
+    "owner, attr, wrong, message",
+    [
+        # class sizes without the factor |H|**(n - d)
+        (
+            group_mod,
+            "_wreath_words",
+            lambda original: lambda rows, order, n: original(rows, 1, n),
+            "fingerprint of order 81 counts 33 element orders",
+        ),
+        # twice |G'|, which divides no odd order
+        (
+            PermGroup,
+            "_derived_order",
+            lambda original: lambda g, limit: 2 * original(g, limit),
+            "fingerprint derived order 2 does not divide order 1",
+        ),
+    ],
+)
+def test_explore_refuses_a_wrong_rule_that_breaks_a_fingerprint(monkeypatch, owner, attr, wrong, message):
+    # A fingerprint whose fields contradict each other is refused when it
+    # is made, so these wrong rules stop explore with or without paranoid
+    # mode.
+    monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
+    for paranoid in (False, True):
+        with pytest.raises(ChromarankError, match=re.escape(message)):
+            explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1, paranoid=paranoid)
 
 
 def test_paper_example_registry_bytes_match_golden(tmp_path):
@@ -810,6 +886,13 @@ def test_paper_example_registry_bytes_match_golden(tmp_path):
     path = tmp_path / "reg.jsonl"
     reg.save(str(path))
     assert path.read_bytes() == (GOLDEN / "certify_example_p2.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["certify_example_p2.jsonl", "explore_p3_bound81.jsonl"])
+def test_golden_registries_load_and_save_back_byte_identical(tmp_path, name):
+    path = tmp_path / name
+    Registry.load(str(GOLDEN / name)).save(str(path))
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_explore_skips_unrealizable_entries(caplog):
