@@ -296,6 +296,9 @@ class Fingerprint:
                     raise ChromarankError(
                         f"fingerprint of order {order} lists {name} {d} {count} times"
                     )
+            keys = [d for d, _ in pairs]
+            if any(a >= b for a, b in zip(keys, keys[1:])):
+                raise ChromarankError(f"fingerprint {name}s {keys} are not strictly increasing")
         elements = sum(count for _, count in self.element_order_histogram)
         if elements != order:
             raise ChromarankError(f"fingerprint of order {order} counts {elements} element orders")

@@ -649,6 +649,8 @@ def test_fingerprint_record_roundtrip():
         ("element_order_histogram", ((1, 1), (2, 9), (3, 14), (4, 0)), "lists element order 4 0 times"),
         ("class_size_histogram", ((1, 1), (3, 1), (6, 2), (8, 2)), "has classes of 32 elements"),
         ("class_size_histogram", ((1, 1), (5, 3), (8, 1)), "lists class size 5 3 times"),
+        ("class_size_histogram", ((1, 1), (1, 23)), "class sizes [1, 1] are not strictly increasing"),
+        ("element_order_histogram", ((1, 1), (3, 8), (2, 9), (4, 6)), "element orders [1, 3, 2, 4] are not"),
         ("center_order", 7, "center order 7 with 1 classes of size 1"),
         ("derived_order", 5, "derived order 5 does not divide order 24"),
         ("abelian", True, "abelian True with center order 1 and order 24"),

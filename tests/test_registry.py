@@ -827,11 +827,9 @@ def test_explore_paranoid_mode_checks_the_factor_rule(monkeypatch, owner, attr, 
         explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, bound, depth=depth, paranoid=True)
 
 
-def test_explore_paranoid_mode_checks_the_recorded_order(monkeypatch):
-    # A wrong order recorded for products and wreaths, twice the order of
-    # the group they generate, contradicts the element count of the class
-    # profile taken from the factors.  So the fingerprint refuses it in
-    # either mode, before paranoid mode compares it with the chain's order.
+def _record_doubled_orders(monkeypatch):
+    # A wrong order recorded for products and wreaths: twice the order of
+    # the group they generate.
     record_factors = PermGroup._record_factors
 
     def doubled(self, factors, n=None):
@@ -840,9 +838,29 @@ def test_explore_paranoid_mode_checks_the_recorded_order(monkeypatch):
         return self
 
     monkeypatch.setattr(PermGroup, "_record_factors", doubled)
+
+
+def test_explore_refuses_a_recorded_order_that_breaks_a_fingerprint(monkeypatch):
+    # A doubled order contradicts the element count of the class profile
+    # taken from the factors, so the fingerprint refuses it in either mode,
+    # before paranoid mode compares it with the chain's order.
+    _record_doubled_orders(monkeypatch)
     for paranoid in (False, True):
         with pytest.raises(ChromarankError, match=re.escape("fingerprint of order 6 counts 3 element orders")):
             explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1, paranoid=paranoid)
+
+
+def test_explore_paranoid_mode_checks_the_recorded_order(monkeypatch):
+    # Paranoid mode's first comparison (_check_factor_rule), called here
+    # directly since explore's fingerprint refuses a doubled order first:
+    # the recorded order against the stabilizer chain of the generators.
+    _record_doubled_orders(monkeypatch)
+    group = wreath_cyclic(cyclic(1), 3)
+    with pytest.raises(
+        ConsistencyError,
+        match=re.escape("order of 'wr(c(1),c(3))' from its factors is 6, its generators give 3"),
+    ):
+        registry_mod._check_factor_rule(lambda: "wr(c(1),c(3))", group, 10_000)
 
 
 @pytest.mark.parametrize(
