@@ -13,10 +13,11 @@ number of classes; a direct product or wreath recorded by its constructor
 instead.  commuting_tuple_classes walks the raw tuples and groups them
 into orbits under the generators of G, each tuple held as the tuple of its
 entries' indices into the p-power elements, on which conjugation by each
-generator is tabulated once per walk, so that an orbit is one kernel call;
-it is the oracle the recursion and the factor rule are tested against, and
-it supplies the tuple representatives and centralizers that the loops
-command prints.
+generator is tabulated once per walk, so that an orbit is one kernel call.
+One reach step serves tuples of every length, and entries are checked
+where the walk admits them to a pool.  The walk is the oracle the recursion
+and the factor rule are tested against, and it supplies the tuple
+representatives and centralizers that the loops command prints.
 verify_rank_identity takes the rank at height n from the walk and the sum
 over (n-t)-tuple centralizers from the recursion, so for every t >= 1 it
 compares the two algorithms.
@@ -58,20 +59,10 @@ class PTuple:
     def __post_init__(self):
         _check_prime(self.prime)
         for i, entry in enumerate(self.entries):
-            _check_entry(self.prime, self.entries[:i], entry)
-
-    def extended(self, entry: Permutation) -> "PTuple":
-        """This tuple with entry appended.
-
-        Only the new entry is checked, its order and that it commutes with
-        every earlier entry, so a tuple grown one entry at a time from a
-        checked one is checked in full.
-        """
-        _check_entry(self.prime, self.entries, entry)
-        out = object.__new__(PTuple)
-        object.__setattr__(out, "prime", self.prime)
-        object.__setattr__(out, "entries", self.entries + (entry,))
-        return out
+            if not is_p_power(kernels.element_order(entry.images), self.prime):
+                raise ChromarankError(f"entry {i} does not have {self.prime}-power order")
+            if not all(kernels.commutes(u.images, entry.images) for u in self.entries[:i]):
+                raise ChromarankError("tuple entries do not commute pairwise")
 
     @property
     def height(self) -> int:
@@ -79,16 +70,6 @@ class PTuple:
 
     def cycle_strings(self) -> list[str]:
         return [e.cycle_string() for e in self.entries]
-
-
-def _check_entry(p: int, earlier: tuple[Permutation, ...], entry: Permutation) -> None:
-    """Raise unless entry has p-power order and commutes with every earlier entry."""
-    t = entry.images
-    if not is_p_power(kernels.element_order(t), p):
-        raise ChromarankError(f"entry {len(earlier)} does not have {p}-power order")
-    for u in earlier:
-        if not kernels.commutes(u.images, t):
-            raise ChromarankError("tuple entries do not commute pairwise")
 
 
 @dataclass(frozen=True)
@@ -149,10 +130,15 @@ def commuting_tuple_classes(
     at the class's lex-least tuple, which is its representative; components
     come out sorted by it.  A prefix of a lex-least tuple is lex-least among
     its own conjugates, so a prefix whose orbit was reached before is not
-    extended.  Each first-reached prefix's PTuple extends its parent's by
-    one entry, and only that entry is checked (PTuple.extended).  No class
-    table is read, and nothing is cached: each call checks the limit and
-    walks again.
+    extended.  One reach step serves prefixes and full tuples alike: for a
+    first-reached tuple it checks that the tuple is lex-least in its orbit,
+    builds the representative and C(tuple), and checks |G| = |C| * |orbit|;
+    only a full tuple's class becomes a component.  Entries are checked on
+    admission: each p-power element's order once, as the root pool is
+    built, and each row of a child pool against the prefix entry that
+    formed it, so, pools being nested, every pair in every tuple is checked.
+    No class table is read, and nothing is cached: each call checks the
+    limit and walks again.
     """
     _check_prime(p)
     _check_height(h)
@@ -166,10 +152,16 @@ def commuting_tuple_classes(
 def _walk_classes(group: PermGroup, p: int, h: int, limit: int) -> LoopDecomposition:
     order = group.order()
     elements = p_power_elements(group, p, limit)
+    # Each element's order is checked once per walk, as it joins the root pool.
+    pool = []
+    for i, e in enumerate(elements):
+        if not is_p_power(kernels.element_order(e.images), p):
+            raise ChromarankError(f"p-power element {i} does not have {p}-power order")
+        pool.append((i, e.images, e))
     # A k-tuple is walked as the k-tuple of its entries' indices into the
     # sorted p-power elements, so index order is lex order.  Conjugation by
     # each generator is tabulated once, as a permutation of those indices.
-    index = {e.images: i for i, e in enumerate(elements)}
+    index = {x: i for i, x, _ in pool}
     try:
         perms = [tuple([index[kernels.conjugate(x, g)] for x in index]) for g in group._raw]
     except KeyError:
@@ -179,53 +171,57 @@ def _walk_classes(group: PermGroup, p: int, h: int, limit: int) -> LoopDecomposi
     seen: set[tuple] = set()
     components: list[LoopComponent] = []
 
-    def first_reached(tup: tuple) -> list | None:
-        """The orbit of the index tuple, or None when the walk has reached it before."""
+    def reach(tup: tuple, prefix: PTuple, x: tuple, entry: Permutation, above: PermGroup):
+        """The representative prefix + (entry,) of the index tuple tup, x the
+        entry's images, and C(tuple); None when its class was reached
+        before.  A full tuple's class is recorded as a component."""
         if tup in seen:
             return None
         orbit = kernels.tuple_orbit(tup, perms)
         seen.update(orbit)
         if min(orbit) != tup:
             raise ChromarankError("walk reached a tuple class away from its lex-least tuple")
-        return orbit
-
-    def visit(tup: tuple, prefix: PTuple, x: tuple, entry: Permutation, above: PermGroup):
-        orbit = first_reached(tup)
-        if orbit is None:
-            return
-        rep = prefix.extended(entry)
+        rep = _appended(prefix, entry)
         cent = above._centralizer_raw([x], limit)
         if order != cent.order() * len(orbit):
             raise ChromarankError("orbit size disagrees with centralizer index")
-        components.append(LoopComponent(rep, cent, len(orbit)))
+        if len(tup) == h:
+            components.append(LoopComponent(rep, cent, len(orbit)))
+        return rep, cent
 
-    pool = [(i, e.images, e) for i, e in enumerate(elements)]
-    _walk((), PTuple(p, ()), group, pool, h, limit, first_reached, visit)
+    _walk((), PTuple(p, ()), group, pool, h, limit, reach)
     return LoopDecomposition(p, h, tuple(components))
 
 
+def _appended(prefix: PTuple, entry: Permutation) -> PTuple:
+    # Unchecked: the walk checked entry when it admitted it to a pool.
+    out = object.__new__(PTuple)
+    object.__setattr__(out, "prime", prefix.prime)
+    object.__setattr__(out, "entries", prefix.entries + (entry,))
+    return out
+
+
 def _walk(
-    tup: tuple, prefix: PTuple, above: PermGroup, pool: list, h: int, limit: int, reach, visit
+    tup: tuple, prefix: PTuple, above: PermGroup, pool: list, h: int, limit: int, reach
 ) -> None:
     # tup is prefix as an index tuple, above is C(prefix) and pool the rows
-    # (index, images, Permutation) of its p-power elements.  A prefix is
-    # extended only when reach finds it first reached, and a full tuple's
-    # centralizer is built in visit, only for a class representative; visit
-    # and each first-reached prefix build their PTuple from the parent's,
-    # checking only the new entry.  The walk runs in lex order, so
-    # components come out sorted by representative.  Module-level, since a
-    # nested function that calls itself is a reference cycle holding
-    # everything the walk built.
-    k = len(tup)
+    # (index, images, Permutation) of its p-power elements.  Only a prefix
+    # whose class reach finds first reached is extended.  A child pool keeps
+    # the parent's rows in the child's centralizer, each checked to commute
+    # with the new entry; pools are nested, so every pair of entries in a
+    # tuple is checked.  The walk runs in lex order, so components come out
+    # sorted by representative.  Module-level, since a nested function that
+    # calls itself is a reference cycle holding everything the walk built.
     for i, x, entry in pool:
         longer = tup + (i,)
-        if k + 1 == h:
-            visit(longer, prefix, x, entry, above)
-        elif reach(longer) is not None:
-            cent = above._centralizer_raw([x], limit)
+        reached = reach(longer, prefix, x, entry, above)
+        if reached is not None and len(longer) < h:
+            rep, cent = reached
             members = set(cent._raw_elements(limit))
             below = [row for row in pool if row[1] in members]
-            _walk(longer, prefix.extended(entry), cent, below, h, limit, reach, visit)
+            if not all(kernels.commutes(x, y) for _, y, _ in below):
+                raise ChromarankError("tuple entries do not commute pairwise")
+            _walk(longer, rep, cent, below, h, limit, reach)
 
 
 def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:

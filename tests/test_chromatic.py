@@ -140,33 +140,18 @@ def test_ptuple_validation(corpus):
     a = Permutation.from_cycles("(0 1)(2 3)", degree=4)
     b = Permutation.from_cycles("(0 1)", degree=4)
     c = Permutation.from_cycles("(0 1 2)", degree=4)
+    d = Permutation.from_cycles("(1 2)", degree=4)
     t = PTuple(2, (a, b))
     assert t.height == 2
-    with pytest.raises(ChromarankError):
-        PTuple(2, (a, c))  # order 3 is not a 2-power
-    with pytest.raises(ChromarankError):
-        PTuple(2, (b, Permutation.from_cycles("(1 2)", degree=4)))  # they do not commute
-    cent = s4.centralizer(t.entries)
-    assert cent.order() == 4
-
-
-def test_ptuple_extension_checks_only_the_new_entry_as_the_constructor_does():
-    a = Permutation.from_cycles("(0 1)(2 3)", degree=4)
-    b = Permutation.from_cycles("(0 1)", degree=4)
-    c = Permutation.from_cycles("(0 1 2)", degree=4)
-    d = Permutation.from_cycles("(1 2)", degree=4)
-    t = PTuple(2, (a,))
-    assert t.extended(b) == PTuple(2, (a, b))
-    assert t.extended(b).extended(b) == PTuple(2, (a, b, b))
-    assert PTuple(2, ()).extended(a) == t
+    assert PTuple(2, (a, b, b)).entries == (a, b, b)
     with pytest.raises(ChromarankError, match="entry 1 does not have 2-power order"):
         PTuple(2, (a, c))
-    with pytest.raises(ChromarankError, match="entry 1 does not have 2-power order"):
-        t.extended(c)
+    with pytest.raises(ChromarankError, match="do not commute pairwise"):
+        PTuple(2, (b, d))
     with pytest.raises(ChromarankError, match="do not commute pairwise"):
         PTuple(2, (a, b, d))
-    with pytest.raises(ChromarankError, match="do not commute pairwise"):
-        t.extended(b).extended(d)
+    cent = s4.centralizer(t.entries)
+    assert cent.order() == 4
 
 
 @pytest.mark.parametrize("h", range(5))
@@ -424,3 +409,64 @@ def test_walk_rejects_a_conjugate_outside_the_p_power_elements(monkeypatch):
     monkeypatch.setattr(kernels, "conjugate", leaving)
     with pytest.raises(ChromarankError, match="not a p-power element"):
         commuting_tuple_classes(symmetric(3), 2, 1)
+
+
+def test_walk_checks_the_centralizer_order_at_every_prefix(monkeypatch):
+    # Every centralizer in the abelian C_6 is the group.  Here each height-1
+    # prefix gets the Sylow 2-subgroup instead, which holds the same 2-power
+    # elements, while the full tuples' centralizers stay right: only the
+    # prefix's own orbit-stabilizer check sees the fault.
+    group = cyclic(6)
+    sylow = group.sylow_subgroup(2)
+    centralizer_raw = PermGroup._centralizer_raw
+
+    def small_at_prefixes(self, raw_targets, limit=None):
+        if self is group:
+            return sylow
+        return centralizer_raw(group if self is sylow else self, raw_targets, limit)
+
+    monkeypatch.setattr(PermGroup, "_centralizer_raw", small_at_prefixes)
+    with pytest.raises(ChromarankError, match="orbit size disagrees with centralizer index"):
+        commuting_tuple_classes(group, 2, 2)
+
+
+def test_walk_checks_each_entry_where_it_admits_it(monkeypatch):
+    # A root pool that holds an element of order 3 (both 3-cycles, so that
+    # conjugation stays in the pool), and a prefix whose centralizer, of the
+    # right order, holds a transposition that does not commute with it.
+    s3 = symmetric(3)
+    elements = p_power_elements(s3, 2)
+    three_cycles = (Permutation((1, 2, 0)), Permutation((2, 0, 1)))
+    with monkeypatch.context() as m:
+        m.setattr(chromatic, "p_power_elements", lambda *args: elements + three_cycles)
+        with pytest.raises(ChromarankError, match="does not have 2-power order"):
+            commuting_tuple_classes(s3, 2, 1)
+    # The walk reaches the transpositions' class first at (1 2), images (0, 2, 1).
+    centralizer_raw = PermGroup._centralizer_raw
+    swapped = group_from_generators([Permutation((1, 0, 2))])
+
+    def elsewhere(self, raw_targets, limit=None):
+        if list(raw_targets) == [(0, 2, 1)]:
+            return swapped
+        return centralizer_raw(self, raw_targets, limit)
+
+    monkeypatch.setattr(PermGroup, "_centralizer_raw", elsewhere)
+    with pytest.raises(ChromarankError, match="do not commute pairwise"):
+        commuting_tuple_classes(s3, 2, 2)
+
+
+def test_walk_checks_each_p_power_elements_order_once(monkeypatch):
+    # Entries are checked where the walk admits them: each p-power element's
+    # order once, as it joins the root pool, and none per representative.
+    group = CORPUS_BUILDERS["GL_2(3)"]()
+    want = Counter(e.images for e in p_power_elements(group, 2))
+    checked = Counter()
+    element_order = kernels.element_order
+
+    def counting(x):
+        checked[x] += 1
+        return element_order(x)
+
+    monkeypatch.setattr(kernels, "element_order", counting)
+    commuting_tuple_classes(group, 2, 3)
+    assert checked == want

@@ -197,38 +197,12 @@ KERNEL_NAMES = (
 )
 
 
-WARNING_FLAGS = ("-Wall", "-Wextra", "-Werror", "-O2", "-fPIC", "-c")
+WARNING_FLAGS = ("-Wall", "-Wextra", "-Werror", "-O2", "-fPIC")
 
 
 def test_kernels_c_compiles_without_warnings(tmp_path):
-    build = compile_kernels_c(tmp_path / "_kernels_c.o", *WARNING_FLAGS)
+    build = compile_kernels_c(tmp_path / "_kernels_c.o", "-c", *WARNING_FLAGS)
     assert build.returncode == 0, build.stderr
-
-
-def sibling_python_includes():
-    """The header directories of the CPython 3.10 and later installs beside
-    this interpreter's (as pyenv keeps them), this one left out."""
-    here = Path(sys.base_prefix)
-    includes = []
-    for prefix in sorted(here.parent.iterdir()):
-        if prefix == here:
-            continue
-        for include in sorted(prefix.glob("include/python3.*")):
-            minor = include.name.removeprefix("python3.")
-            if minor.isdigit() and int(minor) >= 10 and (include / "Python.h").exists():
-                includes.append(include)
-    return includes
-
-
-def test_kernels_c_compiles_without_warnings_on_sibling_pythons(tmp_path):
-    # _kernels_c.c is written against the C API of 3.10; each later header
-    # must take it without a warning too.
-    includes = sibling_python_includes()
-    if not includes:
-        pytest.skip("no other CPython 3.10+ install beside this one")
-    for include in includes:
-        build = compile_kernels_c(tmp_path / f"{include.name}.o", *WARNING_FLAGS, include=include)
-        assert build.returncode == 0, (include, build.stderr)
 
 
 def test_compiled_module_exposes_the_pure_names(kernels_c):
@@ -362,3 +336,108 @@ def test_compiled_kernels_reject_bad_arguments(kernels_c):
     assert proc.returncode == 0, (proc.returncode, lines, proc.stderr)
     assert len(lines) == sum(map(len, BAD_ARGUMENTS.values()))
     assert all(line.endswith(" -> ValueError") for line in lines), lines
+
+
+# Run by each sibling interpreter, which has no pytest: the compiled kernels
+# (argv[1]) against the pure ones (argv[2]), both loaded by file path, on
+# seeded inputs, and the compiled ones on the bad arguments.
+SIBLING_SCRIPT = """
+import importlib.util, random, sys
+
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+kernels_c = load("chromarank._kernels_c", sys.argv[1])
+pure = load("chromarank._kernels_py", sys.argv[2])
+compared = set()
+
+def same(name, *args):
+    got, want = getattr(kernels_c, name)(*args), getattr(pure, name)(*args)
+    assert got == want, (name, args, got, want)
+    compared.add(name)
+
+rng = random.Random(0)
+for degree in (1, 2, 5, 9, 70):
+    perms = [tuple(rng.sample(range(degree), degree)) for _ in range(4)]
+    for a in perms:
+        same("inverse", a)
+        same("element_order", a)
+        for b in perms:
+            same("compose", a, b)
+            same("conjugate", a, b)
+            same("commutes", a, b)
+# Cycles of the primes 2..59, on 440 points: an element order past 2**64.
+primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+primorial = [sum(primes[:k]) + (i + 1) % n for k, n in enumerate(primes) for i in range(n)]
+same("element_order", tuple(primorial))
+for degree in (1, 3, 4, 6):
+    gens = [tuple(rng.sample(range(degree), degree)) for _ in range(2)]
+    for limit in (10**4, 10, 1):
+        same("close_group", gens, limit)
+    elems = pure.close_group(gens, 10**4)
+    inverses = [pure.inverse(g) for g in gens]
+    index = {{e: i for i, e in enumerate(elems)}}
+    tabled = [tuple(index[pure.conjugate(e, g)] for e in elems) for g in gens]
+    for x in rng.sample(elems, min(4, len(elems))):
+        y = rng.choice(elems)
+        same("conjugacy_orbit", x, gens, inverses)
+        for tup in ((), (x,), (x, y), (y, x, y)):
+            same("tuple_orbit", tuple(index[e] for e in tup), tabled)
+        same("centralizer_filter", elems, [x, y])
+        same("normalizer_filter", elems, [x], pure.close_group([x], 10**4))
+for name, calls in {calls!r}.items():
+    for args in calls:
+        try:
+            getattr(kernels_c, name)(*args)
+        except ValueError:
+            continue
+        raise AssertionError((name, args, "did not raise ValueError"))
+assert compared == set({calls!r}), sorted(compared)
+print("agree")
+"""
+
+
+def sibling_pythons():
+    """(header directory, interpreter) of each CPython 3.10 and later install
+    beside this interpreter's (as pyenv keeps them), this one left out."""
+    here = Path(sys.base_prefix)
+    found = []
+    for prefix in sorted(here.parent.iterdir()):
+        if prefix == here:
+            continue
+        for include in sorted(prefix.glob("include/python3.*")):
+            minor = include.name.removeprefix("python3.")
+            python = prefix / "bin" / include.name
+            headers = (include / "Python.h").exists()
+            if minor.isdigit() and int(minor) >= 10 and headers and python.exists():
+                found.append((include, python))
+    return found
+
+
+def test_kernels_c_matches_pure_on_sibling_pythons(tmp_path):
+    # _kernels_c.c is written against the C API of 3.10.  Each later
+    # interpreter's headers must take it without a warning, and the
+    # interpreter must load it, under its own EXT_SUFFIX, and find it equal
+    # to the pure kernels.
+    siblings = sibling_pythons()
+    if not siblings:
+        pytest.skip("no other CPython 3.10+ install beside this one")
+    for include, python in siblings:
+        suffix = subprocess.run(
+            [python, "-c", "import sysconfig; print(sysconfig.get_config_var('EXT_SUFFIX'))"],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        target = tmp_path / include.name / f"_kernels_c{suffix}"
+        target.parent.mkdir()
+        build = compile_kernels_c(target, "-shared", *WARNING_FLAGS, include=include)
+        assert build.returncode == 0, (include, build.stderr)
+        script = SIBLING_SCRIPT.format(calls=BAD_ARGUMENTS)
+        proc = subprocess.run(
+            [python, "-c", script, target, _kernels_py.__file__], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (0, "agree\n"), (python, proc.stderr)
