@@ -140,18 +140,35 @@ def test_ptuple_validation(corpus):
     a = Permutation.from_cycles("(0 1)(2 3)", degree=4)
     b = Permutation.from_cycles("(0 1)", degree=4)
     c = Permutation.from_cycles("(0 1 2)", degree=4)
-    d = Permutation.from_cycles("(1 2)", degree=4)
     t = PTuple(2, (a, b))
     assert t.height == 2
-    assert PTuple(2, (a, b, b)).entries == (a, b, b)
+    with pytest.raises(ChromarankError):
+        PTuple(2, (a, c))  # order 3 is not a 2-power
+    with pytest.raises(ChromarankError):
+        PTuple(2, (b, Permutation.from_cycles("(1 2)", degree=4)))  # they do not commute
+    cent = s4.centralizer(t.entries)
+    assert cent.order() == 4
+
+
+def test_ptuple_extension_checks_only_the_new_entry_as_the_constructor_does():
+    # The walk extends a prefix without the constructor's checks: it checks
+    # the new entry alone, as it admits the entry to a pool, with the
+    # constructor's messages (test_walk_checks_each_entry_where_it_admits_it).
+    # The tuples it builds are the constructor's.
+    a = Permutation.from_cycles("(0 1)(2 3)", degree=4)
+    b = Permutation.from_cycles("(0 1)", degree=4)
+    c = Permutation.from_cycles("(0 1 2)", degree=4)
+    d = Permutation.from_cycles("(1 2)", degree=4)
+    t = PTuple(2, (a,))
+    assert chromatic._appended(t, b) == PTuple(2, (a, b))
+    assert chromatic._appended(chromatic._appended(t, b), b) == PTuple(2, (a, b, b))
+    assert chromatic._appended(PTuple(2, ()), a) == t
     with pytest.raises(ChromarankError, match="entry 1 does not have 2-power order"):
         PTuple(2, (a, c))
     with pytest.raises(ChromarankError, match="do not commute pairwise"):
         PTuple(2, (b, d))
     with pytest.raises(ChromarankError, match="do not commute pairwise"):
         PTuple(2, (a, b, d))
-    cent = s4.centralizer(t.entries)
-    assert cent.order() == 4
 
 
 @pytest.mark.parametrize("h", range(5))
