@@ -8,12 +8,13 @@ conjugation, and the class count at height h is the rank studied here.
 Two independent algorithms count those classes.  hkr_rank recurses on the
 centralizer decomposition rank(G, h) = sum of rank(C_G(x), h-1) over the
 p-power conjugacy-class representatives x of G, so its work grows with the
-number of classes; a direct product or wreath recorded by its constructor
-(or a relabeled copy of one) takes its rank from its factors' ranks
-instead.  commuting_tuple_classes walks the raw tuples and groups them
-into orbits under the generators of G, each tuple held as the tuple of its
-entries' indices into the p-power elements, on which conjugation by each
-generator is tabulated once per walk, so that an orbit is one kernel call.
+number of classes; a direct product or wreath recorded by its constructor,
+a product's centralizer, or a relabeled copy of one takes its rank from
+its factors' ranks instead.  commuting_tuple_classes walks the raw tuples
+and groups them into orbits under the generators of G, each tuple held as
+the tuple of its entries' indices into the p-power elements, on which
+conjugation by each generator is tabulated once per walk, so that an orbit
+is one kernel call.
 One reach step serves tuples of every length, and entries are checked
 where the walk admits them to a pool.  The walk is the oracle the recursion
 and the factor rule are tested against, and it supplies the tuple
@@ -346,6 +347,7 @@ def verify_rank_identity(
     _check_height(n)
     if not 0 <= t <= n:
         raise ValueError("need 0 <= t <= n")
+    limit = enumeration_limit(limit)
     decomposition = commuting_tuple_classes(group, p, n, limit)
     lhs = len(decomposition)
     if t:

@@ -11,16 +11,18 @@ kernel.  A direct product or cyclic wreath product recorded by its
 constructor takes its order and fingerprint from its factors', with no
 chain or enumeration; its class table from theirs, with no class walk;
 and its centralizers from their elements and centralizers, with no
-filtering of its own elements.  A relabeled copy (conjugate_by) keeps
-the order and the record, and reads from it only what a relabeling does
-not change: the class profile, the derived order and, in chromatic, the
-ranks.  The class walk and centralizer_filter serve every other group,
-and stay the independent check of the factor rules (registry paranoid
-mode, tests).  Every centralizer is interned, one subgroup per element
-set, in a weak-valued table held by the root group and by each subgroup
-in it, and memoized per target tuple as that subgroup, except that a
-group is never held in its own cache: nothing cached here forms a
-reference cycle, so dropped groups are freed by reference counting alone.
+filtering of its own elements.  A product's centralizer C_G(x) x C_H(y)
+records those factor centralizers, and takes the same from them.  A
+relabeled copy (conjugate_by) keeps the order and the record, and reads
+from it only what a relabeling does not change: the class profile, the
+derived order and, in chromatic, the ranks.  The class walk and
+centralizer_filter serve every other group, and stay the independent
+check of the factor rules (registry paranoid mode, tests).  Every
+centralizer is interned, one subgroup per element set, in a weak-valued
+table held by the root group and by each subgroup in it, and memoized
+per target tuple as that subgroup, except that a group is never held in
+its own cache: nothing cached here forms a reference cycle, so dropped
+groups are freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -504,23 +506,33 @@ class PermGroup:
         """Record that this group is the direct product of factors or, when n
         is given, factors[0] wr C_n; returns the group.
 
-        The order is stored now, as prod |factor| or |H|**n * n, so no
-        stabilizer chain is built for it.  The conjugacy classes,
-        class_profile, centralizers and the derived order of fingerprint
-        are computed from the factors (see _classes, _profile,
-        _centralizer_group and _derived_order); the classes and the profile
-        read each class's element order and size from one formula per
-        construction (_product_rows, _wreath_words).  The elements
-        (_close), their orders and every other query come from the
-        generators as for any group.  The record is also kept under a
-        second key, which conjugate_by copies (see factor_record).
+        The factors act on consecutive blocks of points, the first factor
+        on the lowest, as direct_product and wreath_cyclic lay them out and
+        as a product's centralizer C_G(x) x C_H(y) inherits it
+        (_centralizer_group).  The order is stored now, as prod |factor| or
+        |H|**n * n, so no stabilizer chain is built for it; a group whose
+        order is already known, such as an interned centralizer with its
+        element count, refuses a record that gives another with
+        ChromarankError.  The conjugacy classes, class_profile,
+        centralizers and the derived order of fingerprint are computed
+        from the factors (see _classes, _profile, _centralizer_group and
+        _derived_order); the classes and the profile read each class's
+        element order and size from one formula per construction
+        (_product_rows, _wreath_words).  The elements (_close), their
+        orders and every other query come from the generators as for any
+        group.  The record is also kept under a second key, which
+        conjugate_by copies (see factor_record).
         """
-        self._cache["factors"] = self._cache["factors up to relabeling"] = (factors, n)
         if n is None:
-            self._cache["order"] = prod(f.order() for f in factors)
+            order = prod(f.order() for f in factors)
         else:
             (base,) = factors
-            self._cache["order"] = base.order() ** n * n
+            order = base.order() ** n * n
+        known = self._cache.get("order")
+        if known is not None and known != order:
+            raise ChromarankError(f"factors of order {order} recorded on a group of order {known}")
+        self._cache["factors"] = self._cache["factors up to relabeling"] = (factors, n)
+        self._cache["order"] = order
         return self
 
     def factor_record(self) -> tuple[tuple["PermGroup", ...], int | None] | None:
@@ -529,11 +541,15 @@ class PermGroup:
         None.
 
         Read-only.  A group built by direct_product or wreath_cyclic has a
-        record, and conjugate_by keeps it on the relabeled copy; only facts
-        that a relabeling does not change (class profile, derived order,
-        ranks) may be read from it.  Class tables and centralizers come from
-        the factors only on the group the constructor built (the "factors"
-        key), and from the copy's own generators on a copy.
+        record, and so has a product's centralizer, whose factors are the
+        factors' centralizers (see _centralizer_group); a wreath's
+        centralizer has none, nor has one that only filtering found
+        (center(), several targets).  conjugate_by keeps the record on the
+        relabeled copy; only facts that a relabeling does not change (class
+        profile, derived order, ranks) may be read from it.  Class tables
+        and centralizers come from the factors only on the group the record
+        was made on (the "factors" key), and from the copy's own generators
+        on a copy.
         """
         return self._cache.get("factors up to relabeling")
 
@@ -623,6 +639,11 @@ class PermGroup:
         centralizer, and a later one finds the subgroup in the intern table
         under ("factors", key), which no sorted element tuple equals.  The
         table holds it weakly there too, so the key goes with the subgroup.
+        A product's key is the factor centralizers (C_G(x), C_H(y)), and a
+        subgroup first filed under one records them as its factors
+        (_record_factors), so its class table, profile, derived order,
+        ranks and own centralizers come from theirs.  A wreath's
+        centralizer, and one filtered by further targets, has no record.
         """
         record = self._cache.get("factors")
         if record is None or not targets:
@@ -641,6 +662,8 @@ class PermGroup:
         sub = table.get(key)
         if sub is None:
             sub = table[key] = self._intern(build())
+            if n is None:
+                sub._record_factors(key[1])
         if rest:
             elements = sub._cache["elements_raw"]
             sub = self._intern(tuple(kernels.centralizer_filter(list(elements), rest)))

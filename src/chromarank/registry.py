@@ -225,12 +225,21 @@ class Registry:
 # -- seeds ---------------------------------------------------------------
 
 
+# The builder, from the prime, of each seeded entry that is a group.  The
+# expression language has no atom for these, so their records carry no
+# expression; _realize builds them from here.
+SEEDED_GROUPS: dict[str, Callable[[int], PermGroup]] = {
+    "unipotent-radical-gl4": constructors.unitriangular4,
+}
+
+
 def seed_defaults(p: int) -> list[RegistryEntry]:
     """Axiom entries for the good families, plus the known bad example.
 
     The bad entry at odd p is the unipotent radical of GL_4(F_p), the
     upper unitriangular 4x4 matrices, of order p**6.  Its fingerprint is a
-    closed form (_unitriangular4_fingerprint), so seeding builds no group.
+    closed form (_unitriangular4_fingerprint), so seeding builds no group;
+    _realize builds it (SEEDED_GROUPS) only when a candidate matches it.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -337,6 +346,7 @@ def certify(
         raise ValueError(f"{p} is not prime")
     if registry.prime not in (None, p):
         raise ConsistencyError(f"registry is keyed to prime {registry.prime}, not {p}")
+    limit = enumeration_limit(limit)
     witnesses = functools.cache(lambda: _factor_witnesses(registry))
     tree = _search(expr, p, registry, depth, limit, witnesses)
     if tree is not None:
@@ -430,6 +440,7 @@ def replay(
     of the steps of _steps for its subject, and a SEED node's axiom entry
     must be in the registry.
     """
+    limit = enumeration_limit(limit)
     witnesses = functools.cache(lambda: _factor_witnesses(registry))
     for node in tree.walk():
         claim = (node.rule, node.detail, tuple(t.subject for t in node.premises))
@@ -457,6 +468,7 @@ def register_derivation(
     limit: int | None = None,
 ) -> list[RegistryEntry]:
     """Add an entry per derivation node (leaves first); returns new entries."""
+    limit = enumeration_limit(limit)
     added = []
     for node in reversed(list(tree.walk())):
         if registry.get(node.subject) is not None:
@@ -491,16 +503,29 @@ def _memo_key(name: str, expr: str | None):
 
 def _realize(registry: Registry, entry: RegistryEntry, limit) -> tuple[PermGroup | None, str]:
     """(the entry's group, ""), or (None, why it cannot be realized): it has
-    no expression, or its group is over the enumeration limit."""
-    group = registry._memo(limit).get(_memo_key(entry.name, entry.expr))
+    no expression and no builder in SEEDED_GROUPS, its builder's group has
+    another fingerprint than the entry, or its group is over the
+    enumeration limit.  A built seeded group is kept in the registry's
+    memo, as an explored entry's is."""
+    memo = registry._memo(limit)
+    key = _memo_key(entry.name, entry.expr)
+    group = memo.get(key)
     if group is not None:
         return group, ""
-    if entry.expr is None:
+    build = SEEDED_GROUPS.get(entry.name)
+    if entry.expr is None and build is None:
         return None, "no expression"
     try:
-        return registry._evaluate(dsl.parse(entry.expr), limit), ""
+        if entry.expr is not None:
+            return registry._evaluate(dsl.parse(entry.expr), limit), ""
+        group = build(entry.prime)
+        fingerprint = group.fingerprint(limit)
     except ThresholdExceeded as exc:
         return None, f"over the enumeration limit: {exc}"
+    if fingerprint != entry.fingerprint:
+        return None, f"its builder {build.__name__}({entry.prime}) gives another fingerprint"
+    memo[key] = group
+    return group, ""
 
 
 def _realize_or_skip(registry: Registry, entry: RegistryEntry, limit) -> PermGroup | None:
@@ -526,10 +551,11 @@ def _register_candidate(
     """Fingerprint, dedup, and add a freshly constructed good group.
 
     Counts the candidate in tally under its rule, and a fingerprint
-    duplicate under "duplicate".  In paranoid mode, a PRODUCT or WREATH
-    candidate, whose order, class table, profile and derived order come
-    from its factors, is checked against a copy with no record of them
-    (_check_factor_rule), and its centralizers in _centralizer_children.
+    duplicate under "duplicate".  In paranoid mode, a candidate with a
+    factor record (a product, a wreath or a product's centralizer), whose
+    order, class table, profile and derived order come from its factors,
+    is checked against a copy with no record of them (_check_factor_rule),
+    and its centralizers in _centralizer_children.
     A fingerprint that matches a bad entry is a contradiction only when
     that entry cannot be realized or has the candidate's class profile;
     otherwise the collision is logged and the candidate skipped, since a
@@ -545,7 +571,7 @@ def _register_candidate(
     except ThresholdExceeded as exc:
         log.info("explore: skipping %s: %s", name(), exc)
         return None
-    if paranoid and rule in ("PRODUCT", "WREATH"):
+    if paranoid and group.factor_record() is not None:
         _check_factor_rule(name, group, limit)
     bad = registry.bad_match(fp)
     if bad is not None:
@@ -602,7 +628,7 @@ def _class_rows(group: PermGroup, limit) -> list:
     return list(zip(table.reps, table.sizes, table.orders))
 
 
-# What a recorded product or wreath takes from its factors, each checked
+# What a group with a factor record takes from its factors, each checked
 # against the same query on a copy of the group with no record of them.
 _FACTOR_FACTS = (
     ("order", lambda g, limit: g.order()),
@@ -726,6 +752,7 @@ def explore(
         raise ValueError(f"{p} is not prime")
     if registry.prime not in (None, p):
         raise ConsistencyError(f"registry is keyed to prime {registry.prime}, not {p}")
+    limit = enumeration_limit(limit)
     added: list[RegistryEntry] = []
     old: set[str] = set()  # the previous round's snapshot
     expanded: set[str] = set()  # entries whose centralizer children were tried

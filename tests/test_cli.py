@@ -1,10 +1,11 @@
 import json
 import logging
+import sys
 
 import pytest
 
 from chromarank import chromatic
-from chromarank.cli import run
+from chromarank.cli import main, run
 from chromarank.group import PermGroup
 
 
@@ -188,6 +189,16 @@ def test_argument_ranges_exit_2(capsys):
     assert run(["certify", "c(2)", "-p", "2", "--depth", "-3"]) == 2
     _, err = out_of(capsys)
     assert "0 <= t <= n" in err
+
+
+def test_main_exits_with_the_code_of_run(monkeypatch, capsys):
+    for argv, code in ((["order", "s(3)"], 0), (["rank", "c(2)", "-p", "2", "-n", "-1"], 2)):
+        monkeypatch.setattr(sys, "argv", ["chromarank", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code, argv
+    out, _ = out_of(capsys)
+    assert out == "6"
 
 
 def test_internal_value_error_propagates(monkeypatch):

@@ -194,9 +194,37 @@ def test_constructor_validation():
 # -- class profiles from the factors ------------------------------------------
 
 
+# Pairs whose product's centralizers of non-central class reps are checked
+# too: each records the factors' centralizers C_G(x) and C_H(y).  In the
+# last, C_H(y) is itself the centralizer of a recorded product.
+CENTRALIZER_PAIRS = {("S_3", "D_8"), ("Q_8", "A_4"), ("S_4", "GL_2(3)"), ("S_4", "S_3xS_3")}
+
+
 def test_factor_rule_on_products_of_corpus_pairs(corpus):
     for (a, g), (b, h) in itertools.combinations_with_replacement(corpus.items(), 2):
-        assert_factor_rule_matches_enumeration(direct_product(g, h), (a, b))
+        product = direct_product(g, h)
+        assert_factor_rule_matches_enumeration(product, (a, b))
+        if (a, b) not in CENTRALIZER_PAIRS:
+            continue
+        table = product.conjugacy_classes()
+        for rep, size in zip(table.reps, table.sizes):
+            if size > 1:
+                cent = product._class_centralizer(rep, size)
+                assert cent.factor_record() is not None, (a, b, rep)
+                assert_factor_rule_matches_enumeration(cent, (a, b, rep.cycle_string()))
+
+
+def test_a_product_centralizer_refuses_factors_of_another_order():
+    # C((0 1), 1) in S_3 x C_4 is C_2 x C_4, of order 8, and records the
+    # factors' centralizers; a record whose factor orders multiply to
+    # another number is refused, and the one it has is kept.
+    product = direct_product(symmetric(3), cyclic(4))
+    cent = product.centralizer([Permutation.from_cycles("(0 1)", 7)])
+    record = cent.factor_record()
+    assert [f.order() for f in record[0]] == [2, 4] and record[1] is None
+    with pytest.raises(ChromarankError, match="factors of order 24 recorded on a group of order 8"):
+        cent._record_factors((symmetric(3), cyclic(4)))
+    assert cent.factor_record() is record and cent.order() == 8
 
 
 @pytest.mark.parametrize(

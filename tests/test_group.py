@@ -91,6 +91,10 @@ def test_group_from_generators_degree():
         group_from_generators([])
 
 
+def test_repr_names_the_degree_and_the_generator_count():
+    assert repr(symmetric(3)) == "PermGroup(degree=3, gens=2)"
+
+
 def test_contains_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         symmetric(3).contains(Permutation.identity(4))
@@ -254,7 +258,11 @@ def test_dropped_groups_leave_no_reference_cycles():
         for text in ("c(1)", "c(3)"):
             register_derivation(reg, certify(text, 3, reg), 3)
         explore(reg, 3, 81, depth=6)
-        hkr_rank(evaluate(parse("prod(s(3),d(4))")), 2, 2)
+        product = evaluate(parse("prod(s(3),d(4))"))
+        hkr_rank(product, 2, 2)
+        # a product's centralizer records its factors' centralizers, and
+        # the walk takes its centralizers from theirs
+        commuting_tuple_classes(product.centralizer([product.generators[0]]), 2, 2)
         group.center()
         evaluate(parse(E192))
 

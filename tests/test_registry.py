@@ -26,6 +26,7 @@ from chromarank import (
     replay,
     seed_defaults,
     unitriangular4,
+    verify_rank_identity,
     wreath_cyclic,
 )
 from chromarank.group import FINGERPRINT_FIELDS, Fingerprint, PermGroup
@@ -728,6 +729,33 @@ def test_explore_skips_a_fingerprint_collision_with_a_bad_entry(caplog):
         assert not any("bad-lookalike" in m and "skipping" in m for m in caplog.messages), expr
 
 
+def test_the_seeded_bad_entry_is_realized_by_its_builder(caplog):
+    # U_4(F_3) has no expression; SEEDED_GROUPS builds it, so a candidate
+    # with its fingerprint but another class profile is a collision, which
+    # is skipped, not a contradiction.  A record under its name with another
+    # fingerprint is not realized by that builder.
+    reg = Registry.with_defaults(3)
+    bad = reg.get("unipotent-radical-gl4")
+    group, why = registry_mod._realize(reg, bad, None)
+    assert why == "" and group.order() == 729 and group.fingerprint() == bad.fingerprint
+    assert registry_mod._realize(reg, bad, None) == (group, "")
+    lookalike = constructors.abelian((3,) * 6)
+    lookalike._cache["fingerprint"] = bad.fingerprint
+    assert lookalike.class_profile() != group.class_profile()
+    with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+        added = registry_mod._register_candidate(
+            reg, lambda: "lookalike", None, 3, lookalike, "PRODUCT", (), None, False, Counter()
+        )
+    assert added is None
+    collision = "fingerprint collision between lookalike and bad entry unipotent-radical-gl4"
+    assert any(collision in m for m in caplog.messages)
+    other = dataclasses.replace(bad, order=9, fingerprint=cyclic(9).fingerprint())
+    assert registry_mod._realize(Registry.with_defaults(3), other, None) == (
+        None,
+        "its builder unitriangular4(3) gives another fingerprint",
+    )
+
+
 def _multiplied_orders(columns):
     # A wrong product rule: element orders multiplied, not their lcm taken.
     rows = [(1, 1)]
@@ -798,6 +826,19 @@ def _first_factor_product_centralizer(original):
     return wrong
 
 
+def _swapped_product_centralizer_factors(original):
+    # A wrong record for product centralizers only, the groups whose order
+    # is known before their record: C_H(y) x C_G(x).  Its order, profile
+    # and derived order are right, so the fingerprint is too; its class
+    # reps are y + x.
+    def wrong(self, factors, n=None):
+        if n is None and "order" in self._cache:
+            factors = factors[::-1]
+        return original(self, factors, n)
+
+    return wrong
+
+
 @pytest.mark.parametrize(
     "owner, attr, wrong, bound, depth",
     [
@@ -810,6 +851,8 @@ def _first_factor_product_centralizer(original):
         # first reached by cent(prod(c(3),wr(c(3),c(3))),order=3,czorder=81)
         (group_mod, "_product_centralizer", _first_factor_product_centralizer, 243, 3),
         (group_mod, "_wreath_centralizer", _base_only_wreath_centralizer, 81, 1),
+        # CENTRALIZER candidates, first reached as above
+        (PermGroup, "_record_factors", _swapped_product_centralizer_factors, 243, 3),
     ],
 )
 def test_explore_paranoid_mode_checks_the_factor_rule(monkeypatch, owner, attr, wrong, bound, depth):
@@ -1059,6 +1102,42 @@ def test_memo_hit_honours_a_smaller_limit(monkeypatch):
         certify(E96, 2, reg)
     with pytest.raises(ThresholdExceeded):
         register_derivation(reg, tree, 2)
+
+
+class _CountingEnviron(dict):
+    """An environment that counts reads of the enumeration limit."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += key == group_mod.LIMIT_ENV_VAR
+        return super().get(key, default)
+
+
+def test_public_entry_points_resolve_the_limit_once(monkeypatch):
+    # Each call reads CHROMARANK_MAX_ORDER once, at entry, and passes the
+    # resolved limit on; every cached lookup below it checks that integer.
+    env = _CountingEnviron({group_mod.LIMIT_ENV_VAR: "100000"})
+    monkeypatch.setattr(group_mod, "os", type("os", (), {"environ": env}))
+    reg = seeded_registry(3, ["c(1)", "c(3)"])
+    wreath = certify("wr(c(3),c(3))", 3, reg)
+    product = certify("prod(c(3),wr(c(3),c(3)))", 3, reg)
+    # register_derivation first, while the registry lacks the product
+    calls = {
+        "register_derivation": lambda limit: register_derivation(reg, product, 3, limit=limit),
+        "explore": lambda limit: explore(reg, 3, 243, limit=limit),
+        "certify": lambda limit: certify("wr(c(3),c(3))", 3, reg, limit=limit),
+        "replay": lambda limit: replay(wreath, 3, reg, limit=limit),
+        "verify_rank_identity": lambda limit: verify_rank_identity(
+            wreath_cyclic(cyclic(3), 3), 3, 2, 1, limit=limit
+        ),
+    }
+    for name, call in calls.items():
+        env.reads = 0
+        call(None)
+        assert env.reads == 1, name
+        with pytest.raises(ValueError, match="enumeration limit must be positive"):
+            call(0)
 
 
 def test_certify_replay_register_build_the_class_table_once(monkeypatch):
