@@ -69,8 +69,8 @@ class PTuple:
     def height(self) -> int:
         return len(self.entries)
 
-    def cycle_strings(self) -> list[str]:
-        return [e.cycle_string() for e in self.entries]
+    def cycle_strings(self) -> tuple[str, ...]:
+        return tuple(e.cycle_string() for e in self.entries)
 
 
 @dataclass(frozen=True)
@@ -308,6 +308,17 @@ class IdentityReport:
     passed: bool
 
     def to_record(self) -> dict:
+        """The report as a JSON-ready value: dicts, tuples, str, int and
+        bool, never lists.
+
+        json.dumps writes a tuple as an array.  CPython's collector untracks
+        a tuple of untracked items, and in a full collection a dict of
+        untracked keys and values, but never a list, nor a tuple that holds
+        a dict.  So after two gc.collect() calls every component's dict and
+        its "tuple" are untracked, and a held record leaves the collector
+        two containers to walk, itself and its per_component tuple, however
+        many components it has.
+        """
         # Representatives share few distinct entries, so each entry's cycle
         # string is written once per call, keyed by its images.
         entries = {e.images: e for rep, _, _ in self.per_component for e in rep.entries}
@@ -318,14 +329,14 @@ class IdentityReport:
             "n": self.n,
             "t": self.t,
             "lhs": self.lhs,
-            "per_component": [
+            "per_component": tuple(
                 {
-                    "tuple": [strings[e.images] for e in rep.entries],
+                    "tuple": tuple(strings[e.images] for e in rep.entries),
                     "centralizer_order": c_order,
                     "rank_t": rank_t,
                 }
                 for rep, c_order, rank_t in self.per_component
-            ],
+            ),
             "rhs": self.rhs,
             "pass": self.passed,
         }

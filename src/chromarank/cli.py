@@ -101,14 +101,14 @@ def _cmd_loops(args) -> int:
     expr = dsl.parse(args.expr)
     group = dsl.evaluate(expr, args.max_order)
     dec = chromatic.commuting_tuple_classes(group, args.prime, args.height, args.max_order)
-    rows = [
+    rows = tuple(
         {
-            "tuple": list(comp.rep.cycle_strings()),
+            "tuple": comp.rep.cycle_strings(),
             "centralizer_order": comp.centralizer.order(),
             "orbit_size": comp.orbit_size,
         }
         for comp in dec.components
-    ]
+    )
     lines = [f"components: {len(dec)}"]
     for row in rows:
         tup = "(" + ", ".join(row["tuple"]) + ")"

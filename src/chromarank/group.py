@@ -909,6 +909,10 @@ def _product_centralizer(factors, z: tuple[int, ...], limit: int | None):
     Each factor's centralizer comes from its own _centralizer_raw, so it is
     memoized and interned there, and the tuple of those subgroups is the
     intern-table key: every (x, y) with y central in H gives C_G(x) x H.
+    A centralizer with its factor's order is the factor itself, which
+    enters the key, and so the record, in place of the interned copy a
+    root group makes of itself: its class table and ranks are then the
+    factor's own.
     """
     subs = []
     offset = 0
@@ -916,8 +920,8 @@ def _product_centralizer(factors, z: tuple[int, ...], limit: int | None):
         piece = tuple(v - offset for v in z[offset : offset + f.degree])
         subs.append(f._centralizer_raw((piece,), limit))
         offset += f.degree
-    subs = tuple(subs)
-    return subs, lambda: _product_elements([(s.degree, s._raw_elements(limit)) for s in subs])
+    key = tuple(f if s.order() == f.order() else s for f, s in zip(factors, subs))
+    return key, lambda: _product_elements([(s.degree, s._raw_elements(limit)) for s in subs])
 
 
 def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: int | None):

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import platform
 import random
 from collections import Counter
 
@@ -357,8 +359,8 @@ def test_walk_and_recursion_build_no_chain(monkeypatch):
 
 
 def test_identity_record_writes_each_distinct_entry_once(monkeypatch):
-    # to_record writes a representative's entries as its cycle_strings, and
-    # each distinct entry's string once per call.
+    # to_record writes a representative's entries as its cycle_strings, a
+    # tuple, and each distinct entry's string once per call.
     report = verify_rank_identity(symmetric(4), 2, 3, 1)
     want = [rep.cycle_strings() for rep, _, _ in report.per_component]
     distinct = {e.images for rep, _, _ in report.per_component for e in rep.entries}
@@ -373,6 +375,23 @@ def test_identity_record_writes_each_distinct_entry_once(monkeypatch):
     record = report.to_record()
     assert [c["tuple"] for c in record["per_component"]] == want
     assert sorted(written) == sorted(distinct) and len(written) < sum(map(len, want))
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython", reason="CPython's collector untracks containers"
+)
+def test_identity_record_components_are_untracked_after_two_collections():
+    # The record holds dicts, tuples, str, int and bool only, so the
+    # collector untracks each component's dict and its "tuple".  The record
+    # and its per_component tuple stay tracked, since CPython never untracks
+    # a tuple that holds a dict: two containers, whatever the component count.
+    record = verify_rank_identity(symmetric(4), 2, 3, 1).to_record()
+    gc.collect()
+    gc.collect()
+    components = record["per_component"]
+    inner = [*components, *(value for c in components for value in c.values())]
+    assert len(components) > 1
+    assert [c for c in inner if gc.is_tracked(c)] == []
 
 
 def test_walk_closes_one_prefix_per_class(monkeypatch):

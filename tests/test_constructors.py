@@ -227,6 +227,29 @@ def test_a_product_centralizer_refuses_factors_of_another_order():
     assert cent.factor_record() is record and cent.order() == 8
 
 
+def test_a_product_centralizer_records_a_centralizing_factor_itself(monkeypatch):
+    # C((0 1), 1) in S_3 x S_4 is C_S3((0 1)) x S_4.  The S_4 factor is
+    # recorded as the factor object itself, not as an interned copy of it,
+    # so the product centralizer's class table reads the table already
+    # built on S_4 and walks no class of S_4 again.
+    s4 = symmetric(4)
+    table, elements = s4.conjugacy_classes(), s4._raw_elements()
+    cent = direct_product(symmetric(3), s4).centralizer([Permutation.from_cycles("(0 1)", 7)])
+    (c, factor), n = cent.factor_record()
+    assert factor is s4 and n is None and c.order() == 2
+    assert factor._raw_elements() is elements and factor.conjugacy_classes() is table
+    built = []
+    class_table = PermGroup._class_table
+
+    def counting(self, limit):
+        built.append(self.order())
+        return class_table(self, limit)
+
+    monkeypatch.setattr(PermGroup, "_class_table", counting)
+    assert len(cent.conjugacy_classes()) == 2 * len(table)
+    assert sorted(built) == [2, 48]
+
+
 @pytest.mark.parametrize(
     "text",
     [
