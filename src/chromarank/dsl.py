@@ -69,6 +69,13 @@ class Ingest:
 
 GroupExpr = Union[Atom, Prod, Wr, GL, Syl, Cent, Ingest]
 
+# The atoms with one integer: head -> (kind, least value, what the integer is).
+_INT_ATOMS = {
+    "c": ("cyclic", 1, "cyclic order"),
+    "s": ("symmetric", 1, "symmetric degree"),
+    "d": ("dihedral", 3, "dihedral parameter"),
+}
+
 
 class _Cursor:
     __slots__ = ("text", "pos")
@@ -134,27 +141,27 @@ def _parse_int_args(cur: _Cursor, count: int) -> list[int]:
     return out
 
 
+def _keyword(cur: _Cursor, name: str) -> int:
+    """The integer of a "name=" argument."""
+    at = cur.pos
+    if cur.word() != name:
+        raise ParseError(f"expected {name}=", offset=at)
+    cur.expect("=")
+    return cur.integer()
+
+
 def _parse_expr(cur: _Cursor) -> GroupExpr:
     cur.skip_ws()
     at = cur.pos
     head = cur.word()
     if not head:
         raise ParseError("expected expression", offset=at)
-    if head == "c":
+    if head in _INT_ATOMS:
+        kind, least, noun = _INT_ATOMS[head]
         (n,) = _parse_int_args(cur, 1)
-        if n < 1:
-            raise ParseError("cyclic order must be at least 1", offset=at)
-        return Atom("cyclic", (n,))
-    if head == "s":
-        (n,) = _parse_int_args(cur, 1)
-        if n < 1:
-            raise ParseError("symmetric degree must be at least 1", offset=at)
-        return Atom("symmetric", (n,))
-    if head == "d":
-        (n,) = _parse_int_args(cur, 1)
-        if n < 3:
-            raise ParseError("dihedral parameter must be at least 3", offset=at)
-        return Atom("dihedral", (n,))
+        if n < least:
+            raise ParseError(f"{noun} must be at least {least}", offset=at)
+        return Atom(kind, (n,))
     if head == "q8":
         return Atom("quaternion8", ())
     if head == "ab":
@@ -205,21 +212,11 @@ def _parse_expr(cur: _Cursor) -> GroupExpr:
         cur.expect("(")
         inner = _parse_expr(cur)
         cur.expect(",")
-        key_at = cur.pos
-        key = cur.word()
-        if key != "order":
-            raise ParseError("expected order=", offset=key_at)
-        cur.expect("=")
-        order = cur.integer()
+        order = _keyword(cur, "order")
         czorder = None
         if cur.peek() == ",":
             cur.expect(",")
-            key_at = cur.pos
-            key = cur.word()
-            if key != "czorder":
-                raise ParseError("expected czorder=", offset=key_at)
-            cur.expect("=")
-            czorder = cur.integer()
+            czorder = _keyword(cur, "czorder")
         cur.expect(")")
         if order < 1 or (czorder is not None and czorder < 1):
             raise ParseError("orders must be positive", offset=at)
@@ -245,12 +242,9 @@ def parse(text: str) -> GroupExpr:
 def print_expr(e: GroupExpr) -> str:
     """Canonical form: lowercase, no whitespace; parse(print_expr(e)) == e."""
     if isinstance(e, Atom):
-        if e.kind == "cyclic":
-            return f"c({e.params[0]})"
-        if e.kind == "symmetric":
-            return f"s({e.params[0]})"
-        if e.kind == "dihedral":
-            return f"d({e.params[0]})"
+        for head, (kind, _, _) in _INT_ATOMS.items():
+            if e.kind == kind:
+                return f"{head}({e.params[0]})"
         if e.kind == "quaternion8":
             return "q8"
         if e.kind == "abelian":

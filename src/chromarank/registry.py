@@ -669,38 +669,26 @@ def _compare_factor_fact(name: Callable[[], str], fact: str, ruled, enumerated) 
     )
 
 
-def _centralizer_classes(group: PermGroup, p, bound, limit) -> list | None:
-    """(representative, class size, element order, centralizer order) of
-    each non-central p-power class whose centralizer order is at most
-    bound; None when the group is past the enumeration limit.  A central
-    class is left out: its centralizer is the group itself, whose
-    fingerprint the registry already holds."""
-    try:
-        table = group.conjugacy_classes(limit)
-    except ThresholdExceeded:
-        return None
-    out = []
-    for rep, size, o in zip(table.reps, table.sizes, table.orders):
-        czo = group.order() // size
-        if size > 1 and is_p_power(o, p) and czo <= bound:
-            out.append((rep, size, o, czo))
-    return out
-
-
 def _centralizer_children(
     registry, parent: RegistryEntry, group: PermGroup, p, bound, limit, paranoid, tally
 ) -> list[RegistryEntry]:
     """Centralizers of one representative per non-central p-power class of
-    the group.  In paranoid mode, each is checked against filtering the
-    group's elements, the closure of its generators, as a product or
-    wreath builds its centralizers from its factors."""
-    classes = _centralizer_classes(group, p, bound, limit)
-    if classes is None:
+    the group whose centralizer order is at most bound.  A central class
+    is left out: its centralizer is the group itself, whose fingerprint the
+    registry already holds.  In paranoid mode, each is checked against
+    filtering the group's elements, the closure of its generators, as a
+    product or wreath builds its centralizers from its factors."""
+    try:
+        table = group.conjugacy_classes(limit)
+    except ThresholdExceeded:
         log.info("explore: %s too large to enumerate for centralizers", parent.name)
         return []
     added = []
     named: set[tuple[int, int]] = set()
-    for rep, size, o, czo in classes:
+    for rep, size, o in zip(table.reps, table.sizes, table.orders):
+        czo = group.order() // size
+        if size == 1 or not is_p_power(o, p) or czo > bound:
+            continue
         expr = None
         if parent.expr is not None and (o, czo) not in named:
             expr = f"cent({parent.expr},order={o},czorder={czo})"
@@ -741,12 +729,11 @@ def explore(
     the number of rounds; groups past the enumeration limit are skipped
     with a logged notice.
 
-    Rounds are semi-naive: the wreath and the centralizers of an entry are
-    tried once, in the round after it is added (the first round tries every
-    entry), and a product once, when its newer factor is new.  A candidate
-    tried in an earlier round has its fingerprint in the registry since, so
-    retrying it could only find a duplicate; skipping it leaves the order of
-    additions unchanged.  Each round logs its counts at INFO.
+    Each candidate key, the wreath of an entry, its centralizers or the
+    product of two entries, is tried at most once per call: a key tried
+    before could only find fingerprint duplicates, so skipping it leaves
+    the order of additions unchanged, and it counts as skipped the
+    candidates it stood for.  Each round logs its counts at INFO.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -754,67 +741,66 @@ def explore(
         raise ConsistencyError(f"registry is keyed to prime {registry.prime}, not {p}")
     limit = enumeration_limit(limit)
     added: list[RegistryEntry] = []
-    old: set[str] = set()  # the previous round's snapshot
-    expanded: set[str] = set()  # entries whose centralizer children were tried
+    # Every snapshot entry's group, or None; entries are only ever appended,
+    # so the entries past its length are the round's new ones.
+    groups: dict[str, PermGroup | None] = {}
+    # ("wr", a), ("cent", a) or ("prod", a, b) with a <= b -> the number of
+    # candidates it stood for when it was tried.
+    tried: dict[tuple, int] = {}
     for round_no in range(1, depth + 1):
         snapshot = [e for e in registry.good_entries() if e.order is not None]
-        groups = {e.name: _realize_or_skip(registry, e, limit) for e in snapshot}
+        new = len(snapshot) - len(groups)
+        for entry in snapshot[len(groups) :]:
+            groups[entry.name] = _realize_or_skip(registry, entry, limit)
         tally: Counter = Counter()
         fresh: list[RegistryEntry] = []
+
+        def first_try(key) -> bool:
+            # A first try stands for one candidate unless its caller counts more.
+            if key in tried:
+                tally["skipped"] += tried[key]
+                return False
+            tried[key] = 1
+            return True
+
+        def offer(name, expr, group, rule, parents) -> RegistryEntry | None:
+            entry = _register_candidate(
+                registry, lambda: name, expr, p, group, rule, parents, limit, paranoid, tally
+            )
+            if entry is not None:
+                fresh.append(entry)
+            return entry
+
+        def expand(parent, group):
+            key = ("cent", parent.name)
+            if first_try(key):
+                before = tally["CENTRALIZER"]
+                fresh.extend(
+                    _centralizer_children(
+                        registry, parent, group, p, order_bound, limit, paranoid, tally
+                    )
+                )
+                tried[key] = tally["CENTRALIZER"] - before
+
         for entry in snapshot:
             group = groups[entry.name]
             if group is None:
                 continue
-            new = entry.name not in old
-            # wreath with C_p, then its centralizer children
-            worder = entry.order**p * p
-            if worder <= order_bound and not new:
-                tally["skipped"] += 1
-            elif worder <= order_bound:
+            # wreath with C_p and its centralizers, then the entry's own
+            if entry.order**p * p <= order_bound and first_try(("wr", entry.name)):
                 wexpr = f"wr({entry.expr},c({p}))" if entry.expr is not None else None
-                wname = wexpr or f"wr[{entry.name};c({p})]"
                 wreath = constructors.wreath_cyclic(group, p)
-                wentry = _register_candidate(
-                    registry,
-                    lambda: wname,
-                    wexpr,
-                    p,
-                    wreath,
-                    "WREATH",
-                    (entry.name,),
-                    limit,
-                    paranoid,
-                    tally,
-                )
+                wname = wexpr or f"wr[{entry.name};c({p})]"
+                wentry = offer(wname, wexpr, wreath, "WREATH", (entry.name,))
                 if wentry is not None:
-                    fresh.append(wentry)
-                    fresh.extend(
-                        _centralizer_children(
-                            registry, wentry, wreath, p, order_bound, limit, paranoid, tally
-                        )
-                    )
-                    expanded.add(wentry.name)
-            # centralizers inside the entry itself
-            if entry.name in expanded:
-                tally["skipped"] += len(_centralizer_classes(group, p, order_bound, limit) or ())
-            else:
-                fresh.extend(
-                    _centralizer_children(
-                        registry, entry, group, p, order_bound, limit, paranoid, tally
-                    )
-                )
-                expanded.add(entry.name)
-            # products with other snapshot members
+                    expand(wentry, wreath)
+            expand(entry, group)
+            # products with other snapshot members, unordered pairs once
             for other in snapshot:
-                if entry.order * other.order > order_bound:
+                if entry.order * other.order > order_bound or other.name < entry.name:
                     continue
-                if other.name < entry.name:
-                    continue  # unordered pairs once
                 ogroup = groups[other.name]
-                if ogroup is None:
-                    continue
-                if not new and other.name in old:
-                    tally["skipped"] += 1
+                if ogroup is None or not first_try(("prod", entry.name, other.name)):
                     continue
                 if entry.expr is not None and other.expr is not None:
                     pexpr = f"prod({entry.expr},{other.expr})"
@@ -822,27 +808,13 @@ def explore(
                     pexpr = None
                 pname = pexpr or f"prod[{entry.name};{other.name}]"
                 product = constructors.direct_product(group, ogroup)
-                parents = (entry.name, other.name)
-                pentry = _register_candidate(
-                    registry,
-                    lambda: pname,
-                    pexpr,
-                    p,
-                    product,
-                    "PRODUCT",
-                    parents,
-                    limit,
-                    paranoid,
-                    tally,
-                )
-                if pentry is not None:
-                    fresh.append(pentry)
+                offer(pname, pexpr, product, "PRODUCT", (entry.name, other.name))
         log.info(
             "explore round %d: %d entries, %d new; candidates WREATH %d, PRODUCT %d, "
             "CENTRALIZER %d; added %d, fingerprint duplicates %d, skipped as already tried %d",
             round_no,
             len(snapshot),
-            sum(e.name not in old for e in snapshot),
+            new,
             tally["WREATH"],
             tally["PRODUCT"],
             tally["CENTRALIZER"],
@@ -850,7 +822,6 @@ def explore(
             tally["duplicate"],
             tally["skipped"],
         )
-        old = {e.name for e in snapshot}
         added.extend(fresh)
         if not fresh:
             break

@@ -86,6 +86,7 @@ CENTRALIZER_ROWS = {
         "(1 2)(3 4)  centralizer=8  sylow_3=1  class_size=15",
         "(3 4)  centralizer=12  sylow_3=3  class_size=10",
     ],
+    ("s(3)", "2", "7"): ["no conjugacy classes of element order 7"],
 }
 
 

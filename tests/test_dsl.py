@@ -37,6 +37,7 @@ def test_print_is_canonical():
     text = print_expr(parse("  prod( s(3) ,  ab(2, 2) )"))
     assert text == "prod(s(3),ab(2,2))"
     assert print_expr(parse(text)) == text
+    assert parse(print_expr(Ingest("a/b.txt"))) == Ingest("a/b.txt")
 
 
 def test_parse_error_offsets():
@@ -53,6 +54,13 @@ def test_parse_error_offsets():
         parse("c(-1)")
     with pytest.raises(ParseError):
         parse("")
+    for text, message, offset in (
+        ("ingest(x)", "expected quoted path", 7),
+        ('ingest("x', "unterminated quoted path", 8),
+    ):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse(text)
+        assert exc.value.offset == offset, text
 
 
 def test_parse_validates_constructor_arguments():
@@ -68,6 +76,14 @@ def test_parse_validates_constructor_arguments():
         parse("ab()")
     with pytest.raises(ParseError):
         parse("cent(c(2),czorder=2)")  # order= comes first
+    for text, message in (
+        ("c(0)", "cyclic order must be at least 1"),
+        ("s(0)", "symmetric degree must be at least 1"),
+        ("cent(c(2),order=1,cz=2)", "expected czorder="),
+        ("cent(c(2),order=0)", "orders must be positive"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse(text)
 
 
 def test_evaluate_orders():

@@ -795,10 +795,18 @@ def test_generator_file_roundtrip(tmp_path):
     g = read_generator_file(str(path))
     assert g.order() == 24
     bad = tmp_path / "bad.txt"
-    bad.write_text("degree 4\n(0 1\n")
-    with pytest.raises(ParseError) as exc:
-        read_generator_file(str(bad))
-    assert "line 2" in str(exc.value)
+    for text, message in (
+        ("degree 4\n(0 1\n", "line 2"),
+        ("degree 0\n()\n", "degree must be at least 1"),
+        ("(0 1)\n", "expected 'degree <d>' header"),
+        ("# only a comment\n", "no degree header"),
+        ("degree 3\n", "no generators"),
+        ("degree 3\n(0 3)\n", "point 3 exceeds degree 3"),
+    ):
+        bad.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            read_generator_file(str(bad))
+        assert message in str(exc.value), text
 
 
 @settings(deadline=None, max_examples=30)

@@ -956,8 +956,8 @@ def test_golden_registries_load_and_save_back_byte_identical(tmp_path, name):
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def test_explore_skips_unrealizable_entries(caplog):
-    reg = Registry.with_defaults(2)
+def _with_opaque_entry(reg):
+    # A good entry with no expression and no builder: it cannot be realized.
     reg.add(
         RegistryEntry(
             name="opaque",
@@ -969,10 +969,77 @@ def test_explore_skips_unrealizable_entries(caplog):
             rule="CITED",
         )
     )
+    return reg
+
+
+def test_explore_skips_unrealizable_entries(caplog):
+    # With c(2) beside it, the entry is no product factor either.
+    reg = _with_opaque_entry(seeded_registry(2, ["c(2)"]))
     with caplog.at_level(logging.INFO, logger="chromarank.registry"):
         added = explore(reg, 2, 16, depth=1)
     assert any("cannot realize" in m for m in caplog.messages)
-    assert all(e.parents != ("opaque",) for e in added)
+    assert added and all("opaque" not in e.parents for e in added)
+
+
+def test_explore_realizes_each_entry_once(caplog):
+    # An unrealizable entry is logged once per call, not once per round;
+    # the rounds are unchanged.
+    reg = _with_opaque_entry(seeded_registry(2, ["c(2)"]))
+    with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+        explore(reg, 2, 16, depth=3)
+    assert sum("cannot realize opaque" in m for m in caplog.messages) == 1
+    assert [m for m in caplog.messages if m.startswith("explore round")] == [
+        "explore round 1: 2 entries, 2 new; candidates WREATH 1, PRODUCT 1, CENTRALIZER 3; "
+        "added 2, fingerprint duplicates 3, skipped as already tried 0",
+        "explore round 2: 4 entries, 2 new; candidates WREATH 0, PRODUCT 3, CENTRALIZER 0; "
+        "added 3, fingerprint duplicates 0, skipped as already tried 5",
+        "explore round 3: 7 entries, 3 new; candidates WREATH 0, PRODUCT 1, CENTRALIZER 6; "
+        "added 1, fingerprint duplicates 6, skipped as already tried 8",
+    ]
+
+
+def test_explore_skips_candidates_past_the_limit(caplog):
+    # s(5) is past the enumeration limit, so its centralizers are not tried
+    # and no product with it is registered; a retry of its centralizers in
+    # round 2 counts the none it stood for.
+    reg = seeded_registry(2, ["s(5)", "c(2)"])
+    with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+        added = explore(reg, 2, 10**4, depth=2, limit=100)
+    assert added and all("s(5)" not in e.parents for e in added)
+    messages = caplog.messages
+    assert (
+        "explore: skipping prod(c(2),s(5)): desk-scale exceeded: group order 240 > limit 100"
+        in messages
+    )
+    assert messages.count("explore: s(5) too large to enumerate for centralizers") == 1
+    rounds = [m for m in messages if m.startswith("explore round")]
+    assert len(rounds) == 2 and rounds[1].endswith("skipped as already tried 6")
+
+
+def test_explore_suffixes_a_taken_name():
+    # A good entry already holds the wreath's name with another fingerprint.
+    reg = seeded_registry(2, ["c(2)"])
+    reg.add(
+        RegistryEntry(
+            name="wr(c(2),c(2))",
+            expr=None,
+            prime=2,
+            order=8,
+            fingerprint=dsl.evaluate(dsl.parse("ab(2,4)")).fingerprint(),
+            status="good",
+            rule="CITED",
+        )
+    )
+    added = explore(reg, 2, 8, depth=1)
+    assert "wr(c(2),c(2))#2" in [e.name for e in added]
+    assert reg.get("wr(c(2),c(2))#2").expr == "wr(c(2),c(2))"
+
+
+def test_explore_refuses_a_composite_or_foreign_prime():
+    with pytest.raises(ValueError, match="4 is not prime"):
+        explore(Registry.with_defaults(2), 4, 16)
+    with pytest.raises(ConsistencyError, match="keyed to prime 3, not 2"):
+        explore(Registry.with_defaults(3), 2, 16)
 
 
 def test_explore_registry_bytes_match_golden(tmp_path):
@@ -1015,13 +1082,22 @@ def test_explore_registry_bytes_match_digest(tmp_path, bound):
 EXPLORE_P2_DIGEST = "0a1c5cdeba0854cd1f7ed2f47ab8e6aa89b6aa6f2976959c480d7c24d8e11498"
 
 
-def test_explore_p2_registry_bytes_match_digest(tmp_path):
+def test_explore_p2_registry_bytes_match_digest(tmp_path, caplog):
     reg = seeded_registry(2, ["wr(gl(2,3),c(2))"])
-    explore(reg, 2, 512)
+    with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+        explore(reg, 2, 512)
     path = tmp_path / "reg.jsonl"
     reg.save(str(path))
     assert len(reg.entries) == 108
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPLORE_P2_DIGEST
+    assert [m for m in caplog.messages if m.startswith("explore round")] == [
+        "explore round 1: 2 entries, 2 new; candidates WREATH 0, PRODUCT 0, CENTRALIZER 28; "
+        "added 13, fingerprint duplicates 15, skipped as already tried 0",
+        "explore round 2: 15 entries, 13 new; candidates WREATH 5, PRODUCT 34, CENTRALIZER 418; "
+        "added 37, fingerprint duplicates 420, skipped as already tried 28",
+        "explore round 3: 52 entries, 37 new; candidates WREATH 4, PRODUCT 99, CENTRALIZER 1204; "
+        "added 51, fingerprint duplicates 1256, skipped as already tried 485",
+    ]
 
 
 def test_explore_expands_each_entry_once(monkeypatch):
