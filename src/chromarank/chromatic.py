@@ -90,9 +90,6 @@ class LoopDecomposition:
     height: int
     components: tuple[LoopComponent, ...]
 
-    def raw_tuple_count(self) -> int:
-        return sum(c.orbit_size for c in self.components)
-
     def __len__(self) -> int:
         return len(self.components)
 

@@ -15,7 +15,9 @@ filtering of its own elements.  A product's centralizer C_G(x) x C_H(y)
 records those factor centralizers, and takes the same from them.  A
 relabeled copy (conjugate_by) keeps the order and the record, and reads
 from it only what a relabeling does not change: the class profile, the
-derived order and, in chromatic, the ranks.  The class walk and
+derived order, a product's fingerprint and, in chromatic, the ranks.  A
+product's fingerprint comes from its factors' fingerprints, with no
+class profile of its own.  The class walk and
 centralizer_filter serve every other group, and stay the independent
 check of the factor rules (registry paranoid mode, tests).  Every
 centralizer is interned, one subgroup per element set, in a weak-valued
@@ -34,7 +36,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import chain, compress, product
 from math import gcd, lcm, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import kernels
 from .arith import is_p_power, is_prime, p_part
@@ -264,11 +266,13 @@ FINGERPRINT_FIELDS: dict[str, str] = {
 class Fingerprint:
     """Cheap isomorphism-invariant summary of a finite group.
 
-    Every field but order and derived_order is a fold of the class profile
+    Every field but order and derived_order follows from the class profile
     (PermGroup.class_profile): the exponent and the element-order histogram
     from the element orders weighted by class size, the class-size
     histogram, the center order as the number of classes of size 1, and
-    abelian when every class has size 1.  Equality of fingerprints is
+    abelian when every class has size 1.  A recorded direct product
+    convolves its factors' histograms instead (PermGroup._fingerprint);
+    every other group folds its class profile.  Equality of fingerprints is
     necessary but not sufficient for group isomorphism; the registry treats
     it as an identity heuristic, and its paranoid mode compares the full
     class profiles of groups whose fingerprints match.
@@ -516,7 +520,8 @@ class PermGroup:
         ChromarankError.  The conjugacy classes, class_profile,
         centralizers and the derived order of fingerprint are computed
         from the factors (see _classes, _profile, _centralizer_group and
-        _derived_order); the classes and the profile read each class's
+        _derived_order), and so is a product's whole fingerprint
+        (_fingerprint); the classes and the profile read each class's
         element order and size from one formula per construction
         (_product_rows, _wreath_words).  The elements (_close), their
         orders and every other query come from the generators as for any
@@ -546,10 +551,10 @@ class PermGroup:
         centralizer has none, nor has one that only filtering found
         (center(), several targets).  conjugate_by keeps the record on the
         relabeled copy; only facts that a relabeling does not change (class
-        profile, derived order, ranks) may be read from it.  Class tables
-        and centralizers come from the factors only on the group the record
-        was made on (the "factors" key), and from the copy's own generators
-        on a copy.
+        profile, derived order, fingerprint, ranks) may be read from it.
+        Class tables and centralizers come from the factors only on the
+        group the record was made on (the "factors" key), and from the
+        copy's own generators on a copy.
         """
         return self._cache.get("factors up to relabeling")
 
@@ -767,11 +772,19 @@ class PermGroup:
         return self._cached("fingerprint", limit, lambda: self._fingerprint(limit))
 
     def _fingerprint(self, limit: int | None) -> Fingerprint:
-        order_counts: dict[int, int] = {}
-        size_counts: dict[int, int] = {}
-        for o, size in self.class_profile(limit):
-            order_counts[o] = order_counts.get(o, 0) + size
-            size_counts[size] = size_counts.get(size, 0) + 1
+        """A recorded direct product's histograms convolve its factors'
+        (_convolve), so neither its class profile nor its class table is
+        built; any other group folds its class profile."""
+        record = self.factor_record()
+        if record is not None and record[1] is None:
+            prints = [f.fingerprint(limit) for f in record[0]]
+            order_counts = _convolve([fp.element_order_histogram for fp in prints], lcm)
+            size_counts = _convolve([fp.class_size_histogram for fp in prints], mul)
+        else:
+            order_counts, size_counts = {}, {}
+            for o, size in self.class_profile(limit):
+                order_counts[o] = order_counts.get(o, 0) + size
+                size_counts[size] = size_counts.get(size, 0) + 1
         center_order = size_counts.get(1, 0)
         return Fingerprint(
             order=self.order(),
@@ -822,6 +835,26 @@ def _product_rows(columns) -> list[tuple[int, int]]:
     for column in columns:
         rows = [(lcm(a, c), b * d) for a, b in rows for c, d in column]
     return rows
+
+
+def _convolve(histograms, combine) -> dict[int, int]:
+    """value -> count over the tuples of one value from each histogram (a
+    sequence of (value, count) pairs), valued by combine folded from 1.
+
+    An element of G x H is a pair, of order lcm(o(g), o(h)), and a class
+    is a pair of classes, of size |g^G| * |h^H|: with lcm the element-order
+    histograms give the product's, and with multiplication the class-size
+    histograms do.
+    """
+    counts = {1: 1}
+    for histogram in histograms:
+        combined: dict[int, int] = {}
+        for a, m in counts.items():
+            for b, k in histogram:
+                c = combine(a, b)
+                combined[c] = combined.get(c, 0) + m * k
+        counts = combined
+    return counts
 
 
 def _wreath_words(rows, base_order: int, n: int):

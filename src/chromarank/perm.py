@@ -124,16 +124,8 @@ class Permutation:
             raise DegreeMismatch(f"degree {len(self.images)} vs {len(g.images)}")
         return Permutation._wrap(kernels.conjugate(self.images, g.images))
 
-    def commutes_with(self, other: "Permutation") -> bool:
-        if len(self.images) != len(other.images):
-            raise DegreeMismatch(f"degree {len(self.images)} vs {len(other.images)}")
-        return kernels.commutes(self.images, other.images)
-
     def order(self) -> int:
         return kernels.element_order(self.images)
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
 
     def cycle_string(self) -> str:
         """Disjoint-cycle notation; fixed points omitted, identity is "()"."""

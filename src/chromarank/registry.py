@@ -635,6 +635,7 @@ _FACTOR_FACTS = (
     ("class", _class_rows),
     ("class profile", lambda g, limit: g.class_profile(limit)),
     ("derived order", lambda g, limit: g._derived_order(limit)),
+    ("fingerprint", lambda g, limit: g.fingerprint(limit)),
 )
 
 
@@ -642,10 +643,11 @@ def _check_factor_rule(name: Callable[[], str], group: PermGroup, limit) -> None
     """Raise ConsistencyError when a fact a group took from its factors
     differs from the one the copy PermGroup(group.degree, group.generators)
     gives: its order (stabilizer chain), class table (its own class walk),
-    class profile and derived order (derived subgroup), compared in that
-    order.  The table and the profile read one formula per construction,
-    so a wrong formula is named at the table.  Elements need no check:
-    both groups close the same generators."""
+    class profile, derived order (derived subgroup) and fingerprint (a
+    fold of the copy's class profile, where a product's convolves its
+    factors'), compared in that order.  The table and the profile read one
+    formula per construction, so a wrong formula is named at the table.
+    Elements need no check: both groups close the same generators."""
     plain = PermGroup(group.degree, group.generators)
     for fact, query in _FACTOR_FACTS:
         _compare_factor_fact(name, fact, query(group, limit), query(plain, limit))
@@ -675,10 +677,16 @@ def _centralizer_children(
     """Centralizers of one representative per non-central p-power class of
     the group whose centralizer order is at most bound.  A central class
     is left out: its centralizer is the group itself, whose fingerprint the
-    registry already holds.  In paranoid mode, each is checked against
-    filtering the group's elements, the closure of its generators, as a
-    product or wreath builds its centralizers from its factors."""
+    registry already holds.  So an abelian group, whose generators commute
+    pairwise and whose classes are all central, builds no class table; a
+    group past the limit is logged first, abelian or not.  In paranoid
+    mode, each is checked against filtering the group's elements, the
+    closure of its generators, as a product or wreath builds its
+    centralizers from its factors."""
     try:
+        group._check_limit(limit)
+        if group.is_abelian():
+            return []
         table = group.conjugacy_classes(limit)
     except ThresholdExceeded:
         log.info("explore: %s too large to enumerate for centralizers", parent.name)

@@ -175,8 +175,9 @@ def assert_factor_rule_matches_enumeration(group, label=None):
     """A product's or wreath's class profile, fingerprint (with its
     derived order) and exponent, taken from its factors, equal those of a
     copy of the group with no record of its construction, which walks its
-    own classes; and no recorded group, neither the group nor a factor,
-    builds a class table to get them.
+    own classes, and so does the fingerprint of a relabeled copy; and no
+    recorded group, neither the group nor a factor, builds a class table
+    to get them.
 
     Its HKR ranks, and those of a relabeled copy (conjugate_by), taken from
     its factors' ranks, equal the centralizer recursion's on the unrecorded
@@ -209,6 +210,7 @@ def assert_factor_rule_matches_enumeration(group, label=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PermGroup, "_class_table", recording)
         got = (group.class_profile(), group.fingerprint(), group.exponent())
+        relabeled_fingerprint = relabeled.fingerprint()
         ranks = [hkr_rank(g, p, h) for g in (group, relabeled) for p, h in cases]
     assert all(t is not group and t is not relabeled for t in tabled), label
     assert all(t.factor_record() is None for t in tabled), label
@@ -236,6 +238,7 @@ def assert_factor_rule_matches_enumeration(group, label=None):
     assert center == tuple(kernels.centralizer_filter(list(elements), list(plain._raw))), label
     want = (plain.conjugacy_classes().profile(), plain.fingerprint(), plain.exponent())
     assert got == want, label
+    assert relabeled_fingerprint == want[1], label
     assert got[1].derived_order == plain.derived_subgroup().order(), label
 
 

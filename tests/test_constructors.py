@@ -58,7 +58,7 @@ def test_dihedral_relation():
     g = dihedral(5)
     r, s = g.generators
     assert s * r * s == r.inverse()
-    assert (s * s).is_identity()
+    assert s * s == Permutation.identity(g.degree)
 
 
 def test_quaternion8():

@@ -641,6 +641,57 @@ def test_fingerprint_matches_oracles(corpus):
         assert sorted(e.images for e in group.center().elements()) == center, name
 
 
+# Factors of the products whose fingerprints are convolved from theirs.
+PRODUCT_FACTORS = st.one_of(
+    st.integers(min_value=1, max_value=6).map("c({})".format),
+    st.sampled_from(["s(3)", "d(4)", "q8", "ab(2,4)"]),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(PRODUCT_FACTORS, min_size=2, max_size=3), st.booleans())
+def test_product_fingerprints_match_their_class_walks(texts, nest_left):
+    # A recorded product's fingerprint convolves its factors'; a copy with
+    # no record folds the profile of its own class walk.  A relabeled copy
+    # keeps the record, so it takes the factors' path too.
+    text = texts[0] if nest_left else texts[-1]
+    for factor in texts[1:] if nest_left else texts[-2::-1]:
+        text = f"prod({text},{factor})" if nest_left else f"prod({factor},{text})"
+    group = evaluate(parse(text))
+    for g in (group, group.conjugate_by(relabeling(group.degree))):
+        assert g.factor_record()[1] is None, text
+        assert g.fingerprint() == PermGroup(g.degree, g.generators).fingerprint(), text
+
+
+def test_corpus_product_fingerprints_match_their_class_walks(corpus):
+    # Every recorded product of the corpus, its relabeled copy and its
+    # centralizers, which record the factors' centralizers.
+    records = {name: g.factor_record() for name, g in corpus.items()}
+    products = [corpus[name] for name, record in records.items() if record and record[1] is None]
+    assert products
+    for group in products:
+        table = group.conjugacy_classes()
+        groups = [group, group.conjugate_by(relabeling(group.degree))] + [
+            group._class_centralizer(rep, size) for rep, size in zip(table.reps, table.sizes)
+        ]
+        for g in groups:
+            assert g.factor_record()[1] is None
+            assert g.fingerprint() == PermGroup(g.degree, g.generators).fingerprint()
+
+
+def test_product_fingerprint_builds_no_class_profile():
+    # Reading a recorded product's fingerprint builds neither its class
+    # profile nor its class table, nor those of a product among its
+    # factors, nor those of a relabeled copy.
+    group = evaluate(parse("prod(s(3),prod(c(3),d(4)))"))
+    inner = group.factor_record()[0][1]
+    copy = group.conjugate_by(relabeling(group.degree))
+    assert copy.fingerprint() == group.fingerprint()
+    for g in (group, inner, copy):
+        assert "profile" not in g._cache and "classes" not in g._cache
+    assert group.fingerprint() == PermGroup(group.degree, group.generators).fingerprint()
+
+
 def test_fingerprint_record_roundtrip():
     fp = symmetric(4).fingerprint()
     assert Fingerprint.from_record(fp.to_record()) == fp

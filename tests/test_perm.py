@@ -22,7 +22,6 @@ def same_degree_pairs(max_degree=10):
 def test_identity():
     e = Permutation.identity(5)
     assert e.images == (0, 1, 2, 3, 4)
-    assert e.is_identity()
     assert e.order() == 1
     assert e.cycle_string() == "()"
 
@@ -123,7 +122,7 @@ def test_mul_matches_oracle(pair):
 
 @given(perms)
 def test_inverse_roundtrip(p):
-    assert (p * p.inverse()).is_identity()
+    assert p * p.inverse() == Permutation.identity(p.degree)
     assert p.inverse().images == o_inverse(p.images)
 
 
@@ -135,9 +134,3 @@ def test_order_matches_oracle(p):
 @given(perms)
 def test_cycle_string_roundtrip(p):
     assert Permutation.from_cycles(p.cycle_string(), degree=p.degree) == p
-
-
-@given(same_degree_pairs(8))
-def test_commutes_agrees_with_products(pair):
-    a, b = pair
-    assert a.commutes_with(b) == (a * b == b * a)

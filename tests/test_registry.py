@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import math
+import operator
 import re
 from collections import Counter
 from pathlib import Path
@@ -853,6 +854,10 @@ def _swapped_product_centralizer_factors(original):
         (group_mod, "_wreath_centralizer", _base_only_wreath_centralizer, 81, 1),
         # CENTRALIZER candidates, first reached as above
         (PermGroup, "_record_factors", _swapped_product_centralizer_factors, 243, 3),
+        # element orders multiplied, not lcm'd, in a product's fingerprint:
+        # a product of element orders divides the order, so the fingerprint
+        # agrees with itself, and only the fingerprint reads the rule
+        (group_mod, "_convolve", lambda original: lambda hists, combine: original(hists, operator.mul), 81, 1),
     ],
 )
 def test_explore_paranoid_mode_checks_the_factor_rule(monkeypatch, owner, attr, wrong, bound, depth):
@@ -1016,6 +1021,37 @@ def test_explore_skips_candidates_past_the_limit(caplog):
     assert len(rounds) == 2 and rounds[1].endswith("skipped as already tried 6")
 
 
+def test_explore_logs_an_abelian_entry_past_the_limit_once(caplog):
+    # ab(2,4) has only central classes, so it never has a centralizer
+    # candidate; past the limit it is still reported, once per call.
+    reg = seeded_registry(2, ["ab(2,4)", "c(2)"])
+    with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+        added = explore(reg, 2, 64, depth=2, limit=4)
+    assert [e.name for e in added] == ["prod(c(2),c(2))"]
+    messages = caplog.messages
+    assert messages.count("explore: ab(2,4) too large to enumerate for centralizers") == 1
+    assert len([m for m in messages if m.startswith("explore round")]) == 2
+
+
+def test_explore_tries_no_centralizer_of_an_abelian_entry(caplog):
+    # prod(c(3),c(3)) is abelian: every class is central, so explore builds
+    # no class table of it, and each round is the one that walking its
+    # classes gave.
+    reg = seeded_registry(3, ["c(3)", "prod(c(3),c(3))"])
+    with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+        explore(reg, 3, 243, depth=3)
+    group = reg._memo(None)["prod(c(3),c(3))"]
+    assert "classes" not in group._cache
+    assert [m for m in caplog.messages if m.startswith("explore round")] == [
+        "explore round 1: 2 entries, 2 new; candidates WREATH 1, PRODUCT 3, CENTRALIZER 14; "
+        "added 4, fingerprint duplicates 14, skipped as already tried 0",
+        "explore round 2: 6 entries, 4 new; candidates WREATH 0, PRODUCT 8, CENTRALIZER 0; "
+        "added 6, fingerprint duplicates 2, skipped as already tried 18",
+        "explore round 3: 12 entries, 6 new; candidates WREATH 0, PRODUCT 5, CENTRALIZER 42; "
+        "added 1, fingerprint duplicates 46, skipped as already tried 26",
+    ]
+
+
 def test_explore_suffixes_a_taken_name():
     # A good entry already holds the wreath's name with another fingerprint.
     reg = seeded_registry(2, ["c(2)"])
@@ -1073,6 +1109,27 @@ def test_explore_registry_bytes_match_digest(tmp_path, bound):
     path = tmp_path / "reg.jsonl"
     reg.save(str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPLORE_P3_DIGESTS[bound]
+
+
+def test_explore_paranoid_mode_compares_fingerprints(monkeypatch, tmp_path):
+    # Paranoid mode compares the fingerprint of every group with a factor
+    # record, last of its facts, with that of a copy with no record, and
+    # writes the registry that explore writes without it.
+    compared = Counter()
+    compare = registry_mod._compare_factor_fact
+
+    def counting(name, fact, ruled, enumerated):
+        compared[fact] += 1
+        return compare(name, fact, ruled, enumerated)
+
+    monkeypatch.setattr(registry_mod, "_compare_factor_fact", counting)
+    reg = seeded_registry(3, ["c(1)", "c(3)"])
+    explore(reg, 3, 243, depth=6, paranoid=True)
+    assert compared["fingerprint"] == compared["order"] > 0
+    assert [fact for fact, _ in registry_mod._FACTOR_FACTS][-1] == "fingerprint"
+    path = tmp_path / "reg.jsonl"
+    reg.save(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPLORE_P3_DIGESTS[243]
 
 
 # sha256 of the registry file that explore at p=2, default depth 3, to order
