@@ -227,8 +227,8 @@ def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:
 
     Counted by the centralizer recursion: at height 1 the classes are the
     p-power conjugacy classes, and above it the count is the sum of the
-    height-(h-1) ranks of the centralizers of their representatives.  The
-    centralizer of a central class is the group itself and is not rebuilt.
+    height-(h-1) ranks of the centralizers of their representatives.  A
+    central class's is the group itself (PermGroup._centralizer_raw).
     Each centralizer's order times its class size must equal |G|.  A group
     with a factor record (PermGroup.factor_record) takes its rank from its
     factors' ranks instead, their product or _wreath_rank, and builds no
@@ -261,7 +261,7 @@ def _rank(group: PermGroup, p: int, h: int, limit: int) -> int:
     order = group.order()
     count = 0
     for rep, size in reps:
-        cent = group._class_centralizer(rep, size, limit)
+        cent = group._centralizer_raw([rep.images], limit)
         if cent.order() * size != order:
             raise ChromarankError("class size disagrees with centralizer index")
         count += hkr_rank(cent, p, h - 1, limit)

@@ -268,7 +268,7 @@ def print_expr(e: GroupExpr) -> str:
 
 
 def _select_centralizer(group: PermGroup, order: int, czorder: int | None, limit: int | None):
-    """(rep, class size) of the class whose centralizer cent(...) denotes:
+    """The representative of the class whose centralizer cent(...) denotes:
     the lex-least rep of the given element order (and, when given,
     centralizer order).
 
@@ -280,7 +280,7 @@ def _select_centralizer(group: PermGroup, order: int, czorder: int | None, limit
     def select():
         for rep, size, _ in group._classes(limit, order):
             if czorder is None or group.order() // size == czorder:
-                return rep, size
+                return rep
         wanted = f"element order {order}"
         if czorder is not None:
             wanted += f" and centralizer order {czorder}"
@@ -315,8 +315,8 @@ def evaluate(e: GroupExpr, limit: int | None = None, memo: dict | None = None) -
         group = evaluate(e.inner, limit, memo).sylow_subgroup(e.p, limit)
     elif isinstance(e, Cent):
         inner = evaluate(e.inner, limit, memo)
-        rep, size = _select_centralizer(inner, e.order, e.czorder, limit)
-        group = inner._class_centralizer(rep, size, limit)
+        rep = _select_centralizer(inner, e.order, e.czorder, limit)
+        group = inner._centralizer_raw([rep.images], limit)
     elif isinstance(e, Ingest):
         group = read_generator_file(e.path)
     else:

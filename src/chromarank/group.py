@@ -19,12 +19,13 @@ derived order, a product's fingerprint and, in chromatic, the ranks.  A
 product's fingerprint comes from its factors' fingerprints, with no
 class profile of its own.  The class walk and
 centralizer_filter serve every other group, and stay the independent
-check of the factor rules (registry paranoid mode, tests).  Every
-centralizer is interned, one subgroup per element set, in a weak-valued
-table held by the root group and by each subgroup in it, and memoized
-per target tuple as that subgroup, except that a group is never held in
-its own cache: nothing cached here forms a reference cycle, so dropped
-groups are freed by reference counting alone.
+check of the factor rules (registry paranoid mode, tests).  A group is
+its own centralizer for targets that commute with its generators; every
+other centralizer is interned, one subgroup per element set, in a
+weak-valued table held by the root group and by each subgroup in it, and
+memoized per target tuple as that subgroup.  A group is never held in its
+own cache: nothing cached here forms a reference cycle, so dropped groups
+are freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -391,11 +392,17 @@ class PermGroup:
         return self.contains(p)
 
     def is_abelian(self) -> bool:
-        cached = self._cache.get("abelian")
+        return not self._noncentral_generators()
+
+    def _noncentral_generators(self) -> tuple[tuple[int, ...], ...]:
+        """The generators that fail to commute with some generator.  An
+        element of the group commutes with every generator exactly when it
+        commutes with these, since the others are central."""
+        cached = self._cache.get("noncentral")
         if cached is None:
             raw = self._raw
-            cached = all(kernels.commutes(a, b) for i, a in enumerate(raw) for b in raw[i + 1 :])
-            self._cache["abelian"] = cached
+            cached = tuple(a for a in raw if not all(kernels.commutes(a, b) for b in raw))
+            self._cache["noncentral"] = cached
         return cached
 
     # -- enumeration-backed queries -------------------------------------------
@@ -546,10 +553,10 @@ class PermGroup:
         None.
 
         Read-only.  A group built by direct_product or wreath_cyclic has a
-        record, and so has a product's centralizer, whose factors are the
-        factors' centralizers (see _centralizer_group); a wreath's
-        centralizer has none, nor has one that only filtering found
-        (center(), several targets).  conjugate_by keeps the record on the
+        record, and so has a product's proper centralizer, whose factors
+        are the factors' centralizers (see _centralizer_group); a wreath's
+        has none, nor has one that only filtering found (center(), several
+        non-central targets).  conjugate_by keeps the record on the
         relabeled copy; only facts that a relabeling does not change (class
         profile, derived order, fingerprint, ranks) may be read from it.
         Class tables and centralizers come from the factors only on the
@@ -601,25 +608,29 @@ class PermGroup:
         return table
 
     def _centralizer_raw(self, raw_targets, limit: int | None = None) -> "PermGroup":
-        """Centralizer of raw permutations, one group per distinct element set.
+        """Centralizer of raw elements of the group, one group per distinct
+        element set.
 
-        Its elements are sorted, so they are an exact key into the intern
-        table (_intern): equal centralizers come back as one object, which
-        computes its class table, fingerprint and ranks once.  A memo per
-        target tuple holds the subgroup (the table holds it weakly), so a
-        repeated target costs one lookup.  An interned group is its own
-        centralizer for a central target; the memo then marks it (_ITSELF)
-        rather than holding it: a group in its own cache is a cycle.
+        A target that commutes with each generator (each one outside the
+        center, _noncentral_generators) is central and is dropped.  When
+        every target is, the group is its own centralizer, found with no
+        filter, factor key or intern lookup; the memo marks it (_ITSELF)
+        rather than holding it, since a group in its own cache is a cycle.
+        Any other centralizer comes from _centralizer_group, whose sorted
+        elements are an exact key into the intern table (_intern): equal
+        centralizers come back as one object, which computes its class
+        table, fingerprint and ranks once.  A memo per target tuple holds
+        the subgroup (the table holds it weakly), so a repeated target
+        costs one lookup.
         """
         self._check_limit(limit)
         key = ("centralizer", tuple(raw_targets))
         sub = self._cache.get(key)
         if sub is None:
-            sub = self._centralizer_group(key[1], limit)
-            self._cache[key] = _ITSELF if sub is self else sub
-        elif sub is _ITSELF:
-            sub = self
-        return sub
+            gens = self._noncentral_generators()
+            moving = tuple(t for t in key[1] if not all(kernels.commutes(t, g) for g in gens))
+            sub = self._cache[key] = self._centralizer_group(moving, limit) if moving else _ITSELF
+        return self if sub is _ITSELF else sub
 
     def _intern(self, elements) -> "PermGroup":
         """The subgroup on a sorted element tuple, from the intern table,
@@ -633,7 +644,8 @@ class PermGroup:
         return sub
 
     def _centralizer_group(self, targets: tuple, limit: int | None) -> "PermGroup":
-        """The interned subgroup of elements commuting with every target.
+        """The interned proper subgroup of elements commuting with every
+        target, none of them central (see _centralizer_raw).
 
         Any group but a recorded one filters its own elements.  A recorded
         direct product or wreath builds the centralizer of the first target
@@ -651,7 +663,7 @@ class PermGroup:
         centralizer, and one filtered by further targets, has no record.
         """
         record = self._cache.get("factors")
-        if record is None or not targets:
+        if record is None:
             return self._intern(
                 tuple(kernels.centralizer_filter(list(self._raw_elements(limit)), list(targets)))
             )
@@ -684,21 +696,9 @@ class PermGroup:
                 raise NotInGroup(f"{t!r} is not a member of this group")
         return self._centralizer_raw([t.images for t in tt], limit)
 
-    def _class_centralizer(self, rep: Permutation, size: int, limit: int | None = None) -> "PermGroup":
-        """Centralizer of a conjugacy-class representative whose class has
-        the given size, read by the caller from the same class table.
-
-        A central class (size 1) is centralized by the whole group, which is
-        returned itself rather than rebuilt.
-        """
-        if size == 1:
-            self._check_limit(limit)
-            return self
-        return self._centralizer_raw([rep.images], limit)
-
     def center(self, limit: int | None = None) -> "PermGroup":
         """Z(G), the centralizer of the generators: the union of the classes
-        of size 1, interned like any other centralizer."""
+        of size 1, and the group itself when it is abelian."""
         return self._centralizer_raw(self._raw, limit)
 
     def sylow_subgroup(self, p: int, limit: int | None = None) -> "PermGroup":
@@ -942,10 +942,8 @@ def _product_centralizer(factors, z: tuple[int, ...], limit: int | None):
     Each factor's centralizer comes from its own _centralizer_raw, so it is
     memoized and interned there, and the tuple of those subgroups is the
     intern-table key: every (x, y) with y central in H gives C_G(x) x H.
-    A centralizer with its factor's order is the factor itself, which
-    enters the key, and so the record, in place of the interned copy a
-    root group makes of itself: its class table and ranks are then the
-    factor's own.
+    A factor centralizes a central piece itself, so it enters the key, and
+    the record, as itself: its class table and ranks are then its own.
     """
     subs = []
     offset = 0
@@ -953,8 +951,7 @@ def _product_centralizer(factors, z: tuple[int, ...], limit: int | None):
         piece = tuple(v - offset for v in z[offset : offset + f.degree])
         subs.append(f._centralizer_raw((piece,), limit))
         offset += f.degree
-    key = tuple(f if s.order() == f.order() else s for f, s in zip(factors, subs))
-    return key, lambda: _product_elements([(s.degree, s._raw_elements(limit)) for s in subs])
+    return tuple(subs), lambda: _product_elements([(s.degree, s._raw_elements(limit)) for s in subs])
 
 
 def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: int | None):

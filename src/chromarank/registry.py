@@ -396,7 +396,7 @@ def _steps(expr, p, registry, limit, witnesses):
     # centralizers of p-power elements of a good group
     if isinstance(expr, dsl.Cent):
         inner_group = registry._evaluate(expr.inner, limit)
-        rep, _ = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
+        rep = dsl._select_centralizer(inner_group, expr.order, expr.czorder, limit)
         if is_p_power(rep.order(), p):
             yield "CENTRALIZER", f"of class rep {rep.cycle_string()}", (expr.inner,)
     # a good Sylow p-subgroup lifts to the group; syl(p, X) is a p-group,
@@ -705,7 +705,7 @@ def _centralizer_children(
         def name():
             return expr or f"cent[{parent.name};o{o};cz{czo};{rep.cycle_string()}]"
 
-        cent = group._class_centralizer(rep, size, limit)
+        cent = group._centralizer_raw([rep.images], limit)
         if paranoid:
             filtered = kernels.centralizer_filter(list(group._raw_elements(limit)), [rep.images])
             ruled = cent._raw_elements(limit)

@@ -286,13 +286,13 @@ def test_recursion_reuses_the_group_for_central_classes(monkeypatch):
     # Every class of an abelian group is central: the recursion builds no
     # centralizer, and the count is |G_p|**h.
     calls = []
-    centralizer_raw = PermGroup._centralizer_raw
+    centralizer_group = PermGroup._centralizer_group
 
-    def counting(self, raw_targets, limit=None):
+    def counting(self, targets, limit):
         calls.append(self.order())
-        return centralizer_raw(self, raw_targets, limit)
+        return centralizer_group(self, targets, limit)
 
-    monkeypatch.setattr(PermGroup, "_centralizer_raw", counting)
+    monkeypatch.setattr(PermGroup, "_centralizer_group", counting)
     assert hkr_rank(cyclic(8), 2, 2) == 64
     assert calls == []
 
@@ -311,29 +311,49 @@ def test_recursive_rank_matches_walk_on_random_groups(seed):
             assert hkr_rank(group, p, h) == len(commuting_tuple_classes(group, p, h)), (p, h)
 
 
-# sha256 over the walk's components on the corpus, p in {2, 3}, h <= 3: the
-# representative, orbit size, centralizer generators and order of each.
-WALK_DIGEST = "20a210948646cf9d9dd2decc04b3a3dbb041e0487acf93c4eda796f6f457c5da"
-
-
-def test_walk_components_match_golden_digest():
-    digest = hashlib.sha256()
+def _walk_components():
+    """(name, p, h, component) over the walk's components on the corpus,
+    p in {2, 3}, h <= 3."""
     for name, build in CORPUS_BUILDERS.items():
         group = build()
         for p in (2, 3):
             for h in range(4):
                 for comp in commuting_tuple_classes(group, p, h).components:
-                    record = (
-                        name,
-                        p,
-                        h,
-                        [e.images for e in comp.rep.entries],
-                        comp.orbit_size,
-                        comp.centralizer._raw,
-                        comp.centralizer.order(),
-                    )
-                    digest.update(repr(record).encode())
+                    yield name, p, h, comp
+
+
+# sha256 over the walk's components: the representative, orbit size,
+# centralizer generators and order of each.
+WALK_DIGEST = "6a2da32b3bf9ef645e7d877a40c2c46c3c3c740e09fd775ac55c76626fa7bf0e"
+
+# sha256 over the same components' centralizers apart from their
+# generators: the sorted elements, order and class profile of each.
+WALK_GROUPS_DIGEST = "ee7ee3b5a28c369ae681934d2108513e9bda17c1bc31024810f238859c6aa269"
+
+
+def test_walk_components_match_golden_digest():
+    digest = hashlib.sha256()
+    for name, p, h, comp in _walk_components():
+        record = (
+            name,
+            p,
+            h,
+            [e.images for e in comp.rep.entries],
+            comp.orbit_size,
+            comp.centralizer._raw,
+            comp.centralizer.order(),
+        )
+        digest.update(repr(record).encode())
     assert digest.hexdigest() == WALK_DIGEST
+
+
+def test_walk_centralizers_match_golden_digest():
+    digest = hashlib.sha256()
+    for name, p, h, comp in _walk_components():
+        cent = comp.centralizer
+        record = (name, p, h, cent._raw_elements(), cent.order(), cent.class_profile())
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == WALK_GROUPS_DIGEST
 
 
 def test_walk_and_recursion_build_no_chain(monkeypatch):

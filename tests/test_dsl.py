@@ -119,7 +119,7 @@ def assert_selection_matches_table(group, label=None):
     pairs = {(o, n // size) for _, size, o in rows} | {(o, None) for _, _, o in rows}
     for order, czorder in pairs:
         want = next(
-            (rep, size)
+            rep
             for rep, size, o in rows
             if o == order and (czorder is None or n // size == czorder)
         )
@@ -171,14 +171,17 @@ def test_paper_selections():
     # wreath and in the order-18432 tower over its centralizer of order 96.
     e4608 = "wr(gl(2,3),c(2))"
     e18432 = f"wr(cent({e4608},order=4,czorder=96),c(2))"
-    rep, size = _select_centralizer(evaluate(parse(e4608)), 4, 96, None)
-    assert (rep.cycle_string(), size) == ("(0 8 1 9)(2 10 5 13)(3 11 7 15)(4 12 6 14)", 48)
-    rep, size = _select_centralizer(evaluate(parse(e18432)), 8, 192, None)
-    assert (rep.cycle_string(), size) == (
+    group = evaluate(parse(e4608))
+    rep = _select_centralizer(group, 4, 96, None)
+    assert rep.cycle_string() == "(0 8 1 9)(2 10 5 13)(3 11 7 15)(4 12 6 14)"
+    assert group.centralizer([rep]).order() == 96
+    group = evaluate(parse(e18432))
+    rep = _select_centralizer(group, 8, 192, None)
+    assert rep.cycle_string() == (
         "(0 16 8 24 1 17 9 25)(2 18 10 26 5 21 13 29)(3 19 11 27 7 23 15 31)"
-        "(4 20 12 28 6 22 14 30)",
-        96,
+        "(4 20 12 28 6 22 14 30)"
     )
+    assert group.centralizer([rep]).order() == 192
 
 
 def test_evaluate_deterministic():

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import random
 import re
 from collections import Counter
 
@@ -34,6 +35,7 @@ from chromarank import (
     register_derivation,
     symmetric,
     verify_rank_identity,
+    wreath_cyclic,
 )
 from chromarank import group as group_module
 from chromarank.dsl import _select_centralizer, evaluate, parse
@@ -123,14 +125,14 @@ def test_class_centralizer_reuses_the_group_for_central_classes(corpus):
     for name, group in corpus.items():
         table = group.conjugacy_classes()
         for rep, size in zip(table.reps, table.sizes):
-            cent = group._class_centralizer(rep, size)
+            cent = group.centralizer([rep])
             if size == 1:
                 assert cent is group, name
-                # the cached table is not consulted, but the limit still holds
+                # the memo marks the group, but the limit still holds
                 with pytest.raises(ThresholdExceeded):
-                    group._class_centralizer(rep, size, limit=group.order() - 1)
+                    group.centralizer([rep], limit=group.order() - 1)
             else:
-                assert cent is group.centralizer([rep]) and cent is not group, name
+                assert cent.order() * size == group.order() and cent is not group, name
 
 
 def test_class_equation(corpus):
@@ -162,8 +164,70 @@ def test_equal_centralizers_are_one_group(corpus):
                 # target is central in its own centralizer
                 assert cent.centralizer([target]) is cent, name
         whole = group.centralizer([Permutation.identity(group.degree)])
-        assert whole is not group and whole.order() == group.order()
-        assert interned[group.elements()] is whole, name
+        assert whole is group and interned[group.elements()] is group, name
+
+
+def _random_group(rng, max_degree):
+    # As test_recursive_rank_matches_walk_on_random_groups draws its groups.
+    degree = rng.randint(2, max_degree)
+    gens = [
+        Permutation(tuple(rng.sample(range(degree), degree))) for _ in range(rng.randint(1, 3))
+    ]
+    return group_from_generators(gens)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_a_group_is_its_own_centralizer_exactly_for_central_targets(seed):
+    # A root on at most 6 points, its relabeled copy, a recorded product, a
+    # recorded wreath (of a base on at most 4 points, so at most 1152
+    # elements) and an interned subgroup, with 0 to 2 targets, each drawn
+    # from the center half the time.  No group interns a copy of itself,
+    # not even for a central target next to one that is not.
+    rng = random.Random(seed)
+    group = _random_group(rng, 6)
+    groups = [
+        group,
+        group.conjugate_by(relabeling(group.degree)),
+        direct_product(group, _random_group(rng, 3)),
+        wreath_cyclic(_random_group(rng, 4), 2),
+    ]
+    groups += [c for c in (group.centralizer([x]) for x in group.generators) if c is not group][:1]
+    filtered, built = [], []
+    centralizer_filter = kernels.centralizer_filter
+    subgroup_from_elements = group_module._subgroup_from_elements
+
+    def counting(elements, targets):
+        filtered.append(targets)
+        return centralizer_filter(elements, targets)
+
+    def building(degree, elements):
+        built.append(len(elements))
+        return subgroup_from_elements(degree, elements)
+
+    for g in groups:
+        elements = g._raw_elements()
+        central = o_centralizer(elements, g._raw)
+        assert g.is_abelian() == (len(central) == len(elements)), g
+        for _ in range(3):
+            targets = [
+                rng.choice(central if rng.random() < 0.5 else elements)
+                for _ in range(rng.randint(0, 2))
+            ]
+            commuting = all(o_compose(t, s) == o_compose(s, t) for t in targets for s in g._raw)
+            filtered.clear()
+            built.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "centralizer_filter", counting)
+                mp.setattr(group_module, "_subgroup_from_elements", building)
+                cent = g.centralizer([Permutation(t) for t in targets])
+            assert (cent is g) == commuting, (g, targets)
+            # every subgroup built is a proper centralizer: no copy of g
+            assert g.order() not in built, (g, targets)
+            if commuting:
+                assert filtered == [], (g, targets)
+            else:
+                assert cent._raw_elements() == tuple(o_centralizer(elements, targets)), (g, targets)
 
 
 def test_interned_centralizer_honours_a_smaller_limit():
@@ -302,9 +366,13 @@ def _levels(chain):
 def test_subgroup_generators_match_chain_per_generator_selection(corpus):
     for name, group in corpus.items():
         table = group.conjugacy_classes()
-        subgroups = [group.centralizer([rep]) for rep in table.reps]
+        cents = [(group.centralizer([rep]), size) for rep, size in zip(table.reps, table.sizes)]
+        assert all((sub is group) == (size == 1) for sub, size in cents), name
+        subgroups = [sub for sub, size in cents if size > 1]
         subgroups += [group.center(), group.sylow_subgroup(2), group.sylow_subgroup(3)]
         for sub in subgroups:
+            if sub is group:  # an abelian group is its own center
+                continue
             gens, chain = _chain_per_generator_selection(group.degree, sub._raw_elements())
             assert list(sub._raw) == gens, name
             assert _levels(sub.chain()) == _levels(chain), name
@@ -553,14 +621,15 @@ def test_paper_tower_is_enumerated_from_its_factors(monkeypatch):
     memo = {}
     assert evaluate(parse(E192), memo=memo).order() == 192
     assert 4608 not in closed and 18432 not in closed
-    rep, size = _select_centralizer(memo[E4608], 4, 96, None)
-    assert (rep.cycle_string(), size) == ("(0 8 1 9)(2 10 5 13)(3 11 7 15)(4 12 6 14)", 48)
-    rep, size = _select_centralizer(memo[E18432], 8, 192, None)
-    assert (rep.cycle_string(), size) == (
+    rep = _select_centralizer(memo[E4608], 4, 96, None)
+    assert rep.cycle_string() == "(0 8 1 9)(2 10 5 13)(3 11 7 15)(4 12 6 14)"
+    assert memo[E4608].centralizer([rep]) is memo[E96] and memo[E96].order() == 96
+    rep = _select_centralizer(memo[E18432], 8, 192, None)
+    assert rep.cycle_string() == (
         "(0 16 8 24 1 17 9 25)(2 18 10 26 5 21 13 29)(3 19 11 27 7 23 15 31)"
-        "(4 20 12 28 6 22 14 30)",
-        96,
+        "(4 20 12 28 6 22 14 30)"
     )
+    assert memo[E18432].centralizer([rep]) is memo[E192]
 
 
 def test_enumeration_checks_the_recorded_order(monkeypatch):
@@ -672,7 +741,7 @@ def test_corpus_product_fingerprints_match_their_class_walks(corpus):
     for group in products:
         table = group.conjugacy_classes()
         groups = [group, group.conjugate_by(relabeling(group.degree))] + [
-            group._class_centralizer(rep, size) for rep, size in zip(table.reps, table.sizes)
+            group.centralizer([rep]) for rep in table.reps
         ]
         for g in groups:
             assert g.factor_record()[1] is None
