@@ -35,7 +35,7 @@ import os
 import weakref
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import chain, compress, product
+from itertools import chain, compress, islice, product
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
@@ -75,6 +75,14 @@ def enumeration_limit(explicit: int | None = None) -> int:
             raise ChromarankError(f"{LIMIT_ENV_VAR} must be positive, got {raw!r}")
         return value
     return DEFAULT_ENUMERATION_LIMIT
+
+
+def check_limit(order: int, limit: int | None) -> None:
+    """Raise ThresholdExceeded when a group of this order is past the
+    enumeration limit."""
+    cap = enumeration_limit(limit)
+    if order > cap:
+        raise ThresholdExceeded(f"desk-scale exceeded: group order {order} > limit {cap}")
 
 
 class _Level:
@@ -272,7 +280,7 @@ class Fingerprint:
     from the element orders weighted by class size, the class-size
     histogram, the center order as the number of classes of size 1, and
     abelian when every class has size 1.  A recorded direct product
-    convolves its factors' histograms instead (PermGroup._fingerprint);
+    convolves its factors' histograms instead (product_fingerprint);
     every other group folds its class profile.  Equality of fingerprints is
     necessary but not sufficient for group isomorphism; the registry treats
     it as an identity heuristic, and its paranoid mode compares the full
@@ -409,10 +417,7 @@ class PermGroup:
 
     def _check_limit(self, limit: int | None) -> None:
         """Raise ThresholdExceeded when the group is past the enumeration limit."""
-        cap = enumeration_limit(limit)
-        n = self.order()
-        if n > cap:
-            raise ThresholdExceeded(f"desk-scale exceeded: group order {n} > limit {cap}")
+        check_limit(self.order(), limit)
 
     def _cached(self, key, limit: int | None, compute: Callable[[], object]):
         """The enumeration-backed result stored under key, computed on a miss.
@@ -705,7 +710,12 @@ class PermGroup:
         """A Sylow p-subgroup, grown from the trivial group by normalizers.
 
         Each step adds the lexicographically least p-element outside the
-        subgroup so far that normalizes it, so repeated runs agree.
+        subgroup so far that normalizes it, so repeated runs agree.  The
+        elements outside the span go to normalizer_filter in sorted chunks
+        of the span's size, and the search stops at the first chunk with a
+        p-element among its members, whose element orders alone are
+        computed: each step tests about as many elements as the span it
+        extends, not all of G.
         """
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -717,11 +727,14 @@ class PermGroup:
         gens = []
         span = {identity}
         while len(span) < target:
-            outside = [t for t in elems if t not in span]
-            normalizer = kernels.normalizer_filter(outside, gens, span)
-            ext = next((t for t in normalizer if is_p_power(kernels.element_order(t), p)), None)
-            if ext is None:
-                raise ChromarankError("normalizer holds no p-element outside the subgroup")
+            outside = (t for t in elems if t not in span)
+            ext = None
+            while ext is None:
+                chunk = list(islice(outside, len(span)))
+                if not chunk:
+                    raise ChromarankError("normalizer holds no p-element outside the subgroup")
+                normalizer = kernels.normalizer_filter(chunk, gens, span)
+                ext = next((t for t in normalizer if is_p_power(kernels.element_order(t), p)), None)
             gens.append(ext)
             _extend_span(span, gens, identity, target)
         if len(span) != target:
@@ -772,29 +785,41 @@ class PermGroup:
         return self._cached("fingerprint", limit, lambda: self._fingerprint(limit))
 
     def _fingerprint(self, limit: int | None) -> Fingerprint:
-        """A recorded direct product's histograms convolve its factors'
-        (_convolve), so neither its class profile nor its class table is
-        built; any other group folds its class profile."""
+        """A recorded direct product's comes from its factors' fingerprints
+        (product_fingerprint), so neither its class profile nor its class
+        table is built; any other group folds its class profile."""
         record = self.factor_record()
         if record is not None and record[1] is None:
-            prints = [f.fingerprint(limit) for f in record[0]]
-            order_counts = _convolve([fp.element_order_histogram for fp in prints], lcm)
-            size_counts = _convolve([fp.class_size_histogram for fp in prints], mul)
-        else:
-            order_counts, size_counts = {}, {}
-            for o, size in self.class_profile(limit):
-                order_counts[o] = order_counts.get(o, 0) + size
-                size_counts[size] = size_counts.get(size, 0) + 1
-        center_order = size_counts.get(1, 0)
-        return Fingerprint(
-            order=self.order(),
-            exponent=lcm(*order_counts),
-            element_order_histogram=tuple(sorted(order_counts.items())),
-            class_size_histogram=tuple(sorted(size_counts.items())),
-            center_order=center_order,
-            derived_order=self._derived_order(limit),
-            abelian=center_order == self.order(),
-        )
+            return product_fingerprint([f.fingerprint(limit) for f in record[0]])
+        order_counts, size_counts = {}, {}
+        for o, size in self.class_profile(limit):
+            order_counts[o] = order_counts.get(o, 0) + size
+            size_counts[size] = size_counts.get(size, 0) + 1
+        derived_order = self._derived_order(limit)
+        return _histogram_fingerprint(self.order(), order_counts, size_counts, derived_order)
+
+    def _centralizer_fingerprint(
+        self, target: tuple[int, ...], limit: int | None, known: dict
+    ) -> Fingerprint:
+        """The fingerprint of _centralizer_raw((target,), limit), for a
+        target outside the center, with that centralizer built only when
+        the group is not a recorded direct product.
+
+        A product's centralizer C_G(x) x C_H(y) is filed under its factor
+        centralizers (_product_centralizer), which the factors intern, and
+        records them, so its fingerprint is product_fingerprint of theirs.
+        Many targets share those: known, which the caller keeps across its
+        targets, maps each tuple of them to that fingerprint.
+        """
+        self._check_limit(limit)
+        record = self._cache.get("factors")
+        if record is None or record[1] is not None:
+            return self._centralizer_raw((target,), limit).fingerprint(limit)
+        subs, _ = _product_centralizer(record[0], target, limit)
+        fp = known.get(subs)
+        if fp is None:
+            fp = known[subs] = product_fingerprint([s.fingerprint(limit) for s in subs])
+        return fp
 
     def conjugate_by(self, s: Permutation) -> "PermGroup":
         """The relabeled group s^-1 G s.
@@ -855,6 +880,39 @@ def _convolve(histograms, combine) -> dict[int, int]:
                 combined[c] = combined.get(c, 0) + m * k
         counts = combined
     return counts
+
+
+def product_fingerprint(prints: list[Fingerprint]) -> Fingerprint:
+    """The fingerprint of the direct product of groups with these
+    fingerprints, in factor order.
+
+    Its histograms convolve theirs (_convolve); its order and derived
+    order are the products of theirs, since (G x H)' = G' x H'.  A recorded
+    product's fingerprint is this one (PermGroup._fingerprint), and explore
+    reads it before building the product or a product's centralizer.
+    """
+    return _histogram_fingerprint(
+        prod(fp.order for fp in prints),
+        _convolve([fp.element_order_histogram for fp in prints], lcm),
+        _convolve([fp.class_size_histogram for fp in prints], mul),
+        prod(fp.derived_order for fp in prints),
+    )
+
+
+def _histogram_fingerprint(
+    order: int, order_counts: dict, size_counts: dict, derived_order: int
+) -> Fingerprint:
+    """The fingerprint with these element-order and class-size counts."""
+    center_order = size_counts.get(1, 0)
+    return Fingerprint(
+        order=order,
+        exponent=lcm(*order_counts),
+        element_order_histogram=tuple(sorted(order_counts.items())),
+        class_size_histogram=tuple(sorted(size_counts.items())),
+        center_order=center_order,
+        derived_order=derived_order,
+        abelian=center_order == order,
+    )
 
 
 def _wreath_words(rows, base_order: int, n: int):

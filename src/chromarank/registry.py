@@ -34,7 +34,15 @@ from dataclasses import dataclass
 from . import constructors, dsl, kernels
 from .arith import is_p_power, is_prime, p_part
 from .errors import ChromarankError, ConsistencyError, ParseError, ThresholdExceeded
-from .group import Fingerprint, PermGroup, dump_record, enumeration_limit, load_record
+from .group import (
+    Fingerprint,
+    PermGroup,
+    check_limit,
+    dump_record,
+    enumeration_limit,
+    load_record,
+    product_fingerprint,
+)
 
 log = logging.getLogger(__name__)
 
@@ -541,41 +549,55 @@ def _register_candidate(
     name: Callable[[], str],
     expr: str | None,
     p: int,
-    group: PermGroup,
+    fingerprint: Callable[[], Fingerprint],
+    build: Callable[[], PermGroup],
     rule: str,
     parents: tuple[str, ...],
     limit,
     paranoid: bool,
     tally: Counter,
 ) -> RegistryEntry | None:
-    """Fingerprint, dedup, and add a freshly constructed good group.
+    """Fingerprint, dedup, and add a good group, built only if it is kept.
 
+    fingerprint() gives the candidate's fingerprint, raising
+    ThresholdExceeded past the limit, and build() the group.  Most
+    candidates are fingerprint duplicates, so explore reads a product's
+    fingerprint from its factors' and a product centralizer's from its
+    factor centralizers' (product_fingerprint), and build() is called, at
+    most once, only to add the entry, to compare the group with a bad
+    entry its fingerprint matches, or in paranoid mode.
     Counts the candidate in tally under its rule, and a fingerprint
-    duplicate under "duplicate".  In paranoid mode, a candidate with a
-    factor record (a product, a wreath or a product's centralizer), whose
-    order, class table, profile and derived order come from its factors,
-    is checked against a copy with no record of them (_check_factor_rule),
-    and its centralizers in _centralizer_children.
+    duplicate under "duplicate".  In paranoid mode every candidate is built
+    and its fingerprint compared with fingerprint()'s; one with a factor
+    record (a product, a wreath or a product's centralizer), whose order,
+    class table, profile and derived order come from its factors, is
+    checked against a copy with no record of them (_check_factor_rule), and
+    its centralizers in _centralizer_children.
     A fingerprint that matches a bad entry is a contradiction only when
     that entry cannot be realized or has the candidate's class profile;
     otherwise the collision is logged and the candidate skipped, since a
     good and a bad entry cannot share a fingerprint in one registry.
     name() gives the candidate's name, and is called only for an entry
-    that is added, a skip that is logged or an error that is reported:
-    most candidates are duplicates, and a centralizer's name prints its
-    representative.
+    that is added, a skip that is logged or an error that is reported,
+    since a centralizer's name prints its representative.
     """
     tally[rule] += 1
     try:
-        fp = group.fingerprint(limit)
+        fp = fingerprint()
     except ThresholdExceeded as exc:
         log.info("explore: skipping %s: %s", name(), exc)
         return None
-    if paranoid and group.factor_record() is not None:
-        _check_factor_rule(name, group, limit)
+    group = None
+    if paranoid:
+        group = build()
+        if group.factor_record() is not None:
+            _check_factor_rule(name, group, limit)
+        if group.fingerprint(limit) != fp:
+            raise ConsistencyError(f"fingerprint of {name()!r} differs from its built group's")
     bad = registry.bad_match(fp)
     if bad is not None:
         known, why = _realize(registry, bad, limit)
+        group = build() if group is None else group
         if known is None or known.class_profile(limit) == group.class_profile(limit):
             why = f", which cannot be realized ({why})" if known is None else ""
             raise ConsistencyError(
@@ -601,6 +623,7 @@ def _register_candidate(
                         f"class profiles differ"
                     )
         return None
+    group = build() if group is None else group
     name = name()
     if registry.get(name) is not None:
         # Same name, different fingerprint: disambiguate deterministically.
@@ -679,10 +702,14 @@ def _centralizer_children(
     is left out: its centralizer is the group itself, whose fingerprint the
     registry already holds.  So an abelian group, whose generators commute
     pairwise and whose classes are all central, builds no class table; a
-    group past the limit is logged first, abelian or not.  In paranoid
-    mode, each is checked against filtering the group's elements, the
-    closure of its generators, as a product or wreath builds its
-    centralizers from its factors."""
+    group past the limit is logged first, abelian or not.  A recorded
+    direct product's centralizer takes its fingerprint from the factor
+    centralizers C_G(x), C_H(y) (PermGroup._centralizer_fingerprint, with
+    one table of their fingerprints per call, as many classes share them),
+    and is built only when _register_candidate adds it; any other group's
+    is built first.  In paranoid mode, each is built and checked against
+    filtering the group's elements, the closure of its generators, as a
+    product or wreath builds its centralizers from its factors."""
     try:
         group._check_limit(limit)
         if group.is_abelian():
@@ -693,6 +720,7 @@ def _centralizer_children(
         return []
     added = []
     named: set[tuple[int, int]] = set()
+    known: dict = {}
     for rep, size, o in zip(table.reps, table.sizes, table.orders):
         czo = group.order() // size
         if size == 1 or not is_p_power(o, p) or czo > bound:
@@ -705,13 +733,19 @@ def _centralizer_children(
         def name():
             return expr or f"cent[{parent.name};o{o};cz{czo};{rep.cycle_string()}]"
 
-        cent = group._centralizer_raw([rep.images], limit)
+        def fingerprint():
+            return group._centralizer_fingerprint(rep.images, limit, known)
+
+        def build():
+            return group._centralizer_raw([rep.images], limit)
+
         if paranoid:
             filtered = kernels.centralizer_filter(list(group._raw_elements(limit)), [rep.images])
-            ruled = cent._raw_elements(limit)
+            ruled = build()._raw_elements(limit)
             _compare_factor_fact(name, "centralizer element", ruled, tuple(filtered))
         entry = _register_candidate(
-            registry, name, expr, p, cent, "CENTRALIZER", (parent.name,), limit, paranoid, tally
+            registry, name, expr, p, fingerprint, build, "CENTRALIZER", (parent.name,), limit,
+            paranoid, tally,
         )
         if entry is not None:
             added.append(entry)
@@ -741,7 +775,9 @@ def explore(
     product of two entries, is tried at most once per call: a key tried
     before could only find fingerprint duplicates, so skipping it leaves
     the order of additions unchanged, and it counts as skipped the
-    candidates it stood for.  Each round logs its counts at INFO.
+    candidates it stood for.  A product, and a centralizer of a product,
+    is fingerprinted from its factors and built only when it is added
+    (_register_candidate).  Each round logs its counts at INFO.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -771,9 +807,10 @@ def explore(
             tried[key] = 1
             return True
 
-        def offer(name, expr, group, rule, parents) -> RegistryEntry | None:
+        def offer(name, expr, fingerprint, build, rule, parents) -> RegistryEntry | None:
             entry = _register_candidate(
-                registry, lambda: name, expr, p, group, rule, parents, limit, paranoid, tally
+                registry, lambda: name, expr, p, fingerprint, build, rule, parents, limit,
+                paranoid, tally,
             )
             if entry is not None:
                 fresh.append(entry)
@@ -799,7 +836,10 @@ def explore(
                 wexpr = f"wr({entry.expr},c({p}))" if entry.expr is not None else None
                 wreath = constructors.wreath_cyclic(group, p)
                 wname = wexpr or f"wr[{entry.name};c({p})]"
-                wentry = offer(wname, wexpr, wreath, "WREATH", (entry.name,))
+                wentry = offer(
+                    wname, wexpr, lambda: wreath.fingerprint(limit), lambda: wreath, "WREATH",
+                    (entry.name,),
+                )
                 if wentry is not None:
                     expand(wentry, wreath)
             expand(entry, group)
@@ -815,8 +855,15 @@ def explore(
                 else:
                     pexpr = None
                 pname = pexpr or f"prod[{entry.name};{other.name}]"
-                product = constructors.direct_product(group, ogroup)
-                offer(pname, pexpr, product, "PRODUCT", (entry.name, other.name))
+
+                def product_print():
+                    check_limit(group.order() * ogroup.order(), limit)
+                    return product_fingerprint([group.fingerprint(limit), ogroup.fingerprint(limit)])
+
+                offer(
+                    pname, pexpr, product_print, lambda: constructors.direct_product(group, ogroup),
+                    "PRODUCT", (entry.name, other.name),
+                )
         log.info(
             "explore round %d: %d entries, %d new; candidates WREATH %d, PRODUCT %d, "
             "CENTRALIZER %d; added %d, fingerprint duplicates %d, skipped as already tried %d",

@@ -447,6 +447,68 @@ def test_sylow_subgroups_match_golden_digest():
     assert digest.hexdigest() == SYLOW_DIGEST
 
 
+def reference_sylow(group, p):
+    # The whole-group normalizer scan: at each step, the least p-element
+    # outside the span whose conjugates of the span's generators all land
+    # in the span, tested on every element of the group.
+    identity = tuple(range(group.degree))
+    target = p_part(group.order(), p)
+    gens = []
+    span = {identity}
+    while len(span) < target:
+        ext = next(
+            t
+            for t in group._raw_elements()
+            if t not in span
+            and all(kernels.conjugate(s, t) in span for s in gens)
+            and o_is_p_power(kernels.element_order(t), p)
+        )
+        gens.append(ext)
+        span = set(o_close(gens))
+    return _subgroup_from_elements(group.degree, span)
+
+
+SYLOW_REFERENCE_CASES = [
+    ("wr(gl(2,3),c(2))", 2),
+    ("wr(gl(2,3),c(2))", 3),
+    ("prod(gl(2,3),s(4))", 2),
+    ("prod(gl(2,3),s(4))", 3),
+    ("wr(s(4),c(2))", 2),
+    ("wr(s(4),c(2))", 3),
+    ("E96", 2),
+    ("E192", 2),
+]
+
+
+@pytest.mark.parametrize("expr, p", SYLOW_REFERENCE_CASES)
+def test_sylow_growth_matches_the_whole_group_scan(expr, p):
+    # Chunked normalizer tests find the step the whole-group scan finds.
+    group = evaluate(parse({"E96": E96, "E192": E192}.get(expr, expr)))
+    want = reference_sylow(group, p)
+    got = group.sylow_subgroup(p)
+    assert got._raw == want._raw
+    assert got._raw_elements() == want._raw_elements()
+    assert got.order() == p_part(group.order(), p)
+
+
+def test_sylow_growth_tests_fewer_elements_than_the_group(monkeypatch):
+    # Testing every element outside the span for the normalizer passes
+    # 40,961 elements over the 9 steps of a Sylow 2-subgroup of the order-4608
+    # group; testing chunks of the span's size, fewer than |G| in all.
+    passed = []
+    normalizer_filter = kernels.normalizer_filter
+
+    def counting(elements, sub_gens, sub_elements):
+        passed.append(len(elements))
+        return normalizer_filter(elements, sub_gens, sub_elements)
+
+    group = evaluate(parse(E4608))
+    group._raw_elements()
+    monkeypatch.setattr(kernels, "normalizer_filter", counting)
+    assert group.sylow_subgroup(2).order() == 512
+    assert 0 < sum(passed) < group.order() == 4608
+
+
 def test_sylow_rejects_composite():
     with pytest.raises(ValueError):
         symmetric(4).sylow_subgroup(4)

@@ -264,9 +264,15 @@ def test_filters_equivalent(kernels_c):
     )
     sub_gens = [elems[1]]
     sub = _kernels_py.close_group(sub_gens, 10**5)
-    assert kernels_c.normalizer_filter(elems, sub_gens, sub) == _kernels_py.normalizer_filter(
-        elems, sub_gens, sub
-    )
+    normalizer = _kernels_py.normalizer_filter(elems, sub_gens, sub)
+    # Sylow growth passes chunks of elements, which may be empty or hold no
+    # member of the normalizer.
+    outside = [t for t in elems if t not in normalizer][:5]
+    assert outside and _kernels_py.normalizer_filter(outside, sub_gens, sub) == []
+    for chunk in (elems, [], outside):
+        assert kernels_c.normalizer_filter(chunk, sub_gens, sub) == _kernels_py.normalizer_filter(
+            chunk, sub_gens, sub
+        )
 
 
 def test_element_order_equivalent_past_64_bits(kernels_c):

@@ -745,7 +745,17 @@ def test_the_seeded_bad_entry_is_realized_by_its_builder(caplog):
     assert lookalike.class_profile() != group.class_profile()
     with caplog.at_level(logging.INFO, logger="chromarank.registry"):
         added = registry_mod._register_candidate(
-            reg, lambda: "lookalike", None, 3, lookalike, "PRODUCT", (), None, False, Counter()
+            reg,
+            lambda: "lookalike",
+            None,
+            3,
+            lambda: lookalike.fingerprint(),
+            lambda: lookalike,
+            "PRODUCT",
+            (),
+            None,
+            False,
+            Counter(),
         )
     assert added is None
     collision = "fingerprint collision between lookalike and bad entry unipotent-radical-gl4"
@@ -1109,6 +1119,119 @@ def test_explore_registry_bytes_match_digest(tmp_path, bound):
     path = tmp_path / "reg.jsonl"
     reg.save(str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPLORE_P3_DIGESTS[bound]
+
+
+# The round log lines of explore at p=3, depth 6, to order 243 from c(1) and
+# c(3), as the implementation that built every candidate before looking up
+# its fingerprint logged them: 22 of the 30 PRODUCT candidates and 53 of the
+# 56 CENTRALIZER candidates are fingerprint duplicates.
+EXPLORE_P3_243_ROUNDS = [
+    "explore round 1: 2 entries, 2 new; candidates WREATH 2, PRODUCT 3, CENTRALIZER 14; "
+    "added 4, fingerprint duplicates 15, skipped as already tried 0",
+    "explore round 2: 6 entries, 4 new; candidates WREATH 0, PRODUCT 13, CENTRALIZER 0; "
+    "added 7, fingerprint duplicates 6, skipped as already tried 19",
+    "explore round 3: 13 entries, 7 new; candidates WREATH 0, PRODUCT 13, CENTRALIZER 42; "
+    "added 1, fingerprint duplicates 54, skipped as already tried 32",
+    "explore round 4: 14 entries, 1 new; candidates WREATH 0, PRODUCT 1, CENTRALIZER 0; "
+    "added 0, fingerprint duplicates 1, skipped as already tried 87",
+]
+
+
+def test_explore_p3_rounds_match_the_pinned_lines(caplog):
+    reg = seeded_registry(3, ["c(1)", "c(3)"])
+    with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+        explore(reg, 3, 243, depth=6)
+    assert [m for m in caplog.messages if m.startswith("explore round")] == EXPLORE_P3_243_ROUNDS
+
+
+def test_explore_builds_no_product_duplicate(monkeypatch):
+    # A product candidate and a centralizer candidate of a recorded product
+    # take their fingerprints from their factors', so a fingerprint
+    # duplicate among them builds no product and no subgroup of the
+    # candidate's degree (its factor centralizers, interned in the factors,
+    # have smaller degrees).
+    built = []
+    direct_product = constructors.direct_product
+    subgroup_from_elements = group_mod._subgroup_from_elements
+    register_candidate = registry_mod._register_candidate
+    checked = Counter()
+
+    def recording_product(g, h):
+        built.append(("product", g.degree + h.degree))
+        return direct_product(g, h)
+
+    def recording_subgroup(degree, elements):
+        built.append(("subgroup", degree))
+        return subgroup_from_elements(degree, elements)
+
+    def checking(registry, name, expr, p, fingerprint, build, rule, parents, *rest):
+        memo = registry._memo(None)
+        groups = [memo[registry_mod._memo_key(e.name, e.expr)] for e in map(registry.get, parents)]
+        record = groups[0]._cache.get("factors")
+        del built[:]
+        entry = register_candidate(registry, name, expr, p, fingerprint, build, rule, parents, *rest)
+        from_factors = rule == "PRODUCT" or (
+            rule == "CENTRALIZER" and record is not None and record[1] is None
+        )
+        if entry is None and from_factors:
+            degree = sum(g.degree for g in groups)
+            assert all(kind == "subgroup" and d < degree for kind, d in built), (name(), built)
+            checked[rule] += 1
+        return entry
+
+    monkeypatch.setattr(constructors, "direct_product", recording_product)
+    monkeypatch.setattr(group_mod, "_subgroup_from_elements", recording_subgroup)
+    monkeypatch.setattr(registry_mod, "_register_candidate", checking)
+    reg = seeded_registry(3, ["c(1)", "c(3)"])
+    explore(reg, 3, 243, depth=6)
+    assert checked == {"PRODUCT": 22, "CENTRALIZER": 42}
+
+
+def test_explore_paranoid_mode_builds_and_checks_every_candidate(monkeypatch, tmp_path):
+    # Paranoid mode builds each candidate, duplicates included, and checks
+    # each one with a factor record against a copy with none.
+    register_candidate = registry_mod._register_candidate
+    check_factor_rule = registry_mod._check_factor_rule
+    candidates, built, checked = [], [], []
+
+    def recording(registry, name, expr, p, fingerprint, build, *rest):
+        candidates.append(name())
+
+        def recording_build():
+            group = build()
+            built.append((name(), group))
+            return group
+
+        return register_candidate(registry, name, expr, p, fingerprint, recording_build, *rest)
+
+    def recording_check(name, group, limit):
+        checked.append(group)
+        return check_factor_rule(name, group, limit)
+
+    monkeypatch.setattr(registry_mod, "_register_candidate", recording)
+    monkeypatch.setattr(registry_mod, "_check_factor_rule", recording_check)
+    reg = seeded_registry(3, ["c(1)", "c(3)"])
+    explore(reg, 3, 243, depth=6, paranoid=True)
+    assert len(candidates) == 2 + 30 + 56
+    assert sorted({name for name, _ in built}) == sorted(set(candidates))
+    recorded = {id(g) for _, g in built if g.factor_record() is not None}
+    assert recorded and recorded <= {id(g) for g in checked}
+    path = tmp_path / "reg.jsonl"
+    reg.save(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPLORE_P3_DIGESTS[243]
+
+
+def test_explore_paranoid_mode_checks_a_fingerprint_taken_before_the_build(monkeypatch):
+    # A wrong rule for the fingerprint of a product's centralizer that is
+    # not built: the parent's own fingerprint.  Without paranoid mode each
+    # such candidate passes for a duplicate of its parent; paranoid mode
+    # builds it and compares.
+    monkeypatch.setattr(
+        PermGroup, "_centralizer_fingerprint", lambda self, target, limit, known: self.fingerprint(limit)
+    )
+    explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 243, depth=6)
+    with pytest.raises(ConsistencyError, match="differs from its built group's"):
+        explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 243, depth=6, paranoid=True)
 
 
 def test_explore_paranoid_mode_compares_fingerprints(monkeypatch, tmp_path):
