@@ -98,9 +98,10 @@ def conjugacy_orbit(x, gens, inverses):
     """Orbit of x under conjugation by the generators, in discovery order.
 
     inverses[k] is the inverse of gens[k]; the caller inverts each generator
-    once for all the orbits it walks.
+    once for all the orbits it walks.  Lists of different lengths raise
+    ValueError.
     """
-    gen_pairs = [(_then(g_inv), g) for g, g_inv in zip(gens, inverses)]
+    gen_pairs = [(_then(g_inv), g) for g, g_inv in zip(gens, inverses, strict=True)]
     orbit = {x}
     queue = [x]
     for e in queue:

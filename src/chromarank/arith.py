@@ -17,6 +17,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def p_part(n: int, p: int) -> int:
     """Largest power of p dividing n."""
     out = 1

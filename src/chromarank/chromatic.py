@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from . import kernels
-from .arith import is_p_power, is_prime
-from .errors import ChromarankError, HeightExceeded
+from .arith import check_prime, is_p_power
+from .errors import ChromarankError, DegreeMismatch, HeightExceeded
 from .group import PermGroup, enumeration_limit
 from .perm import Permutation
 
@@ -45,21 +45,18 @@ def _check_height(h: int) -> None:
         raise HeightExceeded(f"height {h} above bound {DEFAULT_MAX_HEIGHT}")
 
 
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
 @dataclass(frozen=True)
 class PTuple:
-    """Pairwise-commuting tuple of p-power-order permutations."""
+    """Pairwise-commuting tuple of p-power-order permutations of one degree."""
 
     prime: int
     entries: tuple[Permutation, ...]
 
     def __post_init__(self):
-        _check_prime(self.prime)
+        check_prime(self.prime)
         for i, entry in enumerate(self.entries):
+            if entry.degree != self.entries[0].degree:
+                raise DegreeMismatch(f"entry {i} has degree {entry.degree}, not {self.entries[0].degree}")
             if not is_p_power(kernels.element_order(entry.images), self.prime):
                 raise ChromarankError(f"entry {i} does not have {self.prime}-power order")
             if not all(kernels.commutes(u.images, entry.images) for u in self.entries[:i]):
@@ -98,7 +95,7 @@ def p_power_elements(
     group: PermGroup, p: int, limit: int | None = None
 ) -> tuple[Permutation, ...]:
     """Elements of p-power order (identity included), in lex order."""
-    _check_prime(p)
+    check_prime(p)
     return group._cached(
         ("p_power", p),
         limit,
@@ -138,7 +135,7 @@ def commuting_tuple_classes(
     No class table is read, and nothing is cached: each call checks the
     limit and walks again.
     """
-    _check_prime(p)
+    check_prime(p)
     _check_height(h)
     if h == 0:  # one empty tuple, centralized by the group; nothing to enumerate
         return LoopDecomposition(p, 0, (LoopComponent(PTuple(p, ()), group, 1),))
@@ -236,7 +233,7 @@ def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:
     is checked before the cache is read; commuting_tuple_classes is the
     independent oracle.
     """
-    _check_prime(p)
+    check_prime(p)
     _check_height(h)
     if h == 0:
         return 1
@@ -351,7 +348,7 @@ def verify_rank_identity(
     t >= 1 thus compares the two algorithms.  t = 0 is the only case that
     checks nothing: both sides count the components of one height-n walk.
     """
-    _check_prime(p)
+    check_prime(p)
     _check_height(n)
     if not 0 <= t <= n:
         raise ValueError("need 0 <= t <= n")

@@ -11,7 +11,7 @@ from itertools import product
 from .arith import is_prime, primitive_root
 from .errors import ChromarankError
 from .perm import Permutation
-from .group import PermGroup
+from .group import PermGroup, _direct_product
 
 
 def cyclic(n: int) -> PermGroup:
@@ -85,18 +85,12 @@ def abelian(invariants: list[int] | tuple[int, ...]) -> PermGroup:
 def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
     """G x H on deg(G) + deg(H) points, G acting first.
 
-    The factors are recorded on the result, which takes from theirs its
+    Built by group._direct_product, as a product's centralizers are: the
+    factors are recorded on the result, which takes from theirs its
     order, class table and profile (both read group._product_rows),
     derived order, centralizers and ranks.
     """
-    dg, dh = g.degree, h.degree
-    degree = dg + dh
-    gens = []
-    for a in g.generators:
-        gens.append(Permutation(tuple(a.images) + tuple(range(dg, degree))))
-    for b in h.generators:
-        gens.append(Permutation(tuple(range(dg)) + tuple(x + dg for x in b.images)))
-    return PermGroup(degree, gens)._record_factors((g, h))
+    return _direct_product((g, h))
 
 
 def wreath_cyclic(g: PermGroup, n: int) -> PermGroup:

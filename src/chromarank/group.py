@@ -12,7 +12,8 @@ constructor takes its order and fingerprint from its factors', with no
 chain or enumeration; its class table from theirs, with no class walk;
 and its centralizers from their elements and centralizers, with no
 filtering of its own elements.  A product's centralizer C_G(x) x C_H(y)
-records those factor centralizers, and takes the same from them.  A
+is built from those factor centralizers' generators as the product is
+from its factors', records them, and takes the same from them.  A
 relabeled copy (conjugate_by) keeps the order and the record, and reads
 from it only what a relabeling does not change: the class profile, the
 derived order, a product's fingerprint and, in chromatic, the ranks.  A
@@ -40,7 +41,7 @@ from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
 from . import kernels
-from .arith import is_p_power, is_prime, p_part
+from .arith import check_prime, is_p_power, p_part
 from .errors import (
     ChromarankError,
     DegreeMismatch,
@@ -523,13 +524,10 @@ class PermGroup:
         is given, factors[0] wr C_n; returns the group.
 
         The factors act on consecutive blocks of points, the first factor
-        on the lowest, as direct_product and wreath_cyclic lay them out and
-        as a product's centralizer C_G(x) x C_H(y) inherits it
-        (_centralizer_group).  The order is stored now, as prod |factor| or
-        |H|**n * n, so no stabilizer chain is built for it; a group whose
-        order is already known, such as an interned centralizer with its
-        element count, refuses a record that gives another with
-        ChromarankError.  The conjugacy classes, class_profile,
+        on the lowest, as _direct_product and wreath_cyclic lay them out.
+        Both make the record on the group they have just built.  The order
+        is stored now, as prod |factor| or |H|**n * n, so no stabilizer
+        chain is built for it.  The conjugacy classes, class_profile,
         centralizers and the derived order of fingerprint are computed
         from the factors (see _classes, _profile, _centralizer_group and
         _derived_order), and so is a product's whole fingerprint
@@ -545,9 +543,6 @@ class PermGroup:
         else:
             (base,) = factors
             order = base.order() ** n * n
-        known = self._cache.get("order")
-        if known is not None and known != order:
-            raise ChromarankError(f"factors of order {order} recorded on a group of order {known}")
         self._cache["factors"] = self._cache["factors up to relabeling"] = (factors, n)
         self._cache["order"] = order
         return self
@@ -558,12 +553,13 @@ class PermGroup:
         None.
 
         Read-only.  A group built by direct_product or wreath_cyclic has a
-        record, and so has a product's proper centralizer, whose factors
-        are the factors' centralizers (see _centralizer_group); a wreath's
-        has none, nor has one that only filtering found (center(), several
-        non-central targets).  conjugate_by keeps the record on the
-        relabeled copy; only facts that a relabeling does not change (class
-        profile, derived order, fingerprint, ranks) may be read from it.
+        record, and so has every proper centralizer of a recorded direct
+        product, of one target or several, center() included: its factors
+        are the factors' centralizers (see _centralizer_group).  A wreath's
+        centralizer has none, nor has one that filtering found.
+        conjugate_by keeps the record on the relabeled copy; only facts
+        that a relabeling does not change (class profile, derived order,
+        fingerprint, ranks) may be read from it.
         Class tables and centralizers come from the factors only on the
         group the record was made on (the "factors" key), and from the
         copy's own generators on a copy.
@@ -614,27 +610,22 @@ class PermGroup:
 
     def _centralizer_raw(self, raw_targets, limit: int | None = None) -> "PermGroup":
         """Centralizer of raw elements of the group, one group per distinct
-        element set.
+        element set: the one way into a centralizer.
 
-        A target that commutes with each generator (each one outside the
-        center, _noncentral_generators) is central and is dropped.  When
-        every target is, the group is its own centralizer, found with no
-        filter, factor key or intern lookup; the memo marks it (_ITSELF)
-        rather than holding it, since a group in its own cache is a cycle.
-        Any other centralizer comes from _centralizer_group, whose sorted
-        elements are an exact key into the intern table (_intern): equal
+        _centralizer_group finds it, and returns the group itself when
+        every target is central; the memo per target tuple then marks it
+        (_ITSELF) rather than holding it, since a group in its own cache is
+        a cycle.  Any other centralizer is interned (_intern_table): equal
         centralizers come back as one object, which computes its class
-        table, fingerprint and ranks once.  A memo per target tuple holds
-        the subgroup (the table holds it weakly), so a repeated target
-        costs one lookup.
+        table, fingerprint and ranks once.  The memo holds the subgroup
+        (the table holds it weakly), so a repeated target costs one lookup.
         """
         self._check_limit(limit)
         key = ("centralizer", tuple(raw_targets))
         sub = self._cache.get(key)
         if sub is None:
-            gens = self._noncentral_generators()
-            moving = tuple(t for t in key[1] if not all(kernels.commutes(t, g) for g in gens))
-            sub = self._cache[key] = self._centralizer_group(moving, limit) if moving else _ITSELF
+            sub = self._centralizer_group(key[1], limit)
+            self._cache[key] = _ITSELF if sub is self else sub
         return self if sub is _ITSELF else sub
 
     def _intern(self, elements) -> "PermGroup":
@@ -649,46 +640,53 @@ class PermGroup:
         return sub
 
     def _centralizer_group(self, targets: tuple, limit: int | None) -> "PermGroup":
-        """The interned proper subgroup of elements commuting with every
-        target, none of them central (see _centralizer_raw).
+        """The elements commuting with every target: the group itself when
+        all of them are central, else an interned proper subgroup (see
+        _centralizer_raw).
 
-        Any group but a recorded one filters its own elements.  A recorded
-        direct product or wreath builds the centralizer of the first target
-        from its factors (_product_centralizer, _wreath_centralizer) and
-        filters that by the other targets.  Both rules first give a key,
-        the data of the factors that fixes the centralizer, and assemble
-        the elements only for a key not seen before: many targets share a
-        centralizer, and a later one finds the subgroup in the intern table
-        under ("factors", key), which no sorted element tuple equals.  The
-        table holds it weakly there too, so the key goes with the subgroup.
-        A product's key is the factor centralizers (C_G(x), C_H(y)), and a
-        subgroup first filed under one records them as its factors
-        (_record_factors), so its class table, profile, derived order,
-        ranks and own centralizers come from theirs.  A wreath's
-        centralizer, and one filtered by further targets, has no record.
+        A recorded direct product asks each factor for the centralizer of
+        the targets' pieces (_product_centralizer) and is central exactly
+        when every factor returns itself, so it runs no commutes test of its
+        own.  Any other group drops the targets that commute with its
+        generators (_noncentral_generators) and returns itself when none is
+        left.  A product's centralizer is the direct product of the factor
+        centralizers (_direct_product), and a wreath's that of the first
+        target left (_wreath_centralizer), filtered by the others.  Each is
+        built once per key, the data of the factors that fixes it, and
+        filed in the intern table under ("factors", key), which no sorted
+        element tuple equals.  Any other group filters its own elements.
         """
         record = self._cache.get("factors")
+        if record is not None and record[1] is None:
+            factors = record[0]
+            subs = _product_centralizer(factors, targets, limit)
+            if subs == factors:  # identity: groups compare by object
+                return self
+            table = self._intern_table()
+            key = ("factors", subs)
+            sub = table.get(key)
+            if sub is None:
+                sub = table[key] = _direct_product(subs)
+                sub._cache["intern"] = table
+            return sub
+        gens = self._noncentral_generators()
+        moving = [t for t in targets if not all(kernels.commutes(t, g) for g in gens)]
+        if not moving:
+            return self
         if record is None:
             return self._intern(
-                tuple(kernels.centralizer_filter(list(self._raw_elements(limit)), list(targets)))
+                tuple(kernels.centralizer_filter(list(self._raw_elements(limit)), moving))
             )
-        factors, n = record
-        first, rest = targets[0], list(targets[1:])
-        if n is None:
-            key, build = _product_centralizer(factors, first, limit)
-        else:
-            (base,) = factors
-            key, build = _wreath_centralizer(base, n, first, limit)
+        (base,), n = record
+        key, build = _wreath_centralizer(base, n, moving[0], limit)
         table = self._intern_table()
         key = ("factors", key)
         sub = table.get(key)
         if sub is None:
             sub = table[key] = self._intern(build())
-            if n is None:
-                sub._record_factors(key[1])
-        if rest:
+        if len(moving) > 1:
             elements = sub._cache["elements_raw"]
-            sub = self._intern(tuple(kernels.centralizer_filter(list(elements), rest)))
+            sub = self._intern(tuple(kernels.centralizer_filter(list(elements), moving[1:])))
         return sub
 
     def centralizer(self, targets: Iterable[Permutation], limit: int | None = None) -> "PermGroup":
@@ -717,8 +715,7 @@ class PermGroup:
         computed: each step tests about as many elements as the span it
         extends, not all of G.
         """
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        check_prime(p)
         target = p_part(self.order(), p)
         if target == 1:
             return _subgroup_from_elements(self.degree, [tuple(range(self.degree))])
@@ -797,29 +794,6 @@ class PermGroup:
             size_counts[size] = size_counts.get(size, 0) + 1
         derived_order = self._derived_order(limit)
         return _histogram_fingerprint(self.order(), order_counts, size_counts, derived_order)
-
-    def _centralizer_fingerprint(
-        self, target: tuple[int, ...], limit: int | None, known: dict
-    ) -> Fingerprint:
-        """The fingerprint of _centralizer_raw((target,), limit), for a
-        target outside the center, with that centralizer built only when
-        the group is not a recorded direct product.
-
-        A product's centralizer C_G(x) x C_H(y) is filed under its factor
-        centralizers (_product_centralizer), which the factors intern, and
-        records them, so its fingerprint is product_fingerprint of theirs.
-        Many targets share those: known, which the caller keeps across its
-        targets, maps each tuple of them to that fingerprint.
-        """
-        self._check_limit(limit)
-        record = self._cache.get("factors")
-        if record is None or record[1] is not None:
-            return self._centralizer_raw((target,), limit).fingerprint(limit)
-        subs, _ = _product_centralizer(record[0], target, limit)
-        fp = known.get(subs)
-        if fp is None:
-            fp = known[subs] = product_fingerprint([s.fingerprint(limit) for s in subs])
-        return fp
 
     def conjugate_by(self, s: Permutation) -> "PermGroup":
         """The relabeled group s^-1 G s.
@@ -992,24 +966,42 @@ def _product_elements(factors) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _product_centralizer(factors, z: tuple[int, ...], limit: int | None):
-    """The centralizer of z in the direct product of factors, as (key,
-    build) for PermGroup._centralizer_group: C(x, y) = C_G(x) x C_H(y),
-    for z = x + y shifted by deg G.
+def _product_centralizer(factors, targets, limit: int | None) -> tuple["PermGroup", ...]:
+    """The centralizers, one per factor, whose direct product is the
+    centralizer of targets in the direct product of factors:
+    C(x, y) = C_G(x) x C_H(y), for z = x + y shifted by deg G, and the
+    same with the pieces of every target.
 
     Each factor's centralizer comes from its own _centralizer_raw, so it is
-    memoized and interned there, and the tuple of those subgroups is the
-    intern-table key: every (x, y) with y central in H gives C_G(x) x H.
-    A factor centralizes a central piece itself, so it enters the key, and
-    the record, as itself: its class table and ranks are then its own.
+    memoized and interned there, and is the factor itself for central
+    pieces: every (x, y) with y central in H gives (C_G(x), H).
     """
     subs = []
     offset = 0
     for f in factors:
-        piece = tuple(v - offset for v in z[offset : offset + f.degree])
-        subs.append(f._centralizer_raw((piece,), limit))
+        end = offset + f.degree
+        # The first factor's pieces need no shift: a slice is their tuple.
+        pieces = [tuple([v - offset for v in z[offset:end]]) if offset else z[:end] for z in targets]
+        subs.append(f._centralizer_raw(pieces, limit))
+        offset = end
+    return tuple(subs)
+
+
+def _direct_product(factors) -> PermGroup:
+    """The direct product of factors, each on its own block of points in
+    order, the first on the lowest, recorded on the result (_record_factors).
+
+    Its generators are each factor's generators on its block, in factor
+    order, with every other point fixed.
+    """
+    degree = sum(f.degree for f in factors)
+    gens = []
+    offset = 0
+    for f in factors:
+        before, after = tuple(range(offset)), tuple(range(offset + f.degree, degree))
+        gens += [Permutation._wrap(before + tuple(v + offset for v in g) + after) for g in f._raw]
         offset += f.degree
-    return tuple(subs), lambda: _product_elements([(s.degree, s._raw_elements(limit)) for s in subs])
+    return PermGroup(degree, gens)._record_factors(tuple(factors))
 
 
 def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: int | None):

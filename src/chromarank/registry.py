@@ -32,7 +32,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import constructors, dsl, kernels
-from .arith import is_p_power, is_prime, p_part
+from .arith import check_prime, is_p_power, p_part
 from .errors import ChromarankError, ConsistencyError, ParseError, ThresholdExceeded
 from .group import (
     Fingerprint,
@@ -139,8 +139,8 @@ class Registry:
     """
 
     def __init__(self, prime: int | None = None, entries=()):
-        if prime is not None and not is_prime(prime):
-            raise ValueError(f"{prime} is not prime")
+        if prime is not None:
+            check_prime(prime)
         self.prime = prime
         self.entries: list[RegistryEntry] = []
         self._by_name: dict[str, RegistryEntry] = {}
@@ -249,8 +249,7 @@ def seed_defaults(p: int) -> list[RegistryEntry]:
     closed form (_unitriangular4_fingerprint), so seeding builds no group;
     _realize builds it (SEEDED_GROUPS) only when a candidate matches it.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     out = []
     for key in SEED_AXIOMS:
         if key == "order-32" and p != 2:
@@ -350,8 +349,7 @@ def certify(
     """
     if isinstance(expr, str):
         expr = dsl.parse(expr)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if registry.prime not in (None, p):
         raise ConsistencyError(f"registry is keyed to prime {registry.prime}, not {p}")
     limit = enumeration_limit(limit)
@@ -562,10 +560,13 @@ def _register_candidate(
     fingerprint() gives the candidate's fingerprint, raising
     ThresholdExceeded past the limit, and build() the group.  Most
     candidates are fingerprint duplicates, so explore reads a product's
-    fingerprint from its factors' and a product centralizer's from its
-    factor centralizers' (product_fingerprint), and build() is called, at
-    most once, only to add the entry, to compare the group with a bad
-    entry its fingerprint matches, or in paranoid mode.
+    fingerprint from its factors' (product_fingerprint) with no product
+    built, and build() is called, at most once, only to add the entry, to
+    compare the group with a bad entry its fingerprint matches, or in
+    paranoid mode.  A centralizer candidate's fingerprint is that of the
+    group _centralizer_raw gives, which for a recorded product is built
+    from its factor centralizers' generators, with no elements, and
+    fingerprinted from theirs.
     Counts the candidate in tally under its rule, and a fingerprint
     duplicate under "duplicate".  In paranoid mode every candidate is built
     and its fingerprint compared with fingerprint()'s; one with a factor
@@ -702,14 +703,15 @@ def _centralizer_children(
     is left out: its centralizer is the group itself, whose fingerprint the
     registry already holds.  So an abelian group, whose generators commute
     pairwise and whose classes are all central, builds no class table; a
-    group past the limit is logged first, abelian or not.  A recorded
-    direct product's centralizer takes its fingerprint from the factor
-    centralizers C_G(x), C_H(y) (PermGroup._centralizer_fingerprint, with
-    one table of their fingerprints per call, as many classes share them),
-    and is built only when _register_candidate adds it; any other group's
-    is built first.  In paranoid mode, each is built and checked against
-    filtering the group's elements, the closure of its generators, as a
-    product or wreath builds its centralizers from its factors."""
+    group past the limit is logged first, abelian or not.  Each
+    candidate is read through _centralizer_raw, whose memo per target
+    holds the group: a recorded direct product's centralizer is the direct
+    product of the factor centralizers C_G(x), C_H(y), built with no
+    elements and fingerprinted from theirs, and many classes share one.
+    A wreath's, or an unrecorded group's, has its elements built first.
+    In paranoid mode, each is built and checked against filtering the
+    group's elements, the closure of its generators, as a product or
+    wreath builds its centralizers from its factors."""
     try:
         group._check_limit(limit)
         if group.is_abelian():
@@ -720,7 +722,6 @@ def _centralizer_children(
         return []
     added = []
     named: set[tuple[int, int]] = set()
-    known: dict = {}
     for rep, size, o in zip(table.reps, table.sizes, table.orders):
         czo = group.order() // size
         if size == 1 or not is_p_power(o, p) or czo > bound:
@@ -733,11 +734,11 @@ def _centralizer_children(
         def name():
             return expr or f"cent[{parent.name};o{o};cz{czo};{rep.cycle_string()}]"
 
-        def fingerprint():
-            return group._centralizer_fingerprint(rep.images, limit, known)
-
         def build():
             return group._centralizer_raw([rep.images], limit)
+
+        def fingerprint():
+            return build().fingerprint(limit)
 
         if paranoid:
             filtered = kernels.centralizer_filter(list(group._raw_elements(limit)), [rep.images])
@@ -775,12 +776,13 @@ def explore(
     product of two entries, is tried at most once per call: a key tried
     before could only find fingerprint duplicates, so skipping it leaves
     the order of additions unchanged, and it counts as skipped the
-    candidates it stood for.  A product, and a centralizer of a product,
-    is fingerprinted from its factors and built only when it is added
-    (_register_candidate).  Each round logs its counts at INFO.
+    candidates it stood for.  A product is fingerprinted from its
+    factors and built only when it is added (_register_candidate); a
+    centralizer of a product is built from its factor centralizers, with
+    no elements, and fingerprinted from theirs.  Each round logs its counts
+    at INFO.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if registry.prime not in (None, p):
         raise ConsistencyError(f"registry is keyed to prime {registry.prime}, not {p}")
     limit = enumeration_limit(limit)

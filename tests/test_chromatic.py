@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from chromarank import (
     ChromarankError,
+    DegreeMismatch,
     chromatic,
     HeightExceeded,
     Permutation,
@@ -23,6 +24,7 @@ from chromarank import (
     symmetric,
     verify_rank_identity,
 )
+from chromarank import group as group_module
 from chromarank.group import ConjClassTable, PermGroup, _Chain
 
 from conftest import CORPUS_BUILDERS, o_commuting_tuples, o_tuple_classes
@@ -149,6 +151,13 @@ def test_ptuple_validation(corpus):
         PTuple(2, (b, Permutation.from_cycles("(1 2)", degree=4)))  # they do not commute
     cent = s4.centralizer(t.entries)
     assert cent.order() == 4
+
+
+def test_ptuple_refuses_entries_of_different_degrees():
+    # Checked before any kernel compares the entries, so both backends
+    # raise the same error.
+    with pytest.raises(DegreeMismatch, match="entry 1 has degree 3, not 2"):
+        PTuple(2, (Permutation((1, 0)), Permutation((0, 1, 2))))
 
 
 def test_ptuple_extension_checks_only_the_new_entry_as_the_constructor_does():
@@ -283,16 +292,22 @@ def test_recursion_checks_centralizer_orders(monkeypatch):
 
 
 def test_recursion_reuses_the_group_for_central_classes(monkeypatch):
-    # Every class of an abelian group is central: the recursion builds no
-    # centralizer, and the count is |G_p|**h.
+    # Every class of an abelian group is central: the recursion builds and
+    # filters no centralizer, and the count is |G_p|**h.
     calls = []
-    centralizer_group = PermGroup._centralizer_group
+    centralizer_filter = kernels.centralizer_filter
+    subgroup_from_elements = group_module._subgroup_from_elements
 
-    def counting(self, targets, limit):
-        calls.append(self.order())
-        return centralizer_group(self, targets, limit)
+    def filtering(elements, targets):
+        calls.append("filter")
+        return centralizer_filter(elements, targets)
 
-    monkeypatch.setattr(PermGroup, "_centralizer_group", counting)
+    def building(degree, elements):
+        calls.append("build")
+        return subgroup_from_elements(degree, elements)
+
+    monkeypatch.setattr(kernels, "centralizer_filter", filtering)
+    monkeypatch.setattr(group_module, "_subgroup_from_elements", building)
     assert hkr_rank(cyclic(8), 2, 2) == 64
     assert calls == []
 
@@ -324,7 +339,7 @@ def _walk_components():
 
 # sha256 over the walk's components: the representative, orbit size,
 # centralizer generators and order of each.
-WALK_DIGEST = "6a2da32b3bf9ef645e7d877a40c2c46c3c3c740e09fd775ac55c76626fa7bf0e"
+WALK_DIGEST = "df5b2b71047cdaefeaa711cef13081b725221df70b02d695aca8517b95449e8c"
 
 # sha256 over the same components' centralizers apart from their
 # generators: the sorted elements, order and class profile of each.

@@ -214,19 +214,6 @@ def test_factor_rule_on_products_of_corpus_pairs(corpus):
                 assert_factor_rule_matches_enumeration(cent, (a, b, rep.cycle_string()))
 
 
-def test_a_product_centralizer_refuses_factors_of_another_order():
-    # C((0 1), 1) in S_3 x C_4 is C_2 x C_4, of order 8, and records the
-    # factors' centralizers; a record whose factor orders multiply to
-    # another number is refused, and the one it has is kept.
-    product = direct_product(symmetric(3), cyclic(4))
-    cent = product.centralizer([Permutation.from_cycles("(0 1)", 7)])
-    record = cent.factor_record()
-    assert [f.order() for f in record[0]] == [2, 4] and record[1] is None
-    with pytest.raises(ChromarankError, match="factors of order 24 recorded on a group of order 8"):
-        cent._record_factors((symmetric(3), cyclic(4)))
-    assert cent.factor_record() is record and cent.order() == 8
-
-
 def test_a_product_centralizer_records_a_centralizing_factor_itself(monkeypatch):
     # C((0 1), 1) in S_3 x S_4 is C_S3((0 1)) x S_4.  The S_4 factor is
     # recorded as the factor object itself, not as an interned copy of it,

@@ -61,6 +61,7 @@ from conftest import (
     o_order,
     o_parity,
     relabeling,
+    small_groups,
 )
 
 
@@ -257,16 +258,23 @@ def test_interning_outlives_the_root_group():
 def test_product_centralizers_with_one_factor_key_are_built_once(monkeypatch):
     # (x, h1) and (x, h2) with h1, h2 in the central factor C_4 both have
     # the centralizer C_S3(x) x C_4, keyed by the factors' centralizers: the
-    # second target finds it by that key and assembles no elements.
+    # first target builds it from their generators, assembling no elements,
+    # and the second finds it by that key.
     calls = []
     product_elements = group_module._product_elements
+    build = group_module._direct_product
 
     def counting(factors):
-        calls.append(factors)
+        calls.append("elements")
         return product_elements(factors)
 
-    monkeypatch.setattr(group_module, "_product_elements", counting)
+    def building(factors):
+        calls.append("build")
+        return build(factors)
+
     group = direct_product(symmetric(3), cyclic(4))
+    monkeypatch.setattr(group_module, "_product_elements", counting)
+    monkeypatch.setattr(group_module, "_direct_product", building)
     x = Permutation.from_cycles("(0 1)", 3).images
     h = cyclic(4).generators[0]
     cents = [
@@ -275,7 +283,58 @@ def test_product_centralizers_with_one_factor_key_are_built_once(monkeypatch):
     ]
     assert cents[0] is cents[1]
     assert cents[0].order() == 2 * 4
-    assert len(calls) == 1
+    assert calls == ["build"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_groups(), small_groups(), st.data())
+def test_product_centralizers_close_their_elements_only_when_asked(g, h, data):
+    # A recorded product's centralizer of 0 to 2 targets, each drawn from
+    # the center half the time, is the product itself exactly when every
+    # target is central, and otherwise the direct product of the factors'
+    # centralizers, built from their generators: no elements are assembled,
+    # picked or closed for it until they are asked for, and they are then
+    # the ones centralizer_filter keeps.  Equal element sets are one object.
+    product = direct_product(g, h)
+    centers = [o_centralizer(f._raw_elements(), f._raw) for f in (g, h)]
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    interned = {}
+    for _ in range(3):
+        pairs = [
+            tuple(
+                data.draw(st.sampled_from(center if data.draw(st.booleans()) else f._raw_elements()))
+                for f, center in zip((g, h), centers)
+            )
+            for _ in range(data.draw(st.integers(min_value=0, max_value=2)))
+        ]
+        # The factors' own centralizers, which the product's asks for.
+        g._centralizer_raw([x for x, _ in pairs])
+        h._centralizer_raw([y for _, y in pairs])
+        targets = [x + tuple(g.degree + v for v in y) for x, y in pairs]
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            for owner, name in (
+                (group_module, "_product_elements"),
+                (group_module, "_subgroup_from_elements"),
+                (kernels, "close_group"),
+            ):
+                mp.setattr(owner, name, counting(name, getattr(owner, name)))
+            cent = product._centralizer_raw(targets)
+            cent.order()
+        assert calls == [], targets
+        central = all(o_compose(t, s) == o_compose(s, t) for t in targets for s in product._raw)
+        assert (cent is product) == central, targets
+        elements = cent._raw_elements()
+        assert elements == tuple(kernels.centralizer_filter(list(product._raw_elements()), targets))
+        assert interned.setdefault(elements, cent) is cent, targets
 
 
 def test_repeated_centralizer_skips_the_intern_table(corpus, monkeypatch):
@@ -372,6 +431,11 @@ def test_subgroup_generators_match_chain_per_generator_selection(corpus):
         subgroups += [group.center(), group.sylow_subgroup(2), group.sylow_subgroup(3)]
         for sub in subgroups:
             if sub is group:  # an abelian group is its own center
+                continue
+            record = sub.factor_record()
+            if record is not None:
+                # a product's centralizer, built as the product is
+                assert sub._raw == direct_product(*record[0])._raw and record[1] is None, name
                 continue
             gens, chain = _chain_per_generator_selection(group.degree, sub._raw_elements())
             assert list(sub._raw) == gens, name

@@ -149,6 +149,15 @@ def test_orbits_match_loop_reference_in_discovery_order():
     assert_orbits_match_loop_reference(_kernels_py)
 
 
+def test_conjugacy_orbit_refuses_fewer_inverses_than_generators(kernels_c):
+    # (0 1) under S_3's generators (0 1) and (1 2) has an orbit of three;
+    # under the first alone, of one.  Neither backend drops the generator
+    # that has no inverse: both raise ValueError.
+    for impl in (_kernels_py, kernels_c):
+        with pytest.raises(ValueError):
+            impl.conjugacy_orbit((1, 0, 2), [(1, 0, 2), (0, 2, 1)], [(1, 0, 2)])
+
+
 def test_centralizer_filter_matches_oracle():
     for gens, elems in small_groups():
         rng = random.Random(len(elems))

@@ -5,6 +5,7 @@ import logging
 import math
 import operator
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from chromarank import (
     cyclic,
     explore,
     general_linear,
+    hkr_rank,
     register_derivation,
     replay,
     seed_defaults,
@@ -827,23 +829,21 @@ def _wreath_derived_without_base_power(original):
 
 def _first_factor_product_centralizer(original):
     # A wrong product rule: C_G(x) x H, as if y were central in H.
-    def wrong(factors, z, limit):
-        (first, *_), _ = original(factors, z, limit)
-        subs = (first, *factors[1:])
-        return subs, lambda: group_mod._product_elements(
-            [(s.degree, s._raw_elements(limit)) for s in subs]
-        )
+    def wrong(factors, targets, limit):
+        first, *_ = original(factors, targets, limit)
+        return (first, *factors[1:])
 
     return wrong
 
 
 def _swapped_product_centralizer_factors(original):
-    # A wrong record for product centralizers only, the groups whose order
-    # is known before their record: C_H(y) x C_G(x).  Its order, profile
-    # and derived order are right, so the fingerprint is too; its class
-    # reps are y + x.
+    # A wrong record for product centralizers only, the products that
+    # _centralizer_group builds through _direct_product: C_H(y) x C_G(x)
+    # on the generators of C_G(x) x C_H(y).  Its order, profile and
+    # derived order are right, so the fingerprint is too; its class reps
+    # are y + x.
     def wrong(self, factors, n=None):
-        if n is None and "order" in self._cache:
+        if n is None and sys._getframe(2).f_code.co_name == "_centralizer_group":
             factors = factors[::-1]
         return original(self, factors, n)
 
@@ -1081,6 +1081,21 @@ def test_explore_suffixes_a_taken_name():
     assert reg.get("wr(c(2),c(2))#2").expr == "wr(c(2),c(2))"
 
 
+def test_every_entry_point_refuses_a_composite_prime_alike():
+    # One check (arith.check_prime) serves the registry, the search, explore,
+    # the Sylow subgroup and the ranks.
+    for call in (
+        lambda: Registry(4),
+        lambda: seed_defaults(4),
+        lambda: certify("c(1)", 4, Registry()),
+        lambda: explore(Registry(), 4, 16),
+        lambda: cyclic(4).sylow_subgroup(4),
+        lambda: hkr_rank(cyclic(4), 4, 1),
+    ):
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            call()
+
+
 def test_explore_refuses_a_composite_or_foreign_prime():
     with pytest.raises(ValueError, match="4 is not prime"):
         explore(Registry.with_defaults(2), 4, 16)
@@ -1147,9 +1162,10 @@ def test_explore_p3_rounds_match_the_pinned_lines(caplog):
 def test_explore_builds_no_product_duplicate(monkeypatch):
     # A product candidate and a centralizer candidate of a recorded product
     # take their fingerprints from their factors', so a fingerprint
-    # duplicate among them builds no product and no subgroup of the
-    # candidate's degree (its factor centralizers, interned in the factors,
-    # have smaller degrees).
+    # duplicate among them calls no direct_product and builds no subgroup
+    # of the candidate's degree from elements (its factor centralizers,
+    # interned in the factors, have smaller degrees; a product's
+    # centralizer is built from their generators).
     built = []
     direct_product = constructors.direct_product
     subgroup_from_elements = group_mod._subgroup_from_elements
@@ -1222,13 +1238,11 @@ def test_explore_paranoid_mode_builds_and_checks_every_candidate(monkeypatch, tm
 
 
 def test_explore_paranoid_mode_checks_a_fingerprint_taken_before_the_build(monkeypatch):
-    # A wrong rule for the fingerprint of a product's centralizer that is
-    # not built: the parent's own fingerprint.  Without paranoid mode each
-    # such candidate passes for a duplicate of its parent; paranoid mode
+    # A wrong rule for the fingerprint of a product candidate, which is not
+    # built: its first factor's fingerprint.  Without paranoid mode each
+    # such candidate passes for a duplicate of that factor; paranoid mode
     # builds it and compares.
-    monkeypatch.setattr(
-        PermGroup, "_centralizer_fingerprint", lambda self, target, limit, known: self.fingerprint(limit)
-    )
+    monkeypatch.setattr(registry_mod, "product_fingerprint", lambda prints: prints[0])
     explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 243, depth=6)
     with pytest.raises(ConsistencyError, match="differs from its built group's"):
         explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 243, depth=6, paranoid=True)
