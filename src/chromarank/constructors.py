@@ -1,12 +1,17 @@
 """Standard group constructions as permutation groups.
 
 Every constructor is deterministic: generator lists come out in a fixed
-order, and point labellings are documented per constructor.
+order, and point labellings are documented per constructor.  Each records
+its group's order when it builds it (PermGroup._record_order): a closed form
+for the atoms, the factors' for direct_product and wreath_cyclic.  So
+order() builds no stabilizer chain, and the first closure of the elements
+checks the formula and the generating set against each other.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import factorial, prod
 
 from .arith import is_prime, primitive_root
 from .errors import ChromarankError
@@ -21,20 +26,20 @@ def cyclic(n: int) -> PermGroup:
     if n == 1:
         return PermGroup.trivial(1)
     images = tuple(range(1, n)) + (0,)
-    return PermGroup(n, (Permutation(images),))
+    return PermGroup(n, (Permutation(images),))._record_order(n)
 
 
 def symmetric(n: int) -> PermGroup:
-    """S_n on n points, generated by (0 1) and the n-cycle."""
+    """S_n on n points, generated by (0 1) and the n-cycle; order n!."""
     if n < 1:
         raise ValueError("symmetric degree must be at least 1")
     if n == 1:
         return PermGroup.trivial(1)
     swap = Permutation((1, 0) + tuple(range(2, n)))
     if n == 2:
-        return PermGroup(2, (swap,))
+        return PermGroup(2, (swap,))._record_order(2)
     cycle = Permutation(tuple(range(1, n)) + (0,))
-    return PermGroup(n, (swap, cycle))
+    return PermGroup(n, (swap, cycle))._record_order(factorial(n))
 
 
 def dihedral(n: int) -> PermGroup:
@@ -43,25 +48,25 @@ def dihedral(n: int) -> PermGroup:
         raise ValueError("dihedral parameter must be at least 3")
     rotation = Permutation(tuple(range(1, n)) + (0,))
     reflection = Permutation((0,) + tuple(range(n - 1, 0, -1)))
-    return PermGroup(n, (rotation, reflection))
+    return PermGroup(n, (rotation, reflection))._record_order(2 * n)
 
 
 def quaternion8() -> PermGroup:
     """Q_8 in its regular representation on 8 points.
 
     Points stand for 1, i, j, k, -1, -i, -j, -k in that order; the
-    generators are right multiplication by i and by j.
+    generators are right multiplication by i and by j.  The order is 8.
     """
     by_i = Permutation((1, 4, 7, 2, 5, 0, 3, 6))
     by_j = Permutation((2, 3, 4, 5, 6, 7, 0, 1))
-    return PermGroup(8, (by_i, by_j))
+    return PermGroup(8, (by_i, by_j))._record_order(8)
 
 
 def abelian(invariants: list[int] | tuple[int, ...]) -> PermGroup:
     """Direct product of cyclic groups, one cycle per factor on its own block.
 
     The degree is the sum of the invariants; abelian(()) is the trivial
-    group of degree 1.
+    group of degree 1.  The order is the product of the invariants.
     """
     invs = tuple(invariants)
     if any(n < 1 for n in invs):
@@ -79,7 +84,7 @@ def abelian(invariants: list[int] | tuple[int, ...]) -> PermGroup:
                 images[offset + i] = offset + (i + 1) % n
             gens.append(Permutation(images))
         offset += n
-    return PermGroup(degree, gens)
+    return PermGroup(degree, gens)._record_order(prod(invs))
 
 
 def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
@@ -133,7 +138,8 @@ def general_linear(n: int, q: int) -> PermGroup:
     Vectors are ordered lexicographically.  Generators: the diagonal matrix
     diag(r, 1, ..., 1) for the least primitive root r, then the elementary
     transvections E_ij(1) in lexicographic (i, j) order; over a prime field
-    these generate the full group.
+    these generate the full group, of order prod (q**n - q**i) for
+    i = 0, ..., n-1.
     """
     if n < 1:
         raise ValueError("matrix rank must be at least 1")
@@ -155,7 +161,8 @@ def general_linear(n: int, q: int) -> PermGroup:
     if not mats:  # GL_1(F_2) is trivial
         return PermGroup.trivial(1)
     gens = [_matrix_to_perm(m, vectors, index, q) for m in mats]
-    return PermGroup(len(vectors), gens)
+    order = prod(q**n - q**i for i in range(n))
+    return PermGroup(len(vectors), gens)._record_order(order)
 
 
 def unitriangular4(q: int) -> PermGroup:
@@ -175,7 +182,7 @@ def unitriangular4(q: int) -> PermGroup:
             m = [[1 if a == b else 0 for b in range(4)] for a in range(4)]
             m[i][j] = 1
             gens.append(_matrix_to_perm(m, vectors, index, q))
-    return PermGroup(len(vectors), gens)
+    return PermGroup(len(vectors), gens)._record_order(q**6)
 
 
 _ATOMS = {

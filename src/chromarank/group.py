@@ -2,14 +2,18 @@
 
 The chain is built by a non-randomized Schreier-Sims pass with base points
 chosen as the smallest non-fixed point of each new strong generator, so
-orders, transversals and membership tests reproduce bit for bit.  Element
+orders, transversals and membership tests reproduce bit for bit.  It is
+built only for a membership test or for the order of a group that
+recorded none (_record_order): the constructors record a closed form for
+each atom family and the factors' for products and wreaths, and a
+subgroup records the size of the element set it is built from.  Element
 enumeration, conjugacy classes, centralizers, Sylow subgroups and
 fingerprints only run below a configurable order limit (the default is
 2**21; see enumeration_limit).  Every group's sorted elements are the
 closure of its generators, and their orders come from the element_order
 kernel.  A direct product or cyclic wreath product recorded by its
 constructor takes its order and fingerprint from its factors', with no
-chain or enumeration; its class table from theirs, with no class walk;
+enumeration; its class table from theirs, with no class walk;
 and its centralizers from their elements and centralizers, with no
 filtering of its own elements.  A product's centralizer C_G(x) x C_H(y)
 is built from those factor centralizers' generators as the product is
@@ -36,7 +40,7 @@ import os
 import weakref
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import chain, compress, islice, product
+from itertools import compress, islice, product
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
@@ -376,7 +380,20 @@ class PermGroup:
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree, (Permutation.identity(degree),))
+        return cls(degree, (Permutation.identity(degree),))._record_order(1)
+
+    def _record_order(self, order: int) -> "PermGroup":
+        """Record the group's order, known from how it was built; returns
+        the group.
+
+        The constructors of the atom families record a closed form, a
+        product or wreath its factors' (_record_factors), and a subgroup
+        the size of the span it was closed from, so none of them builds a
+        stabilizer chain for order().  The record is checked wherever the
+        elements are closed: _close compares the closure's length with it.
+        """
+        self._cache["order"] = order
+        return self
 
     # -- chain-backed queries ------------------------------------------------
 
@@ -386,6 +403,8 @@ class PermGroup:
         return self._chain
 
     def order(self) -> int:
+        """|G|: the order recorded when the group was built (_record_order),
+        else that of its stabilizer chain, which is then built."""
         cached = self._cache.get("order")
         if cached is None:
             cached = self.chain().order()
@@ -438,8 +457,11 @@ class PermGroup:
 
     def _close(self) -> tuple[tuple[int, ...], ...]:
         """The sorted elements: the closure of the generators, whose length
-        is checked against order(), the stabilizer chain order or, for a
-        recorded direct product or wreath, the order its record gives."""
+        is checked against order().  That is the recorded order when there
+        is one (_record_order): an atom's closed form, or the order a
+        direct product's or wreath's record gives, so the closure checks
+        each formula and generating set.  Else it is the stabilizer chain's.
+        """
         n = self.order()
         closed = kernels.close_group(list(self._raw), n)
         if closed is None or len(closed) != n:
@@ -544,8 +566,7 @@ class PermGroup:
             (base,) = factors
             order = base.order() ** n * n
         self._cache["factors"] = self._cache["factors up to relabeling"] = (factors, n)
-        self._cache["order"] = order
-        return self
+        return self._record_order(order)
 
     def factor_record(self) -> tuple[tuple["PermGroup", ...], int | None] | None:
         """(factors, n) when the group is, up to a relabeling of its points,
@@ -774,9 +795,9 @@ class PermGroup:
                     f"desk-scale exceeded: derived subgroup order > limit {cap}"
                 )
             work.extend(kernels.conjugate(x, g) for g in self._raw)
-        derived = PermGroup(self.degree, tuple(Permutation._wrap(t) for t in gens or [identity]))
-        derived._cache["order"] = len(span)
-        return derived
+        return PermGroup(
+            self.degree, tuple(Permutation._wrap(t) for t in gens or [identity])
+        )._record_order(len(span))
 
     def fingerprint(self, limit: int | None = None) -> Fingerprint:
         return self._cached("fingerprint", limit, lambda: self._fingerprint(limit))
@@ -900,15 +921,33 @@ def _wreath_words(rows, base_order: int, n: int):
     by C_d.  word is the least rotation of those row indices.  The class
     has element order lcm(m * o(c_i)) and size r * |H|**(n - d) * prod
     |c_i|, for r the number of distinct rotations of word.
+
+    The orders m * o(c) are read from a column made once per j, and the
+    sizes from one made once per call.  The first rotation of word, by r
+    = 1, ..., d, that is not greater than word decides it: a smaller one
+    means word is not the least, and an equal one means r is its period,
+    the number of its distinct rotations (r = d gives word back).  For d =
+    1 each row is one word.
     """
+    indices = range(len(rows))
+    sizes = [size for _, size in rows]
     for j in range(n):
         d = gcd(j, n)
         m = n // d
-        for word in product(range(len(rows)), repeat=d):
-            rotations = {word[i:] + word[:i] for i in range(d)}
-            if word == min(rotations):
-                size = len(rotations) * base_order ** (n - d) * prod(rows[i][1] for i in word)
-                yield j, word, lcm(*(m * rows[i][0] for i in word)), size
+        orders = [m * o for o, _ in rows]
+        power = base_order ** (n - d)
+        if d == 1:
+            for i in indices:
+                yield j, (i,), orders[i], power * sizes[i]
+            continue
+        for word in product(indices, repeat=d):
+            for r in range(1, d + 1):
+                rotation = word[r:] + word[:r]
+                if rotation <= word:
+                    break
+            if rotation == word:
+                size = r * power * prod([sizes[i] for i in word])
+                yield j, word, lcm(*[orders[i] for i in word]), size
 
 
 def _product_classes(tables, order: int | None) -> list:
@@ -1026,6 +1065,16 @@ def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: in
     offset, q_s**-1 and r_s of each block: they fix the elements, which
     build() composes and concatenates.
 
+    Compositions are itemgetters, each one C call: the scan builds the
+    getter of q_m once per t and cycle, and build() that of each q_s**-1
+    and r_s shifted onto its image block once per call, so each kept y
+    costs its own getter and two getter calls per block.  The key holds
+    the permutations, not the getters, which compare by identity, so equal
+    centralizers meet under one key.  itemgetter of one index returns the
+    bare item, so the getters need degree 2 or more: a base of degree 1
+    is trivial, its wreath is abelian and every target central, so none
+    reaches here.
+
     They come out sorted with no sort: an element with top part c**t sends
     point 0 into block t, so t comes first; and blocks 0, ..., d-1 are the
     starts of cycles 0, ..., d-1, whose kept values are scanned in H's
@@ -1053,7 +1102,9 @@ def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: in
                 q.append(compose(q[-1], h[b]))
                 rr.append(compose(rr[-1], h[(b + t) % n]))
             closed_q, closed_r = q.pop(), rr.pop()
-            kept = tuple(y for y in elements if compose(y, closed_r) == compose(closed_q, y))
+            # y r = q y, with y r = itemgetter(*y)(r) and q y = q's getter of y.
+            q_then = itemgetter(*closed_q)
+            kept = tuple(y for y in elements if itemgetter(*y)(closed_r) == q_then(y))
             # Per block r, r + d, ... of the cycle, in that order: the
             # offset of its image block c_s + t, q_s**-1 and r_s.
             order = sorted(range(m), key=cycle.__getitem__)
@@ -1075,14 +1126,17 @@ def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: in
         for cycles in parts:
             words = [()]
             for kept, steps in cycles:
-                values = [
-                    tuple(
-                        chain.from_iterable(
-                            map(o.__add__, compose(compose(qi, y), ri)) for o, qi, ri in steps
-                        )
-                    )
-                    for y in kept
-                ]
+                # Block s of the cycle takes q_s**-1 y r_s, shifted onto its
+                # image block: y's getter of r_s shifted there, then
+                # q_s**-1's getter.
+                getters = [(itemgetter(*qi), tuple([v + o for v in ri])) for o, qi, ri in steps]
+                values = []
+                for y in kept:
+                    y_then = itemgetter(*y)
+                    value = ()
+                    for qi_then, shifted in getters:
+                        value += qi_then(y_then(shifted))
+                    values.append(value)
                 words = [w + v for w in words for v in values]
             out.extend(words if reorder is None else map(reorder, words))
         return tuple(out)
@@ -1113,7 +1167,7 @@ def _subgroup_from_elements(degree: int, raw_elements) -> PermGroup:
     if len(span) != len(elems) or span != set(elems):
         raise ChromarankError("element list is not closed under the group operation")
     group = PermGroup(degree, tuple(Permutation._wrap(t) for t in gens or [identity]))
-    group._cache["order"] = len(elems)
+    group._record_order(len(elems))
     group._cache["elements_raw"] = tuple(elems)
     return group
 

@@ -1,6 +1,9 @@
 import json
 import logging
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,21 @@ def test_order(capsys):
     assert run(["order", "wr(gl(2,3),c(2))"]) == 0
     out, _ = out_of(capsys)
     assert out == "4608"
+
+
+def test_module_runs_the_command_line_from_a_checkout():
+    # python -m chromarank works with the checkout's src on PYTHONPATH,
+    # with nothing installed.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "chromarank", "order", "s(4)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "24\n", "")
 
 
 def test_order_json(capsys):

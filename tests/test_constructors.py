@@ -19,6 +19,7 @@ from chromarank import (
     wreath_cyclic,
 )
 
+from chromarank import group as group_module
 from chromarank.dsl import evaluate, parse
 from chromarank.group import _Chain
 
@@ -256,8 +257,96 @@ def test_a_product_centralizer_records_a_centralizing_factor_itself(monkeypatch)
         "wr(c(1),c(6))",
     ],
 )
-def test_factor_rule_on_wreaths(text):
-    assert_factor_rule_matches_enumeration(evaluate(parse(text)), text)
+def test_factor_rule_on_wreaths(text, monkeypatch):
+    # The centralizers are checked for every class rep, so every cycle
+    # count d = gcd(j, n) of a top part c**j reaches _wreath_centralizer's
+    # build(), unless the group is abelian and every target central.  For
+    # 1 < d < n (c**2 in wr(s(3),c(4)), say) build() lists the blocks cycle
+    # by cycle and puts them back in block order with one getter.
+    _, built = _record_wreath_centralizers(monkeypatch)
+    group = evaluate(parse(text))
+    assert_factor_rule_matches_enumeration(group, text)
+    (_,), n = group.factor_record()
+    cycle_counts = {math.gcd(key[0], n) for key in built}
+    assert cycle_counts == (set() if group.is_abelian() else {math.gcd(j, n) for j in range(n)}), text
+
+
+def _record_wreath_centralizers(monkeypatch):
+    """(keys, built): the factor key of each _wreath_centralizer call from
+    now on, and of each build() run."""
+    keys, built = [], []
+    wreath_centralizer = group_module._wreath_centralizer
+
+    def recording(base, n, z, limit):
+        key, build = wreath_centralizer(base, n, z, limit)
+        keys.append(key)
+
+        def recorded():
+            built.append(key)
+            return build()
+
+        return key, recorded
+
+    monkeypatch.setattr(group_module, "_wreath_centralizer", recording)
+    return keys, built
+
+
+def _wreath_words_by_rotation_sets(rows, base_order, n):
+    # The reference formulation: the set of a word's rotations, its min and
+    # its length, for every word.
+    for j in range(n):
+        d = math.gcd(j, n)
+        m = n // d
+        for word in itertools.product(range(len(rows)), repeat=d):
+            rotations = {word[i:] + word[:i] for i in range(d)}
+            if word == min(rotations):
+                size = len(rotations) * base_order ** (n - d) * math.prod(rows[i][1] for i in word)
+                yield j, word, math.lcm(*(m * rows[i][0] for i in word)), size
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=4),
+    st.integers(1, 50),
+    st.integers(1, 6),
+)
+def test_wreath_words_match_the_rotation_set_reference(rows, base_order, n):
+    got = list(group_module._wreath_words(rows, base_order, n))
+    assert got == list(_wreath_words_by_rotation_sets(rows, base_order, n))
+
+
+def test_wreath_centralizers_with_one_factor_key_are_built_once(monkeypatch):
+    # z = (h_0, h_1; 1) and z' = (h_0**-1, h_1**-1; 1) have one centralizer,
+    # since y h_(r+t) = h_r y exactly when y h_(r+t)**-1 = h_r**-1 y.  Their
+    # factor keys hold the kept values and each block's offset, q_s**-1 and
+    # r_s as tuples, so they are equal and hash alike: the second target
+    # finds the subgroup the first built.  A key holding getters, which
+    # compare by identity, would miss.
+    keys, built = _record_wreath_centralizers(monkeypatch)
+    group = wreath_cyclic(symmetric(3), 2)
+    targets = [Permutation.from_cycles(text, 6) for text in ("(0 1 2)(3 4 5)", "(0 2 1)(3 5 4)")]
+    cents = [group.centralizer([z]) for z in targets]
+    assert cents[0] is cents[1] and cents[0].order() == 18
+    assert len(keys) == 2 and keys[0] == keys[1] and hash(keys[0]) == hash(keys[1])
+    assert len(built) == 1
+
+
+def test_no_wreath_centralizer_has_a_base_of_degree_one(monkeypatch):
+    # itemgetter of one index returns the bare item, not a 1-tuple, so the
+    # getters of _wreath_centralizer need a base of degree 2 or more.  A
+    # base of degree 1 is trivial and its wreath C_n abelian: every target
+    # is central, and the group is its own centralizer before the wreath
+    # rule is reached.
+    def refuse(base, n, z, limit):
+        raise AssertionError(f"wreath centralizer over a base of degree {base.degree}")
+
+    monkeypatch.setattr(group_module, "_wreath_centralizer", refuse)
+    for base in (cyclic(1), symmetric(1), general_linear(1, 2), PermGroup.trivial(1)):
+        for n in range(1, 7):
+            group = wreath_cyclic(base, n)
+            for x in group._raw_elements():
+                assert group._centralizer_raw([x]) is group, n
+            assert group.center() is group, n
 
 
 NESTED_CONSTRUCTIONS = [
@@ -275,9 +364,27 @@ def test_factor_rule_on_nested_constructions(text):
     assert_factor_rule_matches_enumeration(evaluate(parse(text)), text)
 
 
+# Every atom family, with the parameters whose recorded closed-form order is
+# checked against the chain and the closure of its generators.
+ATOMS = {
+    **{f"c({n})": lambda n=n: cyclic(n) for n in range(1, 13)},
+    **{f"s({n})": lambda n=n: symmetric(n) for n in range(1, 7)},
+    **{f"d({n})": lambda n=n: dihedral(n) for n in range(3, 11)},
+    "q8": quaternion8,
+    **{f"ab{invs}": lambda invs=invs: abelian(invs) for invs in [(1, 1), (2, 4), (2, 2, 3)]},
+    **{
+        f"gl({n},{q})": lambda n=n, q=q: general_linear(n, q)
+        for n, q in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]
+    },
+    **{f"unitriangular4({q})": lambda q=q: unitriangular4(q) for q in (2, 3)},
+}
+
+
 def test_recorded_order_matches_the_chain(corpus):
-    # A product or wreath stores its order from its factors when it is
-    # built; a stabilizer chain on its generators is the independent check.
+    # An atom stores its closed-form order, and a product or wreath its
+    # order from its factors, when it is built; a stabilizer chain on its
+    # generators is the independent check, and for an atom so is the
+    # number of elements its generators close to.
     groups = {
         (a, b): direct_product(g, h)
         for (a, g), (b, h) in itertools.combinations_with_replacement(corpus.items(), 2)
@@ -286,10 +393,29 @@ def test_recorded_order_matches_the_chain(corpus):
         ((name, n), wreath_cyclic(g, n)) for name, g in corpus.items() for n in (1, 2, 3, 4)
     )
     groups.update((text, evaluate(parse(text))) for text in NESTED_CONSTRUCTIONS)
+    groups.update((text, build()) for text, build in ATOMS.items())
     for label, group in groups.items():
         assert group._chain is None, label
         assert group.order() == _Chain(group.degree, group._raw).order(), label
         assert group._chain is None, label
+    for text in ATOMS:
+        group = groups[text]
+        assert group.order() == len(group.elements()), text
+        assert group._chain is None, text
+
+
+def test_closure_refuses_a_wrong_recorded_order(monkeypatch):
+    # _close checks the closure of the generators against the recorded
+    # order, so a wrong closed form, or a generating set that does not
+    # give the group the formula counts, is caught as soon as the elements
+    # are asked for: here every recorded order is one too many.
+    record_order = PermGroup._record_order
+    monkeypatch.setattr(PermGroup, "_record_order", lambda self, order: record_order(self, order + 1))
+    for text, build in ATOMS.items():
+        group = build()
+        with pytest.raises(ChromarankError, match="closure disagrees with the group order"):
+            group._raw_elements()
+        assert group._chain is None, text
 
 
 @settings(deadline=None, max_examples=30)

@@ -592,12 +592,8 @@ def test_derived_subgroup():
             assert a.inverse() * b.inverse() * a * b in der
 
 
-def test_derived_and_sylow_build_no_chain(monkeypatch):
-    # Derived and Sylow subgroups grow as Dimino spans inside the group, so
-    # once the group's own chain exists no further chain is built.
-    groups = [build() for build in CORPUS_BUILDERS.values()]
-    for group in groups:
-        group.chain()
+def _count_chain_builds(monkeypatch) -> list:
+    """The degrees of the stabilizer chains built from now on, in order."""
     builds = []
     chain_init = _Chain.__init__
 
@@ -606,6 +602,16 @@ def test_derived_and_sylow_build_no_chain(monkeypatch):
         chain_init(self, degree, raw_gens)
 
     monkeypatch.setattr(_Chain, "__init__", counting)
+    return builds
+
+
+def test_derived_and_sylow_build_no_chain(monkeypatch):
+    # Derived and Sylow subgroups grow as Dimino spans inside the group, so
+    # once the group's own chain exists no further chain is built.
+    groups = [build() for build in CORPUS_BUILDERS.values()]
+    for group in groups:
+        group.chain()
+    builds = _count_chain_builds(monkeypatch)
     for group in groups:
         group.derived_subgroup()
         for p in (2, 3):
@@ -756,6 +762,37 @@ def test_paper_tower_is_enumerated_from_its_factors(monkeypatch):
         "(4 20 12 28 6 22 14 30)"
     )
     assert memo[E18432].centralizer([rep]) is memo[E192]
+
+
+def test_paper_example_builds_no_chain(monkeypatch):
+    # Every group of the paper's example records its order when it is
+    # built: GL_2(F_3) and C_2 their closed forms, the wreaths their
+    # factors', and the centralizers and the Sylow subgroup the size of the
+    # element set they are built from.  So nothing asks for a chain.
+    builds = _count_chain_builds(monkeypatch)
+    group = evaluate(parse(E192))
+    assert group.order() == 192
+    assert len(group.conjugacy_classes()) == 32
+    assert group.sylow_subgroup(2).order() == 64
+    assert builds == []
+
+
+def test_only_membership_builds_a_chain(monkeypatch):
+    # A relabeled copy keeps the recorded order of every group of the
+    # corpus but A_4, which is built from bare generators and records none,
+    # so reading the copies' orders and elements builds A_4's chain alone.
+    # A membership test builds one chain and keeps it.
+    corpus = {name: build() for name, build in CORPUS_BUILDERS.items()}
+    copies = {name: group.conjugate_by(relabeling(group.degree)) for name, group in corpus.items()}
+    builds = _count_chain_builds(monkeypatch)
+    for name, copy in copies.items():
+        assert copy.order() == len(copy.elements()) == CORPUS_ORDERS[name], name
+    assert builds == [copies["A_4"].degree]
+    builds.clear()
+    group = symmetric(4)
+    assert Permutation.from_cycles("(0 1 2 3)", 4) in group
+    assert Permutation.from_cycles("(0 1)", 4) in group
+    assert builds == [4]
 
 
 def test_enumeration_checks_the_recorded_order(monkeypatch):
