@@ -389,7 +389,9 @@ class PermGroup:
         The constructors of the atom families record a closed form, a
         product or wreath its factors' (_record_factors), and a subgroup
         the size of the span it was closed from, so none of them builds a
-        stabilizer chain for order().  The record is checked wherever the
+        stabilizer chain for order().  conjugate_by's copy records the
+        original's order, and order() that of the chain it builds for a
+        group that recorded none.  The record is checked wherever the
         elements are closed: _close compares the closure's length with it.
         """
         self._cache["order"] = order
@@ -408,7 +410,7 @@ class PermGroup:
         cached = self._cache.get("order")
         if cached is None:
             cached = self.chain().order()
-            self._cache["order"] = cached
+            self._record_order(cached)
         return cached
 
     def contains(self, p: Permutation) -> bool:
@@ -830,9 +832,10 @@ class PermGroup:
             self.degree,
             tuple(Permutation._wrap(kernels.conjugate(t, s.images)) for t in self._raw),
         )
-        for key in ("order", "factors up to relabeling"):
-            if key in self._cache:
-                copy._cache[key] = self._cache[key]
+        if "order" in self._cache:
+            copy._record_order(self._cache["order"])
+        if "factors up to relabeling" in self._cache:
+            copy._cache["factors up to relabeling"] = self._cache["factors up to relabeling"]
         return copy
 
     def __repr__(self) -> str:
@@ -926,8 +929,7 @@ def _wreath_words(rows, base_order: int, n: int):
     sizes from one made once per call.  The first rotation of word, by r
     = 1, ..., d, that is not greater than word decides it: a smaller one
     means word is not the least, and an equal one means r is its period,
-    the number of its distinct rotations (r = d gives word back).  For d =
-    1 each row is one word.
+    the number of its distinct rotations (r = d gives word back).
     """
     indices = range(len(rows))
     sizes = [size for _, size in rows]
@@ -936,10 +938,6 @@ def _wreath_words(rows, base_order: int, n: int):
         m = n // d
         orders = [m * o for o, _ in rows]
         power = base_order ** (n - d)
-        if d == 1:
-            for i in indices:
-                yield j, (i,), orders[i], power * sizes[i]
-            continue
         for word in product(indices, repeat=d):
             for r in range(1, d + 1):
                 rotation = word[r:] + word[:r]
@@ -1073,7 +1071,7 @@ def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: in
     centralizers meet under one key.  itemgetter of one index returns the
     bare item, so the getters need degree 2 or more: a base of degree 1
     is trivial, its wreath is abelian and every target central, so none
-    reaches here.
+    reaches here, and the function asserts as much.
 
     They come out sorted with no sort: an element with top part c**t sends
     point 0 into block t, so t comes first; and blocks 0, ..., d-1 are the
@@ -1082,6 +1080,7 @@ def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: in
     in the order of those first d blocks.
     """
     degree = base.degree
+    assert degree > 1, "a wreath of a degree-1 base is abelian"
     elements = base._raw_elements(limit)
     compose = kernels.compose
     identity = tuple(range(degree))

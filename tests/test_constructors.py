@@ -347,6 +347,10 @@ def test_no_wreath_centralizer_has_a_base_of_degree_one(monkeypatch):
             for x in group._raw_elements():
                 assert group._centralizer_raw([x]) is group, n
             assert group.center() is group, n
+    # Were one to reach it, it would stop rather than compose wrongly.
+    monkeypatch.undo()
+    with pytest.raises(AssertionError, match="degree-1 base"):
+        group_module._wreath_centralizer(cyclic(1), 2, (1, 0), None)
 
 
 NESTED_CONSTRUCTIONS = [
