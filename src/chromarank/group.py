@@ -17,7 +17,9 @@ enumeration; its class table from theirs, with no class walk;
 and its centralizers from their elements and centralizers, with no
 filtering of its own elements.  A product's centralizer C_G(x) x C_H(y)
 is built from those factor centralizers' generators as the product is
-from its factors', records them, and takes the same from them.  A
+from its factors', records them, and takes the same from them; so is a
+wreath's centralizer that lies in its base, the product of the base's
+centralizers block by block.  A
 relabeled copy (conjugate_by) keeps the order and the record, and reads
 from it only what a relabeling does not change: the class profile, the
 derived order, a product's fingerprint and, in chromatic, the ranks.  A
@@ -38,8 +40,10 @@ from __future__ import annotations
 import json
 import os
 import weakref
+from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import compress, islice, product
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
@@ -414,9 +418,15 @@ class PermGroup:
         return cached
 
     def contains(self, p: Permutation) -> bool:
+        """Membership: a binary search of the sorted elements once they are
+        closed, else a sift through the stabilizer chain, built for it."""
         if p.degree != self.degree:
             raise DegreeMismatch(f"degree {p.degree} vs group degree {self.degree}")
-        return self.chain().contains(p.images)
+        elements = self._cache.get("elements_raw")
+        if elements is None:
+            return self.chain().contains(p.images)
+        i = bisect_left(elements, p.images)
+        return i < len(elements) and elements[i] == p.images
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
@@ -427,13 +437,37 @@ class PermGroup:
     def _noncentral_generators(self) -> tuple[tuple[int, ...], ...]:
         """The generators that fail to commute with some generator.  An
         element of the group commutes with every generator exactly when it
-        commutes with these, since the others are central."""
+        commutes with these, since the others are central.
+
+        A recorded direct product's generators are its factors', each on
+        its block (_direct_product), and one factor's commute with every
+        other factor's: a generator is central in the product exactly when
+        it is in its factor, so the product runs no commutes test."""
         cached = self._cache.get("noncentral")
         if cached is None:
             raw = self._raw
-            cached = tuple(a for a in raw if not all(kernels.commutes(a, b) for b in raw))
+            record = self._cache.get("factors")
+            if record is not None and record[1] is None:
+                flags = [g in f._noncentral_generators() for f in record[0] for g in f._raw]
+                cached = tuple(compress(raw, flags))
+            else:
+                cached = tuple(a for a in raw if not all(kernels.commutes(a, b) for b in raw))
             self._cache["noncentral"] = cached
         return cached
+
+    def _class_rep(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        """The least element of x's conjugacy class, as in the class table.
+        The first query of a class walks its orbit and remembers the least
+        member for every member, so each class is walked once."""
+        reps = self._cache.get("class reps")
+        if reps is None:
+            reps = self._cache["class reps"] = {}
+        rep = reps.get(x)
+        if rep is None:
+            orbit = kernels.conjugacy_orbit(x, self._raw, [kernels.inverse(g) for g in self._raw])
+            rep = min(orbit)
+            reps.update(dict.fromkeys(orbit, rep))
+        return rep
 
     # -- enumeration-backed queries -------------------------------------------
 
@@ -504,7 +538,8 @@ class PermGroup:
         product or wreath reads its classes from its factors' class tables
         (see _product_classes and _wreath_classes), with each class's
         element order and size from the formula _profile reads too
-        (_product_rows, _wreath_words).  Any other group walks
+        (_product_rows, _wreath_words).  In an abelian group every element
+        is a class of its own, so it walks no orbit.  Any other group walks
         its elements in sorted order, so each class is first reached at its
         least member.  With order given, only the classes of that element
         order are yielded; the walk then visits only the elements of that
@@ -526,6 +561,11 @@ class PermGroup:
                 rows = _wreath_classes(table, base.order(), base.degree, n, order)
             for t, size, o in rows:
                 yield Permutation._wrap(t), size, o
+            return
+        if self.is_abelian():
+            for t, o in zip(self._raw_elements(limit), self._element_orders(limit)):
+                if order is None or o == order:
+                    yield Permutation._wrap(t), 1, o
             return
         # A dict, not a set: on CPython a set of all |G| elements takes more memory.
         seen: dict[tuple[int, ...], None] = {}
@@ -578,8 +618,11 @@ class PermGroup:
         Read-only.  A group built by direct_product or wreath_cyclic has a
         record, and so has every proper centralizer of a recorded direct
         product, of one target or several, center() included: its factors
-        are the factors' centralizers (see _centralizer_group).  A wreath's
-        centralizer has none, nor has one that filtering found.
+        are the factors' centralizers (see _centralizer_group).  So has a
+        recorded wreath's centralizer that lies in its base, of targets in
+        the base: its n factors are the base's centralizers of the
+        targets' pieces.  Any other centralizer of a wreath has none, nor
+        has one that filtering found.
         conjugate_by keeps the record on the relabeled copy; only facts
         that a relabeling does not change (class profile, derived order,
         fingerprint, ranks) may be read from it.
@@ -608,10 +651,11 @@ class PermGroup:
     def _derived_order(self, limit: int | None) -> int:
         """|G'|: the product of the factors' for a recorded direct product,
         |H|**(n-1) * |H'| for a recorded H wr C_n (its abelianization is
-        H/H' x C_n), else the order of derived_subgroup."""
+        H/H' x C_n), 1 for an abelian group, else the order of
+        derived_subgroup."""
         record = self.factor_record()
         if record is None:
-            return self.derived_subgroup(limit).order()
+            return 1 if self.is_abelian() else self.derived_subgroup(limit).order()
         factors, n = record
         if n is None:
             return prod(f._derived_order(limit) for f in factors)
@@ -673,25 +717,26 @@ class PermGroup:
         own.  Any other group drops the targets that commute with its
         generators (_noncentral_generators) and returns itself when none is
         left.  A product's centralizer is the direct product of the factor
-        centralizers (_direct_product), and a wreath's that of the first
-        target left (_wreath_centralizer), filtered by the others.  Each is
-        built once per key, the data of the factors that fixes it, and
-        filed in the intern table under ("factors", key), which no sorted
-        element tuple equals.  Any other group filters its own elements.
+        centralizers (_intern_product).  So is a wreath's when every target
+        left lies in the base and their word of H-classes has no rotational
+        symmetry (_aperiodic_class_word): the product of the base's
+        centralizers of the targets' pieces, block by block.  Any other
+        wreath centralizer is that of the first target left
+        (_wreath_centralizer), filtered by the others; when that lies in
+        the base and so do the targets, it is the same product, so a
+        centralizer in the base is always that product.  Each is built once
+        per key, the data of the factors that fixes it, and filed in the
+        intern table under ("factors", key), which no sorted element tuple
+        equals.  Any other group filters its own elements.
         """
         record = self._cache.get("factors")
         if record is not None and record[1] is None:
             factors = record[0]
-            subs = _product_centralizer(factors, targets, limit)
+            pieces = _block_pieces([f.degree for f in factors], targets)
+            subs = _product_centralizer(factors, pieces, limit)
             if subs == factors:  # identity: groups compare by object
                 return self
-            table = self._intern_table()
-            key = ("factors", subs)
-            sub = table.get(key)
-            if sub is None:
-                sub = table[key] = _direct_product(subs)
-                sub._cache["intern"] = table
-            return sub
+            return self._intern_product(subs)
         gens = self._noncentral_generators()
         moving = [t for t in targets if not all(kernels.commutes(t, g) for g in gens)]
         if not moving:
@@ -701,6 +746,12 @@ class PermGroup:
                 tuple(kernels.centralizer_filter(list(self._raw_elements(limit)), moving))
             )
         (base,), n = record
+        # A top part c**j sends point 0 into block j: these lie in the base.
+        pieces = None
+        if all(z[0] < base.degree for z in moving):
+            pieces = _block_pieces([base.degree] * n, moving)
+            if _aperiodic_class_word(base, pieces):
+                return self._intern_product(_product_centralizer((base,) * n, pieces, limit))
         key, build = _wreath_centralizer(base, n, moving[0], limit)
         table = self._intern_table()
         key = ("factors", key)
@@ -708,9 +759,72 @@ class PermGroup:
         if sub is None:
             sub = table[key] = self._intern(build())
         if len(moving) > 1:
-            elements = sub._cache["elements_raw"]
-            sub = self._intern(tuple(kernels.centralizer_filter(list(elements), moving[1:])))
+            elements = tuple(kernels.centralizer_filter(list(sub._raw_elements(limit)), moving[1:]))
+            if pieces is not None and elements[-1][0] < base.degree:
+                # In the base, though the word has a symmetry: the product.
+                return self._intern_product(_product_centralizer((base,) * n, pieces, limit))
+            sub = self._intern(elements)
         return sub
+
+    def _intern_product(self, subs: tuple["PermGroup", ...]) -> "PermGroup":
+        """The direct product of subs (_direct_product), a centralizer of
+        this group, from the intern table under ("factors", subs): built
+        once per tuple of factor centralizers, from their generators, with
+        no elements."""
+        table = self._intern_table()
+        key = ("factors", subs)
+        sub = table.get(key)
+        if sub is None:
+            sub = table[key] = _direct_product(subs)
+            sub._cache["intern"] = table
+        return sub
+
+    def _p_class_centralizers(self, p: int, limit: int | None = None):
+        """Yield (element order, class size, rep, centralizer) for each
+        conjugacy class of p-power element order, in rep order: rep() gives
+        the class's least element, raw, and centralizer() its centralizer,
+        the group _centralizer_raw gives, each built when called.
+
+        A recorded direct product pairs its factors' classes of p-power
+        order, in the order _product_classes pairs all of them, since (x,
+        y) has p-power order exactly when x and y do.  A pair's order and
+        size come from _product_rows, its rep from _product_elements, and
+        its centralizer is the product of the factors' C(x) and C(y)
+        (_intern_product), as _centralizer_group finds it.  So neither the
+        product's class table nor its reps are built.  Any other group
+        reads its class table.
+        """
+        self._check_limit(limit)
+        record = self._cache.get("factors")
+        if record is None or record[1] is not None:
+            table = self.conjugacy_classes(limit)
+            for rep, size, o in zip(table.reps, table.sizes, table.orders):
+                if is_p_power(o, p):
+                    x = rep.images
+                    yield o, size, lambda x=x: x, partial(self._centralizer_raw, [x], limit)
+            return
+        factors = record[0]
+        reps, columns = [], []
+        for f in factors:
+            table = f.conjugacy_classes(limit)
+            keep = [i for i, o in enumerate(table.orders) if is_p_power(o, p)]
+            reps.append([table.reps[i].images for i in keep])
+            columns.append([(table.orders[i], table.sizes[i]) for i in keep])
+
+        @cache
+        def factor_centralizer(i, k):
+            return factors[i]._centralizer_raw([reps[i][k]], limit)
+
+        def rep(ks):
+            return _product_elements([(f.degree, [xs[k]]) for f, xs, k in zip(factors, reps, ks)])[0]
+
+        def centralizer(ks):
+            subs = tuple(map(factor_centralizer, range(len(ks)), ks))
+            return self if subs == factors else self._intern_product(subs)
+
+        picks = product(*[range(len(column)) for column in columns])
+        for (o, size), ks in zip(_product_rows(columns), picks):
+            yield o, size, partial(rep, ks), partial(centralizer, ks)
 
     def centralizer(self, targets: Iterable[Permutation], limit: int | None = None) -> "PermGroup":
         """Centralizer of a set of elements (see _centralizer_group)."""
@@ -1003,25 +1117,51 @@ def _product_elements(factors) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _product_centralizer(factors, targets, limit: int | None) -> tuple["PermGroup", ...]:
-    """The centralizers, one per factor, whose direct product is the
-    centralizer of targets in the direct product of factors:
-    C(x, y) = C_G(x) x C_H(y), for z = x + y shifted by deg G, and the
-    same with the pieces of every target.
+def _product_centralizer(factors, pieces, limit: int | None) -> tuple["PermGroup", ...]:
+    """The centralizers, one per factor, of the targets' pieces on its
+    block (_block_pieces), whose direct product is the centralizer of the
+    targets in the direct product of factors: C(x, y) = C_G(x) x C_H(y),
+    for z = x + y shifted by deg G, and the same with the pieces of every
+    target.
 
     Each factor's centralizer comes from its own _centralizer_raw, so it is
     memoized and interned there, and is the factor itself for central
     pieces: every (x, y) with y central in H gives (C_G(x), H).
     """
-    subs = []
+    return tuple(f._centralizer_raw(p, limit) for f, p in zip(factors, pieces))
+
+
+def _block_pieces(degrees, targets) -> list[list[tuple[int, ...]]]:
+    """Per block of points, of these degrees in order from point 0, the
+    pieces of the targets on it, moved onto points 0, 1, ...; each target
+    must map every block onto itself."""
+    out = []
     offset = 0
-    for f in factors:
-        end = offset + f.degree
-        # The first factor's pieces need no shift: a slice is their tuple.
-        pieces = [tuple([v - offset for v in z[offset:end]]) if offset else z[:end] for z in targets]
-        subs.append(f._centralizer_raw(pieces, limit))
+    for degree in degrees:
+        end = offset + degree
+        # The first block's pieces need no shift: a slice is their tuple.
+        out.append([tuple([v - offset for v in z[offset:end]]) if offset else z[:end] for z in targets])
         offset = end
-    return tuple(subs)
+    return out
+
+
+def _aperiodic_class_word(base: PermGroup, pieces) -> bool:
+    """Whether the word of the blocks' tuples of H-classes, for H = base
+    and the targets' pieces on each block of H wr C_n, equals no rotation
+    of itself by 0 < t < n.
+
+    A base element z = (h_0, ..., h_(n-1); 1) commutes with k = (k; c**t)
+    exactly when h_(b+t) = k_b**-1 h_b k_b for every b
+    (_wreath_centralizer's recurrence, with j = 0).  So top part c**t
+    occurs in the centralizer of base targets only if, for each, the class
+    of h_(b+t) is that of h_b for every b.  When the word has no such
+    symmetry, the centralizer lies in the base, and it is the product,
+    block by block, of C_H of the pieces on the block.  (James and Kerber,
+    The Representation Theory of the Symmetric Group, 4.2.)  Each piece's
+    class is read as its least member (PermGroup._class_rep).
+    """
+    word = [tuple(map(base._class_rep, block)) for block in pieces]
+    return all(word[t:] + word[:t] != word for t in range(1, len(word)))
 
 
 def _direct_product(factors) -> PermGroup:
@@ -1043,7 +1183,10 @@ def _direct_product(factors) -> PermGroup:
 
 def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: int | None):
     """The centralizer of z in H wr C_n, for H = base, as (key, build) for
-    PermGroup._centralizer_group.
+    PermGroup._centralizer_group.  That asks for it only when some target
+    has a top part c**j, j != 0, or the targets' word of H-classes has a
+    rotational symmetry: base targets with none have the product of the
+    base's centralizers (_aperiodic_class_word).
 
     Write z = (h; c**j) when z sends point i of block b to point h_b(i) of
     block (b + j) mod n, and an element k = (k; c**t) likewise.  z then k

@@ -43,6 +43,7 @@ from .group import (
     load_record,
     product_fingerprint,
 )
+from .perm import Permutation
 
 log = logging.getLogger(__name__)
 
@@ -564,16 +565,19 @@ def _register_candidate(
     built, and build() is called, at most once, only to add the entry, to
     compare the group with a bad entry its fingerprint matches, or in
     paranoid mode.  A centralizer candidate's fingerprint is that of the
-    group _centralizer_raw gives, which for a recorded product is built
-    from its factor centralizers' generators, with no elements, and
-    fingerprinted from theirs.
+    group _centralizer_raw gives, which for a recorded product, and for a
+    wreath's base target whose word of classes has no rotational symmetry,
+    is built from factor centralizers' generators, with no elements, and
+    fingerprinted from theirs.  A centralizer candidate stands for every
+    class that has that centralizer (_centralizer_children), so it is
+    called once per distinct centralizer, not once per class.
     Counts the candidate in tally under its rule, and a fingerprint
     duplicate under "duplicate".  In paranoid mode every candidate is built
     and its fingerprint compared with fingerprint()'s; one with a factor
-    record (a product, a wreath or a product's centralizer), whose order,
-    class table, profile and derived order come from its factors, is
-    checked against a copy with no record of them (_check_factor_rule), and
-    its centralizers in _centralizer_children.
+    record (a product, a wreath or a centralizer built as a product),
+    whose order, class table, profile and derived order come from its
+    factors, is checked against a copy with no record of them
+    (_check_factor_rule), and its centralizers in _centralizer_children.
     A fingerprint that matches a bad entry is a contradiction only when
     that entry cannot be realized or has the candidate's class profile;
     otherwise the collision is logged and the candidate skipped, since a
@@ -699,55 +703,85 @@ def _centralizer_children(
     registry, parent: RegistryEntry, group: PermGroup, p, bound, limit, paranoid, tally
 ) -> list[RegistryEntry]:
     """Centralizers of one representative per non-central p-power class of
-    the group whose centralizer order is at most bound.  A central class
-    is left out: its centralizer is the group itself, whose fingerprint the
-    registry already holds.  So an abelian group, whose generators commute
-    pairwise and whose classes are all central, builds no class table; a
-    group past the limit is logged first, abelian or not.  Each
-    candidate is read through _centralizer_raw, whose memo per target
-    holds the group: a recorded direct product's centralizer is the direct
-    product of the factor centralizers C_G(x), C_H(y), built with no
-    elements and fingerprinted from theirs, and many classes share one.
-    A wreath's, or an unrecorded group's, has its elements built first.
-    In paranoid mode, each is built and checked against filtering the
-    group's elements, the closure of its generators, as a product or
-    wreath builds its centralizers from its factors."""
+    the group whose centralizer order is at most bound, one candidate per
+    distinct centralizer.  A central class is left out: its centralizer is
+    the group itself, whose fingerprint the registry already holds.  So an
+    abelian group, whose generators commute pairwise and whose classes are
+    all central, builds no class table; a group past the limit is logged
+    first, abelian or not.
+
+    The classes and their centralizers come from
+    PermGroup._p_class_centralizers: a recorded direct product pairs its
+    factors' classes and centralizers C_G(x), C_H(y), with no class table
+    of its own, and its centralizer is their direct product, built with no
+    elements and fingerprinted from theirs.  Any other group reads its
+    class table and _centralizer_raw, so a wreath's base target whose word
+    of classes has no rotational symmetry gets the product of the base's
+    centralizers too.  Many classes share one centralizer.  Only the first
+    class, in rep order, that has it goes to _register_candidate; each
+    later one counts as a CENTRALIZER candidate and a fingerprint
+    duplicate, as its try would have, unless the first try was skipped
+    (past the limit, or a collision with a bad entry), when it is tried
+    and logged again.  Every class counts towards the first use of its
+    (order, centralizer order) name, so the names, the log and the
+    registry are those of one try per class.  In paranoid mode every class
+    is tried, and each centralizer is checked to be the one
+    _centralizer_raw gives for the rep and, by its elements, the one
+    filtering the group's elements, the closure of its generators, finds.
+    """
     try:
         group._check_limit(limit)
         if group.is_abelian():
             return []
-        table = group.conjugacy_classes(limit)
+        rows = list(group._p_class_centralizers(p, limit))
     except ThresholdExceeded:
         log.info("explore: %s too large to enumerate for centralizers", parent.name)
         return []
+    if paranoid:
+        table = group.conjugacy_classes(limit)
+        want = [row for row in zip(table.reps, table.sizes, table.orders) if is_p_power(row[2], p)]
+        got = [(Permutation._wrap(rep()), size, o) for o, size, rep, _ in rows]
+        _compare_factor_fact(lambda: parent.name, "p-power class", got, want)
     added = []
     named: set[tuple[int, int]] = set()
-    for rep, size, o in zip(table.reps, table.sizes, table.orders):
-        czo = group.order() // size
-        if size == 1 or not is_p_power(o, p) or czo > bound:
+    # A centralizer tried before -> whether that try came to an entry or a
+    # fingerprint duplicate; a skipped one is tried again, so that each of
+    # its classes logs its skip.
+    tried: dict[PermGroup, bool] = {}
+    order = group.order()
+    for o, size, rep, centralizer in rows:
+        czo = order // size
+        if size == 1 or czo > bound:
             continue
         expr = None
         if parent.expr is not None and (o, czo) not in named:
             expr = f"cent({parent.expr},order={o},czorder={czo})"
         named.add((o, czo))
+        sub = centralizer()
+        if not paranoid and tried.get(sub):
+            # The same group again: a fingerprint duplicate of the first try.
+            tally["CENTRALIZER"] += 1
+            tally["duplicate"] += 1
+            continue
 
         def name():
-            return expr or f"cent[{parent.name};o{o};cz{czo};{rep.cycle_string()}]"
-
-        def build():
-            return group._centralizer_raw([rep.images], limit)
-
-        def fingerprint():
-            return build().fingerprint(limit)
+            if expr:
+                return expr
+            return f"cent[{parent.name};o{o};cz{czo};{Permutation._wrap(rep()).cycle_string()}]"
 
         if paranoid:
-            filtered = kernels.centralizer_filter(list(group._raw_elements(limit)), [rep.images])
-            ruled = build()._raw_elements(limit)
-            _compare_factor_fact(name, "centralizer element", ruled, tuple(filtered))
+            x = rep()
+            ruled = group._centralizer_raw([x], limit)
+            filtered = kernels.centralizer_filter(list(group._raw_elements(limit)), [x])
+            _compare_factor_fact(name, "centralizer element", ruled._raw_elements(limit), tuple(filtered))
+            if ruled is not sub:
+                raise ConsistencyError(f"{name()!r} is not the centralizer of its class rep")
+        duplicates = tally["duplicate"]
         entry = _register_candidate(
-            registry, name, expr, p, fingerprint, build, "CENTRALIZER", (parent.name,), limit,
-            paranoid, tally,
+            registry, name, expr, p, lambda: sub.fingerprint(limit), lambda: sub, "CENTRALIZER",
+            (parent.name,), limit, paranoid, tally,
         )
+        tried[sub] = entry is not None or tally["duplicate"] > duplicates
         if entry is not None:
             added.append(entry)
     return added
@@ -778,9 +812,13 @@ def explore(
     the order of additions unchanged, and it counts as skipped the
     candidates it stood for.  A product is fingerprinted from its
     factors and built only when it is added (_register_candidate); a
-    centralizer of a product is built from its factor centralizers, with
-    no elements, and fingerprinted from theirs.  Each round logs its counts
-    at INFO.
+    centralizer of a product, or of a wreath's base target whose word of
+    classes has no rotational symmetry, is built from factor
+    centralizers, with no elements, and fingerprinted from theirs.  The
+    classes of an entry that share a centralizer make one candidate
+    (_centralizer_children), while the counts, names and log lines stay
+    those of one candidate per class.  Each round logs its counts at INFO,
+    every class counted.
     """
     check_prime(p)
     if registry.prime not in (None, p):

@@ -19,7 +19,7 @@ from chromarank import (
     wreath_cyclic,
 )
 
-from chromarank import group as group_module
+from chromarank import group as group_module, kernels
 from chromarank.dsl import evaluate, parse
 from chromarank.group import _Chain
 
@@ -258,17 +258,44 @@ def test_a_product_centralizer_records_a_centralizing_factor_itself(monkeypatch)
     ],
 )
 def test_factor_rule_on_wreaths(text, monkeypatch):
-    # The centralizers are checked for every class rep, so every cycle
-    # count d = gcd(j, n) of a top part c**j reaches _wreath_centralizer's
-    # build(), unless the group is abelian and every target central.  For
-    # 1 < d < n (c**2 in wr(s(3),c(4)), say) build() lists the blocks cycle
-    # by cycle and puts them back in block order with one getter.
+    # The centralizers are checked for every class rep.  Each rep takes one
+    # of two routes, seen on a fresh copy of the group.  A base target
+    # (top part 1) whose word of H-classes has no rotational symmetry gets
+    # the product of the base's centralizers of its block pieces, recorded
+    # as a product of n factors.  Every other non-central rep, with top
+    # part c**j, j != 0, or a periodic word, reaches _wreath_centralizer's
+    # build(), and every cycle count d = gcd(j, n) that such a rep has
+    # does.  For 1 < d < n (c**2 in wr(s(3),c(4)), say) build() lists the
+    # blocks cycle by cycle and puts them back in block order with one
+    # getter.
+    assert_factor_rule_matches_enumeration(evaluate(parse(text)), text)
     _, built = _record_wreath_centralizers(monkeypatch)
     group = evaluate(parse(text))
-    assert_factor_rule_matches_enumeration(group, text)
-    (_,), n = group.factor_record()
-    cycle_counts = {math.gcd(key[0], n) for key in built}
-    assert cycle_counts == (set() if group.is_abelian() else {math.gcd(j, n) for j in range(n)}), text
+    (base,), n = group.factor_record()
+    degree = base.degree
+    base_reps = [rep.images for rep in base.conjugacy_classes().reps]
+    table = group.conjugacy_classes()
+    scanned, products = set(), 0
+    for rep, size in zip(table.reps, table.sizes):
+        if size == 1:
+            continue
+        x = rep.images
+        j = x[0] // degree
+        cent = group._centralizer_raw([x])
+        if j == 0:
+            # the least element of the class: its pieces are H's class reps
+            pieces = [tuple(v - b * degree for v in x[b * degree : (b + 1) * degree]) for b in range(n)]
+            word = [base_reps.index(h) for h in pieces]
+            if all(word[t:] + word[:t] != word for t in range(1, n)):
+                factors, m = cent.factor_record()
+                assert m is None and len(factors) == n, (text, rep)
+                assert factors == tuple(base._centralizer_raw([h]) for h in pieces), (text, rep)
+                products += 1
+                continue
+        assert cent.factor_record() is None, (text, rep)
+        scanned.add(math.gcd(j, n))
+    assert {math.gcd(key[0], n) for key in built} == scanned, text
+    assert (products, scanned) != (0, set()) or group.is_abelian(), text
 
 
 def _record_wreath_centralizers(monkeypatch):
@@ -329,6 +356,56 @@ def test_wreath_centralizers_with_one_factor_key_are_built_once(monkeypatch):
     assert cents[0] is cents[1] and cents[0].order() == 18
     assert len(keys) == 2 and keys[0] == keys[1] and hash(keys[0]) == hash(keys[1])
     assert len(built) == 1
+
+
+def test_a_wreath_centralizer_in_the_base_is_the_product_of_the_blocks(monkeypatch):
+    # z = ((1 2), (1 2)) and z' = ((1 2), (0 1)) in S_3 wr C_2 each have
+    # the word (transposition, transposition), which the block swap fixes,
+    # so the scan runs; but no element of S_3 conjugates (1 2) to itself
+    # and to (0 1) at once, so C(z, z') lies in the base.  It is then the
+    # product of C((1 2)) and C((1 2), (0 1)) = 1, the object that route
+    # gives, not a second subgroup on the same elements.
+    keys, built = _record_wreath_centralizers(monkeypatch)
+    group = wreath_cyclic(symmetric(3), 2)
+    targets = [Permutation.from_cycles(text, 6).images for text in ("(1 2)(4 5)", "(1 2)(3 4)")]
+    cent = group._centralizer_raw(targets)
+    assert len(keys) == len(built) == 1
+    (left, right), n = cent.factor_record()
+    assert n is None and (left.order(), right.order()) == (2, 1)
+    assert cent is group._intern_product((left, right))
+    elements = PermGroup(group.degree, group.generators)._raw_elements()
+    assert cent._raw_elements() == tuple(kernels.centralizer_filter(list(elements), targets))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_groups(), st.integers(min_value=2, max_value=4), st.data())
+def test_wreath_centralizers_match_filtering(h, n, data):
+    # A wreath's centralizer of one or two targets, each drawn from the
+    # base H**n half the time and from the whole group otherwise, is the
+    # set centralizer_filter keeps from the group's elements, whichever
+    # route it takes.  It is the product of the base's centralizers of the
+    # targets' pieces, block by block, exactly when the targets and the
+    # centralizer lie in the base.  The cycle length is cut down until the
+    # group has at most 2000 elements.
+    while n > 2 and h.order() ** n * n > 2000:
+        n -= 1
+    group = wreath_cyclic(h, n)
+    elements = PermGroup(group.degree, group.generators)._raw_elements()
+    in_base = [x for x in elements if x[0] < h.degree]
+    targets = [
+        data.draw(st.sampled_from(in_base if data.draw(st.booleans()) else elements))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=2)))
+    ]
+    cent = group._centralizer_raw(targets)
+    filtered = tuple(kernels.centralizer_filter(list(elements), targets))
+    assert cent._raw_elements() == filtered
+    record = cent.factor_record()
+    routed = record is not None and record[1] is None
+    assert routed == all(x[0] < h.degree for x in filtered + tuple(targets))
+    if routed:
+        d = h.degree
+        pieces = [[tuple(v - b * d for v in z[b * d : (b + 1) * d]) for z in targets] for b in range(n)]
+        assert record[0] == tuple(h._centralizer_raw(block) for block in pieces)
 
 
 def test_no_wreath_centralizer_has_a_base_of_degree_one(monkeypatch):

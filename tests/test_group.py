@@ -122,6 +122,51 @@ def test_class_table_orders_match_oracle(corpus):
         assert table.orders == tuple(o_order(rep.images) for rep in table.reps), name
 
 
+def test_an_abelian_group_walks_no_orbit(monkeypatch):
+    # In an abelian group every element is a class of its own, and the
+    # derived subgroup is trivial, so its class table, of every element
+    # order or of one, walks no conjugacy orbit, and its fingerprint
+    # builds no derived subgroup.
+    walked = []
+    conjugacy_orbit = kernels.conjugacy_orbit
+    monkeypatch.setattr(
+        kernels, "conjugacy_orbit", lambda *args: walked.append(args) or conjugacy_orbit(*args)
+    )
+    for name in ("C_6", "C_2xC_4"):
+        group = CORPUS_BUILDERS[name]()
+        elements = group._raw_elements()
+        table = group.conjugacy_classes()
+        assert [rep.images for rep in table.reps] == list(elements), name
+        assert table.sizes == (1,) * len(elements), name
+        assert table.orders == tuple(o_order(x) for x in elements), name
+        fresh = CORPUS_BUILDERS[name]()
+        rows = zip(table.reps, table.sizes, table.orders)
+        assert list(fresh._classes(None, 2)) == [row for row in rows if row[2] == 2], name
+        assert group.fingerprint().derived_order == 1 and "derived" not in group._cache, name
+    assert walked == []
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_groups(), small_groups(), small_groups())
+def test_product_noncentral_generators_come_from_the_factors(g, h, k):
+    # A recorded product's generators are its factors' on their blocks, so
+    # its noncentral generators are its factors' noncentral ones, found
+    # with no commutes test of its own; a copy with no record finds the
+    # same ones by testing every pair.
+    for group in (direct_product(g, h), direct_product(direct_product(g, h), k)):
+        for factor in group.factor_record()[0]:
+            factor._noncentral_generators()
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "commutes", lambda a, b: calls.append(1) or True)
+            got = group._noncentral_generators()
+        assert calls == []
+        plain = PermGroup(group.degree, group.generators)
+        assert got == plain._noncentral_generators()
+        factors = group.factor_record()[0]
+        assert group.is_abelian() == plain.is_abelian() == all(f.is_abelian() for f in factors)
+
+
 def test_class_centralizer_reuses_the_group_for_central_classes(corpus):
     for name, group in corpus.items():
         table = group.conjugacy_classes()
@@ -284,6 +329,26 @@ def test_product_centralizers_with_one_factor_key_are_built_once(monkeypatch):
     assert cents[0] is cents[1]
     assert cents[0].order() == 2 * 4
     assert calls == ["build"]
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_groups(), small_groups(), st.sampled_from([2, 3]))
+def test_p_class_centralizers_are_the_class_tables_rows(g, h, p):
+    # Per class of p-power order, in rep order, the rows give the class
+    # table's rep, size and element order, and the centralizer that
+    # _centralizer_raw gives for the rep (the same object).  A recorded
+    # product pairs its factors' rows and builds no class table of its own.
+    products = [direct_product(g, h), direct_product(direct_product(g, h), g)]
+    for group in products + [wreath_cyclic(g, 2), g]:
+        rows = list(group._p_class_centralizers(p))
+        assert ("classes" in group._cache) is not any(group is q for q in products)
+        table = group.conjugacy_classes()
+        want = [row for row in zip(table.reps, table.sizes, table.orders) if o_is_p_power(row[2], p)]
+        assert [(Permutation._wrap(rep()), size, o) for o, size, rep, _ in rows] == want
+        for o, size, rep, centralizer in rows:
+            cent = centralizer()
+            assert cent is group._centralizer_raw([rep()])
+            assert (cent is group) == (size == 1)
 
 
 @settings(deadline=None, max_examples=60)
@@ -793,6 +858,28 @@ def test_only_membership_builds_a_chain(monkeypatch):
     assert Permutation.from_cycles("(0 1 2 3)", 4) in group
     assert Permutation.from_cycles("(0 1)", 4) in group
     assert builds == [4]
+
+
+def test_membership_reads_closed_elements(monkeypatch):
+    # Once a group's elements are closed, membership is a search of them,
+    # so centralizer() checks its targets with no stabilizer chain, and an
+    # element outside the group (or of the wrong degree) is still refused.
+    group = wreath_cyclic(symmetric(3), 2)
+    elements = group._raw_elements()
+    builds = _count_chain_builds(monkeypatch)
+    cent = group.centralizer([Permutation.from_cycles("(0 1 2)(3 4 5)", 6)])
+    assert cent.order() == 18 and builds == [] and group._chain is None
+    assert all(Permutation._wrap(x) in group for x in elements[::7])
+    with pytest.raises(NotInGroup):
+        group.centralizer([Permutation.from_cycles("(0 3)", 6)])
+    with pytest.raises(DegreeMismatch):
+        group.centralizer([Permutation.from_cycles("(0 1 2)", 7)])
+    assert builds == []
+    # Without closed elements, membership sifts through a chain, as before.
+    fresh = wreath_cyclic(symmetric(3), 2)
+    with pytest.raises(NotInGroup):
+        fresh.centralizer([Permutation.from_cycles("(0 3)", 6)])
+    assert builds == [6]
 
 
 def test_enumeration_checks_the_recorded_order(monkeypatch):

@@ -732,6 +732,27 @@ def test_explore_skips_a_fingerprint_collision_with_a_bad_entry(caplog):
         assert not any("bad-lookalike" in m and "skipping" in m for m in caplog.messages), expr
 
 
+def test_explore_logs_a_shared_centralizers_collision_once_per_class(caplog):
+    # The three classes of elements of order 3 outside the center of
+    # C_3 x S_3 share one centralizer, C_3 x C_3, whose fingerprint a bad
+    # entry for c(9) carries.  That centralizer is one candidate, but its
+    # skip is logged for each class, with each class's name, as a try per
+    # class logs it, and the round line counts every class.
+    reg = seeded_registry(3, ["prod(c(3),s(3))"])
+    reg.add(_bad_entry("c(9)", "prod(c(3),c(3))"))
+    with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+        assert explore(reg, 3, 9, depth=1) == []
+    skip = "and bad entry bad-lookalike: class profiles differ; skipping"
+    assert caplog.messages == [
+        f"explore: fingerprint collision between prod(c(3),c(3)) {skip}",
+        f"explore: fingerprint collision between cent(prod(c(3),s(3)),order=3,czorder=9) {skip}",
+        f"explore: fingerprint collision between cent[prod(c(3),s(3));o3;cz9;(0 1 2)(3 4 5)] {skip}",
+        f"explore: fingerprint collision between cent[prod(c(3),s(3));o3;cz9;(0 2 1)(3 4 5)] {skip}",
+        "explore round 1: 3 entries, 3 new; candidates WREATH 0, PRODUCT 1, CENTRALIZER 4; "
+        "added 0, fingerprint duplicates 1, skipped as already tried 0",
+    ]
+
+
 def test_the_seeded_bad_entry_is_realized_by_its_builder(caplog):
     # U_4(F_3) has no expression; SEEDED_GROUPS builds it, so a candidate
     # with its fingerprint but another class profile is a collision, which
@@ -838,12 +859,12 @@ def _first_factor_product_centralizer(original):
 
 def _swapped_product_centralizer_factors(original):
     # A wrong record for product centralizers only, the products that
-    # _centralizer_group builds through _direct_product: C_H(y) x C_G(x)
+    # _intern_product builds through _direct_product: C_H(y) x C_G(x)
     # on the generators of C_G(x) x C_H(y).  Its order, profile and
     # derived order are right, so the fingerprint is too; its class reps
     # are y + x.
     def wrong(self, factors, n=None):
-        if n is None and sys._getframe(2).f_code.co_name == "_centralizer_group":
+        if n is None and sys._getframe(2).f_code.co_name == "_intern_product":
             factors = factors[::-1]
         return original(self, factors, n)
 
@@ -1124,6 +1145,9 @@ def test_explore_registry_bytes_match_golden(tmp_path):
 EXPLORE_P3_DIGESTS = {
     243: "5ec1c6b85cf43993b91b628153d77c9bc297ab2d6f45ea8f5cb4661fd72ef86d",
     729: "9dbf83e32b3b45a6727e9949135cc4365813a1557b30e7df64eecfce0c012ec3",
+    # Written by the implementation that scanned H for every wreath
+    # centralizer and tried every class of a product as its own candidate.
+    19683: "84478f77e7f3960f04e97c9b43148acabc1fe60403ddfe16f5ae50cdd8ee5132",
 }
 
 
@@ -1159,17 +1183,21 @@ def test_explore_p3_rounds_match_the_pinned_lines(caplog):
     assert [m for m in caplog.messages if m.startswith("explore round")] == EXPLORE_P3_243_ROUNDS
 
 
-def test_explore_builds_no_product_duplicate(monkeypatch):
+def test_explore_builds_no_product_duplicate(monkeypatch, caplog):
     # A product candidate and a centralizer candidate of a recorded product
     # take their fingerprints from their factors', so a fingerprint
     # duplicate among them calls no direct_product and builds no subgroup
     # of the candidate's degree from elements (its factor centralizers,
     # interned in the factors, have smaller degrees; a product's
-    # centralizer is built from their generators).
+    # centralizer is built from their generators).  The classes of a
+    # product that share a centralizer make one candidate, and the round
+    # lines still count each class: all 42 centralizer candidates of
+    # products are duplicates.
     built = []
     direct_product = constructors.direct_product
     subgroup_from_elements = group_mod._subgroup_from_elements
     register_candidate = registry_mod._register_candidate
+    centralizer_children = registry_mod._centralizer_children
     checked = Counter()
 
     def recording_product(g, h):
@@ -1181,26 +1209,49 @@ def test_explore_builds_no_product_duplicate(monkeypatch):
         return subgroup_from_elements(degree, elements)
 
     def checking(registry, name, expr, p, fingerprint, build, rule, parents, *rest):
+        checked[f"{rule} tried"] += 1
+        if rule != "PRODUCT":
+            return register_candidate(registry, name, expr, p, fingerprint, build, rule, parents, *rest)
         memo = registry._memo(None)
-        groups = [memo[registry_mod._memo_key(e.name, e.expr)] for e in map(registry.get, parents)]
-        record = groups[0]._cache.get("factors")
+        degree = sum(memo[registry_mod._memo_key(e.name, e.expr)].degree for e in map(registry.get, parents))
         del built[:]
         entry = register_candidate(registry, name, expr, p, fingerprint, build, rule, parents, *rest)
-        from_factors = rule == "PRODUCT" or (
-            rule == "CENTRALIZER" and record is not None and record[1] is None
-        )
-        if entry is None and from_factors:
-            degree = sum(g.degree for g in groups)
+        if entry is None:
             assert all(kind == "subgroup" and d < degree for kind, d in built), (name(), built)
             checked[rule] += 1
         return entry
 
+    def checking_children(registry, parent, group, p, bound, limit, paranoid, tally):
+        record = group._cache.get("factors")
+        if record is None or record[1] is not None:
+            return centralizer_children(registry, parent, group, p, bound, limit, paranoid, tally)
+        del built[:]
+        before, tried = tally.copy(), checked["CENTRALIZER tried"]
+        added = centralizer_children(registry, parent, group, p, bound, limit, paranoid, tally)
+        assert all(kind == "subgroup" and d < group.degree for kind, d in built), (parent.name, built)
+        checked["CENTRALIZER"] += tally["CENTRALIZER"] - before["CENTRALIZER"]
+        checked["CENTRALIZER duplicate"] += tally["duplicate"] - before["duplicate"]
+        checked["CENTRALIZER of a product tried"] += checked["CENTRALIZER tried"] - tried
+        return added
+
     monkeypatch.setattr(constructors, "direct_product", recording_product)
     monkeypatch.setattr(group_mod, "_subgroup_from_elements", recording_subgroup)
     monkeypatch.setattr(registry_mod, "_register_candidate", checking)
+    monkeypatch.setattr(registry_mod, "_centralizer_children", checking_children)
     reg = seeded_registry(3, ["c(1)", "c(3)"])
-    explore(reg, 3, 243, depth=6)
-    assert checked == {"PRODUCT": 22, "CENTRALIZER": 42}
+    with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+        explore(reg, 3, 243, depth=6)
+    assert [m for m in caplog.messages if m.startswith("explore round")] == EXPLORE_P3_243_ROUNDS
+    # 42 classes of products with 6 distinct centralizers among them
+    assert checked == {
+        "WREATH tried": 2,
+        "PRODUCT tried": 30,
+        "PRODUCT": 22,
+        "CENTRALIZER tried": 12,
+        "CENTRALIZER of a product tried": 6,
+        "CENTRALIZER": 42,
+        "CENTRALIZER duplicate": 42,
+    }
 
 
 def test_explore_paranoid_mode_builds_and_checks_every_candidate(monkeypatch, tmp_path):
