@@ -372,7 +372,7 @@ def test_a_wreath_centralizer_in_the_base_is_the_product_of_the_blocks(monkeypat
     assert len(keys) == len(built) == 1
     (left, right), n = cent.factor_record()
     assert n is None and (left.order(), right.order()) == (2, 1)
-    assert cent is group._intern_product((left, right))
+    assert cent is group._intern_table()[("factors", (left, right))]
     elements = PermGroup(group.degree, group.generators)._raw_elements()
     assert cent._raw_elements() == tuple(kernels.centralizer_filter(list(elements), targets))
 

@@ -122,51 +122,6 @@ def test_class_table_orders_match_oracle(corpus):
         assert table.orders == tuple(o_order(rep.images) for rep in table.reps), name
 
 
-def test_an_abelian_group_walks_no_orbit(monkeypatch):
-    # In an abelian group every element is a class of its own, and the
-    # derived subgroup is trivial, so its class table, of every element
-    # order or of one, walks no conjugacy orbit, and its fingerprint
-    # builds no derived subgroup.
-    walked = []
-    conjugacy_orbit = kernels.conjugacy_orbit
-    monkeypatch.setattr(
-        kernels, "conjugacy_orbit", lambda *args: walked.append(args) or conjugacy_orbit(*args)
-    )
-    for name in ("C_6", "C_2xC_4"):
-        group = CORPUS_BUILDERS[name]()
-        elements = group._raw_elements()
-        table = group.conjugacy_classes()
-        assert [rep.images for rep in table.reps] == list(elements), name
-        assert table.sizes == (1,) * len(elements), name
-        assert table.orders == tuple(o_order(x) for x in elements), name
-        fresh = CORPUS_BUILDERS[name]()
-        rows = zip(table.reps, table.sizes, table.orders)
-        assert list(fresh._classes(None, 2)) == [row for row in rows if row[2] == 2], name
-        assert group.fingerprint().derived_order == 1 and "derived" not in group._cache, name
-    assert walked == []
-
-
-@settings(deadline=None, max_examples=40)
-@given(small_groups(), small_groups(), small_groups())
-def test_product_noncentral_generators_come_from_the_factors(g, h, k):
-    # A recorded product's generators are its factors' on their blocks, so
-    # its noncentral generators are its factors' noncentral ones, found
-    # with no commutes test of its own; a copy with no record finds the
-    # same ones by testing every pair.
-    for group in (direct_product(g, h), direct_product(direct_product(g, h), k)):
-        for factor in group.factor_record()[0]:
-            factor._noncentral_generators()
-        calls = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "commutes", lambda a, b: calls.append(1) or True)
-            got = group._noncentral_generators()
-        assert calls == []
-        plain = PermGroup(group.degree, group.generators)
-        assert got == plain._noncentral_generators()
-        factors = group.factor_record()[0]
-        assert group.is_abelian() == plain.is_abelian() == all(f.is_abelian() for f in factors)
-
-
 def test_class_centralizer_reuses_the_group_for_central_classes(corpus):
     for name, group in corpus.items():
         table = group.conjugacy_classes()

@@ -859,12 +859,12 @@ def _first_factor_product_centralizer(original):
 
 def _swapped_product_centralizer_factors(original):
     # A wrong record for product centralizers only, the products that
-    # _intern_product builds through _direct_product: C_H(y) x C_G(x)
+    # _product_of_centralizers builds through _direct_product: C_H(y) x C_G(x)
     # on the generators of C_G(x) x C_H(y).  Its order, profile and
     # derived order are right, so the fingerprint is too; its class reps
     # are y + x.
     def wrong(self, factors, n=None):
-        if n is None and sys._getframe(2).f_code.co_name == "_intern_product":
+        if n is None and sys._getframe(2).f_code.co_name == "_product_of_centralizers":
             factors = factors[::-1]
         return original(self, factors, n)
 
