@@ -669,7 +669,9 @@ class PermGroup:
         _centralizer_group finds it, and returns the group itself when
         every target is central; the memo per target tuple then marks it
         (_ITSELF) rather than holding it, since a group in its own cache is
-        a cycle.  Any other centralizer is interned (_intern_table): equal
+        a cycle.  Any other centralizer is interned (_intern_table), under
+        its sorted elements or, when it is a direct product of factor
+        centralizers, under those (_product_of_centralizers): equal
         centralizers come back as one object, which computes its class
         table, fingerprint and ranks once.  The memo holds the subgroup
         (the table holds it weakly), so a repeated target costs one lookup.
@@ -698,29 +700,37 @@ class PermGroup:
         all of them are central, else an interned proper subgroup (see
         _centralizer_raw).
 
-        A recorded direct product asks each factor for the centralizer of
-        the targets' pieces (_product_centralizer) and is central exactly
-        when every factor returns itself, so it runs no commutes test of its
-        own.  Any other group drops the targets that commute with its
-        generators (_noncentral_generators) and returns itself when none is
-        left.  A product's centralizer is the direct product of the factor
-        centralizers (_product_of_centralizers).  So is a wreath's when
-        every target left lies in the base and their word of H-classes has
-        no rotational symmetry (_aperiodic_class_word): the product of the
-        base's centralizers of the targets' pieces, block by block.  Any
-        other wreath centralizer is that of the first target left
+        A recorded group asks its factors first, before any commutes test.
+        A direct product's centralizer is the direct product of the
+        factors' centralizers of the targets' pieces (_product_centralizer,
+        _product_of_centralizers), the group itself exactly when every
+        factor returns itself.  So is H wr C_n's, block by block, when
+        every target lies in the base H**n and their word of H-classes has
+        no rotational symmetry (_aperiodic_class_word).  A central target
+        of H wr C_n, n >= 2, has a constant word and central pieces, so it
+        never takes that route alone and, beside others, changes neither
+        the word's symmetry nor any block's centralizer.
+
+        Any other group drops the targets that commute with its generators
+        (_noncentral_generators) and returns itself when none is left.  A
+        wreath's centralizer is then that of the first target left
         (_wreath_centralizer), filtered by the others; when that lies in
         the base and so do the targets, it is the same product, so a
-        centralizer in the base is always that product.  Each is built
-        once per key, the data of the factors that fixes it, and filed in
-        the intern table under ("factors", key), which no sorted element
-        tuple equals.  Any other group filters its own elements.
+        centralizer in the base is always that product.  Any other group
+        filters its own elements.
         """
         record = self._cache.get("factors")
-        if record is not None and record[1] is None:
-            factors = record[0]
-            pieces = _block_pieces([f.degree for f in factors], targets)
-            return self._product_of_centralizers(_product_centralizer(factors, pieces, limit))
+        pieces = None
+        if record is not None:
+            factors, n = record
+            if n is not None:
+                (base,) = factors
+                factors *= n
+            # A top part c**j sends point 0 into block j: these lie in the base.
+            if n is None or all(z[0] < base.degree for z in targets):
+                pieces = _block_pieces([f.degree for f in factors], targets)
+                if n is None or _aperiodic_class_word(base, pieces):
+                    return self._product_of_centralizers(_product_centralizer(factors, pieces, limit))
         gens = self._noncentral_generators()
         moving = [t for t in targets if not all(kernels.commutes(t, g) for g in gens)]
         if not moving:
@@ -729,24 +739,12 @@ class PermGroup:
             return self._intern(
                 tuple(kernels.centralizer_filter(list(self._raw_elements(limit)), moving))
             )
-        (base,), n = record
-        # A top part c**j sends point 0 into block j: these lie in the base.
-        pieces = None
-        if all(z[0] < base.degree for z in moving):
-            pieces = _block_pieces([base.degree] * n, moving)
-            if _aperiodic_class_word(base, pieces):
-                return self._product_of_centralizers(_product_centralizer((base,) * n, pieces, limit))
-        key, build = _wreath_centralizer(base, n, moving[0], limit)
-        table = self._intern_table()
-        key = ("factors", key)
-        sub = table.get(key)
-        if sub is None:
-            sub = table[key] = self._intern(build())
+        sub = self._intern(_wreath_centralizer(base, n, moving[0], limit))
         if len(moving) > 1:
             elements = tuple(kernels.centralizer_filter(list(sub._raw_elements(limit)), moving[1:]))
             if pieces is not None and elements[-1][0] < base.degree:
                 # In the base, though the word has a symmetry: the product.
-                return self._product_of_centralizers(_product_centralizer((base,) * n, pieces, limit))
+                return self._product_of_centralizers(_product_centralizer(factors, pieces, limit))
             sub = self._intern(elements)
         return sub
 
@@ -1173,11 +1171,11 @@ def _direct_product(factors) -> PermGroup:
 
 
 def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: int | None):
-    """The centralizer of z in H wr C_n, for H = base, as (key, build) for
-    PermGroup._centralizer_group.  That asks for it only when some target
-    has a top part c**j, j != 0, or the targets' word of H-classes has a
-    rotational symmetry: base targets with none have the product of the
-    base's centralizers (_aperiodic_class_word).
+    """The centralizer of z in H wr C_n, for H = base, as a sorted element
+    tuple, which PermGroup._centralizer_group interns.  That asks for it
+    only when some target has a top part c**j, j != 0, or the targets'
+    word of H-classes has a rotational symmetry: base targets with none
+    have the product of the base's centralizers (_aperiodic_class_word).
 
     Write z = (h; c**j) when z sends point i of block b to point h_b(i) of
     block (b + j) mod n, and an element k = (k; c**t) likewise.  z then k
@@ -1189,23 +1187,19 @@ def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: in
     recurrence: k_(c_s) = q_s**-1 y r_s, for q_s the product of the h
     along c_0, ..., c_(s-1) and r_s the same along c_0 + t, ...,
     c_(s-1) + t.  The recurrence returns to y when y r_m = q_m y, so H is
-    scanned once per cycle with that test, and the other values are
+    scanned once per t and cycle with that test, and the other values are
     composed for the kept y only.  The centralizer elements with top part
     c**t are the products of the kept values over the cycles, so the cost
     is about 2 n |H| compositions per t, where filtering the group costs
-    n |H|**n.  The key is j and, per t and cycle, the kept values with the
-    offset, q_s**-1 and r_s of each block: they fix the elements, which
-    build() composes and concatenates.
+    n |H|**n.
 
-    Compositions are itemgetters, each one C call: the scan builds the
-    getter of q_m once per t and cycle, and build() that of each q_s**-1
-    and r_s shifted onto its image block once per call, so each kept y
-    costs its own getter and two getter calls per block.  The key holds
-    the permutations, not the getters, which compare by identity, so equal
-    centralizers meet under one key.  itemgetter of one index returns the
-    bare item, so the getters need degree 2 or more: a base of degree 1
-    is trivial, its wreath is abelian and every target central, so none
-    reaches here, and the function asserts as much.
+    Compositions are itemgetters, each one C call: per t and cycle, the
+    scan builds the getter of q_m once, and the values that of each
+    q_s**-1 and r_s shifted onto its image block, so each kept y costs
+    its own getter and two getter calls per block.  itemgetter of one
+    index returns the bare item, so the getters need degree 2 or more: a
+    base of degree 1 is trivial, its wreath is abelian and every target
+    central, so none reaches here, and the function asserts as much.
 
     They come out sorted with no sort: an element with top part c**t sends
     point 0 into block t, so t comes first; and blocks 0, ..., d-1 are the
@@ -1225,9 +1219,17 @@ def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: in
     ]
     d = gcd(j, n)
     m = n // d
-    parts = []
+    # Cycle r holds blocks r, r + d, ..., r + (m-1)d.  The products list
+    # the blocks cycle by cycle; when that is not block order, one getter
+    # per element puts block b, at place (b mod d) m + b div d, back in
+    # its place.
+    reorder = None
+    if 1 < d < n:
+        places = [(b % d * m + b // d) * degree for b in range(n)]
+        reorder = itemgetter(*(place + i for place in places for i in range(degree)))
+    out = []
     for t in range(n):
-        cycles = []
+        words = [()]
         for r in range(d):
             cycle = [(r + s * j) % n for s in range(m)]
             q, rr = [identity], [identity]
@@ -1237,44 +1239,24 @@ def _wreath_centralizer(base: "PermGroup", n: int, z: tuple[int, ...], limit: in
             closed_q, closed_r = q.pop(), rr.pop()
             # y r = q y, with y r = itemgetter(*y)(r) and q y = q's getter of y.
             q_then = itemgetter(*closed_q)
-            kept = tuple(y for y in elements if itemgetter(*y)(closed_r) == q_then(y))
-            # Per block r, r + d, ... of the cycle, in that order: the
-            # offset of its image block c_s + t, q_s**-1 and r_s.
-            order = sorted(range(m), key=cycle.__getitem__)
-            steps = tuple(((cycle[s] + t) % n * degree, kernels.inverse(q[s]), rr[s]) for s in order)
-            cycles.append((kept, steps))
-        parts.append(tuple(cycles))
-    parts = tuple(parts)
-
-    def build():
-        # Cycle r holds blocks r, r + d, ..., r + (m-1)d.  The products list
-        # the blocks cycle by cycle; when that is not block order, one
-        # getter per element puts block b, at place (b mod d) m + b div d,
-        # back in its place.
-        reorder = None
-        if 1 < d < n:
-            places = [(b % d * m + b // d) * degree for b in range(n)]
-            reorder = itemgetter(*(place + i for place in places for i in range(degree)))
-        out = []
-        for cycles in parts:
-            words = [()]
-            for kept, steps in cycles:
-                # Block s of the cycle takes q_s**-1 y r_s, shifted onto its
-                # image block: y's getter of r_s shifted there, then
-                # q_s**-1's getter.
-                getters = [(itemgetter(*qi), tuple([v + o for v in ri])) for o, qi, ri in steps]
-                values = []
-                for y in kept:
-                    y_then = itemgetter(*y)
-                    value = ()
-                    for qi_then, shifted in getters:
-                        value += qi_then(y_then(shifted))
-                    values.append(value)
-                words = [w + v for w in words for v in values]
-            out.extend(words if reorder is None else map(reorder, words))
-        return tuple(out)
-
-    return (j, parts), build
+            kept = [y for y in elements if itemgetter(*y)(closed_r) == q_then(y)]
+            # Block s of the cycle, in block order r, r + d, ..., takes
+            # q_s**-1 y r_s, shifted onto its image block c_s + t: y's
+            # getter of r_s shifted there, then q_s**-1's getter.
+            getters = []
+            for s in sorted(range(m), key=cycle.__getitem__):
+                offset = (cycle[s] + t) % n * degree
+                getters.append((itemgetter(*kernels.inverse(q[s])), tuple([v + offset for v in rr[s]])))
+            values = []
+            for y in kept:
+                y_then = itemgetter(*y)
+                value = ()
+                for qi_then, shifted in getters:
+                    value += qi_then(y_then(shifted))
+                values.append(value)
+            words = [w + v for w in words for v in values]
+        out.extend(words if reorder is None else map(reorder, words))
+    return tuple(out)
 
 
 def _subgroup_from_elements(degree: int, raw_elements) -> PermGroup:

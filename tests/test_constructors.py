@@ -264,12 +264,11 @@ def test_factor_rule_on_wreaths(text, monkeypatch):
     # the product of the base's centralizers of its block pieces, recorded
     # as a product of n factors.  Every other non-central rep, with top
     # part c**j, j != 0, or a periodic word, reaches _wreath_centralizer's
-    # build(), and every cycle count d = gcd(j, n) that such a rep has
-    # does.  For 1 < d < n (c**2 in wr(s(3),c(4)), say) build() lists the
-    # blocks cycle by cycle and puts them back in block order with one
-    # getter.
+    # scan, and every cycle count d = gcd(j, n) that such a rep has does.
+    # For 1 < d < n (c**2 in wr(s(3),c(4)), say) the scan lists the blocks
+    # cycle by cycle and puts them back in block order with one getter.
     assert_factor_rule_matches_enumeration(evaluate(parse(text)), text)
-    _, built = _record_wreath_centralizers(monkeypatch)
+    tops = _record_wreath_centralizers(monkeypatch)
     group = evaluate(parse(text))
     (base,), n = group.factor_record()
     degree = base.degree
@@ -294,28 +293,22 @@ def test_factor_rule_on_wreaths(text, monkeypatch):
                 continue
         assert cent.factor_record() is None, (text, rep)
         scanned.add(math.gcd(j, n))
-    assert {math.gcd(key[0], n) for key in built} == scanned, text
+    assert {math.gcd(j, n) for j in tops} == scanned, text
     assert (products, scanned) != (0, set()) or group.is_abelian(), text
 
 
 def _record_wreath_centralizers(monkeypatch):
-    """(keys, built): the factor key of each _wreath_centralizer call from
-    now on, and of each build() run."""
-    keys, built = [], []
+    """The top part j of the target of each _wreath_centralizer call from
+    now on, for a target sending block 0 to block j."""
+    tops = []
     wreath_centralizer = group_module._wreath_centralizer
 
     def recording(base, n, z, limit):
-        key, build = wreath_centralizer(base, n, z, limit)
-        keys.append(key)
-
-        def recorded():
-            built.append(key)
-            return build()
-
-        return key, recorded
+        tops.append(z[0] // base.degree)
+        return wreath_centralizer(base, n, z, limit)
 
     monkeypatch.setattr(group_module, "_wreath_centralizer", recording)
-    return keys, built
+    return tops
 
 
 def _wreath_words_by_rotation_sets(rows, base_order, n):
@@ -342,22 +335,6 @@ def test_wreath_words_match_the_rotation_set_reference(rows, base_order, n):
     assert got == list(_wreath_words_by_rotation_sets(rows, base_order, n))
 
 
-def test_wreath_centralizers_with_one_factor_key_are_built_once(monkeypatch):
-    # z = (h_0, h_1; 1) and z' = (h_0**-1, h_1**-1; 1) have one centralizer,
-    # since y h_(r+t) = h_r y exactly when y h_(r+t)**-1 = h_r**-1 y.  Their
-    # factor keys hold the kept values and each block's offset, q_s**-1 and
-    # r_s as tuples, so they are equal and hash alike: the second target
-    # finds the subgroup the first built.  A key holding getters, which
-    # compare by identity, would miss.
-    keys, built = _record_wreath_centralizers(monkeypatch)
-    group = wreath_cyclic(symmetric(3), 2)
-    targets = [Permutation.from_cycles(text, 6) for text in ("(0 1 2)(3 4 5)", "(0 2 1)(3 5 4)")]
-    cents = [group.centralizer([z]) for z in targets]
-    assert cents[0] is cents[1] and cents[0].order() == 18
-    assert len(keys) == 2 and keys[0] == keys[1] and hash(keys[0]) == hash(keys[1])
-    assert len(built) == 1
-
-
 def test_a_wreath_centralizer_in_the_base_is_the_product_of_the_blocks(monkeypatch):
     # z = ((1 2), (1 2)) and z' = ((1 2), (0 1)) in S_3 wr C_2 each have
     # the word (transposition, transposition), which the block swap fixes,
@@ -365,16 +342,46 @@ def test_a_wreath_centralizer_in_the_base_is_the_product_of_the_blocks(monkeypat
     # and to (0 1) at once, so C(z, z') lies in the base.  It is then the
     # product of C((1 2)) and C((1 2), (0 1)) = 1, the object that route
     # gives, not a second subgroup on the same elements.
-    keys, built = _record_wreath_centralizers(monkeypatch)
+    tops = _record_wreath_centralizers(monkeypatch)
     group = wreath_cyclic(symmetric(3), 2)
     targets = [Permutation.from_cycles(text, 6).images for text in ("(1 2)(4 5)", "(1 2)(3 4)")]
     cent = group._centralizer_raw(targets)
-    assert len(keys) == len(built) == 1
+    assert tops == [0]
     (left, right), n = cent.factor_record()
     assert n is None and (left.order(), right.order()) == (2, 1)
     assert cent is group._intern_table()[("factors", (left, right))]
     elements = PermGroup(group.degree, group.generators)._raw_elements()
     assert cent._raw_elements() == tuple(kernels.centralizer_filter(list(elements), targets))
+
+
+def test_a_wreath_asks_its_base_before_any_commutes_test(monkeypatch):
+    # x = (r, 1, 1) in D_8 wr C_3, r a rotation of order 4, has the word
+    # (class of r, 1, 1), which no rotation of the blocks fixes: its
+    # centralizer is C(r) x D_8 x D_8 from the base, reached before the
+    # wreath tests x against its generators, so no commutes call sees a
+    # permutation of the wreath's 12 points.  The central z = (c, c, c) of
+    # the wreath, c = r**2 central in D_8, has a constant word and central
+    # pieces: next to x it changes neither the word's symmetry nor a
+    # block's centralizer, so C(x, z) is the same object as C(x).
+    base = dihedral(4)
+    group = wreath_cyclic(base, 3)
+    rotation = base.generators[0]
+    r, c = rotation.images, (rotation * rotation).images
+    x = r + tuple(range(4, 12))
+    z = tuple(v + b * 4 for b in range(3) for v in c)
+    calls = []
+    commutes = kernels.commutes
+
+    def counting(a, b):
+        calls.append(len(a))
+        return commutes(a, b)
+
+    monkeypatch.setattr(kernels, "commutes", counting)
+    cent = group._centralizer_raw([x])
+    assert group.degree not in calls
+    factors, n = cent.factor_record()
+    assert n is None and factors == (base._centralizer_raw([r]), base, base)
+    assert group._centralizer_raw([x, z]) is cent
 
 
 @settings(deadline=None, max_examples=60)

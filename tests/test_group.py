@@ -156,7 +156,10 @@ def test_centralizer_matches_oracle(corpus):
 def test_equal_centralizers_are_one_group(corpus):
     # x and its inverse have one centralizer, and so do conjugate targets
     # inside it; within one root group each element set is built once.
-    for name, group in corpus.items():
+    # In S_3 wr C_2, z = ((0 1 2), (3 4 5)) and its inverse both take the
+    # wreath scan, and the second finds the subgroup the first interned.
+    groups = {**corpus, "S_3 wr C_2": wreath_cyclic(symmetric(3), 2)}
+    for name, group in groups.items():
         interned = {}
         for rep in group.conjugacy_classes().reps:
             for target in (rep, rep.inverse()):

@@ -818,8 +818,7 @@ def _base_only_wreath_centralizer(original):
     # A wrong wreath rule: the centralizer without its elements of top part
     # c**t, t != 0, which send point 0 off block 0.  They still form a group.
     def wrong(base, n, z, limit):
-        key, build = original(base, n, z, limit)
-        return key, lambda: tuple(x for x in build() if x[0] < base.degree)
+        return tuple(x for x in original(base, n, z, limit) if x[0] < base.degree)
 
     return wrong
 
