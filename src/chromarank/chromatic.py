@@ -15,10 +15,11 @@ and groups them into orbits under the generators of G, each tuple held as
 the tuple of its entries' indices into the p-power elements, on which
 conjugation by each generator is tabulated once per walk, so that an orbit
 is one kernel call.
-One reach step serves tuples of every length, and entries are checked
-where the walk admits them to a pool.  The walk is the oracle the recursion
-and the factor rule are tested against, and it supplies the tuple
-representatives and centralizers that the loops command prints.
+The walk is one loop over a stack of prefixes, with the same checks at
+every length, and entries are checked where the walk admits them to a
+pool.  The walk is the oracle the recursion and the factor rule are tested
+against, and it supplies the tuple representatives and centralizers that
+the loops command prints.
 verify_rank_identity takes the rank at height n from the walk and the sum
 over (n-t)-tuple centralizers from the recursion, so for every t >= 1 it
 compares the two algorithms.
@@ -125,13 +126,17 @@ def commuting_tuple_classes(
     at the class's lex-least tuple, which is its representative; components
     come out sorted by it.  A prefix of a lex-least tuple is lex-least among
     its own conjugates, so a prefix whose orbit was reached before is not
-    extended.  One reach step serves prefixes and full tuples alike: for a
-    first-reached tuple it checks that the tuple is lex-least in its orbit,
-    builds the representative and C(tuple), and checks |G| = |C| * |orbit|;
-    only a full tuple's class becomes a component.  Entries are checked on
-    admission: each p-power element's order once, as the root pool is
-    built, and each row of a child pool against the prefix entry that
-    formed it, so, pools being nested, every pair in every tuple is checked.
+    extended.  The walk is one loop over a stack of prefixes, and one pass
+    over a prefix's pool reaches every extension with the same steps at
+    every length: for a first-reached tuple it checks that the tuple is
+    lex-least in its orbit, builds the representative and C(tuple), and
+    checks |G| = |C| * |orbit|; a full tuple's class becomes a component,
+    and a shorter tuple is pushed as a prefix.  Reaching all siblings before
+    extending any changes no seen test, since only tuples of one length
+    collide.  Entries are checked on admission: each p-power element's order
+    once, as the root pool is built, and each row of a child pool against
+    the prefix entry that formed it, so, pools being nested, every pair in
+    every tuple is checked.
     No class table is read, and nothing is cached: each call checks the
     limit and walks again.
     """
@@ -165,26 +170,35 @@ def _walk_classes(group: PermGroup, p: int, h: int, limit: int) -> LoopDecomposi
     # different lengths never collide.
     seen: set[tuple] = set()
     components: list[LoopComponent] = []
-
-    def reach(tup: tuple, prefix: PTuple, x: tuple, entry: Permutation, above: PermGroup):
-        """The representative prefix + (entry,) of the index tuple tup, x the
-        entry's images, and C(tuple); None when its class was reached
-        before.  A full tuple's class is recorded as a component."""
-        if tup in seen:
-            return None
-        orbit = kernels.tuple_orbit(tup, perms)
-        seen.update(orbit)
-        if min(orbit) != tup:
-            raise ChromarankError("walk reached a tuple class away from its lex-least tuple")
-        rep = _appended(prefix, entry)
-        cent = above._centralizer_raw([x], limit)
-        if order != cent.order() * len(orbit):
-            raise ChromarankError("orbit size disagrees with centralizer index")
-        if len(tup) == h:
-            components.append(LoopComponent(rep, cent, len(orbit)))
-        return rep, cent
-
-    _walk((), PTuple(p, ()), group, pool, h, limit, reach)
+    # A node is (index tuple, its representative, C(tuple), pool rows), the
+    # rows (index, images, Permutation) being the p-power elements of
+    # C(tuple).  Children are pushed in reverse, so nodes leave the stack in
+    # lex order.
+    stack = [((), PTuple(p, ()), group, pool)]
+    while stack:
+        tup, prefix, above, rows = stack.pop()
+        children = []
+        for i, x, entry in rows:
+            longer = tup + (i,)
+            if longer in seen:
+                continue
+            orbit = kernels.tuple_orbit(longer, perms)
+            seen.update(orbit)
+            if min(orbit) != longer:
+                raise ChromarankError("walk reached a tuple class away from its lex-least tuple")
+            rep = _appended(prefix, entry)
+            cent = above._centralizer_raw([x], limit)
+            if order != cent.order() * len(orbit):
+                raise ChromarankError("orbit size disagrees with centralizer index")
+            if len(longer) == h:
+                components.append(LoopComponent(rep, cent, len(orbit)))
+                continue
+            members = set(cent._raw_elements(limit))
+            below = [row for row in rows if row[1] in members]
+            if not all(kernels.commutes(x, y) for _, y, _ in below):
+                raise ChromarankError("tuple entries do not commute pairwise")
+            children.append((longer, rep, cent, below))
+        stack.extend(reversed(children))
     return LoopDecomposition(p, h, tuple(components))
 
 
@@ -194,29 +208,6 @@ def _appended(prefix: PTuple, entry: Permutation) -> PTuple:
     object.__setattr__(out, "prime", prefix.prime)
     object.__setattr__(out, "entries", prefix.entries + (entry,))
     return out
-
-
-def _walk(
-    tup: tuple, prefix: PTuple, above: PermGroup, pool: list, h: int, limit: int, reach
-) -> None:
-    # tup is prefix as an index tuple, above is C(prefix) and pool the rows
-    # (index, images, Permutation) of its p-power elements.  Only a prefix
-    # whose class reach finds first reached is extended.  A child pool keeps
-    # the parent's rows in the child's centralizer, each checked to commute
-    # with the new entry; pools are nested, so every pair of entries in a
-    # tuple is checked.  The walk runs in lex order, so components come out
-    # sorted by representative.  Module-level, since a nested function that
-    # calls itself is a reference cycle holding everything the walk built.
-    for i, x, entry in pool:
-        longer = tup + (i,)
-        reached = reach(longer, prefix, x, entry, above)
-        if reached is not None and len(longer) < h:
-            rep, cent = reached
-            members = set(cent._raw_elements(limit))
-            below = [row for row in pool if row[1] in members]
-            if not all(kernels.commutes(x, y) for _, y, _ in below):
-                raise ChromarankError("tuple entries do not commute pairwise")
-            _walk(longer, rep, cent, below, h, limit, reach)
 
 
 def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:

@@ -27,7 +27,7 @@ from chromarank import (
 from chromarank import group as group_module
 from chromarank.group import ConjClassTable, PermGroup, _Chain
 
-from conftest import CORPUS_BUILDERS, o_commuting_tuples, o_tuple_classes
+from conftest import CORPUS_BUILDERS, o_commuting_tuples, o_tuple_classes, relabeling
 
 # frozen by hand before the engine existed; see also the naive oracles
 FROZEN = {
@@ -255,6 +255,24 @@ def test_recursive_rank_matches_walk(corpus):
             for p in (2, 3):
                 for h in range(4):
                     assert hkr_rank(g, p, h) == len(commuting_tuple_classes(g, p, h)), (name, p, h)
+
+
+def test_walk_at_the_height_bound(corpus):
+    # The deepest walk allowed: the recursion counts its classes, their
+    # representatives come out strictly increasing, and where |G|^h is
+    # small the naive scan counts its tuples.
+    h = chromatic.DEFAULT_MAX_HEIGHT
+    for name, group in corpus.items():
+        for g in (group, group.conjugate_by(relabeling(group.degree))):
+            elems = [e.images for e in g.elements()] if g.order() ** h <= 4096 else None
+            for p in (2, 3):
+                dec = commuting_tuple_classes(g, p, h)
+                assert len(dec) == hkr_rank(g, p, h), (name, p)
+                reps = [tuple(e.images for e in c.rep.entries) for c in dec.components]
+                assert all(a < b for a, b in zip(reps, reps[1:])), (name, p)
+                if elems is not None:
+                    naive = o_commuting_tuples(elems, p, h)
+                    assert sum(c.orbit_size for c in dec.components) == len(naive), (name, p)
 
 
 def test_recursive_rank_of_the_wreath(wreath_4608):
