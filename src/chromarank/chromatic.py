@@ -102,8 +102,8 @@ def p_power_elements(
         limit,
         lambda: tuple(
             Permutation._wrap(t)
-            for t, o in zip(group._raw_elements(limit), group._element_orders(limit))
-            if is_p_power(o, p)
+            for t in group._raw_elements(limit)
+            if is_p_power(kernels.element_order(t), p)
         ),
     )
 
@@ -137,16 +137,15 @@ def commuting_tuple_classes(
     once, as the root pool is built, and each row of a child pool against
     the prefix entry that formed it, so, pools being nested, every pair in
     every tuple is checked.
-    No class table is read, and nothing is cached: each call checks the
-    limit and walks again.
+    No class table is read, and nothing is cached: each call walks again,
+    and checks the limit as it reads p_power_elements, before anything is
+    enumerated.
     """
     check_prime(p)
     _check_height(h)
     if h == 0:  # one empty tuple, centralized by the group; nothing to enumerate
         return LoopDecomposition(p, 0, (LoopComponent(PTuple(p, ()), group, 1),))
-    limit = enumeration_limit(limit)
-    group._check_limit(limit)
-    return _walk_classes(group, p, h, limit)
+    return _walk_classes(group, p, h, enumeration_limit(limit))
 
 
 def _walk_classes(group: PermGroup, p: int, h: int, limit: int) -> LoopDecomposition:
@@ -215,14 +214,15 @@ def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:
 
     Counted by the centralizer recursion: at height 1 the classes are the
     p-power conjugacy classes, and above it the count is the sum of the
-    height-(h-1) ranks of the centralizers of their representatives.  A
-    central class's is the group itself (PermGroup._centralizer_raw).
-    Each centralizer's order times its class size must equal |G|.  A group
-    with a factor record (PermGroup.factor_record) takes its rank from its
-    factors' ranks instead, their product or _wreath_rank, and builds no
-    class table of its own.  Counts are cached on the group, and the limit
-    is checked before the cache is read; commuting_tuple_classes is the
-    independent oracle.
+    height-(h-1) ranks of the centralizers of their representatives.  Both
+    are read off PermGroup._p_class_centralizers, the list explore reads
+    too, one row per class with its centralizer; a central class's is the
+    group itself.  Each centralizer's order times its class size must
+    equal |G|.  A group with a factor record (PermGroup.factor_record)
+    takes its rank from its factors' ranks instead, their product or
+    _wreath_rank, and builds no class table of its own.  Counts are cached
+    on the group, and the limit is checked before the cache is read;
+    commuting_tuple_classes is the independent oracle.
     """
     check_prime(p)
     _check_height(h)
@@ -238,18 +238,13 @@ def _rank(group: PermGroup, p: int, h: int, limit: int) -> int:
         factors, n = record
         ranks = [hkr_rank(f, p, h, limit) for f in factors]
         return prod(ranks) if n is None else _wreath_rank(ranks[0], p, h, n)
-    table = group.conjugacy_classes(limit)
-    reps = [
-        (rep, size)
-        for rep, size, o in zip(table.reps, table.sizes, table.orders)
-        if is_p_power(o, p)
-    ]
+    rows = group._p_class_centralizers(p, limit)
     if h == 1:
-        return len(reps)
+        return sum(1 for _ in rows)
     order = group.order()
     count = 0
-    for rep, size in reps:
-        cent = group._centralizer_raw([rep.images], limit)
+    for _, size, _, centralizer in rows:
+        cent = centralizer()
         if cent.order() * size != order:
             raise ChromarankError("class size disagrees with centralizer index")
         count += hkr_rank(cent, p, h - 1, limit)

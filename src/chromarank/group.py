@@ -44,7 +44,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import compress, islice, product
+from itertools import islice, product
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
@@ -502,14 +502,6 @@ class PermGroup:
             lambda: tuple(Permutation._wrap(t) for t in self._raw_elements(limit)),
         )
 
-    def _element_orders(self, limit: int | None = None) -> tuple[int, ...]:
-        """The order of each element of _raw_elements, in the same order."""
-        return self._cached(
-            "element_orders",
-            limit,
-            lambda: tuple(map(kernels.element_order, self._raw_elements(limit))),
-        )
-
     def exponent(self, limit: int | None = None) -> int:
         return lcm(*(o for o, _ in self.class_profile(limit)))
 
@@ -530,12 +522,11 @@ class PermGroup:
         element order and size from the formula _profile reads too
         (_product_rows, _wreath_words).  Any other group walks
         its elements in sorted order, so each class is first reached at its
-        least member.  With order given, only the classes of that element
-        order are yielded; the walk then visits only the elements of that
-        order, read from _element_orders.  Without it, the walk computes the
-        order of each rep alone, so a full table costs one kernel call per
-        class.  The generators are inverted once per walk, for all its
-        orbits.
+        least member, and takes the order of each rep alone: one kernel
+        call per class.  One walk serves the full table and one order: with
+        order given, it yields only the classes of that element order, and
+        as it runs lazily a caller that stops early walks no further.  The
+        generators are inverted once per walk, for all its orbits.
         """
         record = self._cache.get("factors")
         if record is not None:
@@ -555,17 +546,15 @@ class PermGroup:
         seen: dict[tuple[int, ...], None] = {}
         raw_gens = self._raw
         inverses = [kernels.inverse(g) for g in raw_gens]
-        elements = self._raw_elements(limit)
-        if order is not None:
-            elements = compress(elements, [o == order for o in self._element_orders(limit)])
-        for t in elements:
+        for t in self._raw_elements(limit):
             if t in seen:
                 continue
-            o = kernels.element_order(t) if order is None else order
+            o = kernels.element_order(t)
             orbit = kernels.conjugacy_orbit(t, raw_gens, inverses)
             for x in orbit:
                 seen[x] = None
-            yield Permutation._wrap(t), len(orbit), o
+            if order is None or o == order:
+                yield Permutation._wrap(t), len(orbit), o
 
     def _record_factors(self, factors: tuple["PermGroup", ...], n: int | None = None) -> "PermGroup":
         """Record that this group is the direct product of factors or, when n
@@ -780,8 +769,12 @@ class PermGroup:
         the rep's pieces, each factor class's found once.  So neither the
         product's class table nor its reps are built.  Any other group
         reads its class table.
+
+        The HKR recursion (chromatic._rank, on a group with no factor
+        record) and explore's centralizer candidates both read this list.
+        It checks no limit: each caller has checked it, hkr_rank through
+        _cached and explore in _centralizer_children.
         """
-        self._check_limit(limit)
         record = self._cache.get("factors")
         if record is None or record[1] is not None:
             table = self.conjugacy_classes(limit)

@@ -80,6 +80,13 @@ def test_height_zero_single_component(corpus):
 def test_height_bound():
     with pytest.raises(HeightExceeded):
         commuting_tuple_classes(cyclic(2), 2, 5)
+    for call, message in (
+        (lambda: commuting_tuple_classes(cyclic(2), 2, -1), "height must be nonnegative"),
+        (lambda: hkr_rank(cyclic(2), 2, -1), "height must be nonnegative"),
+        (lambda: verify_rank_identity(cyclic(2), 2, 1, 2), "need 0 <= t <= n"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_dfs_matches_naive_oracle(corpus):

@@ -20,6 +20,7 @@ from chromarank import (
 )
 
 from chromarank import group as group_module, kernels
+from chromarank.constructors import atomic_group
 from chromarank.dsl import evaluate, parse
 from chromarank.group import _Chain
 
@@ -167,6 +168,10 @@ def test_general_linear_rejects_prime_powers():
         general_linear(2, 4)
     with pytest.raises(ChromarankError):
         general_linear(2, 1)
+    with pytest.raises(ValueError, match="matrix rank must be at least 1"):
+        general_linear(0, 3)
+    with pytest.raises(ChromarankError, match="field size 4 is not prime"):
+        unitriangular4(4)
 
 
 def test_unitriangular4():
@@ -190,6 +195,10 @@ def test_constructor_validation():
     assert abelian(()).order() == 1
     with pytest.raises(ValueError):
         wreath_cyclic(cyclic(2), 0)
+    with pytest.raises(ValueError, match="unknown atomic family 'klein'"):
+        atomic_group("klein", ())
+    with pytest.raises(ValueError, match="cyclic expects 1 parameter"):
+        atomic_group("cyclic", (2, 3))
 
 
 # -- class profiles from the factors ------------------------------------------

@@ -68,6 +68,10 @@ def test_parse_validates_constructor_arguments():
         parse("d(2)")  # dihedral needs n >= 3
     with pytest.raises(ParseError):
         parse("gl(2,4)")  # q must be prime
+    with pytest.raises(ParseError, match="abelian invariants must be positive"):
+        parse("ab(2,0)")
+    with pytest.raises(ParseError, match="matrix rank must be at least 1"):
+        parse("gl(0,3)")
     with pytest.raises(ParseError):
         parse("syl(4,s(4))")  # p must be prime
     with pytest.raises(ParseError):

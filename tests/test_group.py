@@ -92,6 +92,10 @@ def test_group_from_generators_degree():
     assert group_from_generators(gens).degree == 3
     with pytest.raises(InvalidPermutation):
         group_from_generators([])
+    with pytest.raises(InvalidPermutation, match="not a Permutation"):
+        PermGroup(3, [(1, 2, 0)])
+    with pytest.raises(DegreeMismatch, match="generator degree 3, group degree 4"):
+        PermGroup(4, gens)
 
 
 def test_repr_names_the_degree_and_the_generator_count():
@@ -479,6 +483,7 @@ def test_centralizer_rejects_outsiders():
     for group, outsider, error in (
         (cyclic(3), Permutation.from_cycles("(0 1)", degree=3), NotInGroup),
         (symmetric(4), Permutation.from_cycles("(0 1)", degree=5), DegreeMismatch),
+        (cyclic(3), (1, 2, 0), InvalidPermutation),
     ):
         with pytest.raises(error):
             group.centralizer([outsider])
@@ -867,7 +872,7 @@ def test_factor_rule_holds_the_limit():
         lambda g, limit: g.fingerprint(limit=limit),
         lambda g, limit: g.exponent(limit=limit),
         lambda g, limit: g._raw_elements(limit=limit),
-        lambda g, limit: g._element_orders(limit=limit),
+        lambda g, limit: p_power_elements(g, 2, limit=limit),
         lambda g, limit: g.conjugacy_classes(limit=limit),
         lambda g, limit: list(g._classes(limit, 2)),
         lambda g, limit: g._centralizer_raw([g._raw[0]], limit=limit),
@@ -1070,6 +1075,10 @@ def test_enumeration_limit_resolution(monkeypatch):
     monkeypatch.setenv("CHROMARANK_MAX_ORDER", "junk")
     with pytest.raises(ChromarankError):
         enumeration_limit(None)
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("CHROMARANK_MAX_ORDER", raw)
+        with pytest.raises(ChromarankError, match="must be positive"):
+            enumeration_limit(None)
 
 
 def test_conjugate_by_relabels():
@@ -1078,6 +1087,8 @@ def test_conjugate_by_relabels():
     h = g.conjugate_by(s)
     assert h.order() == 6
     assert sorted(e.images for e in h.elements()) == sorted(e.images for e in g.elements())
+    with pytest.raises(DegreeMismatch, match="degree 4 vs group degree 3"):
+        g.conjugate_by(Permutation.identity(4))
 
 
 @pytest.mark.parametrize("text", ["prod(q8,s(3))", "wr(s(3),c(2))", "wr(c(2),c(4))"])
@@ -1097,7 +1108,7 @@ def test_relabeled_copy_keeps_only_relabeling_invariant_facts(text):
     plain = PermGroup(copy.degree, copy.generators)
     conjugated = sorted(kernels.conjugate(t, s.images) for t in group._raw_elements())
     assert list(copy._raw_elements()) == list(plain._raw_elements()) == conjugated
-    assert copy._element_orders() == plain._element_orders()
+    assert all(p_power_elements(copy, p) == p_power_elements(plain, p) for p in (2, 3))
     assert copy.conjugacy_classes() == plain.conjugacy_classes()
     x = copy.conjugacy_classes().reps[-1].images
     assert copy._centralizer_raw([x])._raw_elements() == tuple(

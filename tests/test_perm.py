@@ -54,6 +54,8 @@ def test_compose_order_is_left_to_right():
 def test_compose_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         Permutation.identity(3) * Permutation.identity(4)
+    with pytest.raises(DegreeMismatch):
+        Permutation.identity(3).conjugate_by(Permutation.identity(4))
 
 
 def test_from_cycles_roundtrip():

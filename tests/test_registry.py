@@ -183,6 +183,9 @@ def test_save_load_roundtrip(tmp_path):
     # canonical field order on every line
     for line in path.read_text().splitlines():
         assert list(json.loads(line)) == list(RegistryEntry.from_record(json.loads(line)).to_record())
+    # Blank lines are skipped.
+    path.write_text("\n" + path.read_text().replace("\n", "\n  \n"))
+    assert Registry.load(str(path)).entries == loaded.entries
 
 
 def test_load_reports_line_numbers(tmp_path):
@@ -434,6 +437,8 @@ def test_certify_factor_rule():
     # barred, but a registered good product with a good cofactor frees it.
     reg = Registry.with_defaults(2)
     assert certify("d(8)", 2, reg) is None
+    # A good entry whose expression does not parse is no witness.
+    reg.add(entry_for("unparsed", "prod(", 2, cyclic(5), rule="CITED"))
     witness = dsl.evaluate(dsl.parse("prod(d(8),c(3))"))
     reg.add(entry_for("witness", "prod(d(8),c(3))", 2, witness, rule="CITED"))
     tree = certify("d(8)", 2, reg)
@@ -535,6 +540,8 @@ def test_certify_poisoned_registry_raises():
     reg.add(entry_for("poison", None, 2, cyclic(4), status="bad", rule="CITED"))
     with pytest.raises(ConsistencyError):
         certify("c(4)", 2, reg)
+    with pytest.raises(ConsistencyError, match="keyed to prime 3, not 2"):
+        certify("c(4)", 2, Registry.with_defaults(3))
 
 
 def test_replay_rejects_tampered_tree():
@@ -547,6 +554,9 @@ def test_replay_rejects_tampered_tree():
         replay(forged, 2, reg)
     with pytest.raises(ConsistencyError):
         replay(DerivationTree("s(4)", "SEED", "abelian"), 2, reg)
+    # A registry with no axiom entries cannot back a SEED node.
+    with pytest.raises(ConsistencyError, match="axiom entry axiom:abelian missing"):
+        replay(certify("c(1)", 2, reg), 2, Registry(2))
 
 
 def _seed(subject, axiom="abelian"):
@@ -1099,6 +1109,13 @@ def test_explore_suffixes_a_taken_name():
     added = explore(reg, 2, 8, depth=1)
     assert "wr(c(2),c(2))#2" in [e.name for e in added]
     assert reg.get("wr(c(2),c(2))#2").expr == "wr(c(2),c(2))"
+    # With the name and its #2 taken, the next free suffix is #3.
+    reg = seeded_registry(2, ["c(2)"])
+    for name, text in (("wr(c(2),c(2))", "ab(2,4)"), ("wr(c(2),c(2))#2", "c(8)")):
+        group = dsl.evaluate(dsl.parse(text))
+        reg.add(entry_for(name, None, 2, group, rule="CITED"))
+    explore(reg, 2, 8, depth=1)
+    assert reg.get("wr(c(2),c(2))#3").expr == "wr(c(2),c(2))"
 
 
 def test_every_entry_point_refuses_a_composite_prime_alike():
