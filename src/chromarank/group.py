@@ -522,11 +522,12 @@ class PermGroup:
         element order and size from the formula _profile reads too
         (_product_rows, _wreath_words).  Any other group walks
         its elements in sorted order, so each class is first reached at its
-        least member, and takes the order of each rep alone: one kernel
-        call per class.  One walk serves the full table and one order: with
-        order given, it yields only the classes of that element order, and
-        as it runs lazily a caller that stops early walks no further.  The
-        generators are inverted once per walk, for all its orbits.
+        least member, and takes the order of each element it has not seen.
+        One walk serves the full table and one order: with order given, it
+        walks the orbits of that order's classes alone, so another class
+        costs an order per element, and as it runs lazily a caller that
+        stops early walks no further.  The generators are inverted once
+        per walk, for all its orbits.
         """
         record = self._cache.get("factors")
         if record is not None:
@@ -550,11 +551,12 @@ class PermGroup:
             if t in seen:
                 continue
             o = kernels.element_order(t)
+            if order is not None and o != order:
+                continue
             orbit = kernels.conjugacy_orbit(t, raw_gens, inverses)
             for x in orbit:
                 seen[x] = None
-            if order is None or o == order:
-                yield Permutation._wrap(t), len(orbit), o
+            yield Permutation._wrap(t), len(orbit), o
 
     def _record_factors(self, factors: tuple["PermGroup", ...], n: int | None = None) -> "PermGroup":
         """Record that this group is the direct product of factors or, when n

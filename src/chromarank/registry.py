@@ -744,10 +744,10 @@ def _centralizer_children(
         _compare_factor_fact(lambda: parent.name, "p-power class", got, want)
     added = []
     named: set[tuple[int, int]] = set()
-    # A centralizer tried before -> whether that try came to an entry or a
-    # fingerprint duplicate; a skipped one is tried again, so that each of
-    # its classes logs its skip.
-    tried: dict[PermGroup, bool] = {}
+    # A centralizer tried before -> whether that try settled it, coming to an
+    # entry or a fingerprint duplicate; a skipped one is tried again, so that
+    # each of its classes logs its skip.
+    settled: dict[PermGroup, bool] = {}
     order = group.order()
     for o, size, rep, centralizer in rows:
         czo = order // size
@@ -758,7 +758,7 @@ def _centralizer_children(
             expr = f"cent({parent.expr},order={o},czorder={czo})"
         named.add((o, czo))
         sub = centralizer()
-        if not paranoid and tried.get(sub):
+        if not paranoid and settled.get(sub):
             # The same group again: a fingerprint duplicate of the first try.
             tally["CENTRALIZER"] += 1
             tally["duplicate"] += 1
@@ -781,7 +781,7 @@ def _centralizer_children(
             registry, name, expr, p, lambda: sub.fingerprint(limit), lambda: sub, "CENTRALIZER",
             (parent.name,), limit, paranoid, tally,
         )
-        tried[sub] = entry is not None or tally["duplicate"] > duplicates
+        settled[sub] = entry is not None or tally["duplicate"] > duplicates
         if entry is not None:
             added.append(entry)
     return added
@@ -806,19 +806,20 @@ def explore(
     the number of rounds; groups past the enumeration limit are skipped
     with a logged notice.
 
-    Each candidate key, the wreath of an entry, its centralizers or the
-    product of two entries, is tried at most once per call: a key tried
-    before could only find fingerprint duplicates, so skipping it leaves
-    the order of additions unchanged, and it counts as skipped the
-    candidates it stood for.  A product is fingerprinted from its
-    factors and built only when it is added (_register_candidate); a
-    centralizer of a product, or of a wreath's base target whose word of
-    classes has no rotational symmetry, is built from factor
-    centralizers, with no elements, and fingerprinted from theirs.  The
-    classes of an entry that share a centralizer make one candidate
-    (_centralizer_children), while the counts, names and log lines stay
-    those of one candidate per class.  Each round logs its counts at INFO,
-    every class counted.
+    A round tries only what involves an entry new to it, one past the
+    previous round's snapshot: a new entry's wreath and centralizers (a
+    wreath's in the round that adds it) and the product of each pair with
+    a new member.  The rest was tried in an earlier round and could only
+    find fingerprint duplicates, so the order of additions is unchanged,
+    and the round counts all the earlier rounds' candidates as skipped.
+    A product is fingerprinted from its factors and built only when it is
+    added (_register_candidate); a centralizer of a product, or of a
+    wreath's base target whose word of classes has no rotational symmetry,
+    is built from factor centralizers, with no elements, and fingerprinted
+    from theirs.  The classes of an entry that share a centralizer make
+    one candidate (_centralizer_children), while the counts, names and log
+    lines stay those of one candidate per class.  Each round logs its
+    counts at INFO, every class counted.
     """
     check_prime(p)
     if registry.prime not in (None, p):
@@ -828,24 +829,16 @@ def explore(
     # Every snapshot entry's group, or None; entries are only ever appended,
     # so the entries past its length are the round's new ones.
     groups: dict[str, PermGroup | None] = {}
-    # ("wr", a), ("cent", a) or ("prod", a, b) with a <= b -> the number of
-    # candidates it stood for when it was tried.
-    tried: dict[tuple, int] = {}
+    # Wreath entries whose centralizers were tried in the round that added them.
+    expanded: set[str] = set()
+    skipped = 0
     for round_no in range(1, depth + 1):
         snapshot = [e for e in registry.good_entries() if e.order is not None]
-        new = len(snapshot) - len(groups)
-        for entry in snapshot[len(groups) :]:
+        start = len(groups)
+        for entry in snapshot[start:]:
             groups[entry.name] = _realize_or_skip(registry, entry, limit)
         tally: Counter = Counter()
         fresh: list[RegistryEntry] = []
-
-        def first_try(key) -> bool:
-            # A first try stands for one candidate unless its caller counts more.
-            if key in tried:
-                tally["skipped"] += tried[key]
-                return False
-            tried[key] = 1
-            return True
 
         def offer(name, expr, fingerprint, build, rule, parents) -> RegistryEntry | None:
             entry = _register_candidate(
@@ -857,22 +850,17 @@ def explore(
             return entry
 
         def expand(parent, group):
-            key = ("cent", parent.name)
-            if first_try(key):
-                before = tally["CENTRALIZER"]
-                fresh.extend(
-                    _centralizer_children(
-                        registry, parent, group, p, order_bound, limit, paranoid, tally
-                    )
-                )
-                tried[key] = tally["CENTRALIZER"] - before
+            fresh.extend(
+                _centralizer_children(registry, parent, group, p, order_bound, limit, paranoid, tally)
+            )
 
-        for entry in snapshot:
+        for i, entry in enumerate(snapshot):
             group = groups[entry.name]
             if group is None:
                 continue
-            # wreath with C_p and its centralizers, then the entry's own
-            if entry.order**p * p <= order_bound and first_try(("wr", entry.name)):
+            new = i >= start
+            # a new entry's wreath with C_p and its centralizers, then its own
+            if new and entry.order**p * p <= order_bound:
                 wexpr = f"wr({entry.expr},c({p}))" if entry.expr is not None else None
                 wreath = constructors.wreath_cyclic(group, p)
                 wname = wexpr or f"wr[{entry.name};c({p})]"
@@ -882,13 +870,15 @@ def explore(
                 )
                 if wentry is not None:
                     expand(wentry, wreath)
-            expand(entry, group)
-            # products with other snapshot members, unordered pairs once
-            for other in snapshot:
+                    expanded.add(wentry.name)
+            if new and entry.name not in expanded:
+                expand(entry, group)
+            # products with other snapshot members, unordered pairs once, one of them new
+            for other in snapshot if new else snapshot[start:]:
                 if entry.order * other.order > order_bound or other.name < entry.name:
                     continue
                 ogroup = groups[other.name]
-                if ogroup is None or not first_try(("prod", entry.name, other.name)):
+                if ogroup is None:
                     continue
                 if entry.expr is not None and other.expr is not None:
                     pexpr = f"prod({entry.expr},{other.expr})"
@@ -909,14 +899,15 @@ def explore(
             "CENTRALIZER %d; added %d, fingerprint duplicates %d, skipped as already tried %d",
             round_no,
             len(snapshot),
-            new,
+            len(snapshot) - start,
             tally["WREATH"],
             tally["PRODUCT"],
             tally["CENTRALIZER"],
             len(fresh),
             tally["duplicate"],
-            tally["skipped"],
+            skipped,
         )
+        skipped += tally["WREATH"] + tally["PRODUCT"] + tally["CENTRALIZER"]
         added.extend(fresh)
         if not fresh:
             break

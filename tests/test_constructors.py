@@ -20,6 +20,7 @@ from chromarank import (
 )
 
 from chromarank import group as group_module, kernels
+from chromarank.arith import primitive_root
 from chromarank.constructors import atomic_group
 from chromarank.dsl import evaluate, parse
 from chromarank.group import _Chain
@@ -172,6 +173,8 @@ def test_general_linear_rejects_prime_powers():
         general_linear(0, 3)
     with pytest.raises(ChromarankError, match="field size 4 is not prime"):
         unitriangular4(4)
+    with pytest.raises(ValueError, match="no primitive root modulo 8"):
+        primitive_root(8)
 
 
 def test_unitriangular4():

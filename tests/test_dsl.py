@@ -38,6 +38,11 @@ def test_print_is_canonical():
     assert text == "prod(s(3),ab(2,2))"
     assert print_expr(parse(text)) == text
     assert parse(print_expr(Ingest("a/b.txt"))) == Ingest("a/b.txt")
+    with pytest.raises(ChromarankError, match="unknown atom kind 'bogus'"):
+        print_expr(Atom("bogus", ()))
+    for call in (print_expr, lambda e: evaluate(e, None)):
+        with pytest.raises(ChromarankError, match="not a GroupExpr: 'c\\(2\\)'"):
+            call("c(2)")
 
 
 def test_parse_error_offsets():

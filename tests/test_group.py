@@ -126,6 +126,28 @@ def test_class_table_orders_match_oracle(corpus):
         assert table.orders == tuple(o_order(rep.images) for rep in table.reps), name
 
 
+def test_one_order_walk_walks_only_that_orders_orbits(corpus, monkeypatch):
+    # On a group with no factor record, a class of another element order
+    # costs its elements' orders and no orbit walk, so a walk for one order
+    # walks one orbit per row it yields, and yields the table's rows.
+    walked = []
+    conjugacy_orbit = kernels.conjugacy_orbit
+
+    def counting(t, gens, inverses):
+        walked.append(t)
+        return conjugacy_orbit(t, gens, inverses)
+
+    monkeypatch.setattr(kernels, "conjugacy_orbit", counting)
+    for name, group in corpus.items():
+        plain = PermGroup(group.degree, group.generators)
+        table = plain.conjugacy_classes()
+        for k in sorted(set(table.orders)):
+            walked.clear()
+            rows = list(plain._classes(None, k))
+            assert walked == [rep.images for rep, _, _ in rows], (name, k)
+            assert rows == [row for row in zip(table.reps, table.sizes, table.orders) if row[2] == k]
+
+
 def test_class_centralizer_reuses_the_group_for_central_classes(corpus):
     for name, group in corpus.items():
         table = group.conjugacy_classes()
@@ -599,6 +621,18 @@ def test_sylow_growth_tests_fewer_elements_than_the_group(monkeypatch):
     monkeypatch.setattr(kernels, "normalizer_filter", counting)
     assert group.sylow_subgroup(2).order() == 512
     assert 0 < sum(passed) < group.order() == 4608
+
+
+def test_sylow_guards_catch_a_wrong_normalizer_filter(monkeypatch):
+    # A filter that keeps nothing leaves no element to extend the span by,
+    # and one that keeps every element lets in one that does not normalize
+    # it, so the span grows past the p-part.
+    monkeypatch.setattr(kernels, "normalizer_filter", lambda chunk, gens, span: [])
+    with pytest.raises(ChromarankError, match="normalizer holds no p-element outside the subgroup"):
+        symmetric(4).sylow_subgroup(2)
+    monkeypatch.setattr(kernels, "normalizer_filter", lambda chunk, gens, span: chunk)
+    with pytest.raises(ChromarankError, match="grew past the p-part"):
+        symmetric(4).sylow_subgroup(2)
 
 
 def test_sylow_rejects_composite():

@@ -33,6 +33,8 @@ def test_validation_rejects_non_bijections():
         Permutation((0, 3, 1))
     with pytest.raises(InvalidPermutation):
         Permutation(())
+    with pytest.raises(InvalidPermutation, match="degree must be at least 1"):
+        Permutation.identity(0)
 
 
 def test_validation_rejects_bool_entries():
@@ -73,6 +75,8 @@ def test_from_cycles_rejects_garbage():
     for bad in ["(0 1", "0 1)", "(0 1)x", "(0 0)", "(0 1)(1 2)", "(-1 2)"]:
         with pytest.raises(ParseError):
             Permutation.from_cycles(bad)
+    with pytest.raises(ParseError, match="empty permutation text"):
+        Permutation.from_cycles("")
 
 
 def test_identity_cycle_text():

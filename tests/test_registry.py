@@ -915,6 +915,28 @@ def test_explore_paranoid_mode_checks_the_factor_rule(monkeypatch, owner, attr, 
         explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, bound, depth=depth, paranoid=True)
 
 
+def test_explore_paranoid_mode_checks_the_centralizer_is_the_reps(monkeypatch):
+    # A centralizer candidate must be the group _centralizer_raw gives for
+    # its class rep.  A copy of it has the same elements, so it passes the
+    # element comparison, and paranoid mode names it; explore without it
+    # runs to the end.
+    p_class_centralizers = PermGroup._p_class_centralizers
+
+    def copied(self, p, limit=None):
+        for o, size, rep, centralizer in p_class_centralizers(self, p, limit):
+
+            def copy(centralizer=centralizer):
+                sub = centralizer()
+                return PermGroup(sub.degree, sub.generators)
+
+            yield o, size, rep, copy
+
+    monkeypatch.setattr(PermGroup, "_p_class_centralizers", copied)
+    explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1)
+    with pytest.raises(ConsistencyError, match="is not the centralizer of its class rep"):
+        explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1, paranoid=True)
+
+
 def _record_doubled_orders(monkeypatch):
     # A wrong order recorded for products and wreaths: twice the order of
     # the group they generate.
