@@ -92,8 +92,9 @@ def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
 
     Built by group._direct_product, as a product's centralizers are: the
     factors are recorded on the result, which takes from theirs its
-    order, class table and profile (both read group._product_rows),
-    derived order, centralizers and ranks.
+    order, class table and profile (both read group._product_rows; the
+    table and the p-power classes read group._paired_classes), derived
+    order, centralizers and ranks.
     """
     return _direct_product((g, h))
 

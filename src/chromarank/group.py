@@ -518,7 +518,7 @@ class PermGroup:
 
         Each rep is the least element of its class.  A recorded direct
         product or wreath reads its classes from its factors' class tables
-        (see _product_classes and _wreath_classes), with each class's
+        (see _paired_classes and _wreath_classes), with each class's
         element order and size from the formula _profile reads too
         (_product_rows, _wreath_words).  Any other group walks
         its elements in sorted order, so each class is first reached at its
@@ -534,8 +534,9 @@ class PermGroup:
             self._check_limit(limit)
             factors, n = record
             if n is None:
-                tables = [(f.degree, f.conjugacy_classes(limit)) for f in factors]
-                rows = _product_classes(tables, order)
+                # lcm(a, c) is order only when a and c divide it.
+                pairs, rep = _paired_classes(factors, limit, lambda o: order is None or order % o == 0)
+                rows = ((rep(ks), size, o) for (o, size), ks in pairs if order is None or o == order)
             else:
                 (base,) = factors
                 table = base.conjugacy_classes(limit)
@@ -652,10 +653,9 @@ class PermGroup:
     def _centralizer_raw(self, raw_targets, limit: int | None = None) -> "PermGroup":
         """Centralizer of raw elements of the group, one group per distinct
         element set: the one way into a centralizer, but for the classes of
-        a recorded product in _p_class_centralizers, which have no rep of
-        their own and take _product_of_centralizers of their factor
-        classes' centralizers, as _centralizer_group does for a product,
-        so the same object.
+        a recorded product in _p_class_centralizers, which take the product
+        of their factor classes' centralizers (_product_of_centralizers),
+        as _centralizer_group does for a product, so the same object.
 
         _centralizer_group finds it, and returns the group itself when
         every target is central; the memo per target tuple then marks it
@@ -762,15 +762,14 @@ class PermGroup:
         the class's least element, raw, and centralizer() its centralizer,
         the group _centralizer_raw gives, each built when called.
 
-        A recorded direct product pairs its factors' classes of p-power
-        order, in the order _product_classes pairs all of them, since (x,
-        y) has p-power order exactly when x and y do.  A pair's order and
-        size come from _product_rows, its rep from _product_elements, and
-        its centralizer is the product of the factors' C(x) and C(y)
+        A recorded direct product reads the pairs of its factors' classes
+        of p-power order (_paired_classes, the pairing _classes reads),
+        since (x, y) has p-power order exactly when x and y do.  A pair's
+        centralizer is the product of the factors' C(x) and C(y)
         (_product_of_centralizers), as _centralizer_group finds it from
-        the rep's pieces, each factor class's found once.  So neither the
-        product's class table nor its reps are built.  Any other group
-        reads its class table.
+        the rep's pieces, each factor class's found once.  So no class table
+        of the product is built, nor any rep before a rep() call.  Any
+        other group reads its class table.
 
         The HKR recursion (chromatic._rank, on a group with no factor
         record) and explore's centralizer candidates both read this list.
@@ -786,28 +785,20 @@ class PermGroup:
                     yield o, size, lambda x=x: x, partial(self._centralizer_raw, [x], limit)
             return
         factors = record[0]
-        reps, columns = [], []
-        for f in factors:
-            table = f.conjugacy_classes(limit)
-            keep = [i for i, o in enumerate(table.orders) if is_p_power(o, p)]
-            reps.append([table.reps[i].images for i in keep])
-            columns.append([(table.orders[i], table.sizes[i]) for i in keep])
 
         # A factor class meets many pairs: asking _centralizer_raw once per
         # pair, limit check and key included, made the explore at p=3 to
         # 59049 take 1.42 s instead of 1.21 s (pure backend, 2 vCPUs).
         @cache
         def factor_centralizer(i, k):
-            return factors[i]._centralizer_raw([reps[i][k]], limit)
-
-        def rep(ks):
-            return _product_elements([(f.degree, [xs[k]]) for f, xs, k in zip(factors, reps, ks)])[0]
+            f = factors[i]
+            return f._centralizer_raw([f.conjugacy_classes(limit).reps[k].images], limit)
 
         def centralizer(ks):
             return self._product_of_centralizers(tuple(map(factor_centralizer, range(len(ks)), ks)))
 
-        picks = product(*[range(len(column)) for column in columns])
-        for (o, size), ks in zip(_product_rows(columns), picks):
+        pairs, rep = _paired_classes(factors, limit, lambda o: is_p_power(o, p))
+        for (o, size), ks in pairs:
             yield o, size, partial(rep, ks), partial(centralizer, ks)
 
     def centralizer(self, targets: Iterable[Permutation], limit: int | None = None) -> "PermGroup":
@@ -1046,20 +1037,28 @@ def _wreath_words(rows, base_order: int, n: int):
                 yield j, word, lcm(*[orders[i] for i in word]), size
 
 
-def _product_classes(tables, order: int | None) -> list:
-    """Sorted (rep, size, element order) rows of a direct product's classes
-    of the given element order (all when None), from (degree, class table)
-    of each factor, in order.
+def _paired_classes(factors, limit: int | None, keep):
+    """(rows, rep) for the classes of the direct product of factors that
+    pair classes of element orders keep accepts.  rows yields ((element
+    order, class size), ks) per class in product order, the first
+    factor's classes outermost, for ks the classes' indices in the
+    factors' class tables; rep(ks) is the class's least element.
 
-    A class of G x H is a pair of classes, with order and size from
-    _product_rows.  Its least element is x + y shifted by deg G, for the
-    least elements x and y of the two classes, since G's points come
-    first; _product_elements of the factors' sorted reps lists these in
-    the same product order, sorted.
+    Order and size come from _product_rows, and each least element from
+    _product_elements of the factor classes' least elements, which lists
+    them in product order, sorted: product order is rep order.  The first
+    rep call lists them all, a tenth of the cost per rep of one call each.
     """
-    reps = _product_elements([(degree, [rep.images for rep in table.reps]) for degree, table in tables])
-    rows = _product_rows([list(zip(table.orders, table.sizes)) for _, table in tables])
-    return [(rep, size, o) for rep, (o, size) in zip(reps, rows) if order is None or o == order]
+    tables = [f.conjugacy_classes(limit) for f in factors]
+    kept = [[k for k, o in enumerate(table.orders) if keep(o)] for table in tables]
+    columns = [[(t.orders[k], t.sizes[k]) for k in ks] for t, ks in zip(tables, kept)]
+
+    @cache
+    def reps():
+        pieces = [(f.degree, [t.reps[k].images for k in ks]) for f, t, ks in zip(factors, tables, kept)]
+        return dict(zip(product(*kept), _product_elements(pieces)))
+
+    return zip(_product_rows(columns), product(*kept)), lambda ks: reps()[ks]
 
 
 def _wreath_classes(table, base_order: int, degree: int, n: int, order: int | None) -> list:

@@ -711,21 +711,22 @@ def _centralizer_children(
     first, abelian or not.
 
     The classes and their centralizers come from
-    PermGroup._p_class_centralizers: a recorded direct product pairs its
-    factors' classes and centralizers C_G(x), C_H(y), with no class table
-    of its own, and its centralizer is their direct product, built with no
-    elements and fingerprinted from theirs.  Any other group reads its
-    class table and _centralizer_raw, so a wreath's base target whose word
-    of classes has no rotational symmetry gets the product of the base's
-    centralizers too.  Many classes share one centralizer.  Only the first
-    class, in rep order, that has it goes to _register_candidate; each
-    later one counts as a CENTRALIZER candidate and a fingerprint
-    duplicate, as its try would have, unless the first try was skipped
-    (past the limit, or a collision with a bad entry), when it is tried
-    and logged again.  Every class counts towards the first use of its
-    (order, centralizer order) name, so the names, the log and the
-    registry are those of one try per class.  In paranoid mode every class
-    is tried, and each centralizer is checked to be the one
+    PermGroup._p_class_centralizers: a recorded direct product reads the
+    pairs of its factors' p-power classes that _classes reads too
+    (_paired_classes), with no class table of its own, and a pair's
+    centralizer is the direct product of the factors' C_G(x), C_H(y),
+    built with no elements and fingerprinted from theirs.  Any other
+    group reads its class table and _centralizer_raw, so a wreath's base
+    target whose word of classes has no rotational symmetry gets the
+    product of the base's centralizers too.  Many classes share one
+    centralizer.  Only the first class, in rep order, that has it goes to
+    _register_candidate; each later one counts as a CENTRALIZER candidate
+    and a fingerprint duplicate, as its try would have, unless the first
+    try was skipped (past the limit, or a collision with a bad entry),
+    when it is tried and logged again.  Every class counts towards the
+    first use of its (order, centralizer order) name, so the names, the
+    log and the registry are those of one try per class.  In paranoid mode
+    every class is tried, and each centralizer is checked to be the one
     _centralizer_raw gives for the rep and, by its elements, the one
     filtering the group's elements, the closure of its generators, finds.
     """
@@ -810,8 +811,7 @@ def explore(
     previous round's snapshot: a new entry's wreath and centralizers (a
     wreath's in the round that adds it) and the product of each pair with
     a new member.  The rest was tried in an earlier round and could only
-    find fingerprint duplicates, so the order of additions is unchanged,
-    and the round counts all the earlier rounds' candidates as skipped.
+    find fingerprint duplicates, so the order of additions is unchanged.
     A product is fingerprinted from its factors and built only when it is
     added (_register_candidate); a centralizer of a product, or of a
     wreath's base target whose word of classes has no rotational symmetry,
@@ -831,7 +831,6 @@ def explore(
     groups: dict[str, PermGroup | None] = {}
     # Wreath entries whose centralizers were tried in the round that added them.
     expanded: set[str] = set()
-    skipped = 0
     for round_no in range(1, depth + 1):
         snapshot = [e for e in registry.good_entries() if e.order is not None]
         start = len(groups)
@@ -896,7 +895,7 @@ def explore(
                 )
         log.info(
             "explore round %d: %d entries, %d new; candidates WREATH %d, PRODUCT %d, "
-            "CENTRALIZER %d; added %d, fingerprint duplicates %d, skipped as already tried %d",
+            "CENTRALIZER %d; added %d, fingerprint duplicates %d",
             round_no,
             len(snapshot),
             len(snapshot) - start,
@@ -905,9 +904,7 @@ def explore(
             tally["CENTRALIZER"],
             len(fresh),
             tally["duplicate"],
-            skipped,
         )
-        skipped += tally["WREATH"] + tally["PRODUCT"] + tally["CENTRALIZER"]
         added.extend(fresh)
         if not fresh:
             break

@@ -148,6 +148,21 @@ def test_one_order_walk_walks_only_that_orders_orbits(corpus, monkeypatch):
             assert rows == [row for row in zip(table.reps, table.sizes, table.orders) if row[2] == k]
 
 
+@settings(deadline=None, max_examples=40)
+@given(small_groups(), small_groups())
+def test_one_order_classes_of_recorded_groups_are_the_tables_rows(g, h):
+    # A recorded product or wreath reads one order's classes from its
+    # factors, building no class table of its own, and yields the table's
+    # rows of that order, in rep order; an order no class has yields none.
+    for group in [direct_product(g, h), direct_product(direct_product(g, h), g), wreath_cyclic(g, 2)]:
+        orders = sorted({o for o, _ in group.class_profile()})
+        rows = {k: list(group._classes(None, k)) for k in orders + [orders[-1] + 1]}
+        assert "classes" not in group._cache
+        table = group.conjugacy_classes()
+        for k, got in rows.items():
+            assert got == [row for row in zip(table.reps, table.sizes, table.orders) if row[2] == k], k
+
+
 def test_class_centralizer_reuses_the_group_for_central_classes(corpus):
     for name, group in corpus.items():
         table = group.conjugacy_classes()

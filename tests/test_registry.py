@@ -759,7 +759,7 @@ def test_explore_logs_a_shared_centralizers_collision_once_per_class(caplog):
         f"explore: fingerprint collision between cent[prod(c(3),s(3));o3;cz9;(0 1 2)(3 4 5)] {skip}",
         f"explore: fingerprint collision between cent[prod(c(3),s(3));o3;cz9;(0 2 1)(3 4 5)] {skip}",
         "explore round 1: 3 entries, 3 new; candidates WREATH 0, PRODUCT 1, CENTRALIZER 4; "
-        "added 0, fingerprint duplicates 1, skipped as already tried 0",
+        "added 0, fingerprint duplicates 1",
     ]
 
 
@@ -806,6 +806,16 @@ def _multiplied_orders(columns):
     for column in columns:
         rows = [(a * c, b * d) for a, b in rows for c, d in column]
     return rows
+
+
+def _swapped_factor_reps(original):
+    # A wrong product rule: reps y + x rather than x + y, from the factors
+    # paired in reverse; each class keeps its factor classes' order and size.
+    def wrong(factors, limit, keep):
+        rows, rep = original(factors[::-1], limit, keep)
+        return (((o, size), ks[::-1]) for (o, size), ks in rows), lambda ks: rep(ks[::-1])
+
+    return wrong
 
 
 def _misplaced_wreath_classes(original):
@@ -886,8 +896,7 @@ def _swapped_product_centralizer_factors(original):
         (group_mod, "_product_rows", lambda original: _multiplied_orders, 81, 1),
         (group_mod, "_wreath_words", lambda original: _wreath_words_without_block_count(original), 81, 1),
         (PermGroup, "_derived_order", lambda original: _wreath_derived_without_base_power(original), 81, 1),
-        # reps y + x rather than x + y
-        (group_mod, "_product_classes", lambda original: lambda tables, o: original(tables[::-1], o), 81, 1),
+        (group_mod, "_paired_classes", _swapped_factor_reps, 81, 1),
         (group_mod, "_wreath_classes", _misplaced_wreath_classes, 81, 1),
         # first reached by cent(prod(c(3),wr(c(3),c(3))),order=3,czorder=81)
         (group_mod, "_product_centralizer", _first_factor_product_centralizer, 243, 3),
@@ -1057,18 +1066,18 @@ def test_explore_realizes_each_entry_once(caplog):
     assert sum("cannot realize opaque" in m for m in caplog.messages) == 1
     assert [m for m in caplog.messages if m.startswith("explore round")] == [
         "explore round 1: 2 entries, 2 new; candidates WREATH 1, PRODUCT 1, CENTRALIZER 3; "
-        "added 2, fingerprint duplicates 3, skipped as already tried 0",
+        "added 2, fingerprint duplicates 3",
         "explore round 2: 4 entries, 2 new; candidates WREATH 0, PRODUCT 3, CENTRALIZER 0; "
-        "added 3, fingerprint duplicates 0, skipped as already tried 5",
+        "added 3, fingerprint duplicates 0",
         "explore round 3: 7 entries, 3 new; candidates WREATH 0, PRODUCT 1, CENTRALIZER 6; "
-        "added 1, fingerprint duplicates 6, skipped as already tried 8",
+        "added 1, fingerprint duplicates 6",
     ]
 
 
 def test_explore_skips_candidates_past_the_limit(caplog):
     # s(5) is past the enumeration limit, so its centralizers are not tried
-    # and no product with it is registered; a retry of its centralizers in
-    # round 2 counts the none it stood for.
+    # and no product with it is registered; round 2 does not come back to
+    # its centralizers, and each round counts the products it skips.
     reg = seeded_registry(2, ["s(5)", "c(2)"])
     with caplog.at_level(logging.INFO, logger="chromarank.registry"):
         added = explore(reg, 2, 10**4, depth=2, limit=100)
@@ -1079,8 +1088,12 @@ def test_explore_skips_candidates_past_the_limit(caplog):
         in messages
     )
     assert messages.count("explore: s(5) too large to enumerate for centralizers") == 1
-    rounds = [m for m in messages if m.startswith("explore round")]
-    assert len(rounds) == 2 and rounds[1].endswith("skipped as already tried 6")
+    assert [m for m in messages if m.startswith("explore round")] == [
+        "explore round 1: 2 entries, 2 new; candidates WREATH 1, PRODUCT 2, CENTRALIZER 3; "
+        "added 3, fingerprint duplicates 2",
+        "explore round 2: 5 entries, 3 new; candidates WREATH 3, PRODUCT 12, CENTRALIZER 20; "
+        "added 12, fingerprint duplicates 19",
+    ]
 
 
 def test_explore_logs_an_abelian_entry_past_the_limit_once(caplog):
@@ -1106,11 +1119,11 @@ def test_explore_tries_no_centralizer_of_an_abelian_entry(caplog):
     assert "classes" not in group._cache
     assert [m for m in caplog.messages if m.startswith("explore round")] == [
         "explore round 1: 2 entries, 2 new; candidates WREATH 1, PRODUCT 3, CENTRALIZER 14; "
-        "added 4, fingerprint duplicates 14, skipped as already tried 0",
+        "added 4, fingerprint duplicates 14",
         "explore round 2: 6 entries, 4 new; candidates WREATH 0, PRODUCT 8, CENTRALIZER 0; "
-        "added 6, fingerprint duplicates 2, skipped as already tried 18",
+        "added 6, fingerprint duplicates 2",
         "explore round 3: 12 entries, 6 new; candidates WREATH 0, PRODUCT 5, CENTRALIZER 42; "
-        "added 1, fingerprint duplicates 46, skipped as already tried 26",
+        "added 1, fingerprint duplicates 46",
     ]
 
 
@@ -1204,13 +1217,13 @@ def test_explore_registry_bytes_match_digest(tmp_path, bound):
 # 56 CENTRALIZER candidates are fingerprint duplicates.
 EXPLORE_P3_243_ROUNDS = [
     "explore round 1: 2 entries, 2 new; candidates WREATH 2, PRODUCT 3, CENTRALIZER 14; "
-    "added 4, fingerprint duplicates 15, skipped as already tried 0",
+    "added 4, fingerprint duplicates 15",
     "explore round 2: 6 entries, 4 new; candidates WREATH 0, PRODUCT 13, CENTRALIZER 0; "
-    "added 7, fingerprint duplicates 6, skipped as already tried 19",
+    "added 7, fingerprint duplicates 6",
     "explore round 3: 13 entries, 7 new; candidates WREATH 0, PRODUCT 13, CENTRALIZER 42; "
-    "added 1, fingerprint duplicates 54, skipped as already tried 32",
+    "added 1, fingerprint duplicates 54",
     "explore round 4: 14 entries, 1 new; candidates WREATH 0, PRODUCT 1, CENTRALIZER 0; "
-    "added 0, fingerprint duplicates 1, skipped as already tried 87",
+    "added 0, fingerprint duplicates 1",
 ]
 
 
@@ -1375,11 +1388,11 @@ def test_explore_p2_registry_bytes_match_digest(tmp_path, caplog):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPLORE_P2_DIGEST
     assert [m for m in caplog.messages if m.startswith("explore round")] == [
         "explore round 1: 2 entries, 2 new; candidates WREATH 0, PRODUCT 0, CENTRALIZER 28; "
-        "added 13, fingerprint duplicates 15, skipped as already tried 0",
+        "added 13, fingerprint duplicates 15",
         "explore round 2: 15 entries, 13 new; candidates WREATH 5, PRODUCT 34, CENTRALIZER 418; "
-        "added 37, fingerprint duplicates 420, skipped as already tried 28",
+        "added 37, fingerprint duplicates 420",
         "explore round 3: 52 entries, 37 new; candidates WREATH 4, PRODUCT 99, CENTRALIZER 1204; "
-        "added 51, fingerprint duplicates 1256, skipped as already tried 485",
+        "added 51, fingerprint duplicates 1256",
     ]
 
 
@@ -1432,11 +1445,11 @@ def test_explore_logs_each_round(caplog):
         explore(reg, 3, 81, depth=6)
     assert [m for m in caplog.messages if m.startswith("explore round")] == [
         "explore round 1: 2 entries, 2 new; candidates WREATH 2, PRODUCT 3, CENTRALIZER 14; "
-        "added 4, fingerprint duplicates 15, skipped as already tried 0",
+        "added 4, fingerprint duplicates 15",
         "explore round 2: 6 entries, 4 new; candidates WREATH 0, PRODUCT 10, CENTRALIZER 0; "
-        "added 4, fingerprint duplicates 6, skipped as already tried 19",
+        "added 4, fingerprint duplicates 6",
         "explore round 3: 10 entries, 4 new; candidates WREATH 0, PRODUCT 5, CENTRALIZER 0; "
-        "added 0, fingerprint duplicates 5, skipped as already tried 29",
+        "added 0, fingerprint duplicates 5",
     ]
 
 
