@@ -516,17 +516,15 @@ class PermGroup:
     def _classes(self, limit: int | None, order: int | None = None):
         """Yield (rep, size, element order) per conjugacy class, in rep order.
 
-        Each rep is the least element of its class.  A recorded direct
-        product or wreath reads its classes from its factors' class tables
-        (see _paired_classes and _wreath_classes), with each class's
-        element order and size from the formula _profile reads too
-        (_product_rows, _wreath_words).  Any other group walks
+        Each rep is the least element of its class.  A recorded product or
+        wreath reads rows in rep order from its factors' class tables, with
+        order and size from the formula _profile reads too (_paired_classes,
+        _wreath_rows), and builds the reps it yields.  Any other group walks
         its elements in sorted order, so each class is first reached at its
-        least member, and takes the order of each element it has not seen.
-        One walk serves the full table and one order: with order given, it
-        walks the orbits of that order's classes alone, so another class
-        costs an order per element, and as it runs lazily a caller that
-        stops early walks no further.  The generators are inverted once
+        least member, and takes the order of each element it has not seen;
+        with order given, it walks that order's classes' orbits alone, and
+        the others cost an order per element.  Both run lazily: a caller
+        that stops early reads no further.  The generators are inverted once
         per walk, for all its orbits.
         """
         record = self._cache.get("factors")
@@ -535,14 +533,12 @@ class PermGroup:
             factors, n = record
             if n is None:
                 # lcm(a, c) is order only when a and c divide it.
-                pairs, rep = _paired_classes(factors, limit, lambda o: order is None or order % o == 0)
-                rows = ((rep(ks), size, o) for (o, size), ks in pairs if order is None or o == order)
+                rows, rep = _paired_classes(factors, limit, lambda o: order is None or order % o == 0)
             else:
-                (base,) = factors
-                table = base.conjugacy_classes(limit)
-                rows = _wreath_classes(table, base.order(), base.degree, n, order)
-            for t, size, o in rows:
-                yield Permutation._wrap(t), size, o
+                rows, rep = _wreath_rows(factors[0], n, limit)
+            for (o, size), key in rows:
+                if order is None or o == order:
+                    yield Permutation._wrap(rep(key)), size, o
             return
         # A dict, not a set: on CPython a set of all |G| elements takes more memory.
         seen: dict[tuple[int, ...], None] = {}
@@ -571,12 +567,10 @@ class PermGroup:
         centralizers and the derived order of fingerprint are computed
         from the factors (see _classes, _profile, _centralizer_group and
         _derived_order), and so is a product's whole fingerprint
-        (_fingerprint); the classes and the profile read each class's
-        element order and size from one formula per construction
-        (_product_rows, _wreath_words).  The elements (_close), their
-        orders and every other query come from the generators as for any
-        group.  The record is also kept under a second key, which
-        conjugate_by copies (see factor_record).
+        (_fingerprint).  The elements (_close), their orders and every
+        other query come from the generators as for any group.  The
+        record is also kept under a second key, which conjugate_by copies
+        (see factor_record).
         """
         if n is None:
             order = prod(f.order() for f in factors)
@@ -762,14 +756,13 @@ class PermGroup:
         the class's least element, raw, and centralizer() its centralizer,
         the group _centralizer_raw gives, each built when called.
 
-        A recorded direct product reads the pairs of its factors' classes
-        of p-power order (_paired_classes, the pairing _classes reads),
-        since (x, y) has p-power order exactly when x and y do.  A pair's
-        centralizer is the product of the factors' C(x) and C(y)
-        (_product_of_centralizers), as _centralizer_group finds it from
-        the rep's pieces, each factor class's found once.  So no class table
-        of the product is built, nor any rep before a rep() call.  Any
-        other group reads its class table.
+        A recorded group reads the rows _classes reads (_paired_classes,
+        _wreath_rows), with no class table of its own, nor any rep before a
+        rep() call.  A product pairs only its factors' p-power classes, as
+        (x, y) has p-power order exactly when x and y do, and a pair's
+        centralizer is the product of the factors' C(x) and C(y), each
+        found once (_product_of_centralizers, as _centralizer_group has
+        it).  Any other group reads its class table.
 
         The HKR recursion (chromatic._rank, on a group with no factor
         record) and explore's centralizer candidates both read this list.
@@ -777,29 +770,36 @@ class PermGroup:
         _cached and explore in _centralizer_children.
         """
         record = self._cache.get("factors")
-        if record is None or record[1] is not None:
+        if record is None:
             table = self.conjugacy_classes(limit)
             for rep, size, o in zip(table.reps, table.sizes, table.orders):
                 if is_p_power(o, p):
                     x = rep.images
                     yield o, size, lambda x=x: x, partial(self._centralizer_raw, [x], limit)
             return
-        factors = record[0]
+        factors, n = record
+        if n is None:
+            # A factor class meets many pairs: asking _centralizer_raw once per
+            # pair, limit check and key included, made the explore at p=3 to
+            # 59049 take 1.42 s instead of 1.21 s (pure backend, 2 vCPUs).
+            @cache
+            def factor_centralizer(i, k):
+                f = factors[i]
+                return f._centralizer_raw([f.conjugacy_classes(limit).reps[k].images], limit)
 
-        # A factor class meets many pairs: asking _centralizer_raw once per
-        # pair, limit check and key included, made the explore at p=3 to
-        # 59049 take 1.42 s instead of 1.21 s (pure backend, 2 vCPUs).
-        @cache
-        def factor_centralizer(i, k):
-            f = factors[i]
-            return f._centralizer_raw([f.conjugacy_classes(limit).reps[k].images], limit)
+            def centralizer(ks):
+                return self._product_of_centralizers(tuple(map(factor_centralizer, range(len(ks)), ks)))
 
-        def centralizer(ks):
-            return self._product_of_centralizers(tuple(map(factor_centralizer, range(len(ks)), ks)))
+            rows, rep = _paired_classes(factors, limit, lambda o: is_p_power(o, p))
+        else:
+            rows, rep = _wreath_rows(factors[0], n, limit)
+            rows = (row for row in rows if is_p_power(row[0][0], p))
 
-        pairs, rep = _paired_classes(factors, limit, lambda o: is_p_power(o, p))
-        for (o, size), ks in pairs:
-            yield o, size, partial(rep, ks), partial(centralizer, ks)
+            def centralizer(key):
+                return self._centralizer_raw([rep(key)], limit)
+
+        for (o, size), key in rows:
+            yield o, size, partial(rep, key), partial(centralizer, key)
 
     def centralizer(self, targets: Iterable[Permutation], limit: int | None = None) -> "PermGroup":
         """Centralizer of a set of elements (see _centralizer_group)."""
@@ -1061,26 +1061,28 @@ def _paired_classes(factors, limit: int | None, keep):
     return zip(_product_rows(columns), product(*kept)), lambda ks: reps()[ks]
 
 
-def _wreath_classes(table, base_order: int, degree: int, n: int, order: int | None) -> list:
-    """Sorted (rep, size, element order) rows of the classes of H wr C_n of
-    the given element order (all when None), from H's class table, order
-    and degree.
-
-    The least element of the class _wreath_words gives as (j, word) has
-    top part c**j, h_b the identity for b < n - d, and h_(n-d+i) the least
-    element of H's class word[i]: the identity is H's least element, and
-    the last d blocks meet each of the d block cycles once.
+def _wreath_rows(base: "PermGroup", n: int, limit: int | None):
+    """(rows, rep) for the classes of H wr C_n, H = base: rows yields
+    ((element order, class size), (j, word)) per class of _wreath_words
+    over H's class table, in rep order with no sort; rep((j, word)) is the
+    least element, of top part c**j, the identity (least in H) on the first
+    n - d blocks, and the reps of H's classes word on the last d, which
+    meet each of the d block cycles once.  It sends point 0 into block j,
+    so j orders the reps first; for one j, they differ only in word's
+    H-reps, which compare in table order, as _wreath_words lists words.
     """
+    table = base.conjugacy_classes(limit)
     reps = [rep.images for rep in table.reps]
+    degree = base.degree
     identity = tuple(range(degree))
-    rows = []
-    for j, word, o, size in _wreath_words(list(zip(table.orders, table.sizes)), base_order, n):
-        if order is not None and o != order:
-            continue
-        base = [identity] * (n - len(word)) + [reps[i] for i in word]
-        rep = tuple(x + (b + j) % n * degree for b, h in enumerate(base) for x in h)
-        rows.append((rep, size, o))
-    return sorted(rows)
+
+    def rep(key):
+        j, word = key
+        blocks = [identity] * (n - len(word)) + [reps[i] for i in word]
+        return tuple(x + (b + j) % n * degree for b, h in enumerate(blocks) for x in h)
+
+    words = _wreath_words(list(zip(table.orders, table.sizes)), base.order(), n)
+    return (((o, size), (j, word)) for j, word, o, size in words), rep
 
 
 def _product_elements(factors) -> tuple[tuple[int, ...], ...]:

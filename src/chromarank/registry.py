@@ -711,14 +711,12 @@ def _centralizer_children(
     first, abelian or not.
 
     The classes and their centralizers come from
-    PermGroup._p_class_centralizers: a recorded direct product reads the
-    pairs of its factors' p-power classes that _classes reads too
-    (_paired_classes), with no class table of its own, and a pair's
-    centralizer is the direct product of the factors' C_G(x), C_H(y),
-    built with no elements and fingerprinted from theirs.  Any other
-    group reads its class table and _centralizer_raw, so a wreath's base
-    target whose word of classes has no rotational symmetry gets the
-    product of the base's centralizers too.  Many classes share one
+    PermGroup._p_class_centralizers: a recorded product or wreath reads
+    its p-power rows from its factors' class tables, and any other group
+    from its own.  A pair's centralizer, and a wreath's for a base target
+    whose word of classes has no rotational symmetry, is the direct
+    product of factor centralizers, built with no elements and
+    fingerprinted from theirs.  Many classes share one
     centralizer.  Only the first class, in rep order, that has it goes to
     _register_candidate; each later one counts as a CENTRALIZER candidate
     and a fingerprint duplicate, as its try would have, unless the first

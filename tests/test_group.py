@@ -163,6 +163,26 @@ def test_one_order_classes_of_recorded_groups_are_the_tables_rows(g, h):
             assert got == [row for row in zip(table.reps, table.sizes, table.orders) if row[2] == k], k
 
 
+def test_one_order_classes_of_a_recorded_wreath_come_as_reached(monkeypatch):
+    # _wreath_words lists a wreath's classes in rep order, so one order's
+    # classes are yielded as they are reached, with no list to sort: the
+    # first comes before the walk has yielded every class.
+    group = wreath_cyclic(symmetric(3), 3)
+    total = len(group.class_profile())
+    words = group_module._wreath_words
+    yielded = []
+
+    def counting(*args):
+        for row in words(*args):
+            yielded.append(row)
+            yield row
+
+    monkeypatch.setattr(group_module, "_wreath_words", counting)
+    first = next(group._classes(None, 2))
+    assert len(yielded) < total
+    assert first == next(PermGroup(group.degree, group.generators)._classes(None, 2))
+
+
 def test_class_centralizer_reuses_the_group_for_central_classes(corpus):
     for name, group in corpus.items():
         table = group.conjugacy_classes()
@@ -333,15 +353,19 @@ def test_product_centralizers_with_one_factor_key_are_built_once(monkeypatch):
 @settings(deadline=None, max_examples=40)
 @given(small_groups(), small_groups(), st.sampled_from([2, 3]))
 def test_p_class_centralizers_are_the_class_tables_rows(g, h, p):
-    # Per class of p-power order, in rep order, the rows give the class
-    # table's rep, size and element order, and the centralizer that
-    # _centralizer_raw gives for the rep (the same object).  A recorded
-    # product pairs its factors' rows and builds no class table of its own.
-    products = [direct_product(g, h), direct_product(direct_product(g, h), g)]
-    for group in products + [wreath_cyclic(g, 2), g]:
+    # Per class of p-power order, in rep order, the rows give the rep, size
+    # and element order of the class walk of the group's unrecorded copy,
+    # and the centralizer that _centralizer_raw gives for the rep (the same
+    # object).  A recorded product or wreath reads its factors' rows and
+    # builds no class table of its own.  wr(g, c(4)) has classes with
+    # 1 < d < 4 block cycles.
+    recorded = [direct_product(g, h), direct_product(direct_product(g, h), g), wreath_cyclic(g, 2)]
+    if g.order() <= 6:
+        recorded.append(wreath_cyclic(g, 4))
+    for group in recorded + [g]:
         rows = list(group._p_class_centralizers(p))
-        assert ("classes" in group._cache) is not any(group is q for q in products)
-        table = group.conjugacy_classes()
+        assert ("classes" in group._cache) is (group is g)
+        table = PermGroup(group.degree, group.generators).conjugacy_classes()
         want = [row for row in zip(table.reps, table.sizes, table.orders) if o_is_p_power(row[2], p)]
         assert [(Permutation._wrap(rep()), size, o) for o, size, rep, _ in rows] == want
         for o, size, rep, centralizer in rows:

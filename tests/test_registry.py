@@ -818,18 +818,21 @@ def _swapped_factor_reps(original):
     return wrong
 
 
-def _misplaced_wreath_classes(original):
+def _misplaced_wreath_reps(original):
     # A wrong wreath rule: the reps of H's classes on the first d blocks
     # rather than the last d, a conjugate of the class's least element.
-    def wrong(table, base_order, degree, n, order):
-        rows = []
-        for rep, size, o in original(table, base_order, degree, n, order):
-            j = rep[0] // degree
-            d = math.gcd(j, n)
-            h = [[x - (b + j) % n * degree for x in rep[b * degree : (b + 1) * degree]] for b in range(n)]
+    def wrong(base, n, limit):
+        rows, rep = original(base, n, limit)
+        degree = base.degree
+
+        def misplaced(key):
+            j, word = key
+            x, d = rep(key), len(word)
+            h = [[v - (b + j) % n * degree for v in x[b * degree : (b + 1) * degree]] for b in range(n)]
             h = h[n - d :] + h[: n - d]
-            rows.append((tuple(x + (b + j) % n * degree for b, hb in enumerate(h) for x in hb), size, o))
-        return rows
+            return tuple(v + (b + j) % n * degree for b, hb in enumerate(h) for v in hb)
+
+        return rows, misplaced
 
     return wrong
 
@@ -897,7 +900,7 @@ def _swapped_product_centralizer_factors(original):
         (group_mod, "_wreath_words", lambda original: _wreath_words_without_block_count(original), 81, 1),
         (PermGroup, "_derived_order", lambda original: _wreath_derived_without_base_power(original), 81, 1),
         (group_mod, "_paired_classes", _swapped_factor_reps, 81, 1),
-        (group_mod, "_wreath_classes", _misplaced_wreath_classes, 81, 1),
+        (group_mod, "_wreath_rows", _misplaced_wreath_reps, 81, 1),
         # first reached by cent(prod(c(3),wr(c(3),c(3))),order=3,czorder=81)
         (group_mod, "_product_centralizer", _first_factor_product_centralizer, 243, 3),
         (group_mod, "_wreath_centralizer", _base_only_wreath_centralizer, 81, 1),
