@@ -66,32 +66,43 @@ def element_order(a):
 def close_group(gens, limit):
     """All products of the generators, sorted; None once the count passes limit.
 
-    Dimino's closure (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 4.1): the generators join one at a time, and each new
-    group is grown as left cosets y H of the group H before it.  A product
-    s r of a generator s and a coset representative r that lands outside
-    the span so far represents a new coset.  The generator list must be
-    nonempty and of uniform degree.
+    Dimino's closure: the generators join one at a time, each grown into
+    the span by _extend_span.  The generator list must be nonempty and of
+    uniform degree.
     """
-    identity = tuple(range(len(gens[0])))
-    span = {identity}
-    gen_thens = []
+    span = {tuple(range(len(gens[0])))}
+    added = []
     for s in gens:
         if s in span:
             continue
-        gen_thens.append(_then(s))
-        block = list(span)
-        reps = [identity]
-        for r in reps:
-            for s_then in gen_thens:
-                y = s_then(r)
-                if y not in span:
-                    reps.append(y)
-                    y_then = _then(y)
-                    span.update([y_then(h) for h in block])
-                    if len(span) > limit:
-                        return None
+        added.append(s)
+        _extend_span(span, added, limit)
+        if len(span) > limit:
+            return None
     return sorted(span)
+
+
+def _extend_span(span, gens, cap):
+    """Grow span, the group generated by gens[:-1], into the one generated by gens.
+
+    Dimino's step (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 4.1): the new group is a union of left cosets y H of the old
+    group H, and a product s r of a generator s and a coset representative
+    r that lands outside the span so far represents a new coset.  Stops
+    once the span has more than cap elements.
+    """
+    gen_thens = [_then(s) for s in gens]
+    block = list(span)
+    reps = [tuple(range(len(gens[0])))]
+    for r in reps:
+        for s_then in gen_thens:
+            y = s_then(r)
+            if y not in span:
+                reps.append(y)
+                y_then = _then(y)
+                span.update([y_then(h) for h in block])
+                if len(span) > cap:
+                    return
 
 
 def conjugacy_orbit(x, gens, inverses):

@@ -699,10 +699,10 @@ class PermGroup:
         Any other group drops the targets that commute with its generators
         (_noncentral_generators) and returns itself when none is left.  A
         wreath's centralizer is then that of the first target left
-        (_wreath_centralizer), filtered by the others; when that lies in
-        the base and so do the targets, it is the same product, so a
-        centralizer in the base is always that product.  Any other group
-        filters its own elements.
+        (_wreath_centralizer), its element tuple filtered by the others and
+        interned once; when that lies in the base and so do the targets, it
+        is the same product, so a centralizer in the base is always that
+        product.  Any other group filters its own elements.
         """
         record = self._cache.get("factors")
         pieces = None
@@ -724,14 +724,13 @@ class PermGroup:
             return self._intern(
                 tuple(kernels.centralizer_filter(list(self._raw_elements(limit)), moving))
             )
-        sub = self._intern(_wreath_centralizer(base, n, moving[0], limit))
+        elements = _wreath_centralizer(base, n, moving[0], limit)
         if len(moving) > 1:
-            elements = tuple(kernels.centralizer_filter(list(sub._raw_elements(limit)), moving[1:]))
+            elements = tuple(kernels.centralizer_filter(list(elements), moving[1:]))
             if pieces is not None and elements[-1][0] < base.degree:
                 # In the base, though the word has a symmetry: the product.
                 return self._product_of_centralizers(_product_centralizer(factors, pieces, limit))
-            sub = self._intern(elements)
-        return sub
+        return self._intern(elements)
 
     def _product_of_centralizers(self, subs: tuple["PermGroup", ...]) -> "PermGroup":
         """The centralizer of targets in a recorded product or wreath whose
@@ -825,16 +824,15 @@ class PermGroup:
         of the span's size, and the search stops at the first chunk with a
         p-element among its members, whose element orders alone are
         computed: each step tests about as many elements as the span it
-        extends, not all of G.
+        extends, not all of G, then grows it (kernels.extend_span).
         """
         check_prime(p)
         target = p_part(self.order(), p)
         if target == 1:
             return _subgroup_from_elements(self.degree, [tuple(range(self.degree))])
         elems = self._raw_elements(limit)
-        identity = tuple(range(self.degree))
         gens = []
-        span = {identity}
+        span = {tuple(range(self.degree))}
         while len(span) < target:
             outside = (t for t in elems if t not in span)
             ext = None
@@ -845,7 +843,7 @@ class PermGroup:
                 normalizer = kernels.normalizer_filter(chunk, gens, span)
                 ext = next((t for t in normalizer if is_p_power(kernels.element_order(t), p)), None)
             gens.append(ext)
-            _extend_span(span, gens, identity, target)
+            kernels.extend_span(span, gens, target)
         if len(span) != target:
             raise ChromarankError("p-subgroup grew past the p-part; non-p-element slipped in")
         return _subgroup_from_elements(self.degree, span)
@@ -853,10 +851,11 @@ class PermGroup:
     def derived_subgroup(self, limit: int | None = None) -> "PermGroup":
         """Normal closure of the generator commutators.
 
-        The result is generated by the elements the closure kept, and its
-        order is the closure's size, so no second closure runs.  Raises
-        ThresholdExceeded, and caches nothing, once the closure grows past
-        the enumeration limit.
+        Each commutator or conjugate outside the span joins it by Dimino's
+        step (kernels.extend_span).  The result is generated by the elements
+        the closure kept, and its order is the closure's size, so no second
+        closure runs.  Raises ThresholdExceeded, and caches nothing, once
+        the closure grows past the enumeration limit.
         """
         result = self._cache.get("derived")
         if result is None:
@@ -880,7 +879,7 @@ class PermGroup:
             if x in span:
                 continue
             gens.append(x)
-            _extend_span(span, gens, identity, cap)
+            kernels.extend_span(span, gens, cap)
             if len(span) > cap:
                 raise ThresholdExceeded(
                     f"desk-scale exceeded: derived subgroup order > limit {cap}"
@@ -1259,10 +1258,10 @@ def _subgroup_from_elements(degree: int, raw_elements) -> PermGroup:
     """Build a group from a closed element list, with a reduced generating set.
 
     Scans elements in sorted order and keeps those outside the span of the
-    elements kept so far.  The span grows by Dimino's coset extension, so
-    no stabilizer chain is built here; chain() builds one from the kept
-    generators when it is asked for.  The element cache is pre-seeded since
-    the full list is already in hand.
+    elements kept so far.  The span grows by Dimino's step
+    (kernels.extend_span), so no stabilizer chain is built here; chain()
+    builds one from the kept generators when it is asked for.  The element
+    cache is pre-seeded since the full list is already in hand.
     """
     identity = tuple(range(degree))
     elems = sorted(raw_elements)
@@ -1274,34 +1273,13 @@ def _subgroup_from_elements(degree: int, raw_elements) -> PermGroup:
         if t in span:
             continue
         gens.append(t)
-        _extend_span(span, gens, identity, len(elems))
+        kernels.extend_span(span, gens, len(elems))
     if len(span) != len(elems) or span != set(elems):
         raise ChromarankError("element list is not closed under the group operation")
     group = PermGroup(degree, tuple(Permutation._wrap(t) for t in gens or [identity]))
     group._record_order(len(elems))
     group._cache["elements_raw"] = tuple(elems)
     return group
-
-
-def _extend_span(span: set, gens: list, identity: tuple, cap: int) -> None:
-    """Grow span, the group generated by gens[:-1], into the one generated by gens.
-
-    Dimino's algorithm (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 4.1): the new group is a union of right cosets H r of the
-    old group H, and a product r s with a generator s that lands outside
-    the span so far is the representative of a new coset.  Stops once the
-    span has more than cap elements.
-    """
-    block = list(span)
-    reps = [identity]
-    for r in reps:
-        for s in gens:
-            y = kernels.compose(r, s)
-            if y not in span:
-                reps.append(y)
-                span.update([kernels.compose(h, y) for h in block])
-                if len(span) > cap:
-                    return
 
 
 def group_from_generators(generators: Iterable[Permutation]) -> PermGroup:

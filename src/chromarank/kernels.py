@@ -2,10 +2,13 @@
 
 The compiled extension is preferred when present; CHROMARANK_KERNELS=pure
 forces the fallback and CHROMARANK_KERNELS=c insists on the extension.
-Both backends expose the same functions with identical results.
+Both backends expose the same functions with identical results, and
+grow every subgroup span by the one pure Dimino step, extend_span.
 """
 
 import os
+
+from . import _kernels_py
 
 _choice = os.environ.get("CHROMARANK_KERNELS", "auto").strip().lower()
 
@@ -33,3 +36,5 @@ conjugacy_orbit = _impl.conjugacy_orbit
 tuple_orbit = _impl.tuple_orbit
 centralizer_filter = _impl.centralizer_filter
 normalizer_filter = _impl.normalizer_filter
+# Both backends: its products are already one itemgetter call each.
+extend_span = _kernels_py._extend_span

@@ -232,6 +232,30 @@ def test_equal_centralizers_are_one_group(corpus):
         assert whole is group and interned[group.elements()] is group, name
 
 
+def test_multi_target_wreath_centralizer_is_built_once(monkeypatch):
+    # The wreath scan's elements for the first target are filtered by the
+    # others before anything is interned, so one subgroup is built: the
+    # result, not the first target's centralizer as well.
+    calls = []
+
+    def counting(degree, raw_elements):
+        calls.append(degree)
+        return _subgroup_from_elements(degree, raw_elements)
+
+    monkeypatch.setattr(group_module, "_subgroup_from_elements", counting)
+    for text in ("wr(s(3),c(2))", "wr(d(4),c(2))", "wr(s(3),c(3))"):
+        group = evaluate(parse(text))
+        gens = group.generators
+        for name, targets in (("center", gens), ("centralizer", (gens[0], gens[-1]))):
+            calls.clear()
+            cent = group.center() if name == "center" else group.centralizer(targets)
+            assert len(calls) == 1, (text, name)
+            want = kernels.centralizer_filter(
+                list(group._raw_elements()), [t.images for t in targets]
+            )
+            assert cent._raw_elements() == tuple(want), (text, name)
+
+
 def _random_group(rng, max_degree):
     # As test_recursive_rank_matches_walk_on_random_groups draws its groups.
     degree = rng.randint(2, max_degree)

@@ -259,6 +259,54 @@ def test_close_group_equivalent(kernels_c, seed):
         assert kernels_c.close_group(gens, limit) == _kernels_py.close_group(gens, limit)
 
 
+def test_extend_span_matches_the_compiled_closure_at_every_step(kernels_c):
+    # The one Dimino step, grown one generator at a time, against two
+    # independent oracles: the compiled close_group's breadth-first search
+    # at every step, and o_close at the end.
+    groups = small_groups()
+    groups.append((list(abelian((2,) * 12)._raw), None))
+    for gens, elems in groups:
+        order = len(kernels_c.close_group(gens, 10**5))
+        span = {tuple(range(len(gens[0])))}
+        for k in range(1, len(gens) + 1):
+            kernels.extend_span(span, gens[:k], order)
+            assert span == set(kernels_c.close_group(gens[:k], order)), (gens, k)
+        assert elems is None or sorted(span) == elems
+        if order > 1:
+            # One short of the group: some step stops past the cap.
+            span = {tuple(range(len(gens[0])))}
+            for k in range(1, len(gens) + 1):
+                kernels.extend_span(span, gens[:k], order - 1)
+                if len(span) > order - 1:
+                    break
+            assert len(span) > order - 1, gens
+
+
+EXTEND_SPAN_SCRIPT = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("chromarank._kernels_c", sys.argv[1])
+sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(sys.modules[spec.name])
+from chromarank import _kernels_py, kernels
+print(kernels.BACKEND, kernels.extend_span is _kernels_py._extend_span)
+"""
+
+
+def test_extend_span_is_the_pure_step_on_the_compiled_backend(kernels_c):
+    # In a child process, so that CHROMARANK_KERNELS=c picks the compiled
+    # kernels without changing the backend this run imported.
+    src = Path(kernels.__file__).resolve().parents[1]
+    env = {**os.environ, "CHROMARANK_KERNELS": "c", "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", EXTEND_SPAN_SCRIPT, kernels_c.__file__],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["compiled", "True"]
+
+
 def test_orbit_functions_equivalent(kernels_c):
     # Equivalent to the pure kernels through the same loop references.
     assert_orbits_match_loop_reference(kernels_c)
