@@ -63,6 +63,14 @@ class PTuple:
             if not all(kernels.commutes(u.images, entry.images) for u in self.entries[:i]):
                 raise ChromarankError("tuple entries do not commute pairwise")
 
+    @classmethod
+    def _unchecked(cls, prime: int, entries: tuple[Permutation, ...]) -> "PTuple":
+        # The walk checked each entry when it admitted it to a pool.
+        out = object.__new__(cls)
+        object.__setattr__(out, "prime", prime)
+        object.__setattr__(out, "entries", entries)
+        return out
+
     @property
     def height(self) -> int:
         return len(self.entries)
@@ -127,16 +135,17 @@ def commuting_tuple_classes(
     come out sorted by it.  A prefix of a lex-least tuple is lex-least among
     its own conjugates, so a prefix whose orbit was reached before is not
     extended.  The walk is one loop over a stack of prefixes, and one pass
-    over a prefix's pool reaches every extension with the same steps at
-    every length: for a first-reached tuple it checks that the tuple is
-    lex-least in its orbit, builds the representative and C(tuple), and
-    checks |G| = |C| * |orbit|; a full tuple's class becomes a component,
-    and a shorter tuple is pushed as a prefix.  Reaching all siblings before
-    extending any changes no seen test, since only tuples of one length
-    collide.  Entries are checked on admission: each p-power element's order
-    once, as the root pool is built, and each row of a child pool against
-    the prefix entry that formed it, so, pools being nested, every pair in
-    every tuple is checked.
+    over a prefix's pool, the indices of the p-power elements of C(prefix),
+    reaches every extension with the same steps at every length: for a
+    first-reached tuple it checks that the tuple is lex-least in its orbit,
+    builds C(tuple), and checks |G| = |C| * |orbit|; a full tuple's class
+    becomes a component, its representative the one PTuple the walk builds,
+    and a shorter tuple is pushed as a prefix with its pool.  Reaching all
+    siblings before extending any changes no seen test, since only tuples of
+    one length collide.  Entries are checked on admission: each p-power
+    element's order once, as the root pool is built, and each index of a
+    child pool against the prefix entry that formed it, so, pools being
+    nested, every pair in every tuple is checked.
     No class table is read, and nothing is cached: each call walks again,
     and checks the limit as it reads p_power_elements, before anything is
     enumerated.
@@ -151,33 +160,31 @@ def commuting_tuple_classes(
 def _walk_classes(group: PermGroup, p: int, h: int, limit: int) -> LoopDecomposition:
     order = group.order()
     elements = p_power_elements(group, p, limit)
+    raw = [e.images for e in elements]
     # Each element's order is checked once per walk, as it joins the root pool.
-    pool = []
-    for i, e in enumerate(elements):
-        if not is_p_power(kernels.element_order(e.images), p):
+    for i, x in enumerate(raw):
+        if not is_p_power(kernels.element_order(x), p):
             raise ChromarankError(f"p-power element {i} does not have {p}-power order")
-        pool.append((i, e.images, e))
     # A k-tuple is walked as the k-tuple of its entries' indices into the
     # sorted p-power elements, so index order is lex order.  Conjugation by
     # each generator is tabulated once, as a permutation of those indices.
-    index = {x: i for i, x, _ in pool}
+    index = {x: i for i, x in enumerate(raw)}
     try:
-        perms = [tuple([index[kernels.conjugate(x, g)] for x in index]) for g in group._raw]
+        perms = [tuple([index[kernels.conjugate(x, g)] for x in raw]) for g in group._raw]
     except KeyError:
         raise ChromarankError("a conjugate of a p-power element is not a p-power element") from None
     # Orbits reached so far, of prefixes and of full tuples alike: tuples of
     # different lengths never collide.
     seen: set[tuple] = set()
     components: list[LoopComponent] = []
-    # A node is (index tuple, its representative, C(tuple), pool rows), the
-    # rows (index, images, Permutation) being the p-power elements of
-    # C(tuple).  Children are pushed in reverse, so nodes leave the stack in
-    # lex order.
-    stack = [((), PTuple(p, ()), group, pool)]
+    # A node is (index tuple, C(tuple), pool), the pool being the indices of
+    # the p-power elements of C(tuple).  Children are pushed in reverse, so
+    # nodes leave the stack in lex order.
+    stack = [((), group, range(len(raw)))]
     while stack:
-        tup, prefix, above, rows = stack.pop()
+        tup, above, pool = stack.pop()
         children = []
-        for i, x, entry in rows:
+        for i in pool:
             longer = tup + (i,)
             if longer in seen:
                 continue
@@ -185,28 +192,20 @@ def _walk_classes(group: PermGroup, p: int, h: int, limit: int) -> LoopDecomposi
             seen.update(orbit)
             if min(orbit) != longer:
                 raise ChromarankError("walk reached a tuple class away from its lex-least tuple")
-            rep = _appended(prefix, entry)
-            cent = above._centralizer_raw([x], limit)
+            cent = above._centralizer_raw([raw[i]], limit)
             if order != cent.order() * len(orbit):
                 raise ChromarankError("orbit size disagrees with centralizer index")
             if len(longer) == h:
+                rep = PTuple._unchecked(p, tuple(elements[k] for k in longer))
                 components.append(LoopComponent(rep, cent, len(orbit)))
                 continue
             members = set(cent._raw_elements(limit))
-            below = [row for row in rows if row[1] in members]
-            if not all(kernels.commutes(x, y) for _, y, _ in below):
+            below = [j for j in pool if raw[j] in members]
+            if not all(kernels.commutes(raw[i], raw[j]) for j in below):
                 raise ChromarankError("tuple entries do not commute pairwise")
-            children.append((longer, rep, cent, below))
+            children.append((longer, cent, below))
         stack.extend(reversed(children))
     return LoopDecomposition(p, h, tuple(components))
-
-
-def _appended(prefix: PTuple, entry: Permutation) -> PTuple:
-    # Unchecked: the walk checked entry when it admitted it to a pool.
-    out = object.__new__(PTuple)
-    object.__setattr__(out, "prime", prefix.prime)
-    object.__setattr__(out, "entries", prefix.entries + (entry,))
-    return out
 
 
 def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:

@@ -755,13 +755,15 @@ class PermGroup:
         the class's least element, raw, and centralizer() its centralizer,
         the group _centralizer_raw gives, each built when called.
 
-        A recorded group reads the rows _classes reads (_paired_classes,
-        _wreath_rows), with no class table of its own, nor any rep before a
-        rep() call.  A product pairs only its factors' p-power classes, as
-        (x, y) has p-power order exactly when x and y do, and a pair's
-        centralizer is the product of the factors' C(x) and C(y), each
-        found once (_product_of_centralizers, as _centralizer_group has
-        it).  Any other group reads its class table.
+        Every group reads rows ((element order, class size), key), one per
+        class, and builds a rep or a centralizer from a key when asked.  A
+        recorded product reads the rows _classes reads (_paired_classes) of
+        its factors' p-power classes alone, as (x, y) has p-power order
+        exactly when x and y do, and a pair's centralizer is the product of
+        the factors' C(x) and C(y), each found once (_product_of_centralizers,
+        as _centralizer_group has it).  Any other group keeps the p-power rows
+        of its class table, keyed by index, or of _wreath_rows for a recorded
+        wreath, and a row's centralizer is _centralizer_raw of its rep.
 
         The HKR recursion (chromatic._rank, on a group with no factor
         record) and explore's centralizer candidates both read this list.
@@ -769,15 +771,8 @@ class PermGroup:
         _cached and explore in _centralizer_children.
         """
         record = self._cache.get("factors")
-        if record is None:
-            table = self.conjugacy_classes(limit)
-            for rep, size, o in zip(table.reps, table.sizes, table.orders):
-                if is_p_power(o, p):
-                    x = rep.images
-                    yield o, size, lambda x=x: x, partial(self._centralizer_raw, [x], limit)
-            return
-        factors, n = record
-        if n is None:
+        if record is not None and record[1] is None:
+            factors = record[0]
             # A factor class meets many pairs: asking _centralizer_raw once per
             # pair, limit check and key included, made the explore at p=3 to
             # 59049 take 1.42 s instead of 1.21 s (pure backend, 2 vCPUs).
@@ -791,7 +786,12 @@ class PermGroup:
 
             rows, rep = _paired_classes(factors, limit, lambda o: is_p_power(o, p))
         else:
-            rows, rep = _wreath_rows(factors[0], n, limit)
+            if record is None:
+                table = self.conjugacy_classes(limit)
+                rows = zip(zip(table.orders, table.sizes), range(len(table.reps)))
+                rep = [x.images for x in table.reps].__getitem__
+            else:
+                rows, rep = _wreath_rows(record[0][0], record[1], limit)
             rows = (row for row in rows if is_p_power(row[0][0], p))
 
             def centralizer(key):

@@ -576,7 +576,7 @@ def _register_candidate(
     and its fingerprint compared with fingerprint()'s; one with a factor
     record (a product, a wreath or a centralizer built as a product),
     whose order, class table, profile and derived order come from its
-    factors, is checked against a copy with no record of them
+    factors, is checked once against a copy with no record of them
     (_check_factor_rule), and its centralizers in _centralizer_children.
     A fingerprint that matches a bad entry is a contradiction only when
     that entry cannot be realized or has the candidate's class profile;
@@ -595,8 +595,9 @@ def _register_candidate(
     group = None
     if paranoid:
         group = build()
-        if group.factor_record() is not None:
+        if group.factor_record() is not None and "factor rule" not in group._cache:
             _check_factor_rule(name, group, limit)
+            group._cache["factor rule"] = True  # passed: an interned group is checked once
         if group.fingerprint(limit) != fp:
             raise ConsistencyError(f"fingerprint of {name()!r} differs from its built group's")
     bad = registry.bad_match(fp)

@@ -168,8 +168,8 @@ def test_ptuple_refuses_entries_of_different_degrees():
 
 
 def test_ptuple_extension_checks_only_the_new_entry_as_the_constructor_does():
-    # The walk extends a prefix without the constructor's checks: it checks
-    # the new entry alone, as it admits the entry to a pool, with the
+    # The walk builds a representative without the constructor's checks: it
+    # checks each entry alone, as it admits the entry to a pool, with the
     # constructor's messages (test_walk_checks_each_entry_where_it_admits_it).
     # The tuples it builds are the constructor's.
     a = Permutation.from_cycles("(0 1)(2 3)", degree=4)
@@ -177,9 +177,9 @@ def test_ptuple_extension_checks_only_the_new_entry_as_the_constructor_does():
     c = Permutation.from_cycles("(0 1 2)", degree=4)
     d = Permutation.from_cycles("(1 2)", degree=4)
     t = PTuple(2, (a,))
-    assert chromatic._appended(t, b) == PTuple(2, (a, b))
-    assert chromatic._appended(chromatic._appended(t, b), b) == PTuple(2, (a, b, b))
-    assert chromatic._appended(PTuple(2, ()), a) == t
+    assert PTuple._unchecked(2, (a, b)) == PTuple(2, (a, b))
+    assert PTuple._unchecked(2, (a, b, b)) == PTuple(2, (a, b, b))
+    assert PTuple._unchecked(2, (a,)) == t
     with pytest.raises(ChromarankError, match="entry 1 does not have 2-power order"):
         PTuple(2, (a, c))
     with pytest.raises(ChromarankError, match="do not commute pairwise"):

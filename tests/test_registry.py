@@ -1353,7 +1353,8 @@ def test_explore_paranoid_mode_checks_a_fingerprint_taken_before_the_build(monke
         explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 243, depth=6, paranoid=True)
 
 
-def test_explore_paranoid_mode_compares_fingerprints(monkeypatch, tmp_path):
+@pytest.mark.parametrize("bound", [243, 729])
+def test_explore_paranoid_mode_compares_fingerprints(monkeypatch, tmp_path, bound):
     # Paranoid mode compares the fingerprint of every group with a factor
     # record, last of its facts, with that of a copy with no record, and
     # writes the registry that explore writes without it.
@@ -1366,12 +1367,12 @@ def test_explore_paranoid_mode_compares_fingerprints(monkeypatch, tmp_path):
 
     monkeypatch.setattr(registry_mod, "_compare_factor_fact", counting)
     reg = seeded_registry(3, ["c(1)", "c(3)"])
-    explore(reg, 3, 243, depth=6, paranoid=True)
+    explore(reg, 3, bound, depth=6, paranoid=True)
     assert compared["fingerprint"] == compared["order"] > 0
     assert [fact for fact, _ in registry_mod._FACTOR_FACTS][-1] == "fingerprint"
     path = tmp_path / "reg.jsonl"
     reg.save(str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPLORE_P3_DIGESTS[243]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPLORE_P3_DIGESTS[bound]
 
 
 # sha256 of the registry file that explore at p=2, default depth 3, to order
