@@ -214,9 +214,9 @@ def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:
     Counted by the centralizer recursion: at height 1 the classes are the
     p-power conjugacy classes, and above it the count is the sum of the
     height-(h-1) ranks of the centralizers of their representatives.  Both
-    are read off PermGroup._p_class_centralizers, the list explore reads
-    too, one row per class with its centralizer; a central class's is the
-    group itself.  Each centralizer's order times its class size must
+    are read off the p-power rows of PermGroup._class_rows, which explore
+    reads too, one per class with its centralizer; a central class's is
+    the group itself.  Each centralizer's order times its class size must
     equal |G|.  A group with a factor record (PermGroup.factor_record)
     takes its rank from its factors' ranks instead, their product or
     _wreath_rank, and builds no class table of its own.  Counts are cached
@@ -237,7 +237,7 @@ def _rank(group: PermGroup, p: int, h: int, limit: int) -> int:
         factors, n = record
         ranks = [hkr_rank(f, p, h, limit) for f in factors]
         return prod(ranks) if n is None else _wreath_rank(ranks[0], p, h, n)
-    rows = group._p_class_centralizers(p, limit)
+    rows = group._class_rows(limit, lambda o: is_p_power(o, p))
     if h == 1:
         return sum(1 for _ in rows)
     order = group.order()

@@ -93,8 +93,8 @@ def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
     Built by group._direct_product, as a product's centralizers are: the
     factors are recorded on the result, which takes from theirs its
     order, class table and profile (both read group._product_rows; the
-    table and the p-power classes read group._paired_classes), derived
-    order, centralizers and ranks.
+    table's rows come through PermGroup._class_rows), derived order,
+    centralizers and ranks.
     """
     return _direct_product((g, h))
 
@@ -105,8 +105,8 @@ def wreath_cyclic(g: PermGroup, n: int) -> PermGroup:
     Generators: each generator of G on block 0, then the block n-cycle, whose
     powers carry block 0 onto the other blocks.  The order is |G|**n * n.
     G and n are recorded on the result, which takes from G's its order,
-    class table and profile (both read group._wreath_words), derived
-    order, centralizers and ranks.
+    class table and profile (both read group._wreath_words, the table
+    through PermGroup._class_rows), derived order, centralizers and ranks.
     """
     if n < 1:
         raise ValueError("wreath cycle length must be at least 1")

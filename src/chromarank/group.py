@@ -438,20 +438,16 @@ class PermGroup:
         """The generators that fail to commute with some generator.  An
         element of the group commutes with every generator exactly when it
         commutes with these, since the others are central."""
-        cached = self._cache.get("noncentral")
-        if cached is None:
-            raw = self._raw
-            cached = tuple(a for a in raw if not all(kernels.commutes(a, b) for b in raw))
-            self._cache["noncentral"] = cached
-        return cached
+        raw = self._raw
+        return self._stored(
+            "noncentral", lambda: tuple(a for a in raw if not all(kernels.commutes(a, b) for b in raw))
+        )
 
     def _class_rep(self, x: tuple[int, ...]) -> tuple[int, ...]:
         """The least element of x's conjugacy class, as in the class table.
         The first query of a class walks its orbit and remembers the least
         member for every member, so each class is walked once."""
-        reps = self._cache.get("class reps")
-        if reps is None:
-            reps = self._cache["class reps"] = {}
+        reps = self._stored("class reps", dict)
         rep = reps.get(x)
         if rep is None:
             orbit = kernels.conjugacy_orbit(x, self._raw, [kernels.inverse(g) for g in self._raw])
@@ -465,18 +461,25 @@ class PermGroup:
         """Raise ThresholdExceeded when the group is past the enumeration limit."""
         check_limit(self.order(), limit)
 
+    def _stored(self, key, compute: Callable[[], object]):
+        """The result stored under key, computed and stored on a miss: the
+        one store of every derived value.  A result that is the group itself
+        is marked (_ITSELF) rather than held, since a group in its own cache
+        is a reference cycle."""
+        value = self._cache.get(key)
+        if value is None:
+            value = compute()
+            self._cache[key] = _ITSELF if value is self else value
+        return self if value is _ITSELF else value
+
     def _cached(self, key, limit: int | None, compute: Callable[[], object]):
-        """The enumeration-backed result stored under key, computed on a miss.
+        """The enumeration-backed result stored under key (_stored).
 
         The limit is checked before the lookup, so a cached result is
         returned exactly when a fresh group would compute it.
         """
         self._check_limit(limit)
-        value = self._cache.get(key)
-        if value is None:
-            value = compute()
-            self._cache[key] = value
-        return value
+        return self._stored(key, compute)
 
     def _raw_elements(self, limit: int | None = None) -> tuple[tuple[int, ...], ...]:
         return self._cached("elements_raw", limit, self._close)
@@ -517,9 +520,10 @@ class PermGroup:
         """Yield (rep, size, element order) per conjugacy class, in rep order.
 
         Each rep is the least element of its class.  A recorded product or
-        wreath reads rows in rep order from its factors' class tables, with
-        order and size from the formula _profile reads too (_paired_classes,
-        _wreath_rows), and builds the reps it yields.  Any other group walks
+        wreath reads its rows (_class_rows), of the element orders that
+        divide order when it is given, from its factors' class tables, with
+        order and size from the formula _profile reads too, and builds the
+        reps it yields.  Any other group walks
         its elements in sorted order, so each class is first reached at its
         least member, and takes the order of each element it has not seen;
         with order given, it walks that order's classes' orbits alone, and
@@ -530,15 +534,10 @@ class PermGroup:
         record = self._cache.get("factors")
         if record is not None:
             self._check_limit(limit)
-            factors, n = record
-            if n is None:
-                # lcm(a, c) is order only when a and c divide it.
-                rows, rep = _paired_classes(factors, limit, lambda o: order is None or order % o == 0)
-            else:
-                rows, rep = _wreath_rows(factors[0], n, limit)
-            for (o, size), key in rows:
+            # lcm(a, c) is order only when a and c divide it.
+            for o, size, rep, _ in self._class_rows(limit, lambda o: order is None or order % o == 0):
                 if order is None or o == order:
-                    yield Permutation._wrap(rep(key)), size, o
+                    yield Permutation._wrap(rep()), size, o
             return
         # A dict, not a set: on CPython a set of all |G| elements takes more memory.
         seen: dict[tuple[int, ...], None] = {}
@@ -639,35 +638,26 @@ class PermGroup:
         lives as long as any of them, adds no reference cycle, and alone
         keeps no group alive.
         """
-        table = self._cache.get("intern")
-        if table is None:
-            table = self._cache["intern"] = weakref.WeakValueDictionary()
-        return table
+        return self._stored("intern", weakref.WeakValueDictionary)
 
     def _centralizer_raw(self, raw_targets, limit: int | None = None) -> "PermGroup":
         """Centralizer of raw elements of the group, one group per distinct
         element set: the one way into a centralizer, but for the classes of
-        a recorded product in _p_class_centralizers, which take the product
-        of their factor classes' centralizers (_product_of_centralizers),
-        as _centralizer_group does for a product, so the same object.
+        a recorded product in _class_rows, which take the product of their
+        factor classes' centralizers (_product_of_centralizers), as
+        _centralizer_group does for a product, so the same object.
 
         _centralizer_group finds it, and returns the group itself when
-        every target is central; the memo per target tuple then marks it
-        (_ITSELF) rather than holding it, since a group in its own cache is
-        a cycle.  Any other centralizer is interned (_intern_table), under
+        every target is central, which the memo per target tuple marks
+        (_stored).  Any other centralizer is interned (_intern_table), under
         its sorted elements or, when it is a direct product of factor
         centralizers, under those (_product_of_centralizers): equal
         centralizers come back as one object, which computes its class
         table, fingerprint and ranks once.  The memo holds the subgroup
         (the table holds it weakly), so a repeated target costs one lookup.
         """
-        self._check_limit(limit)
-        key = ("centralizer", tuple(raw_targets))
-        sub = self._cache.get(key)
-        if sub is None:
-            sub = self._centralizer_group(key[1], limit)
-            self._cache[key] = _ITSELF if sub is self else sub
-        return self if sub is _ITSELF else sub
+        targets = tuple(raw_targets)
+        return self._cached(("centralizer", targets), limit, lambda: self._centralizer_group(targets, limit))
 
     def _intern(self, elements) -> "PermGroup":
         """The subgroup on a sorted element tuple, from the intern table,
@@ -749,26 +739,26 @@ class PermGroup:
             sub._cache["intern"] = table
         return sub
 
-    def _p_class_centralizers(self, p: int, limit: int | None = None):
+    def _class_rows(self, limit: int | None, keep: Callable[[int], bool]):
         """Yield (element order, class size, rep, centralizer) for each
-        conjugacy class of p-power element order, in rep order: rep() gives
-        the class's least element, raw, and centralizer() its centralizer,
-        the group _centralizer_raw gives, each built when called.
+        conjugacy class whose element order keep accepts, in rep order:
+        rep() gives the class's least element, raw, and centralizer() the
+        group _centralizer_raw gives for it, each built when called.  keep
+        must accept lcm(a, c) exactly when it accepts a and c, as a p-power
+        test and "divides k" do.
 
-        Every group reads rows ((element order, class size), key), one per
-        class, and builds a rep or a centralizer from a key when asked.  A
-        recorded product reads the rows _classes reads (_paired_classes) of
-        its factors' p-power classes alone, as (x, y) has p-power order
-        exactly when x and y do, and a pair's centralizer is the product of
-        the factors' C(x) and C(y), each found once (_product_of_centralizers,
-        as _centralizer_group has it).  Any other group keeps the p-power rows
-        of its class table, keyed by index, or of _wreath_rows for a recorded
-        wreath, and a row's centralizer is _centralizer_raw of its rep.
+        Rows are ((element order, class size), key), and a rep or a
+        centralizer is built from a key when asked.  A recorded product
+        pairs its factors' classes that keep accepts (_paired_classes), and
+        a pair's centralizer is the product of the factors' C(x) and C(y),
+        each found once (_product_of_centralizers, as _centralizer_group
+        has it).  Any other group keeps the rows of its class table, keyed
+        by index, or of _wreath_rows for a recorded wreath, and a row's
+        centralizer is _centralizer_raw of its rep.
 
-        The HKR recursion (chromatic._rank, on a group with no factor
-        record) and explore's centralizer candidates both read this list.
-        It checks no limit: each caller has checked it, hkr_rank through
-        _cached and explore in _centralizer_children.
+        A recorded group's class table (_classes), the HKR recursion
+        (chromatic._rank) and explore's centralizer candidates read these
+        rows.  It checks no limit: each caller has checked it.
         """
         record = self._cache.get("factors")
         if record is not None and record[1] is None:
@@ -784,7 +774,7 @@ class PermGroup:
             def centralizer(ks):
                 return self._product_of_centralizers(tuple(map(factor_centralizer, range(len(ks)), ks)))
 
-            rows, rep = _paired_classes(factors, limit, lambda o: is_p_power(o, p))
+            rows, rep = _paired_classes(factors, limit, keep)
         else:
             if record is None:
                 table = self.conjugacy_classes(limit)
@@ -792,7 +782,7 @@ class PermGroup:
                 rep = [x.images for x in table.reps].__getitem__
             else:
                 rows, rep = _wreath_rows(record[0][0], record[1], limit)
-            rows = (row for row in rows if is_p_power(row[0][0], p))
+            rows = (row for row in rows if keep(row[0][0]))
 
             def centralizer(key):
                 return self._centralizer_raw([rep(key)], limit)
@@ -857,10 +847,7 @@ class PermGroup:
         closure runs.  Raises ThresholdExceeded, and caches nothing, once
         the closure grows past the enumeration limit.
         """
-        result = self._cache.get("derived")
-        if result is None:
-            result = self._derived_subgroup(limit)
-            self._cache["derived"] = result
+        result = self._stored("derived", lambda: self._derived_subgroup(limit))
         result._check_limit(limit)
         return result
 
@@ -930,7 +917,7 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"
 
 
-# The centralizer memo's mark for a group that centralizes the target itself.
+# PermGroup._stored's mark for a result that is the group itself.
 _ITSELF = object()
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -205,10 +206,19 @@ class Registry:
         return any(e.status == "bad" and e.order == order for e in self.entries)
 
     def save(self, path: str) -> None:
-        """One canonical record per line; stable field order, append-friendly."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self.entries:
-                fh.write(json.dumps(e.to_record(), separators=(",", ":")) + "\n")
+        """One canonical record per line; stable field order, append-friendly.
+
+        The lines go to a temporary file beside path, which then replaces
+        it, so a save that stops part way leaves the old file whole.
+        """
+        tmp = f"{path}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(json.dumps(e.to_record(), separators=(",", ":")) + "\n" for e in self.entries)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path: str) -> "Registry":
@@ -711,10 +721,10 @@ def _centralizer_children(
     all central, builds no class table; a group past the limit is logged
     first, abelian or not.
 
-    The classes and their centralizers come from
-    PermGroup._p_class_centralizers: a recorded product or wreath reads
-    its p-power rows from its factors' class tables, and any other group
-    from its own.  A pair's centralizer, and a wreath's for a base target
+    The classes and their centralizers are the p-power rows of
+    PermGroup._class_rows: a recorded product or wreath reads
+    them from its factors' class tables, and any other group from its
+    own.  A pair's centralizer, and a wreath's for a base target
     whose word of classes has no rotational symmetry, is the direct
     product of factor centralizers, built with no elements and
     fingerprinted from theirs.  Many classes share one
@@ -733,7 +743,7 @@ def _centralizer_children(
         group._check_limit(limit)
         if group.is_abelian():
             return []
-        rows = list(group._p_class_centralizers(p, limit))
+        rows = list(group._class_rows(limit, lambda o: is_p_power(o, p)))
     except ThresholdExceeded:
         log.info("explore: %s too large to enumerate for centralizers", parent.name)
         return []

@@ -375,22 +375,35 @@ def test_product_centralizers_with_one_factor_key_are_built_once(monkeypatch):
 
 
 @settings(deadline=None, max_examples=40)
-@given(small_groups(), small_groups(), st.sampled_from([2, 3]))
-def test_p_class_centralizers_are_the_class_tables_rows(g, h, p):
-    # Per class of p-power order, in rep order, the rows give the rep, size
-    # and element order of the class walk of the group's unrecorded copy,
-    # and the centralizer that _centralizer_raw gives for the rep (the same
-    # object).  A recorded product or wreath reads its factors' rows and
-    # builds no class table of its own.  wr(g, c(4)) has classes with
-    # 1 < d < 4 block cycles.
+@given(
+    small_groups(),
+    small_groups(),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["p-power", "every order", "divisors"]),
+    st.data(),
+)
+def test_p_class_centralizers_are_the_class_tables_rows(g, h, p, kept, data):
+    # Per class whose element order keep accepts (p-power, any, or a divisor
+    # of one element order of the group), in rep order, the rows give the
+    # rep, size and element order of the class walk of the group's
+    # unrecorded copy, filtered the same way, and the centralizer that
+    # _centralizer_raw gives for the rep (the same object).  A recorded
+    # product or wreath reads its factors' rows and builds no class table of
+    # its own.  wr(g, c(4)) has classes with 1 < d < 4 block cycles.
     recorded = [direct_product(g, h), direct_product(direct_product(g, h), g), wreath_cyclic(g, 2)]
     if g.order() <= 6:
         recorded.append(wreath_cyclic(g, 4))
     for group in recorded + [g]:
-        rows = list(group._p_class_centralizers(p))
-        assert ("classes" in group._cache) is (group is g)
         table = PermGroup(group.degree, group.generators).conjugacy_classes()
-        want = [row for row in zip(table.reps, table.sizes, table.orders) if o_is_p_power(row[2], p)]
+        k = data.draw(st.sampled_from(table.orders))
+        keep = {
+            "p-power": lambda o: o_is_p_power(o, p),
+            "every order": lambda o: True,
+            "divisors": lambda o: k % o == 0,
+        }[kept]
+        rows = list(group._class_rows(None, keep))
+        assert ("classes" in group._cache) is (group is g)
+        want = [row for row in zip(table.reps, table.sizes, table.orders) if keep(row[2])]
         assert [(Permutation._wrap(rep()), size, o) for o, size, rep, _ in rows] == want
         for o, size, rep, centralizer in rows:
             cent = centralizer()

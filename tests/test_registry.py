@@ -188,6 +188,30 @@ def test_save_load_roundtrip(tmp_path):
     assert Registry.load(str(path)).entries == loaded.entries
 
 
+def test_a_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
+    # A save that raises part way, here on its second record, leaves the
+    # file it would replace byte for byte, and no temporary file beside it.
+    reg = Registry.with_defaults(2)
+    reg.add(entry_for("c(4)", "c(4)", 2, cyclic(4), parents=("axiom:abelian",)))
+    path = tmp_path / "reg.jsonl"
+    path.write_bytes(b"old ledger\n")
+    to_record = RegistryEntry.to_record
+    calls = []
+
+    def failing(self):
+        calls.append(self.name)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return to_record(self)
+
+    monkeypatch.setattr(RegistryEntry, "to_record", failing)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        reg.save(str(path))
+    assert len(calls) == 2 < len(reg.entries)
+    assert path.read_bytes() == b"old ledger\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["reg.jsonl"]
+
+
 def test_load_reports_line_numbers(tmp_path):
     path = tmp_path / "broken.jsonl"
     first = '{"name":"x","expr":null,"prime":2,"order":null,"fingerprint":null,"status":"good","rule":"SEED","parents":[]}\n'
@@ -932,10 +956,10 @@ def test_explore_paranoid_mode_checks_the_centralizer_is_the_reps(monkeypatch):
     # its class rep.  A copy of it has the same elements, so it passes the
     # element comparison, and paranoid mode names it; explore without it
     # runs to the end.
-    p_class_centralizers = PermGroup._p_class_centralizers
+    class_rows = PermGroup._class_rows
 
-    def copied(self, p, limit=None):
-        for o, size, rep, centralizer in p_class_centralizers(self, p, limit):
+    def copied(self, limit, keep):
+        for o, size, rep, centralizer in class_rows(self, limit, keep):
 
             def copy(centralizer=centralizer):
                 sub = centralizer()
@@ -943,7 +967,7 @@ def test_explore_paranoid_mode_checks_the_centralizer_is_the_reps(monkeypatch):
 
             yield o, size, rep, copy
 
-    monkeypatch.setattr(PermGroup, "_p_class_centralizers", copied)
+    monkeypatch.setattr(PermGroup, "_class_rows", copied)
     explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1)
     with pytest.raises(ConsistencyError, match="is not the centralizer of its class rep"):
         explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1, paranoid=True)
@@ -1398,6 +1422,33 @@ def test_explore_p2_registry_bytes_match_digest(tmp_path, caplog):
         "explore round 3: 52 entries, 37 new; candidates WREATH 4, PRODUCT 99, CENTRALIZER 1204; "
         "added 51, fingerprint duplicates 1256",
     ]
+
+
+# The round lines test_explore_p2_registry_bytes_match_digest pins.
+EXPLORE_P2_512_ROUNDS = [
+    "explore round 1: 2 entries, 2 new; candidates WREATH 0, PRODUCT 0, CENTRALIZER 28; "
+    "added 13, fingerprint duplicates 15",
+    "explore round 2: 15 entries, 13 new; candidates WREATH 5, PRODUCT 34, CENTRALIZER 418; "
+    "added 37, fingerprint duplicates 420",
+    "explore round 3: 52 entries, 37 new; candidates WREATH 4, PRODUCT 99, CENTRALIZER 1204; "
+    "added 51, fingerprint duplicates 1256",
+]
+
+
+def test_explore_p2_paranoid_mode_writes_the_pinned_bytes(tmp_path, caplog):
+    # Paranoid mode checks every factor rule, fingerprint and centralizer
+    # that the p=2 explore reads, against the groups' generators, and writes
+    # the bytes explore writes without it.  p=3 explores never meet a wreath
+    # centralizer whose base word is periodic; this one does, so it fails
+    # when _aperiodic_class_word misjudges one.
+    reg = seeded_registry(2, ["wr(gl(2,3),c(2))"])
+    with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+        explore(reg, 2, 512, paranoid=True)
+    path = tmp_path / "reg.jsonl"
+    reg.save(str(path))
+    assert len(reg.entries) == 108
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPLORE_P2_DIGEST
+    assert [m for m in caplog.messages if m.startswith("explore round")] == EXPLORE_P2_512_ROUNDS
 
 
 def test_explore_expands_each_entry_once(monkeypatch):
