@@ -28,7 +28,6 @@ compares the two algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
 
 from . import kernels
 from .arith import check_prime, is_p_power
@@ -217,9 +216,9 @@ def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:
     are read off the p-power rows of PermGroup._class_rows, which explore
     reads too, one per class with its centralizer; a central class's is
     the group itself.  Each centralizer's order times its class size must
-    equal |G|.  A group with a factor record (PermGroup.factor_record)
-    takes its rank from its factors' ranks instead, their product or
-    _wreath_rank, and builds no class table of its own.  Counts are cached
+    equal |G|.  A group with a record (PermGroup.factor_record) takes its
+    rank from its factors' by the record's rule (group.Product.rank,
+    group.Wreath.rank), with no class table of its own.  Counts are cached
     on the group, and the limit is checked before the cache is read;
     commuting_tuple_classes is the independent oracle.
     """
@@ -232,45 +231,20 @@ def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:
 
 
 def _rank(group: PermGroup, p: int, h: int, limit: int) -> int:
-    record = group.factor_record()
+    record = group._record()
     if record is not None:
-        factors, n = record
-        ranks = [hkr_rank(f, p, h, limit) for f in factors]
-        return prod(ranks) if n is None else _wreath_rank(ranks[0], p, h, n)
-    rows = group._class_rows(limit, lambda o: is_p_power(o, p))
+        return record.rank([hkr_rank(f, p, h, limit) for f in record.factors], p, h)
+    rows, _, centralizer = group._class_rows(limit, lambda o: is_p_power(o, p))
     if h == 1:
         return sum(1 for _ in rows)
     order = group.order()
     count = 0
-    for _, size, _, centralizer in rows:
-        cent = centralizer()
+    for (_, size), key in rows:
+        cent = centralizer(key)
         if cent.order() * size != order:
             raise ChromarankError("class size disagrees with centralizer index")
         count += hkr_rank(cent, p, h - 1, limit)
     return count
-
-
-def _wreath_rank(base_rank: int, p: int, h: int, m: int) -> int:
-    """rank(H wr C_m, h) from N = rank(H, h).
-
-    A commuting tuple of H wr C_m maps onto a p-subgroup C_d of the top
-    group C_m, d = p^b dividing m; s(d) of the homomorphisms Z_p^h -> C_m
-    have image C_d, with s(1) = 1 and s(p^b) = p^(bh) - p^((b-1)h).  The
-    classes over one such homomorphism are the necklaces of length m / d
-    in N colours, Neck(k, N) = (1/k) sum over i < k of N^gcd(i, k), which
-    is (1/k) sum over j | k of phi(j) N^(k/j).  The rank is the sum of
-    s(d) Neck(m/d, N) over those d; for m = p it is
-    (N^p + (p-1) N)/p + (p^h - 1) N.
-    """
-    total = 0
-    d = 1
-    while m % d == 0:
-        k = m // d
-        necklaces = sum(base_rank ** gcd(i, k) for i in range(k)) // k
-        surjections = 1 if d == 1 else d**h - (d // p) ** h
-        total += surjections * necklaces
-        d *= p
-    return total
 
 
 @dataclass(frozen=True)

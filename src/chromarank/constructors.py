@@ -16,7 +16,7 @@ from math import factorial, prod
 from .arith import is_prime, primitive_root
 from .errors import ChromarankError
 from .perm import Permutation
-from .group import PermGroup, _direct_product
+from .group import PermGroup, Wreath, _direct_product
 
 
 def cyclic(n: int) -> PermGroup:
@@ -91,10 +91,10 @@ def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
     """G x H on deg(G) + deg(H) points, G acting first.
 
     Built by group._direct_product, as a product's centralizers are: the
-    factors are recorded on the result, which takes from theirs its
-    order, class table and profile (both read group._product_rows; the
-    table's rows come through PermGroup._class_rows), derived order,
-    centralizers and ranks.
+    result holds a group.Product record of the factors, which gives from
+    theirs its order, class table and profile (both read
+    group._product_rows), derived order, fingerprint, centralizers and
+    ranks.
     """
     return _direct_product((g, h))
 
@@ -104,9 +104,9 @@ def wreath_cyclic(g: PermGroup, n: int) -> PermGroup:
 
     Generators: each generator of G on block 0, then the block n-cycle, whose
     powers carry block 0 onto the other blocks.  The order is |G|**n * n.
-    G and n are recorded on the result, which takes from G's its order,
-    class table and profile (both read group._wreath_words, the table
-    through PermGroup._class_rows), derived order, centralizers and ranks.
+    The result holds a group.Wreath record of G and n, which gives from
+    G's its order, class table and profile (both read
+    group._wreath_words), derived order, centralizers and ranks.
     """
     if n < 1:
         raise ValueError("wreath cycle length must be at least 1")
@@ -115,7 +115,7 @@ def wreath_cyclic(g: PermGroup, n: int) -> PermGroup:
     gens = [Permutation(a.images + tuple(range(dg, degree))) for a in g.generators]
     shift = [((block + 1) % n) * dg + i for block in range(n) for i in range(dg)]
     gens.append(Permutation(shift))
-    return PermGroup(degree, gens)._record_factors((g,), n)
+    return PermGroup(degree, gens)._record_factors(Wreath(g, n))
 
 
 def _vector_points(n: int, q: int) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:

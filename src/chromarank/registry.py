@@ -662,7 +662,7 @@ def _register_candidate(
     return entry
 
 
-def _class_rows(group: PermGroup, limit) -> list:
+def _class_table_rows(group: PermGroup, limit) -> list:
     table = group.conjugacy_classes(limit)
     return list(zip(table.reps, table.sizes, table.orders))
 
@@ -671,7 +671,7 @@ def _class_rows(group: PermGroup, limit) -> list:
 # against the same query on a copy of the group with no record of them.
 _FACTOR_FACTS = (
     ("order", lambda g, limit: g.order()),
-    ("class", _class_rows),
+    ("class", _class_table_rows),
     ("class profile", lambda g, limit: g.class_profile(limit)),
     ("derived order", lambda g, limit: g._derived_order(limit)),
     ("fingerprint", lambda g, limit: g.fingerprint(limit)),
@@ -722,9 +722,9 @@ def _centralizer_children(
     first, abelian or not.
 
     The classes and their centralizers are the p-power rows of
-    PermGroup._class_rows: a recorded product or wreath reads
-    them from its factors' class tables, and any other group from its
-    own.  A pair's centralizer, and a wreath's for a base target
+    PermGroup._class_rows, which a recorded product or wreath reads
+    through its record, and any other group from its class table.  A
+    pair's centralizer, and a wreath's for a base target
     whose word of classes has no rotational symmetry, is the direct
     product of factor centralizers, built with no elements and
     fingerprinted from theirs.  Many classes share one
@@ -743,14 +743,14 @@ def _centralizer_children(
         group._check_limit(limit)
         if group.is_abelian():
             return []
-        rows = list(group._class_rows(limit, lambda o: is_p_power(o, p)))
+        rows, rep, centralizer = group._class_rows(limit, lambda o: is_p_power(o, p))
+        rows = list(rows)
     except ThresholdExceeded:
         log.info("explore: %s too large to enumerate for centralizers", parent.name)
         return []
     if paranoid:
-        table = group.conjugacy_classes(limit)
-        want = [row for row in zip(table.reps, table.sizes, table.orders) if is_p_power(row[2], p)]
-        got = [(Permutation._wrap(rep()), size, o) for o, size, rep, _ in rows]
+        want = [row for row in _class_table_rows(group, limit) if is_p_power(row[2], p)]
+        got = [(Permutation._wrap(rep(key)), size, o) for (o, size), key in rows]
         _compare_factor_fact(lambda: parent.name, "p-power class", got, want)
     added = []
     named: set[tuple[int, int]] = set()
@@ -759,7 +759,7 @@ def _centralizer_children(
     # each of its classes logs its skip.
     settled: dict[PermGroup, bool] = {}
     order = group.order()
-    for o, size, rep, centralizer in rows:
+    for (o, size), key in rows:
         czo = order // size
         if size == 1 or czo > bound:
             continue
@@ -767,7 +767,7 @@ def _centralizer_children(
         if parent.expr is not None and (o, czo) not in named:
             expr = f"cent({parent.expr},order={o},czorder={czo})"
         named.add((o, czo))
-        sub = centralizer()
+        sub = centralizer(key)
         if not paranoid and settled.get(sub):
             # The same group again: a fingerprint duplicate of the first try.
             tally["CENTRALIZER"] += 1
@@ -777,10 +777,10 @@ def _centralizer_children(
         def name():
             if expr:
                 return expr
-            return f"cent[{parent.name};o{o};cz{czo};{Permutation._wrap(rep()).cycle_string()}]"
+            return f"cent[{parent.name};o{o};cz{czo};{Permutation._wrap(rep(key)).cycle_string()}]"
 
         if paranoid:
-            x = rep()
+            x = rep(key)
             ruled = group._centralizer_raw([x], limit)
             filtered = kernels.centralizer_filter(list(group._raw_elements(limit)), [x])
             _compare_factor_fact(name, "centralizer element", ruled._raw_elements(limit), tuple(filtered))

@@ -361,7 +361,7 @@ def test_a_wreath_centralizer_in_the_base_is_the_product_of_the_blocks(monkeypat
     assert tops == [0]
     (left, right), n = cent.factor_record()
     assert n is None and (left.order(), right.order()) == (2, 1)
-    assert cent is group._intern_table()[("factors", (left, right))]
+    assert cent is group._intern_table()[(left, right)]
     elements = PermGroup(group.degree, group.generators)._raw_elements()
     assert cent._raw_elements() == tuple(kernels.centralizer_filter(list(elements), targets))
 
@@ -462,6 +462,35 @@ NESTED_CONSTRUCTIONS = [
 @pytest.mark.parametrize("text", NESTED_CONSTRUCTIONS)
 def test_factor_rule_on_nested_constructions(text):
     assert_factor_rule_matches_enumeration(evaluate(parse(text)), text)
+
+
+def _wreath_rank_without_surjections(self, ranks, p, h):
+    # A wrong wreath rule: the necklaces over each C_d counted once, as if
+    # s(d) = 1 homomorphisms Z_p^h -> C_m had image C_d.
+    (base_rank,) = ranks
+    total, d = 0, 1
+    while self.n % d == 0:
+        k = self.n // d
+        total += sum(base_rank ** math.gcd(i, k) for i in range(k)) // k
+        d *= p
+    return total
+
+
+@pytest.mark.parametrize(
+    "record, wrong, text",
+    [
+        (group_module.Wreath, _wreath_rank_without_surjections, "wr(c(2),c(2))"),
+        # the sum of the factors' ranks, not their product
+        (group_module.Product, lambda self, ranks, p, h: sum(ranks), "prod(s(3),c(2))"),
+    ],
+)
+def test_factor_rule_oracle_catches_a_wrong_rank_rule(monkeypatch, record, wrong, text):
+    # Paranoid explore compares no ranks.  The oracle that
+    # test_factor_rule_on_wreaths and test_factor_rule_on_nested_constructions
+    # run compares them with the recursion on the unrecorded copy.
+    monkeypatch.setattr(record, "rank", wrong)
+    with pytest.raises(AssertionError):
+        assert_factor_rule_matches_enumeration(evaluate(parse(text)), text)
 
 
 # Every atom family, with the parameters whose recorded closed-form order is

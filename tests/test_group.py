@@ -183,6 +183,25 @@ def test_one_order_classes_of_a_recorded_wreath_come_as_reached(monkeypatch):
     assert first == next(PermGroup(group.degree, group.generators)._classes(None, 2))
 
 
+def test_a_recorded_wreath_reads_its_cached_class_table_for_rows(monkeypatch):
+    # Once a recorded wreath's class table is cached, a second read of its
+    # rows comes from that table: it lists no _wreath_words row and builds
+    # no rep again, and yields the same rows.
+    group = wreath_cyclic(symmetric(3), 3)
+    table = group.conjugacy_classes()
+    words = group_module._wreath_words
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return words(*args)
+
+    monkeypatch.setattr(group_module, "_wreath_words", counting)
+    got = list(group._classes(None, 2))
+    assert calls == []
+    assert got == [row for row in zip(table.reps, table.sizes, table.orders) if row[2] == 2]
+
+
 def test_class_centralizer_reuses_the_group_for_central_classes(corpus):
     for name, group in corpus.items():
         table = group.conjugacy_classes()
@@ -401,13 +420,14 @@ def test_p_class_centralizers_are_the_class_tables_rows(g, h, p, kept, data):
             "every order": lambda o: True,
             "divisors": lambda o: k % o == 0,
         }[kept]
-        rows = list(group._class_rows(None, keep))
+        rows, rep, centralizer = group._class_rows(None, keep)
+        rows = list(rows)
         assert ("classes" in group._cache) is (group is g)
         want = [row for row in zip(table.reps, table.sizes, table.orders) if keep(row[2])]
-        assert [(Permutation._wrap(rep()), size, o) for o, size, rep, _ in rows] == want
-        for o, size, rep, centralizer in rows:
-            cent = centralizer()
-            assert cent is group._centralizer_raw([rep()])
+        assert [(Permutation._wrap(rep(key)), size, o) for (o, size), key in rows] == want
+        for (o, size), key in rows:
+            cent = centralizer(key)
+            assert cent is group._centralizer_raw([rep(key)])
             assert (cent is group) == (size == 1)
 
 
@@ -961,8 +981,8 @@ def test_enumeration_checks_the_recorded_order(monkeypatch):
     # wrong recorded order is caught as soon as its elements are asked for.
     record_factors = PermGroup._record_factors
 
-    def doubled(self, factors, n=None):
-        record_factors(self, factors, n)
+    def doubled(self, record):
+        record_factors(self, record)
         self._cache["order"] *= 2
         return self
 

@@ -32,7 +32,7 @@ from chromarank import (
     verify_rank_identity,
     wreath_cyclic,
 )
-from chromarank.group import FINGERPRINT_FIELDS, Fingerprint, PermGroup
+from chromarank.group import FINGERPRINT_FIELDS, Fingerprint, PermGroup, Product, Wreath
 from chromarank.registry import DerivationTree, _match_seed
 from chromarank import constructors, dsl, group as group_mod, registry as registry_mod
 
@@ -884,12 +884,19 @@ def _wreath_words_without_block_count(original):
 def _wreath_derived_without_base_power(original):
     # A wrong wreath rule: |H'| for H wr C_n, without the factor
     # |H|**(n - 1); still a divisor of |G|.
-    def wrong(g, limit):
-        record = g.factor_record()
-        if record is None or record[1] is None:
-            return original(g, limit)
-        (base,), _ = record
-        return original(base, limit)
+    def wrong(self, limit):
+        return self.base._derived_order(limit)
+
+    return wrong
+
+
+def _product_derived_with_first_factor_order(original):
+    # A wrong product rule, the wreath's |H|**(n - 1) |H'| misapplied:
+    # |G| |H'| for G x H, not |G'| |H'|; still a divisor of |G x H|.  A
+    # product's fingerprint reads the factors' fingerprints, not this rule.
+    def wrong(self, limit):
+        first, *rest = self.factors
+        return first.order() * math.prod(f._derived_order(limit) for f in rest)
 
     return wrong
 
@@ -909,10 +916,10 @@ def _swapped_product_centralizer_factors(original):
     # on the generators of C_G(x) x C_H(y).  Its order, profile and
     # derived order are right, so the fingerprint is too; its class reps
     # are y + x.
-    def wrong(self, factors, n=None):
-        if n is None and sys._getframe(2).f_code.co_name == "_product_of_centralizers":
-            factors = factors[::-1]
-        return original(self, factors, n)
+    def wrong(self, record):
+        if isinstance(record, Product) and sys._getframe(2).f_code.co_name == "_product_of_centralizers":
+            record = Product(record.factors[::-1])
+        return original(self, record)
 
     return wrong
 
@@ -922,7 +929,8 @@ def _swapped_product_centralizer_factors(original):
     [
         (group_mod, "_product_rows", lambda original: _multiplied_orders, 81, 1),
         (group_mod, "_wreath_words", lambda original: _wreath_words_without_block_count(original), 81, 1),
-        (PermGroup, "_derived_order", lambda original: _wreath_derived_without_base_power(original), 81, 1),
+        (Wreath, "derived_order", _wreath_derived_without_base_power, 81, 1),
+        (Product, "derived_order", _product_derived_with_first_factor_order, 81, 1),
         (group_mod, "_paired_classes", _swapped_factor_reps, 81, 1),
         (group_mod, "_wreath_rows", _misplaced_wreath_reps, 81, 1),
         # first reached by cent(prod(c(3),wr(c(3),c(3))),order=3,czorder=81)
@@ -959,13 +967,13 @@ def test_explore_paranoid_mode_checks_the_centralizer_is_the_reps(monkeypatch):
     class_rows = PermGroup._class_rows
 
     def copied(self, limit, keep):
-        for o, size, rep, centralizer in class_rows(self, limit, keep):
+        rows, rep, centralizer = class_rows(self, limit, keep)
 
-            def copy(centralizer=centralizer):
-                sub = centralizer()
-                return PermGroup(sub.degree, sub.generators)
+        def copy(key):
+            sub = centralizer(key)
+            return PermGroup(sub.degree, sub.generators)
 
-            yield o, size, rep, copy
+        return rows, rep, copy
 
     monkeypatch.setattr(PermGroup, "_class_rows", copied)
     explore(seeded_registry(3, ["c(1)", "c(3)"]), 3, 81, depth=1)
@@ -978,8 +986,8 @@ def _record_doubled_orders(monkeypatch):
     # the group they generate.
     record_factors = PermGroup._record_factors
 
-    def doubled(self, factors, n=None):
-        record_factors(self, factors, n)
+    def doubled(self, record):
+        record_factors(self, record)
         self._cache["order"] *= 2
         return self
 
@@ -1300,8 +1308,7 @@ def test_explore_builds_no_product_duplicate(monkeypatch, caplog):
         return entry
 
     def checking_children(registry, parent, group, p, bound, limit, paranoid, tally):
-        record = group._cache.get("factors")
-        if record is None or record[1] is not None:
+        if not isinstance(group._record(own=True), Product):
             return centralizer_children(registry, parent, group, p, bound, limit, paranoid, tally)
         del built[:]
         before, tried = tally.copy(), checked["CENTRALIZER tried"]
