@@ -216,7 +216,7 @@ def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:
     are read off the p-power rows of PermGroup._class_rows, which explore
     reads too, one per class with its centralizer; a central class's is
     the group itself.  Each centralizer's order times its class size must
-    equal |G|.  A group with a record (PermGroup.factor_record) takes its
+    equal |G|.  A group with a record (PermGroup._record) takes its
     rank from its factors' by the record's rule (group.Product.rank,
     group.Wreath.rank), with no class table of its own.  Counts are cached
     on the group, and the limit is checked before the cache is read;

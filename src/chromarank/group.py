@@ -566,21 +566,15 @@ class PermGroup:
 
     def _record(self, own: bool = False) -> "Product | Wreath | None":
         """The record in the group's slot (_record_factors), else None; with
-        own, only a record made on this group, not a relabeled copy's."""
+        own, only a record made on this group, not a relabeled copy's.
+
+        A group built by direct_product or wreath_cyclic has one, and so has
+        a centralizer that a record builds as a product of factor
+        centralizers; one that filtering or a wreath's scan found has none.
+        A relabeled copy keeps the record (conjugate_by) and reads from it
+        only the class profile, derived order, fingerprint and ranks."""
         slot = self._cache.get("record")
         return slot[0] if slot is not None and (slot[1] or not own) else None
-
-    def factor_record(self) -> tuple[tuple["PermGroup", ...], int | None] | None:
-        """(factors, n) when the group is, up to a relabeling of its points,
-        the direct product of factors (n None) or factors[0] wr C_n, else
-        None: its record's, read-only.  A group built by direct_product or
-        wreath_cyclic has one, and so has a centralizer that a record builds
-        as a product of factor centralizers; one that filtering or a
-        wreath's scan found has none.  A relabeled copy keeps the record
-        (conjugate_by) and reads from it only the class profile, derived
-        order, fingerprint and ranks."""
-        record = self._record()
-        return None if record is None else (record.factors, record.n)
 
     def class_profile(self, limit: int | None = None) -> tuple[tuple[int, int], ...]:
         """Sorted (element order, class size) pairs, one per conjugacy class."""
@@ -764,8 +758,8 @@ class PermGroup:
 
         The copy keeps what a relabeling does not change and is already
         known: the order and the record, marked as not made on the copy
-        (factor_record).  Its elements, class table and centralizers come
-        from its own generators.
+        (_record).  Its elements, class table and centralizers come from
+        its own generators.
         """
         if s.degree != self.degree:
             raise DegreeMismatch(f"degree {s.degree} vs group degree {self.degree}")
@@ -793,8 +787,6 @@ class Product:
     rule that gives its facts from theirs.  (G x H)' = G' x H', and a
     class is a pair of classes (_product_rows, _paired_classes).  group,
     where a rule takes it, is the group that holds the record."""
-
-    n = None  # no cycle length: factor_record's mark of a product
 
     def __init__(self, factors: tuple[PermGroup, ...]):
         self.factors = factors

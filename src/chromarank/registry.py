@@ -28,6 +28,7 @@ import functools
 import json
 import logging
 import os
+import weakref
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -137,7 +138,8 @@ class Registry:
     enumeration limit, for as long as it lives; they are never saved.
     Evaluation is deterministic, so certify, replay, register_derivation
     and explore share them, and a memo hit at a limit is a group whose
-    fresh evaluation at that limit succeeds.
+    fresh evaluation at that limit succeeds.  _factor_checked holds, weakly,
+    the groups whose factor rule paranoid explore has checked.
     """
 
     def __init__(self, prime: int | None = None, entries=()):
@@ -148,6 +150,7 @@ class Registry:
         self._by_name: dict[str, RegistryEntry] = {}
         self._by_fp: dict[Fingerprint, list[RegistryEntry]] = {}
         self._groups: dict[int, dict] = {}
+        self._factor_checked: weakref.WeakSet[PermGroup] = weakref.WeakSet()
         for e in entries:
             self.add(e)
 
@@ -520,10 +523,10 @@ def _memo_key(name: str, expr: str | None):
 
 def _realize(registry: Registry, entry: RegistryEntry, limit) -> tuple[PermGroup | None, str]:
     """(the entry's group, ""), or (None, why it cannot be realized): it has
-    no expression and no builder in SEEDED_GROUPS, its builder's group has
-    another fingerprint than the entry, or its group is over the
-    enumeration limit.  A built seeded group is kept in the registry's
-    memo, as an explored entry's is."""
+    no expression and no builder in SEEDED_GROUPS, its expression does not
+    parse, its builder's group has another fingerprint than the entry, or
+    its group is over the enumeration limit.  A built seeded group is kept
+    in the registry's memo, as an explored entry's is."""
     memo = registry._memo(limit)
     key = _memo_key(entry.name, entry.expr)
     group = memo.get(key)
@@ -537,6 +540,8 @@ def _realize(registry: Registry, entry: RegistryEntry, limit) -> tuple[PermGroup
             return registry._evaluate(dsl.parse(entry.expr), limit), ""
         group = build(entry.prime)
         fingerprint = group.fingerprint(limit)
+    except ParseError as exc:
+        return None, f"its expression does not parse: {exc}"
     except ThresholdExceeded as exc:
         return None, f"over the enumeration limit: {exc}"
     if fingerprint != entry.fingerprint:
@@ -583,11 +588,11 @@ def _register_candidate(
     called once per distinct centralizer, not once per class.
     Counts the candidate in tally under its rule, and a fingerprint
     duplicate under "duplicate".  In paranoid mode every candidate is built
-    and its fingerprint compared with fingerprint()'s; one with a factor
-    record (a product, a wreath or a centralizer built as a product),
-    whose order, class table, profile and derived order come from its
-    factors, is checked once against a copy with no record of them
-    (_check_factor_rule), and its centralizers in _centralizer_children.
+    and its fingerprint compared with fingerprint()'s; one with a record
+    (PermGroup._record), whose order, class table, profile and derived
+    order come from its factors, is checked once per registry against a
+    copy with no record of them (_check_factor_rule), and its centralizers
+    in _centralizer_children.
     A fingerprint that matches a bad entry is a contradiction only when
     that entry cannot be realized or has the candidate's class profile;
     otherwise the collision is logged and the candidate skipped, since a
@@ -605,9 +610,9 @@ def _register_candidate(
     group = None
     if paranoid:
         group = build()
-        if group.factor_record() is not None and "factor rule" not in group._cache:
+        if group._record() is not None and group not in registry._factor_checked:
             _check_factor_rule(name, group, limit)
-            group._cache["factor rule"] = True  # passed: an interned group is checked once
+            registry._factor_checked.add(group)  # passed: an interned group is checked once
         if group.fingerprint(limit) != fp:
             raise ConsistencyError(f"fingerprint of {name()!r} differs from its built group's")
     bad = registry.bad_match(fp)

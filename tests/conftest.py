@@ -213,7 +213,7 @@ def assert_factor_rule_matches_enumeration(group, label=None):
         relabeled_fingerprint = relabeled.fingerprint()
         ranks = [hkr_rank(g, p, h) for g in (group, relabeled) for p, h in cases]
     assert all(t is not group and t is not relabeled for t in tabled), label
-    assert all(t.factor_record() is None for t in tabled), label
+    assert all(t._record() is None for t in tabled), label
     assert relabeled.order() == group.order() and relabeled._chain is None, label
     plain = PermGroup(group.degree, group.generators)
     assert ranks == [hkr_rank(plain, p, h) for p, h in cases] * 2, label

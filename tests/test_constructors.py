@@ -23,7 +23,7 @@ from chromarank import group as group_module, kernels
 from chromarank.arith import primitive_root
 from chromarank.constructors import atomic_group
 from chromarank.dsl import evaluate, parse
-from chromarank.group import _Chain
+from chromarank.group import Product, _Chain
 
 from conftest import assert_factor_rule_matches_enumeration, o_close, o_exponent, small_groups
 
@@ -223,7 +223,7 @@ def test_factor_rule_on_products_of_corpus_pairs(corpus):
         for rep, size in zip(table.reps, table.sizes):
             if size > 1:
                 cent = product.centralizer([rep])
-                assert cent.factor_record() is not None, (a, b, rep)
+                assert cent._record() is not None, (a, b, rep)
                 assert_factor_rule_matches_enumeration(cent, (a, b, rep.cycle_string()))
 
 
@@ -235,8 +235,9 @@ def test_a_product_centralizer_records_a_centralizing_factor_itself(monkeypatch)
     s4 = symmetric(4)
     table, elements = s4.conjugacy_classes(), s4._raw_elements()
     cent = direct_product(symmetric(3), s4).centralizer([Permutation.from_cycles("(0 1)", 7)])
-    (c, factor), n = cent.factor_record()
-    assert factor is s4 and n is None and c.order() == 2
+    record = cent._record()
+    c, factor = record.factors
+    assert factor is s4 and isinstance(record, Product) and c.order() == 2
     assert factor._raw_elements() is elements and factor.conjugacy_classes() is table
     built = []
     class_table = PermGroup._class_table
@@ -282,7 +283,8 @@ def test_factor_rule_on_wreaths(text, monkeypatch):
     assert_factor_rule_matches_enumeration(evaluate(parse(text)), text)
     tops = _record_wreath_centralizers(monkeypatch)
     group = evaluate(parse(text))
-    (base,), n = group.factor_record()
+    record = group._record()
+    (base,), n = record.factors, record.n
     degree = base.degree
     base_reps = [rep.images for rep in base.conjugacy_classes().reps]
     table = group.conjugacy_classes()
@@ -298,12 +300,12 @@ def test_factor_rule_on_wreaths(text, monkeypatch):
             pieces = [tuple(v - b * degree for v in x[b * degree : (b + 1) * degree]) for b in range(n)]
             word = [base_reps.index(h) for h in pieces]
             if all(word[t:] + word[:t] != word for t in range(1, n)):
-                factors, m = cent.factor_record()
-                assert m is None and len(factors) == n, (text, rep)
-                assert factors == tuple(base._centralizer_raw([h]) for h in pieces), (text, rep)
+                record = cent._record()
+                assert isinstance(record, Product) and len(record.factors) == n, (text, rep)
+                assert record.factors == tuple(base._centralizer_raw([h]) for h in pieces), (text, rep)
                 products += 1
                 continue
-        assert cent.factor_record() is None, (text, rep)
+        assert cent._record() is None, (text, rep)
         scanned.add(math.gcd(j, n))
     assert {math.gcd(j, n) for j in tops} == scanned, text
     assert (products, scanned) != (0, set()) or group.is_abelian(), text
@@ -359,8 +361,9 @@ def test_a_wreath_centralizer_in_the_base_is_the_product_of_the_blocks(monkeypat
     targets = [Permutation.from_cycles(text, 6).images for text in ("(1 2)(4 5)", "(1 2)(3 4)")]
     cent = group._centralizer_raw(targets)
     assert tops == [0]
-    (left, right), n = cent.factor_record()
-    assert n is None and (left.order(), right.order()) == (2, 1)
+    record = cent._record()
+    left, right = record.factors
+    assert isinstance(record, Product) and (left.order(), right.order()) == (2, 1)
     assert cent is group._intern_table()[(left, right)]
     elements = PermGroup(group.degree, group.generators)._raw_elements()
     assert cent._raw_elements() == tuple(kernels.centralizer_filter(list(elements), targets))
@@ -391,8 +394,8 @@ def test_a_wreath_asks_its_base_before_any_commutes_test(monkeypatch):
     monkeypatch.setattr(kernels, "commutes", counting)
     cent = group._centralizer_raw([x])
     assert group.degree not in calls
-    factors, n = cent.factor_record()
-    assert n is None and factors == (base._centralizer_raw([r]), base, base)
+    record = cent._record()
+    assert isinstance(record, Product) and record.factors == (base._centralizer_raw([r]), base, base)
     assert group._centralizer_raw([x, z]) is cent
 
 
@@ -418,13 +421,13 @@ def test_wreath_centralizers_match_filtering(h, n, data):
     cent = group._centralizer_raw(targets)
     filtered = tuple(kernels.centralizer_filter(list(elements), targets))
     assert cent._raw_elements() == filtered
-    record = cent.factor_record()
-    routed = record is not None and record[1] is None
+    record = cent._record()
+    routed = isinstance(record, Product)
     assert routed == all(x[0] < h.degree for x in filtered + tuple(targets))
     if routed:
         d = h.degree
         pieces = [[tuple(v - b * d for v in z[b * d : (b + 1) * d]) for z in targets] for b in range(n)]
-        assert record[0] == tuple(h._centralizer_raw(block) for block in pieces)
+        assert record.factors == tuple(h._centralizer_raw(block) for block in pieces)
 
 
 def test_no_wreath_centralizer_has_a_base_of_degree_one(monkeypatch):

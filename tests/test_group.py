@@ -5,6 +5,7 @@ import math
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +43,7 @@ from chromarank.dsl import _select_centralizer, evaluate, parse
 from chromarank.group import (
     FINGERPRINT_FIELDS,
     Fingerprint,
+    Product,
     _Chain,
     _subgroup_from_elements,
     enumeration_limit,
@@ -577,10 +579,10 @@ def test_subgroup_generators_match_chain_per_generator_selection(corpus):
         for sub in subgroups:
             if sub is group:  # an abelian group is its own center
                 continue
-            record = sub.factor_record()
+            record = sub._record()
             if record is not None:
                 # a product's centralizer, built as the product is
-                assert sub._raw == direct_product(*record[0])._raw and record[1] is None, name
+                assert sub._raw == direct_product(*record.factors)._raw and isinstance(record, Product), name
                 continue
             gens, chain = _chain_per_generator_selection(group.degree, sub._raw_elements())
             assert list(sub._raw) == gens, name
@@ -1071,15 +1073,15 @@ def test_product_fingerprints_match_their_class_walks(texts, nest_left):
         text = f"prod({text},{factor})" if nest_left else f"prod({factor},{text})"
     group = evaluate(parse(text))
     for g in (group, group.conjugate_by(relabeling(group.degree))):
-        assert g.factor_record()[1] is None, text
+        assert isinstance(g._record(), Product), text
         assert g.fingerprint() == PermGroup(g.degree, g.generators).fingerprint(), text
 
 
 def test_corpus_product_fingerprints_match_their_class_walks(corpus):
     # Every recorded product of the corpus, its relabeled copy and its
     # centralizers, which record the factors' centralizers.
-    records = {name: g.factor_record() for name, g in corpus.items()}
-    products = [corpus[name] for name, record in records.items() if record and record[1] is None]
+    records = {name: g._record() for name, g in corpus.items()}
+    products = [corpus[name] for name, record in records.items() if isinstance(record, Product)]
     assert products
     for group in products:
         table = group.conjugacy_classes()
@@ -1087,7 +1089,7 @@ def test_corpus_product_fingerprints_match_their_class_walks(corpus):
             group.centralizer([rep]) for rep in table.reps
         ]
         for g in groups:
-            assert g.factor_record()[1] is None
+            assert isinstance(g._record(), Product)
             assert g.fingerprint() == PermGroup(g.degree, g.generators).fingerprint()
 
 
@@ -1096,7 +1098,7 @@ def test_product_fingerprint_builds_no_class_profile():
     # profile nor its class table, nor those of a product among its
     # factors, nor those of a relabeled copy.
     group = evaluate(parse("prod(s(3),prod(c(3),d(4)))"))
-    inner = group.factor_record()[0][1]
+    inner = group._record().factors[1]
     copy = group.conjugate_by(relabeling(group.degree))
     assert copy.fingerprint() == group.fingerprint()
     for g in (group, inner, copy):
@@ -1184,6 +1186,13 @@ def test_limit_holds_on_cached_results():
         lambda g, limit: hkr_rank(g, 2, 1, limit=limit),
         lambda g, limit: hkr_rank(g, 2, 2, limit=limit),
         lambda g, limit: hkr_rank(g, 2, 3, limit=limit),
+        lambda g, limit: g.class_profile(limit=limit),
+        lambda g, limit: g.exponent(limit=limit),
+        lambda g, limit: g.center(limit=limit),
+        lambda g, limit: g.centralizer([Permutation.from_cycles("(0 1)", 5)], limit=limit),
+        lambda g, limit: g.sylow_subgroup(2, limit=limit),
+        lambda g, limit: commuting_tuple_classes(g, 2, 2, limit=limit),
+        lambda g, limit: verify_rank_identity(g, 2, 2, 1, limit=limit),
     )
     for query in queries:
         with pytest.raises(ThresholdExceeded):
@@ -1192,6 +1201,15 @@ def test_limit_holds_on_cached_results():
         query(warm, None)
         with pytest.raises(ThresholdExceeded):
             query(warm, 10)
+
+
+def test_only_group_py_touches_a_groups_cache():
+    # Other modules reach a group's stored results through its methods
+    # (_cached, _record), never through the dict behind them, and no module
+    # reads a record as a (factors, n) tuple (factor_record).
+    touching = re.compile(r"\._cache\b|factor_record")
+    sources = Path(group_module.__file__).parent.glob("*.py")
+    assert sorted(path.name for path in sources if touching.search(path.read_text())) == ["group.py"]
 
 
 def test_enumeration_limit_resolution(monkeypatch):
@@ -1230,7 +1248,7 @@ def test_relabeled_copy_keeps_only_relabeling_invariant_facts(text):
     group = evaluate(parse(text))
     s = relabeling(group.degree)
     copy = group.conjugate_by(s)
-    assert copy.factor_record() == group.factor_record() is not None
+    assert copy._record() is group._record() is not None
     with pytest.raises(ThresholdExceeded):
         hkr_rank(copy, 2, 2, limit=group.order() - 1)
     assert hkr_rank(copy, 2, 2) == hkr_rank(group, 2, 2)

@@ -706,6 +706,25 @@ def test_explore_paranoid_mode_runs_clean():
     assert added
 
 
+def test_explore_paranoid_mode_checks_each_group_once(monkeypatch):
+    # A second paranoid explore on the same registry meets the memoized
+    # groups again; the registry remembers which it has checked.  The
+    # checked groups are held, so no id is reused by a later group.
+    check_factor_rule = registry_mod._check_factor_rule
+    checked = []
+
+    def recording_check(name, group, limit):
+        checked.append(group)
+        return check_factor_rule(name, group, limit)
+
+    monkeypatch.setattr(registry_mod, "_check_factor_rule", recording_check)
+    reg = seeded_registry(2, ["c(2)"])
+    for _ in range(2):
+        explore(reg, 2, 64, depth=3, paranoid=True)
+    assert checked and all(g._record() is not None for g in checked)
+    assert len({id(g) for g in checked}) == len(checked)
+
+
 def test_explore_paranoid_mode_checks_existing_entries():
     # A good entry for c(9) whose stored fingerprint is that of C_3 x C_3:
     # the product c(3) x c(3) matches it, and paranoid mode must compare the
@@ -753,6 +772,7 @@ def test_explore_skips_a_fingerprint_collision_with_a_bad_entry(caplog):
     for expr, why in (
         ("prod(c(3),c(3))", None),
         (None, "no expression"),
+        ("prod(", "its expression does not parse"),
         ("cent(s(4),order=3,czorder=3)", "over the enumeration limit"),
     ):
         reg = seeded_registry(3, ["c(3)"])
@@ -1067,12 +1087,13 @@ def test_golden_registries_load_and_save_back_byte_identical(tmp_path, name):
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def _with_opaque_entry(reg):
-    # A good entry with no expression and no builder: it cannot be realized.
+def _with_opaque_entry(reg, expr=None):
+    # A good entry with no builder and no expression, or one that does not
+    # parse: it cannot be realized.
     reg.add(
         RegistryEntry(
             name="opaque",
-            expr=None,
+            expr=expr,
             prime=2,
             order=cyclic(4).order(),
             fingerprint=cyclic(4).fingerprint(),
@@ -1085,11 +1106,13 @@ def _with_opaque_entry(reg):
 
 def test_explore_skips_unrealizable_entries(caplog):
     # With c(2) beside it, the entry is no product factor either.
-    reg = _with_opaque_entry(seeded_registry(2, ["c(2)"]))
-    with caplog.at_level(logging.INFO, logger="chromarank.registry"):
-        added = explore(reg, 2, 16, depth=1)
-    assert any("cannot realize" in m for m in caplog.messages)
-    assert added and all("opaque" not in e.parents for e in added)
+    for expr, why in ((None, "no expression"), ("prod(", "its expression does not parse")):
+        reg = _with_opaque_entry(seeded_registry(2, ["c(2)"]), expr)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="chromarank.registry"):
+            added = explore(reg, 2, 16, depth=1)
+        assert any("cannot realize opaque" in m and why in m for m in caplog.messages), expr
+        assert added and all("opaque" not in e.parents for e in added), expr
 
 
 def test_explore_realizes_each_entry_once(caplog):
@@ -1366,7 +1389,7 @@ def test_explore_paranoid_mode_builds_and_checks_every_candidate(monkeypatch, tm
     explore(reg, 3, 243, depth=6, paranoid=True)
     assert len(candidates) == 2 + 30 + 56
     assert sorted({name for name, _ in built}) == sorted(set(candidates))
-    recorded = {id(g) for _, g in built if g.factor_record() is not None}
+    recorded = {id(g) for _, g in built if g._record() is not None}
     assert recorded and recorded <= {id(g) for g in checked}
     path = tmp_path / "reg.jsonl"
     reg.save(str(path))
