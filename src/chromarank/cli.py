@@ -33,10 +33,9 @@ EXIT_USAGE = 2
 EXIT_SCALE = 3
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, text: str, **payload) -> None:
     if args.json:
-        payload = {"schema": SCHEMA, **payload}
-        print(json.dumps(payload, separators=(",", ":")))
+        print(json.dumps({"schema": SCHEMA, **payload}, separators=(",", ":")))
     else:
         print(text)
 
@@ -60,46 +59,34 @@ def _at_least(low: int):
 
 def _registry_for(args, p: int) -> registry_mod.Registry:
     """The registry in --registry FILE; a seeded one if FILE is absent or has no entries."""
-    path = getattr(args, "registry", None)
-    if path and os.path.exists(path):
-        reg = registry_mod.Registry.load(path)
+    if args.registry and os.path.exists(args.registry):
+        reg = registry_mod.Registry.load(args.registry)
         if reg.entries:
             return reg
     return registry_mod.Registry.with_defaults(p)
 
 
-def _cmd_order(args) -> int:
+def _expr_group(args):
+    """The command's expression, printed canonically, and the group it denotes."""
     expr = dsl.parse(args.expr)
-    group = dsl.evaluate(expr, args.max_order)
-    _emit(
-        args,
-        {"command": "order", "expr": dsl.print_expr(expr), "order": group.order()},
-        str(group.order()),
-    )
+    return dsl.print_expr(expr), dsl.evaluate(expr, args.max_order)
+
+
+def _cmd_order(args) -> int:
+    expr, group = _expr_group(args)
+    _emit(args, str(group.order()), command="order", expr=expr, order=group.order())
     return EXIT_OK
 
 
 def _cmd_rank(args) -> int:
-    expr = dsl.parse(args.expr)
-    group = dsl.evaluate(expr, args.max_order)
+    expr, group = _expr_group(args)
     rank = chromatic.hkr_rank(group, args.prime, args.n, args.max_order)
-    _emit(
-        args,
-        {
-            "command": "rank",
-            "expr": dsl.print_expr(expr),
-            "p": args.prime,
-            "n": args.n,
-            "rank": rank,
-        },
-        str(rank),
-    )
+    _emit(args, str(rank), command="rank", expr=expr, p=args.prime, n=args.n, rank=rank)
     return EXIT_OK
 
 
 def _cmd_loops(args) -> int:
-    expr = dsl.parse(args.expr)
-    group = dsl.evaluate(expr, args.max_order)
+    expr, group = _expr_group(args)
     dec = chromatic.commuting_tuple_classes(group, args.prime, args.height, args.max_order)
     rows = tuple(
         {
@@ -110,28 +97,17 @@ def _cmd_loops(args) -> int:
         for comp in dec.components
     )
     lines = [f"components: {len(dec)}"]
-    for row in rows:
-        tup = "(" + ", ".join(row["tuple"]) + ")"
-        lines.append(
-            f"{tup}  centralizer={row['centralizer_order']}  orbit={row['orbit_size']}"
-        )
-    _emit(
-        args,
-        {
-            "command": "loops",
-            "expr": dsl.print_expr(expr),
-            "p": args.prime,
-            "h": args.height,
-            "components": rows,
-        },
-        "\n".join(lines),
-    )
+    lines += [
+        f"({', '.join(r['tuple'])})  centralizer={r['centralizer_order']}  orbit={r['orbit_size']}"
+        for r in rows
+    ]
+    text = "\n".join(lines)
+    _emit(args, text, command="loops", expr=expr, p=args.prime, h=args.height, components=rows)
     return EXIT_OK
 
 
 def _cmd_centralizer(args) -> int:
-    expr = dsl.parse(args.expr)
-    group = dsl.evaluate(expr, args.max_order)
+    expr, group = _expr_group(args)
     rows = []
     for rep, size, _ in group._classes(args.max_order, args.elt_order):
         cent_order = group.order() // size  # |C(rep)| = |G| / |class|
@@ -153,35 +129,27 @@ def _cmd_centralizer(args) -> int:
         lines = [f"no conjugacy classes of element order {args.elt_order}"]
     _emit(
         args,
-        {
-            "command": "centralizer",
-            "expr": dsl.print_expr(expr),
-            "p": args.prime,
-            "elt_order": args.elt_order,
-            "classes": rows,
-        },
         "\n".join(lines),
+        command="centralizer",
+        expr=expr,
+        p=args.prime,
+        elt_order=args.elt_order,
+        classes=rows,
     )
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    expr = dsl.parse(args.expr)
-    group = dsl.evaluate(expr, args.max_order)
+    expr, group = _expr_group(args)
     report = chromatic.verify_rank_identity(
-        group,
-        args.prime,
-        args.n,
-        args.t,
-        args.max_order,
-        label=dsl.print_expr(expr),
+        group, args.prime, args.n, args.t, args.max_order, label=expr
     )
     status = "pass" if report.passed else "FAIL"
     text = (
         f"{status}: lhs={report.lhs} rhs={report.rhs} "
         f"(p={args.prime}, n={args.n}, t={args.t}, components={len(report.per_component)})"
     )
-    _emit(args, {"command": "verify", **report.to_record()}, text)
+    _emit(args, text, command="verify", **report.to_record())
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
 
@@ -189,32 +157,20 @@ def _cmd_certify(args) -> int:
     expr = dsl.parse(args.expr)
     reg = _registry_for(args, args.prime)
     tree = registry_mod.certify(expr, args.prime, reg, args.depth, args.max_order)
-    if tree is None:
-        _emit(
-            args,
-            {
-                "command": "certify",
-                "expr": dsl.print_expr(expr),
-                "p": args.prime,
-                "status": "unknown",
-                "derivation": None,
-            },
-            "unknown",
-        )
-        return EXIT_OK
-    registry_mod.register_derivation(reg, tree, args.prime, args.max_order)
-    if args.registry:
-        reg.save(args.registry)
+    status, derivation, text = "unknown", None, "unknown"
+    if tree is not None:
+        registry_mod.register_derivation(reg, tree, args.prime, args.max_order)
+        if args.registry:
+            reg.save(args.registry)
+        status, derivation, text = "good", tree.to_record(), "good\n" + tree.render()
     _emit(
         args,
-        {
-            "command": "certify",
-            "expr": dsl.print_expr(expr),
-            "p": args.prime,
-            "status": "good",
-            "derivation": tree.to_record(),
-        },
-        "good\n" + tree.render(),
+        text,
+        command="certify",
+        expr=dsl.print_expr(expr),
+        p=args.prime,
+        status=status,
+        derivation=derivation,
     )
     return EXIT_OK
 
@@ -232,11 +188,7 @@ def _cmd_explore(args) -> int:
     ]
     lines = [f"added: {len(added)}"]
     lines += [f"{r['name']}  order={r['order']}  rule={r['rule']}" for r in rows]
-    _emit(
-        args,
-        {"command": "explore", "p": args.prime, "bound": args.bound, "added": rows},
-        "\n".join(lines),
-    )
+    _emit(args, "\n".join(lines), command="explore", p=args.prime, bound=args.bound, added=rows)
     return EXIT_OK
 
 
@@ -254,11 +206,8 @@ def _cmd_registry(args) -> int:
             f"{r['name']}  status={r['status']}  order={r['order']}  rule={r['rule']}"
             for r in rows
         ]
-        _emit(
-            args,
-            {"command": "registry-list", "prime": reg.prime, "entries": rows},
-            "\n".join(lines) if lines else "(empty)",
-        )
+        text = "\n".join(lines) if lines else "(empty)"
+        _emit(args, text, command="registry-list", prime=reg.prime, entries=rows)
         return EXIT_OK
     entry = reg.get(args.name)
     if entry is None:
@@ -266,11 +215,25 @@ def _cmd_registry(args) -> int:
         return EXIT_USAGE
     rec = entry.to_record()
     lines = [f"{key}: {rec[key]}" for key in registry_mod.ENTRY_FIELDS]
-    _emit(args, {"command": "registry-show", "entry": rec}, "\n".join(lines))
+    _emit(args, "\n".join(lines), command="registry-show", entry=rec)
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _subcommand(sub, name: str, fn, *flags, expr=True, prime=True, **options) -> None:
+    """Add the subcommand name, run by fn: its expression and -p when it
+    takes them, then its own flags, each (names..., add_argument keywords),
+    then the flags every command shares.  options go to add_parser, so a
+    command given no help= is left out of its parent's listing."""
+    parser = sub.add_parser(name, **options)
+    if not parser.add_help:
+        # -h is one of the command's flags, so --help is attached by hand.
+        parser.add_argument("--help", action="help", help="show this help message and exit")
+    if expr:
+        parser.add_argument("expr")
+    if prime:
+        parser.add_argument("-p", dest="prime", type=_prime_arg, required=True)
+    for *names, keywords in flags:
+        parser.add_argument(*names, **keywords)
     parser.add_argument("--json", action="store_true", help="machine-readable payload")
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="log progress at INFO to stderr"
@@ -281,6 +244,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="enumeration cap (default: CHROMARANK_MAX_ORDER or 2**21)",
     )
+    parser.set_defaults(fn=fn)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,77 +254,61 @@ def build_parser() -> argparse.ArgumentParser:
         "for finite permutation groups.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    p_order = sub.add_parser("order", help="order of the group an expression denotes")
-    p_order.add_argument("expr")
-    _add_common(p_order)
-    p_order.set_defaults(fn=_cmd_order)
-
-    p_rank = sub.add_parser("rank", help="number of commuting p-power n-tuple classes")
-    p_rank.add_argument("expr")
-    p_rank.add_argument("-p", dest="prime", type=_prime_arg, required=True)
-    p_rank.add_argument("-n", dest="n", type=_at_least(0), required=True)
-    _add_common(p_rank)
-    p_rank.set_defaults(fn=_cmd_rank)
-
-    # -h is the height flag here, so automatic help is disabled and --help
-    # is reattached by hand.
-    p_loops = sub.add_parser(
-        "loops", help="commuting-tuple class decomposition", add_help=False
+    count = {"type": _at_least(0), "required": True}
+    registry_file = ("--registry", {"default": None, "help": "registry file to read and update"})
+    _subcommand(
+        sub, "order", _cmd_order, prime=False, help="order of the group an expression denotes"
     )
-    p_loops.add_argument("--help", action="help", help="show this help message and exit")
-    p_loops.add_argument("expr")
-    p_loops.add_argument("-p", dest="prime", type=_prime_arg, required=True)
-    p_loops.add_argument("-h", dest="height", type=_at_least(0), required=True)
-    _add_common(p_loops)
-    p_loops.set_defaults(fn=_cmd_loops)
-
-    p_cent = sub.add_parser(
-        "centralizer", help="centralizer orders per class of a given element order"
+    _subcommand(
+        sub, "rank", _cmd_rank, ("-n", count), help="number of commuting p-power n-tuple classes"
     )
-    p_cent.add_argument("expr")
-    p_cent.add_argument("-p", dest="prime", type=_prime_arg, required=True)
-    p_cent.add_argument("--elt-order", dest="elt_order", type=_at_least(1), required=True)
-    _add_common(p_cent)
-    p_cent.set_defaults(fn=_cmd_centralizer)
-
-    p_verify = sub.add_parser("verify", help="check the rank factorization identity")
-    p_verify.add_argument("expr")
-    p_verify.add_argument("-p", dest="prime", type=_prime_arg, required=True)
-    p_verify.add_argument("-n", dest="n", type=_at_least(0), required=True)
-    p_verify.add_argument("-t", dest="t", type=_at_least(0), required=True)
-    _add_common(p_verify)
-    p_verify.set_defaults(fn=_cmd_verify)
-
-    p_cert = sub.add_parser("certify", help="search for a goodness derivation")
-    p_cert.add_argument("expr")
-    p_cert.add_argument("-p", dest="prime", type=_prime_arg, required=True)
-    p_cert.add_argument("--registry", default=None, help="registry file to read and update")
-    p_cert.add_argument("--depth", type=_at_least(0), default=registry_mod.DEFAULT_SEARCH_DEPTH)
-    _add_common(p_cert)
-    p_cert.set_defaults(fn=_cmd_certify)
-
-    p_exp = sub.add_parser("explore", help="grow the registry by forward construction")
-    p_exp.add_argument("-p", dest="prime", type=_prime_arg, required=True)
-    p_exp.add_argument("--bound", type=_at_least(1), required=True)
-    p_exp.add_argument("--depth", type=_at_least(0), default=3)
-    p_exp.add_argument("--registry", default=None, help="registry file to read and update")
-    p_exp.add_argument("--paranoid", action="store_true")
-    _add_common(p_exp)
-    p_exp.set_defaults(fn=_cmd_explore)
-
+    _subcommand(
+        sub,
+        "loops",
+        _cmd_loops,
+        ("-h", {"dest": "height", **count}),
+        help="commuting-tuple class decomposition",
+        add_help=False,
+    )
+    _subcommand(
+        sub,
+        "centralizer",
+        _cmd_centralizer,
+        ("--elt-order", {"type": _at_least(1), "required": True}),
+        help="centralizer orders per class of a given element order",
+    )
+    _subcommand(
+        sub,
+        "verify",
+        _cmd_verify,
+        ("-n", count),
+        ("-t", count),
+        help="check the rank factorization identity",
+    )
+    _subcommand(
+        sub,
+        "certify",
+        _cmd_certify,
+        registry_file,
+        ("--depth", {"type": _at_least(0), "default": registry_mod.DEFAULT_SEARCH_DEPTH}),
+        help="search for a goodness derivation",
+    )
+    _subcommand(
+        sub,
+        "explore",
+        _cmd_explore,
+        ("--bound", {"type": _at_least(1), "required": True}),
+        ("--depth", {"type": _at_least(0), "default": 3}),
+        registry_file,
+        ("--paranoid", {"action": "store_true"}),
+        expr=False,
+        help="grow the registry by forward construction",
+    )
     p_reg = sub.add_parser("registry", help="inspect a registry file")
     reg_sub = p_reg.add_subparsers(dest="action", required=True)
-    p_list = reg_sub.add_parser("list")
-    p_list.add_argument("--registry", required=True)
-    _add_common(p_list)
-    p_list.set_defaults(fn=_cmd_registry)
-    p_show = reg_sub.add_parser("show")
-    p_show.add_argument("name")
-    p_show.add_argument("--registry", required=True)
-    _add_common(p_show)
-    p_show.set_defaults(fn=_cmd_registry)
-
+    registry_in = ("--registry", {"required": True})
+    _subcommand(reg_sub, "list", _cmd_registry, registry_in, expr=False, prime=False)
+    _subcommand(reg_sub, "show", _cmd_registry, ("name", {}), registry_in, expr=False, prime=False)
     return top
 
 

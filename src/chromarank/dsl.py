@@ -22,7 +22,7 @@ from typing import Union
 from . import constructors
 from .arith import is_prime
 from .errors import ChromarankError, ParseError
-from .group import PermGroup, read_generator_file
+from .group import PermGroup, enumeration_limit, read_generator_file
 
 
 @dataclass(frozen=True)
@@ -294,8 +294,11 @@ def evaluate(e: GroupExpr, limit: int | None = None, memo: dict | None = None) -
 
     memo, when given, maps printed expressions to already-built groups and
     is filled in as a side effect; sharing one across calls keeps repeated
-    subexpressions (and their cached class tables) identical objects.
+    subexpressions (and their cached class tables) identical objects.  The
+    limit is resolved at entry (enumeration_limit), so a call reads
+    CHROMARANK_MAX_ORDER at most once and refuses a limit below 1.
     """
+    limit = enumeration_limit(limit)
     if memo is not None:
         key = print_expr(e)
         hit = memo.get(key)

@@ -459,10 +459,6 @@ class PermGroup:
 
     # -- enumeration-backed queries -------------------------------------------
 
-    def _check_limit(self, limit: int | None) -> None:
-        """Raise ThresholdExceeded when the group is past the enumeration limit."""
-        check_limit(self.order(), limit)
-
     def _stored(self, key, compute: Callable[[], object]):
         """The result stored under key, computed and stored on a miss: the
         one store of every derived value.  A result that is the group itself
@@ -480,7 +476,7 @@ class PermGroup:
         The limit is checked before the lookup, so a cached result is
         returned exactly when a fresh group would compute it.
         """
-        self._check_limit(limit)
+        check_limit(self.order(), limit)
         return self._stored(key, compute)
 
     def _raw_elements(self, limit: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -534,7 +530,7 @@ class PermGroup:
         """
         record = self._record(own=True)
         if record is not None:
-            self._check_limit(limit)
+            check_limit(self.order(), limit)
             # lcm(a, c) is order only when a and c divide it.
             rows, rep, _ = record.rows(self, limit, lambda o: order is None or order % o == 0)
             for (o, size), key in rows:
@@ -717,7 +713,7 @@ class PermGroup:
         the closure grows past the enumeration limit.
         """
         result = self._stored("derived", lambda: self._derived_subgroup(limit))
-        result._check_limit(limit)
+        check_limit(result.order(), limit)
         return result
 
     def _derived_subgroup(self, limit: int | None) -> "PermGroup":

@@ -524,29 +524,37 @@ def _memo_key(name: str, expr: str | None):
 def _realize(registry: Registry, entry: RegistryEntry, limit) -> tuple[PermGroup | None, str]:
     """(the entry's group, ""), or (None, why it cannot be realized): it has
     no expression and no builder in SEEDED_GROUPS, its expression does not
-    parse, its builder's group has another fingerprint than the entry, or
-    its group is over the enumeration limit.  A built seeded group is kept
-    in the registry's memo, as an explored entry's is."""
+    parse or cannot be evaluated (a cent(...) that selects no class, an
+    ingest(...) of an unreadable file), its builder's group has another
+    fingerprint than the entry, its group is over the enumeration limit,
+    or its group, built or taken from the memo, has another order than the
+    entry.  A built seeded group is kept in the registry's memo, as an
+    explored entry's is."""
     memo = registry._memo(limit)
     key = _memo_key(entry.name, entry.expr)
     group = memo.get(key)
-    if group is not None:
-        return group, ""
-    build = SEEDED_GROUPS.get(entry.name)
-    if entry.expr is None and build is None:
-        return None, "no expression"
-    try:
-        if entry.expr is not None:
-            return registry._evaluate(dsl.parse(entry.expr), limit), ""
-        group = build(entry.prime)
-        fingerprint = group.fingerprint(limit)
-    except ParseError as exc:
-        return None, f"its expression does not parse: {exc}"
-    except ThresholdExceeded as exc:
-        return None, f"over the enumeration limit: {exc}"
-    if fingerprint != entry.fingerprint:
-        return None, f"its builder {build.__name__}({entry.prime}) gives another fingerprint"
-    memo[key] = group
+    if group is None:
+        build = SEEDED_GROUPS.get(entry.name)
+        if entry.expr is None and build is None:
+            return None, "no expression"
+        try:
+            if entry.expr is not None:
+                group = registry._evaluate(dsl.parse(entry.expr), limit)
+            else:
+                group = build(entry.prime)
+                if group.fingerprint(limit) != entry.fingerprint:
+                    return None, (
+                        f"its builder {build.__name__}({entry.prime}) gives another fingerprint"
+                    )
+                memo[key] = group
+        except ParseError as exc:
+            return None, f"its expression does not parse: {exc}"
+        except ThresholdExceeded as exc:
+            return None, f"over the enumeration limit: {exc}"
+        except (ChromarankError, OSError) as exc:
+            return None, f"its expression cannot be evaluated: {exc}"
+    if group.order() != entry.order:
+        return None, f"its group has order {group.order()}, not {entry.order}"
     return group, ""
 
 
@@ -745,7 +753,7 @@ def _centralizer_children(
     filtering the group's elements, the closure of its generators, finds.
     """
     try:
-        group._check_limit(limit)
+        check_limit(group.order(), limit)
         if group.is_abelian():
             return []
         rows, rep, centralizer = group._class_rows(limit, lambda o: is_p_power(o, p))

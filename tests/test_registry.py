@@ -1104,9 +1104,18 @@ def _with_opaque_entry(reg, expr=None):
     return reg
 
 
-def test_explore_skips_unrealizable_entries(caplog):
-    # With c(2) beside it, the entry is no product factor either.
-    for expr, why in ((None, "no expression"), ("prod(", "its expression does not parse")):
+def test_explore_skips_unrealizable_entries(caplog, tmp_path):
+    # With c(2) beside it, the entry is no product factor either.  c(2) is
+    # in the memo already, as the seeded entry's group, so its order is
+    # checked on a memo hit.
+    cases = (
+        (None, "no expression"),
+        ("prod(", "its expression does not parse"),
+        ("cent(c(4),order=2,czorder=3)", "cannot be evaluated: no conjugacy class"),
+        (f'ingest("{tmp_path / "missing.gens"}")', "cannot be evaluated"),
+        ("c(2)", "its group has order 2, not 4"),
+    )
+    for expr, why in cases:
         reg = _with_opaque_entry(seeded_registry(2, ["c(2)"]), expr)
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="chromarank.registry"):
@@ -1588,6 +1597,7 @@ def test_public_entry_points_resolve_the_limit_once(monkeypatch):
         "verify_rank_identity": lambda limit: verify_rank_identity(
             wreath_cyclic(cyclic(3), 3), 3, 2, 1, limit=limit
         ),
+        "evaluate": lambda limit: dsl.evaluate(dsl.parse(E96), limit),
     }
     for name, call in calls.items():
         env.reads = 0
