@@ -38,11 +38,17 @@ from .perm import Permutation
 DEFAULT_MAX_HEIGHT = 4
 
 
-def _check_height(h: int) -> None:
+def _entry_limit(p: int, h: int, limit: int | None) -> int:
+    """The entry check of a public call at prime p and height h: p must be
+    prime and 0 <= h <= DEFAULT_MAX_HEIGHT.  Returns the resolved
+    enumeration limit, so the call reads CHROMARANK_MAX_ORDER once, even
+    at h = 0, where it enumerates nothing."""
+    check_prime(p)
     if h < 0:
         raise ValueError("height must be nonnegative")
     if h > DEFAULT_MAX_HEIGHT:
         raise HeightExceeded(f"height {h} above bound {DEFAULT_MAX_HEIGHT}")
+    return enumeration_limit(limit)
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,7 @@ def p_power_elements(
     return group._cached(
         ("p_power", p),
         limit,
-        lambda: tuple(
+        lambda limit: tuple(
             Permutation._wrap(t)
             for t in group._raw_elements(limit)
             if is_p_power(kernels.element_order(t), p)
@@ -149,11 +155,10 @@ def commuting_tuple_classes(
     and checks the limit as it reads p_power_elements, before anything is
     enumerated.
     """
-    check_prime(p)
-    _check_height(h)
+    limit = _entry_limit(p, h, limit)
     if h == 0:  # one empty tuple, centralized by the group; nothing to enumerate
         return LoopDecomposition(p, 0, (LoopComponent(PTuple(p, ()), group, 1),))
-    return _walk_classes(group, p, h, enumeration_limit(limit))
+    return _walk_classes(group, p, h, limit)
 
 
 def _walk_classes(group: PermGroup, p: int, h: int, limit: int) -> LoopDecomposition:
@@ -222,12 +227,10 @@ def hkr_rank(group: PermGroup, p: int, h: int, limit: int | None = None) -> int:
     on the group, and the limit is checked before the cache is read;
     commuting_tuple_classes is the independent oracle.
     """
-    check_prime(p)
-    _check_height(h)
+    limit = _entry_limit(p, h, limit)
     if h == 0:
         return 1
-    limit = enumeration_limit(limit)
-    return group._cached(("rank", p, h), limit, lambda: _rank(group, p, h, limit))
+    return group._cached(("rank", p, h), limit, _rank, group, p, h)
 
 
 def _rank(group: PermGroup, p: int, h: int, limit: int) -> int:
@@ -307,11 +310,9 @@ def verify_rank_identity(
     t >= 1 thus compares the two algorithms.  t = 0 is the only case that
     checks nothing: both sides count the components of one height-n walk.
     """
-    check_prime(p)
-    _check_height(n)
+    limit = _entry_limit(p, n, limit)
     if not 0 <= t <= n:
         raise ValueError("need 0 <= t <= n")
-    limit = enumeration_limit(limit)
     decomposition = commuting_tuple_classes(group, p, n, limit)
     lhs = len(decomposition)
     if t:

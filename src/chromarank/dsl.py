@@ -277,7 +277,7 @@ def _select_centralizer(group: PermGroup, order: int, czorder: int | None, limit
     |G| / |x^G|.  The selection is cached on the group; a failed one is not.
     """
 
-    def select():
+    def select(limit):
         for rep, size, _ in group._classes(limit, order):
             if czorder is None or group.order() // size == czorder:
                 return rep

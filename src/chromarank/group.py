@@ -84,12 +84,13 @@ def enumeration_limit(explicit: int | None = None) -> int:
     return DEFAULT_ENUMERATION_LIMIT
 
 
-def check_limit(order: int, limit: int | None) -> None:
-    """Raise ThresholdExceeded when a group of this order is past the
-    enumeration limit."""
+def check_limit(order: int, limit: int | None) -> int:
+    """The resolved enumeration limit (enumeration_limit); raises
+    ThresholdExceeded when a group of this order is past it."""
     cap = enumeration_limit(limit)
     if order > cap:
         raise ThresholdExceeded(f"desk-scale exceeded: group order {order} > limit {cap}")
+    return cap
 
 
 class _Level:
@@ -208,10 +209,6 @@ class ConjClassTable:
 
     def __len__(self) -> int:
         return len(self.reps)
-
-    def keyed_rows(self):
-        """(rows of ((element order, class size), index), rep(index) raw)."""
-        return zip(zip(self.orders, self.sizes), range(len(self.reps))), [x.images for x in self.reps].__getitem__
 
 
 # Exact types, since bool is a subclass of int and int(3.7) == 3.
@@ -419,19 +416,19 @@ class PermGroup:
             self._record_order(cached)
         return cached
 
-    def contains(self, p: Permutation) -> bool:
+    def contains(self, x: Permutation) -> bool:
         """Membership: a binary search of the sorted elements once they are
         closed, else a sift through the stabilizer chain, built for it."""
-        if p.degree != self.degree:
-            raise DegreeMismatch(f"degree {p.degree} vs group degree {self.degree}")
+        if x.degree != self.degree:
+            raise DegreeMismatch(f"degree {x.degree} vs group degree {self.degree}")
         elements = self._cache.get("elements_raw")
         if elements is None:
-            return self.chain().contains(p.images)
-        i = bisect_left(elements, p.images)
-        return i < len(elements) and elements[i] == p.images
+            return self.chain().contains(x.images)
+        i = bisect_left(elements, x.images)
+        return i < len(elements) and elements[i] == x.images
 
-    def __contains__(self, p: Permutation) -> bool:
-        return self.contains(p)
+    def __contains__(self, x: Permutation) -> bool:
+        return self.contains(x)
 
     def is_abelian(self) -> bool:
         return not self._noncentral_generators()
@@ -459,28 +456,30 @@ class PermGroup:
 
     # -- enumeration-backed queries -------------------------------------------
 
-    def _stored(self, key, compute: Callable[[], object]):
-        """The result stored under key, computed and stored on a miss: the
+    def _stored(self, key, compute: Callable[..., object], *args):
+        """The result stored under key, compute(*args) stored on a miss: the
         one store of every derived value.  A result that is the group itself
         is marked (_ITSELF) rather than held, since a group in its own cache
         is a reference cycle."""
         value = self._cache.get(key)
         if value is None:
-            value = compute()
+            value = compute(*args)
             self._cache[key] = _ITSELF if value is self else value
         return self if value is _ITSELF else value
 
-    def _cached(self, key, limit: int | None, compute: Callable[[], object]):
-        """The enumeration-backed result stored under key (_stored).
+    def _cached(self, key, limit: int | None, compute: Callable[..., object], *args):
+        """The enumeration-backed result stored under key (_stored), on a
+        miss compute(*args, limit) with limit resolved.
 
-        The limit is checked before the lookup, so a cached result is
-        returned exactly when a fresh group would compute it.
+        The limit is resolved and checked once, before the lookup, so a
+        cached result is returned exactly when a fresh group would compute
+        it, and compute reads no CHROMARANK_MAX_ORDER.
         """
-        check_limit(self.order(), limit)
-        return self._stored(key, compute)
+        return self._stored(key, compute, *args, check_limit(self.order(), limit))
 
     def _raw_elements(self, limit: int | None = None) -> tuple[tuple[int, ...], ...]:
-        return self._cached("elements_raw", limit, self._close)
+        check_limit(self.order(), limit)
+        return self._stored("elements_raw", self._close)
 
     def _close(self) -> tuple[tuple[int, ...], ...]:
         """The sorted elements: the closure of the generators, whose length
@@ -498,9 +497,7 @@ class PermGroup:
     def elements(self, limit: int | None = None) -> tuple[Permutation, ...]:
         """All elements, lexicographically sorted by image tuple."""
         return self._cached(
-            "elements",
-            limit,
-            lambda: tuple(Permutation._wrap(t) for t in self._raw_elements(limit)),
+            "elements", limit, lambda limit: tuple(Permutation._wrap(t) for t in self._raw_elements(limit))
         )
 
     def exponent(self, limit: int | None = None) -> int:
@@ -508,9 +505,9 @@ class PermGroup:
 
     def conjugacy_classes(self, limit: int | None = None) -> ConjClassTable:
         """The conjugacy classes, one row per class from _classes."""
-        return self._cached("classes", limit, lambda: self._class_table(limit))
+        return self._cached("classes", limit, self._class_table)
 
-    def _class_table(self, limit: int | None) -> ConjClassTable:
+    def _class_table(self, limit: int) -> ConjClassTable:
         reps, sizes, orders = zip(*self._classes(limit))
         return ConjClassTable(reps, sizes, orders)
 
@@ -530,7 +527,7 @@ class PermGroup:
         """
         record = self._record(own=True)
         if record is not None:
-            check_limit(self.order(), limit)
+            limit = check_limit(self.order(), limit)
             # lcm(a, c) is order only when a and c divide it.
             rows, rep, _ = record.rows(self, limit, lambda o: order is None or order % o == 0)
             for (o, size), key in rows:
@@ -574,9 +571,9 @@ class PermGroup:
 
     def class_profile(self, limit: int | None = None) -> tuple[tuple[int, int], ...]:
         """Sorted (element order, class size) pairs, one per conjugacy class."""
-        return self._cached("profile", limit, lambda: self._profile(limit))
+        return self._cached("profile", limit, self._profile)
 
-    def _profile(self, limit: int | None) -> tuple[tuple[int, int], ...]:
+    def _profile(self, limit: int) -> tuple[tuple[int, int], ...]:
         record = self._record()
         return self.conjugacy_classes(limit).profile() if record is None else record.profile(limit)
 
@@ -607,7 +604,7 @@ class PermGroup:
         weakly), so a repeated target costs one lookup.
         """
         targets = tuple(raw_targets)
-        return self._cached(("centralizer", targets), limit, lambda: self._centralizer_group(targets, limit))
+        return self._cached(("centralizer", targets), limit, self._centralizer_group, targets)
 
     def _intern(self, elements) -> "PermGroup":
         """The subgroup on a sorted element tuple, from the intern table,
@@ -620,7 +617,7 @@ class PermGroup:
             table[sub._cache["elements_raw"]] = sub
         return sub
 
-    def _centralizer_group(self, targets: tuple, limit: int | None) -> "PermGroup":
+    def _centralizer_group(self, targets: tuple, limit: int) -> "PermGroup":
         """The elements commuting with every target: the group itself when
         all of them are central, else an interned proper subgroup.  A group
         with a record made on it asks the record; any other drops the
@@ -653,7 +650,9 @@ class PermGroup:
         record = self._record(own=True)
         if record is not None:
             return record.rows(self, limit, keep)
-        return _rep_rows(self, *self.conjugacy_classes(limit).keyed_rows(), limit, keep)
+        table = self.conjugacy_classes(limit)
+        rows = zip(zip(table.orders, table.sizes), range(len(table)))
+        return _rep_rows(self, rows, [x.images for x in table.reps].__getitem__, limit, keep)
 
     def centralizer(self, targets: Iterable[Permutation], limit: int | None = None) -> "PermGroup":
         """Centralizer of a set of elements (see _centralizer_group)."""
@@ -682,6 +681,7 @@ class PermGroup:
         extends, not all of G, then grows it (kernels.extend_span).
         """
         check_prime(p)
+        limit = enumeration_limit(limit)
         target = p_part(self.order(), p)
         if target == 1:
             return _subgroup_from_elements(self.degree, [tuple(range(self.degree))])
@@ -712,12 +712,12 @@ class PermGroup:
         closure runs.  Raises ThresholdExceeded, and caches nothing, once
         the closure grows past the enumeration limit.
         """
-        result = self._stored("derived", lambda: self._derived_subgroup(limit))
+        limit = enumeration_limit(limit)
+        result = self._stored("derived", self._derived_subgroup, limit)
         check_limit(result.order(), limit)
         return result
 
-    def _derived_subgroup(self, limit: int | None) -> "PermGroup":
-        cap = enumeration_limit(limit)
+    def _derived_subgroup(self, cap: int) -> "PermGroup":
         identity = tuple(range(self.degree))
         inv = [kernels.inverse(a) for a in self._raw]
         work = [
@@ -742,9 +742,9 @@ class PermGroup:
         )._record_order(len(span))
 
     def fingerprint(self, limit: int | None = None) -> Fingerprint:
-        return self._cached("fingerprint", limit, lambda: self._fingerprint(limit))
+        return self._cached("fingerprint", limit, self._fingerprint)
 
-    def _fingerprint(self, limit: int | None) -> Fingerprint:
+    def _fingerprint(self, limit: int) -> Fingerprint:
         """The record's, else the fold of the class profile."""
         record = self._record()
         return _folded_fingerprint(self, limit) if record is None else record.fingerprint(self, limit)
@@ -879,11 +879,9 @@ class Wreath:
         return total
 
     def rows(self, group: PermGroup, limit: int | None, keep: Callable[[int], bool]):
-        """PermGroup._class_rows' (rows, rep, centralizer), from group's
-        class table once it is cached, else from _wreath_rows."""
-        table = group._cache.get("classes")
-        rows = _wreath_rows(self.base, self.n, limit) if table is None else table.keyed_rows()
-        return _rep_rows(group, *rows, limit, keep)
+        """PermGroup._class_rows' (rows, rep, centralizer), from
+        _wreath_rows."""
+        return _rep_rows(group, *_wreath_rows(self.base, self.n, limit), limit, keep)
 
     def centralizer(self, group: PermGroup, targets: tuple, limit: int | None) -> PermGroup:
         """The product of the base's centralizers of the targets' pieces,
@@ -912,8 +910,9 @@ class Wreath:
 
 
 def _rep_rows(group: PermGroup, rows, rep, limit: int | None, keep: Callable[[int], bool]):
-    """PermGroup._class_rows' (rows, rep, centralizer) from keyed rows and
-    rep (ConjClassTable.keyed_rows): centralizer is _centralizer_raw's."""
+    """PermGroup._class_rows' (rows, rep, centralizer) from rows of
+    ((element order, class size), key) and rep(key), raw: centralizer is
+    _centralizer_raw's."""
     return (row for row in rows if keep(row[0][0])), rep, lambda key: group._centralizer_raw([rep(key)], limit)
 
 

@@ -34,7 +34,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import constructors, dsl, kernels
-from .arith import check_prime, is_p_power, p_part
+from .arith import check_prime, is_p_power, is_prime, p_part
 from .errors import ChromarankError, ConsistencyError, ParseError, ThresholdExceeded
 from .group import (
     Fingerprint,
@@ -80,6 +80,8 @@ class RegistryEntry:
     parents: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not is_prime(self.prime):
+            raise ChromarankError(f"bad prime {self.prime}")
         if self.status not in STATUSES:
             raise ChromarankError(f"bad status {self.status!r}")
         if self.order is not None and self.order < 1:
@@ -347,6 +349,16 @@ def _match_seed(expr: dsl.GroupExpr, p: int, group: PermGroup) -> str | None:
 DEFAULT_SEARCH_DEPTH = 6
 
 
+def _entry_limit(registry: Registry, p: int, limit: int | None) -> int:
+    """The entry check of a public call at prime p on registry: p must be
+    prime and the registry keyed to p or to no prime.  Returns the resolved
+    enumeration limit, so the call reads CHROMARANK_MAX_ORDER once."""
+    check_prime(p)
+    if registry.prime not in (None, p):
+        raise ConsistencyError(f"registry is keyed to prime {registry.prime}, not {p}")
+    return enumeration_limit(limit)
+
+
 def certify(
     expr: dsl.GroupExpr | str,
     p: int,
@@ -361,12 +373,9 @@ def certify(
     bad-status entry, ConsistencyError is raised: the rules are theorems,
     so that combination marks a bug or a poisoned registry.
     """
+    limit = _entry_limit(registry, p, limit)
     if isinstance(expr, str):
         expr = dsl.parse(expr)
-    check_prime(p)
-    if registry.prime not in (None, p):
-        raise ConsistencyError(f"registry is keyed to prime {registry.prime}, not {p}")
-    limit = enumeration_limit(limit)
     witnesses = functools.cache(lambda: _factor_witnesses(registry))
     tree = _search(expr, p, registry, depth, limit, witnesses)
     if tree is not None:
@@ -460,7 +469,7 @@ def replay(
     of the steps of _steps for its subject, and a SEED node's axiom entry
     must be in the registry.
     """
-    limit = enumeration_limit(limit)
+    limit = _entry_limit(registry, p, limit)
     witnesses = functools.cache(lambda: _factor_witnesses(registry))
     for node in tree.walk():
         claim = (node.rule, node.detail, tuple(t.subject for t in node.premises))
@@ -488,7 +497,7 @@ def register_derivation(
     limit: int | None = None,
 ) -> list[RegistryEntry]:
     """Add an entry per derivation node (leaves first); returns new entries."""
-    limit = enumeration_limit(limit)
+    limit = _entry_limit(registry, p, limit)
     added = []
     for node in reversed(list(tree.walk())):
         if registry.get(node.subject) is not None:
@@ -843,10 +852,7 @@ def explore(
     lines stay those of one candidate per class.  Each round logs its
     counts at INFO, every class counted.
     """
-    check_prime(p)
-    if registry.prime not in (None, p):
-        raise ConsistencyError(f"registry is keyed to prime {registry.prime}, not {p}")
-    limit = enumeration_limit(limit)
+    limit = _entry_limit(registry, p, limit)
     added: list[RegistryEntry] = []
     # Every snapshot entry's group, or None; entries are only ever appended,
     # so the entries past its length are the round's new ones.

@@ -185,25 +185,6 @@ def test_one_order_classes_of_a_recorded_wreath_come_as_reached(monkeypatch):
     assert first == next(PermGroup(group.degree, group.generators)._classes(None, 2))
 
 
-def test_a_recorded_wreath_reads_its_cached_class_table_for_rows(monkeypatch):
-    # Once a recorded wreath's class table is cached, a second read of its
-    # rows comes from that table: it lists no _wreath_words row and builds
-    # no rep again, and yields the same rows.
-    group = wreath_cyclic(symmetric(3), 3)
-    table = group.conjugacy_classes()
-    words = group_module._wreath_words
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return words(*args)
-
-    monkeypatch.setattr(group_module, "_wreath_words", counting)
-    got = list(group._classes(None, 2))
-    assert calls == []
-    assert got == [row for row in zip(table.reps, table.sizes, table.orders) if row[2] == 2]
-
-
 def test_class_centralizer_reuses_the_group_for_central_classes(corpus):
     for name, group in corpus.items():
         table = group.conjugacy_classes()

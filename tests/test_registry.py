@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import logging
 import math
@@ -8,6 +9,7 @@ import re
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +23,13 @@ from chromarank import (
     RegistryEntry,
     ThresholdExceeded,
     certify,
+    commuting_tuple_classes,
     cyclic,
     explore,
     general_linear,
     hkr_rank,
+    is_prime,
+    p_power_elements,
     register_derivation,
     replay,
     seed_defaults,
@@ -34,6 +39,7 @@ from chromarank import (
 )
 from chromarank.group import FINGERPRINT_FIELDS, Fingerprint, PermGroup, Product, Wreath
 from chromarank.registry import DerivationTree, _match_seed
+import chromarank
 from chromarank import constructors, dsl, group as group_mod, registry as registry_mod
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -304,6 +310,14 @@ def test_load_rejects_an_order_its_fingerprint_contradicts(tmp_path):
     assert "order 2" in str(exc.value) and f"line {len(reg.entries)}" in str(exc.value)
 
 
+def test_load_rejects_a_composite_prime(tmp_path):
+    rec = entry_for("c(4)", "c(4)", 2, cyclic(4)).to_record()
+    path = tmp_path / "prime.jsonl"
+    path.write_text(json.dumps(dict(rec, prime=4)) + "\n")
+    with pytest.raises(ParseError, match=r"^bad prime 4 \(line 1\)$"):
+        Registry.load(str(path))
+
+
 @pytest.mark.parametrize("order", [0, -4])
 def test_entry_order_below_one_is_refused(order):
     with pytest.raises(ChromarankError, match=f"bad order {order}"):
@@ -388,7 +402,7 @@ def _entries(draw):
     return RegistryEntry(
         name=draw(st.text()),
         expr=draw(st.none() | st.text()),
-        prime=draw(st.integers()),
+        prime=draw(st.sampled_from([q for q in range(1000) if is_prime(q)])),
         order=order,
         fingerprint=fingerprint,
         status=draw(st.sampled_from(registry_mod.STATUSES)),
@@ -1220,26 +1234,121 @@ def test_explore_suffixes_a_taken_name():
     assert reg.get("wr(c(2),c(2))#3").expr == "wr(c(2),c(2))"
 
 
+# The entry contract of the public calls, one table per check, keyed by
+# the call's name in chromarank.__all__ or as "PermGroup.<method>":
+# test_every_public_call_is_in_the_contract_tables reads the keys.
+SEED_TREE = DerivationTree("c(1)", "SEED", "abelian")
+COMPOSITE_PRIME_CALLS = {
+    "Registry": lambda: Registry(4),
+    "seed_defaults": lambda: seed_defaults(4),
+    "certify": lambda: certify("c(1)", 4, Registry()),
+    "replay": lambda: replay(SEED_TREE, 4, Registry()),
+    "register_derivation": lambda: register_derivation(Registry(), SEED_TREE, 4),
+    "explore": lambda: explore(Registry(), 4, 16),
+    "PermGroup.sylow_subgroup": lambda: cyclic(4).sylow_subgroup(4),
+    "hkr_rank": lambda: hkr_rank(cyclic(4), 4, 1),
+    "commuting_tuple_classes": lambda: commuting_tuple_classes(cyclic(4), 4, 1),
+    "verify_rank_identity": lambda: verify_rank_identity(cyclic(4), 4, 1, 1),
+    "p_power_elements": lambda: p_power_elements(cyclic(4), 4),
+}
+
+# Calls at p = 2 on a registry keyed to 3, given the p = 2 derivation tree.
+FOREIGN_REGISTRY_CALLS = {
+    "certify": lambda reg, tree: certify(tree.subject, 2, reg),
+    "replay": lambda reg, tree: replay(tree, 2, reg),
+    "register_derivation": lambda reg, tree: register_derivation(reg, tree, 2),
+    "explore": lambda reg, tree: explore(reg, 2, 16),
+}
+
+
+def _fresh_wreath():
+    # Built for each call, so no cached result hides a read of the limit.
+    return wreath_cyclic(general_linear(2, 3), 2)
+
+
+def _fresh_plain():
+    # A wreath with no record: the class walk and the filter serve it.
+    g = wreath_cyclic(constructors.symmetric(3), 2)
+    return PermGroup(g.degree, g.generators)
+
+
+def _centralizer_of_a_generator(limit):
+    g = _fresh_plain()
+    return g.centralizer(g.generators[:1], limit)
+
+
+# Calls given the limit, and s with a registry (reg) and two derivations
+# at p = 3 (wreath, product), certified before the count starts.
+LIMIT_CALLS = {
+    # register_derivation first, while the registry lacks the product
+    "register_derivation": lambda s, limit: register_derivation(s.reg, s.product, 3, limit=limit),
+    "explore": lambda s, limit: explore(s.reg, 3, 243, limit=limit),
+    "certify": lambda s, limit: certify("wr(c(3),c(3))", 3, s.reg, limit=limit),
+    "replay": lambda s, limit: replay(s.wreath, 3, s.reg, limit=limit),
+    "verify_rank_identity": lambda s, limit: verify_rank_identity(
+        wreath_cyclic(cyclic(3), 3), 3, 2, 1, limit=limit
+    ),
+    "evaluate": lambda s, limit: dsl.evaluate(dsl.parse(E96), limit),
+    "PermGroup.elements": lambda s, limit: _fresh_plain().elements(limit),
+    "PermGroup.exponent": lambda s, limit: _fresh_plain().exponent(limit),
+    "PermGroup.conjugacy_classes": lambda s, limit: _fresh_wreath().conjugacy_classes(limit),
+    "PermGroup.fingerprint": lambda s, limit: _fresh_plain().fingerprint(limit),
+    "PermGroup.class_profile": lambda s, limit: _fresh_plain().class_profile(limit),
+    "PermGroup.centralizer": lambda s, limit: _centralizer_of_a_generator(limit),
+    "PermGroup.center": lambda s, limit: _fresh_wreath().center(limit),
+    "PermGroup.derived_subgroup": lambda s, limit: _fresh_plain().derived_subgroup(limit),
+    "PermGroup.sylow_subgroup": lambda s, limit: _fresh_plain().sylow_subgroup(2, limit),
+    "p_power_elements": lambda s, limit: p_power_elements(_fresh_plain(), 3, limit),
+    # the CLI's centralizer command on a recorded wreath
+    "PermGroup._classes": lambda s, limit: list(_fresh_wreath()._classes(limit, 4)),
+    "hkr_rank": lambda s, limit: hkr_rank(cyclic(3), 3, 0, limit),
+    "commuting_tuple_classes": lambda s, limit: commuting_tuple_classes(cyclic(3), 3, 0, limit),
+}
+
+
 def test_every_entry_point_refuses_a_composite_prime_alike():
-    # One check (arith.check_prime) serves the registry, the search, explore,
-    # the Sylow subgroup and the ranks.
-    for call in (
-        lambda: Registry(4),
-        lambda: seed_defaults(4),
-        lambda: certify("c(1)", 4, Registry()),
-        lambda: explore(Registry(), 4, 16),
-        lambda: cyclic(4).sylow_subgroup(4),
-        lambda: hkr_rank(cyclic(4), 4, 1),
-    ):
+    # One check (arith.check_prime) serves the registry, the search, replay,
+    # explore, the Sylow subgroup, the ranks and the tuple walk.
+    for name, call in COMPOSITE_PRIME_CALLS.items():
         with pytest.raises(ValueError, match="^4 is not prime$"):
             call()
+            pytest.fail(name)
 
 
 def test_explore_refuses_a_composite_or_foreign_prime():
     with pytest.raises(ValueError, match="4 is not prime"):
         explore(Registry.with_defaults(2), 4, 16)
-    with pytest.raises(ConsistencyError, match="keyed to prime 3, not 2"):
-        explore(Registry.with_defaults(3), 2, 16)
+    tree = certify("wr(gl(2,3),c(2))", 2, Registry.with_defaults(2))
+    reg = Registry.with_defaults(3)
+    entries = list(reg.entries)
+    for name, call in FOREIGN_REGISTRY_CALLS.items():
+        with pytest.raises(ConsistencyError, match="keyed to prime 3, not 2"):
+            call(reg, tree)
+            pytest.fail(name)
+    assert reg.entries == entries
+
+
+def test_every_public_call_is_in_the_contract_tables():
+    # A public call that takes p, a registry or a limit is one more row of
+    # the matching contract table, so no entry point skips its checks.  In
+    # is_p_power and p_part, p is any base, and IdentityReport is a record.
+    tables = {"p": COMPOSITE_PRIME_CALLS, "registry": FOREIGN_REGISTRY_CALLS, "limit": LIMIT_CALLS}
+    exempt = {"is_p_power", "p_part", "IdentityReport"}
+    public = {name: getattr(chromarank, name) for name in chromarank.__all__}
+    methods = [name for name in dir(PermGroup) if not name.startswith("_")]
+    public.update((f"PermGroup.{name}", getattr(PermGroup, name)) for name in methods)
+    assert exempt <= public.keys()
+    # Exception types take *args, and the builtin-derived ones have no signature.
+    calls = {
+        name: fn
+        for name, fn in public.items()
+        if callable(fn) and name not in exempt and not (isinstance(fn, type) and issubclass(fn, Exception))
+    }
+    found = {
+        (name, param) for name, fn in calls.items() for param in inspect.signature(fn).parameters if param in tables
+    }
+    assert {("certify", "registry"), ("hkr_rank", "p"), ("PermGroup.center", "limit")} <= found
+    assert sorted((name, param) for name, param in found if name not in tables[param]) == []
 
 
 def test_explore_registry_bytes_match_golden(tmp_path):
@@ -1581,30 +1690,23 @@ class _CountingEnviron(dict):
 
 
 def test_public_entry_points_resolve_the_limit_once(monkeypatch):
-    # Each call reads CHROMARANK_MAX_ORDER once, at entry, and passes the
-    # resolved limit on; every cached lookup below it checks that integer.
+    # Each call reads CHROMARANK_MAX_ORDER once, at entry, before any
+    # shortcut, and passes the resolved limit on; every cached lookup below
+    # it checks that integer.
     env = _CountingEnviron({group_mod.LIMIT_ENV_VAR: "100000"})
     monkeypatch.setattr(group_mod, "os", type("os", (), {"environ": env}))
     reg = seeded_registry(3, ["c(1)", "c(3)"])
-    wreath = certify("wr(c(3),c(3))", 3, reg)
-    product = certify("prod(c(3),wr(c(3),c(3)))", 3, reg)
-    # register_derivation first, while the registry lacks the product
-    calls = {
-        "register_derivation": lambda limit: register_derivation(reg, product, 3, limit=limit),
-        "explore": lambda limit: explore(reg, 3, 243, limit=limit),
-        "certify": lambda limit: certify("wr(c(3),c(3))", 3, reg, limit=limit),
-        "replay": lambda limit: replay(wreath, 3, reg, limit=limit),
-        "verify_rank_identity": lambda limit: verify_rank_identity(
-            wreath_cyclic(cyclic(3), 3), 3, 2, 1, limit=limit
-        ),
-        "evaluate": lambda limit: dsl.evaluate(dsl.parse(E96), limit),
-    }
-    for name, call in calls.items():
+    s = SimpleNamespace(
+        reg=reg,
+        wreath=certify("wr(c(3),c(3))", 3, reg),
+        product=certify("prod(c(3),wr(c(3),c(3)))", 3, reg),
+    )
+    for name, call in LIMIT_CALLS.items():
         env.reads = 0
-        call(None)
+        call(s, None)
         assert env.reads == 1, name
         with pytest.raises(ValueError, match="enumeration limit must be positive"):
-            call(0)
+            call(s, 0)
 
 
 def test_certify_replay_register_build_the_class_table_once(monkeypatch):
